@@ -43,6 +43,8 @@ BLOCK = 256  # cases made, run and checked at a time (about one second)
 # Cases per batch: network and rules cases alternate and differ about 3x
 # in cost, so a batch holds several of each and its time is unimodal.
 BATCH = 16
+# Batches between host-speed samples (about 0.08 s of cases; see ``calibrate``).
+SAMPLE_EVERY = 2
 ENTROPY_SAMPLE = 32  # every 32nd positive also gets the full entropy check
 # Seconds per case on the reference host (see ``calibrate``); a run of
 # ``seconds`` does ceil(seconds / (this * block)) blocks, so a seed always
@@ -209,9 +211,9 @@ def run(
 ) -> RunResult:
     """Run about ``seconds`` (at reference speed) of distinct cases,
     ``block`` at a time.  Each block's cases are made before it and its
-    verdicts checked after it, outside the timed region; the host-speed
-    kernel runs once per block, and ``between(timed seconds so far)``, if
-    given, before it."""
+    verdicts checked after it, outside the timed region.  The host-speed
+    kernel runs before every ``SAMPLE_EVERY`` batches, and
+    ``between(timed seconds so far)``, if given, before each block."""
     res = RunResult()
     tracer = Tracer() if trace else None
     host = HostSpeed()
@@ -240,10 +242,11 @@ def run(
         if between is not None:
             between(res.timed_s)
         cases = [make_case(seed, i) for i in range(first, first + block)]
-        host.sample()
         verdicts: list[Verdict] = []
         batch_s = 0.0
         for case in cases:
+            if case.index % (SAMPLE_EVERY * BATCH) == 0:
+                host.sample()
             dt = attempt(case, False, verdicts)
             if dt is None:
                 continue

@@ -30,7 +30,7 @@ from statistics import median
 from time import perf_counter
 
 import bootstrap
-from result import tail
+from result import p50, tail
 
 WORKLOADS = ("sweep-sparse", "sweep-dense", "oracle-16q")
 SETUP_SAMPLES = 7
@@ -143,7 +143,7 @@ def end_to_end(res, workload: str, setup_times: list[float]) -> tuple[dict, list
     metrics = {
         "setup_s": (median(setup_times), "s"),
         "instances_per_s": (res.instances / res.scaled_s, "1/s"),
-        "batch_p50_ms": (median(res.scaled_batch_ms), "ms"),
+        "batch_p50_ms": (p50(res.scaled_batch_ms), "ms"),
         "batch_tail_ms": (tail_ms, "ms"),
         "peak_rss_mb": (res.peak_rss_mb, "MB"),
     }
@@ -153,7 +153,7 @@ def end_to_end(res, workload: str, setup_times: list[float]) -> tuple[dict, list
     lines += [
         f"batch_tail_ms is p{tail_pct:.1f} of {len(res.scaled_batch_ms)} batches",
         f"host slowdown {res.slowdown:.4f} (kernel mean / reference)",
-        f"raw instances_per_s {res.instances / res.timed_s:.6g}, batch_p50_ms {median(res.batch_ms):.6g}, "
+        f"raw instances_per_s {res.instances / res.timed_s:.6g}, batch_p50_ms {p50(res.batch_ms):.6g}, "
         f"batch_tail_ms {tail(res.batch_ms)[0]:.6g}",
         f"setup_s samples {[round(t, 4) for t in setup_times]}",
     ]
@@ -284,7 +284,9 @@ def main(argv=None) -> int:
         "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()},
     }
     with open(os.path.join(out_root, "result.json"), "w", encoding="utf-8") as fh:
-        json.dump({"result": result, "env": env, "notes": res.notes, "problems": problems, "lines": lines}, fh, indent=1, default=str)
+        record = {"result": result, "env": env, "notes": res.notes, "problems": problems, "lines": lines}
+        record["batch_ms"] = {"raw": res.batch_ms, "scaled": res.scaled_batch_ms}
+        json.dump(record, fh, indent=1, default=str)
     print(json.dumps(result))
     return 0 if correct else 1
 

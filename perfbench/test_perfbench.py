@@ -13,6 +13,7 @@ import random
 import shutil
 import subprocess
 import sys
+from statistics import median
 
 import pytest
 
@@ -28,11 +29,12 @@ from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
 from mecnet.pairs import compatible, dynamic_parallel_pairs
 from mecnet.qnet import build_controlled
 
+import calibrate
 import checks
 import oracle
 import sweep
 import tracing
-from result import tail
+from result import p50, tail
 
 TINY_GRID = dict(sweep.EVAL_GRID, nodes=12, qnet_counts=[3, 4], request_volumes=[4, 8])
 NO_DIGEST = {"seed": 1, "csv_sha256": None}
@@ -45,7 +47,7 @@ def test_sweep_runs_clean_at_tiny_size(tmp_path, workload, trace):
     assert res.problems == [] and res.failed == 0
     # One cycle over k, then the (tiny) time is up.
     assert res.instances == len(TINY_GRID["qnet_counts"]) and res.batch_ms
-    assert res.attempted == len(TINY_GRID["qnet_counts"]) + (2 if trace else 1) * res.instances
+    assert res.attempted == 1 + (2 if trace else 1) * res.instances
     if trace:
         assert res.tracer.calls("pairs.dynamic_parallel_pairs") > 0
         assert res.tracer.calls("experiments.run_instance") == res.traced_units
@@ -64,7 +66,7 @@ def test_oracle_runs_clean_at_tiny_size(tmp_path, trace):
 
 def test_reference_digest_mismatch_fails_the_run(tmp_path):
     res = sweep.run("sweep-dense", 5, 1e-9, False, str(tmp_path), TINY_GRID, {"seed": 1, "csv_sha256": "0" * 64})
-    assert res.failed == len(TINY_GRID["qnet_counts"])
+    assert res.failed == 1
     assert any("digest" in p for p in res.problems)
 
 
@@ -74,7 +76,7 @@ def _batch(p: float = 0.2, volume: int = 20):
     rs = sample_requests(iq, volume, 4)
     table = dynamic_parallel_pairs(cg, rs)
     paths = cqr_batch(cg, rs.requests)[0]
-    return sweep.Batch(("test", 4), cg, rs.requests, table.groups, paths, 0.0)
+    return sweep.Batch(("test", 4), cg, rs.requests, table.groups, paths, 0.0, 0.0, 0.0)
 
 
 def test_checker_accepts_the_library_output():
@@ -151,10 +153,34 @@ def test_tracer_skips_names_the_library_no_longer_has(monkeypatch):
     assert sum(tr.layer_self_s().values()) > 0
 
 
+def test_host_speed_scales_each_stretch_by_its_own_samples():
+    host = calibrate.HostSpeed()
+    ref = calibrate.REFERENCE_S
+    # Samples at [0, 1], [3, 4] and [6, 7] read 1x, 3x and 3x slow, so the
+    # two segments between them are scaled by 2x and 3x.
+    host.starts, host.ends, host.samples = [0.0, 3.0, 6.0], [1.0, 4.0, 7.0], [ref, 3 * ref, 3 * ref]
+    # A unit over [0.5, 6.5] holds one batch in each segment; kernel time
+    # and time outside the unit do not count.
+    host.record_interval(0.5, 6.5, [(1.0, 2.0), (4.0, 5.0)])
+    total, batches = host.scaled()
+    assert total == pytest.approx(2.0 / 2.0 + 2.0 / 3.0)
+    assert batches == pytest.approx([1000.0 / 2.0, 1000.0 / 3.0])
+
+
 def test_tail_has_ten_samples_beyond_it():
     values = list(range(100))
     assert tail(values) == (89, 90.0)
     assert tail([3.0, 1.0]) == (3.0, 100.0)
+
+
+def test_p50_is_the_median_of_symmetric_samples_and_moves_smoothly():
+    assert p50([7.0]) == 7.0
+    assert p50([1.0, 2.0, 3.0, 4.0, 5.0]) == pytest.approx(3.0)
+    # Two clusters with the middle in the gap: the sample median is the
+    # mean of the two inner extremes, so moving one of them moves it most.
+    low, high = [100.0 + i for i in range(10)], [500.0 + i for i in range(10)]
+    moved = low + [400.0] + high[1:]
+    assert abs(p50(moved) - p50(low + high)) < abs(median(moved) - median(low + high)) / 2
 
 
 def _run_cli(cwd, *args):
