@@ -53,9 +53,10 @@ class SetupSampler:
     """Times fresh interpreters from start to the set-up probe's ``ready``.
 
     The samples are spread over the run (see ``between``), so one slow
-    stretch of the shared host does not set them all.  They are not scaled
-    by host speed: start-up is process creation, file reads and imports,
-    which the Python kernel does not track.
+    stretch of the shared host does not set them all.  Their median is
+    scaled by the run's mean host slowdown: one probe does not follow the
+    kernel samples around it, but a run's set-up times follow the run's
+    mean slowdown (see the README).
     """
 
     def __init__(self, workload: str, seed: int, seconds: float, samples: int = SETUP_SAMPLES) -> None:
@@ -141,7 +142,7 @@ def end_to_end(res, workload: str, setup_times: list[float]) -> tuple[dict, list
     the raw figures go on the printed lines."""
     tail_ms, tail_pct = tail(res.scaled_batch_ms)
     metrics = {
-        "setup_s": (median(setup_times), "s"),
+        "setup_s": (median(setup_times) / res.slowdown, "s"),
         "instances_per_s": (res.instances / res.scaled_s, "1/s"),
         "batch_p50_ms": (p50(res.scaled_batch_ms), "ms"),
         "batch_tail_ms": (tail_ms, "ms"),
@@ -155,7 +156,7 @@ def end_to_end(res, workload: str, setup_times: list[float]) -> tuple[dict, list
         f"host slowdown {res.slowdown:.4f} (kernel mean / reference)",
         f"raw instances_per_s {res.instances / res.timed_s:.6g}, batch_p50_ms {p50(res.batch_ms):.6g}, "
         f"batch_tail_ms {tail(res.batch_ms)[0]:.6g}",
-        f"setup_s samples {[round(t, 4) for t in setup_times]}",
+        f"raw setup_s {median(setup_times):.6g}, samples {[round(t, 4) for t in setup_times]}",
     ]
     return metrics, lines
 
