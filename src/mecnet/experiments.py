@@ -24,7 +24,7 @@ import numpy as np
 from .cqr import cqr_batch
 from .metrics import MetricsRecord, TimingParams
 from .netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
-from .pairs import dynamic_parallel_pairs
+from .pairs import check_seed_policy, dynamic_parallel_pairs
 from .qnet import (
     InterQNet,
     build_controlled,
@@ -56,7 +56,9 @@ SCHEMAS = {
 
 
 class PipelineMismatch(AssertionError):
-    """Measurement-sequence result disagreed with the complement oracle."""
+    """A pipeline invariant failed on an instance: the measurement sequence
+    disagreed with the complement oracle, or a remote request routed in
+    one hop."""
 
     def __init__(self, message: str, instance_text: str):
         super().__init__(message)
@@ -86,6 +88,7 @@ class ExperimentConfig:
             raise ValueError("need at least one request volume and timing point")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        check_seed_policy(self.seed_policy)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -181,7 +184,12 @@ def run_instance(
         for group in table.groups:
             extract_epr(measured, group)  # raises on any extraction conflict
         paths, h_bar, chi, _ = cqr_batch(cg, rs.requests)
-        assert all(p_.hops >= 2 for p_ in paths), "remote requests start non-adjacent"
+        adjacent = [p_.request for p_ in paths if p_.hops < 2]
+        if adjacent:
+            raise PipelineMismatch(
+                f"requests {adjacent} route in one hop; remote requests start non-adjacent",
+                instance_to_text(cg),
+            )
         vr.rho = table.rho
         vr.r_bar = len(rs.requests) / table.rho if table.rho else 0.0
         vr.h_bar = h_bar

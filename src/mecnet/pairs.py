@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .graph import Graph
+from .graph import Graph, bits
 from .qnet import ControlledInterQNet, InterQNet, complement_inter_qnet
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "dynamic_parallel_pairs",
     "min_partition_oracle",
     "SEED_POLICIES",
+    "check_seed_policy",
     "requests_to_text",
     "requests_from_text",
     "table_to_text",
@@ -176,39 +177,75 @@ def parallel_pair_candidates(g: Graph, targets: Iterable[Edge]) -> CandidateList
     return CandidateList(entries)
 
 
+def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
+    """Compatibility matrix of ``edges`` as one bitmask row per edge.
+
+    Bit ``j`` of row ``i`` is set iff ``edges[i]`` and ``edges[j]`` are
+    compatible (never for ``j == i``).  Each vertex maps to the mask of the
+    edges that touch it; an edge conflicts with every edge touching its
+    endpoints or their neighbors.
+    """
+    touching = [0] * g.vertex_count
+    touched = 0
+    for i, (a, b) in enumerate(edges):
+        if not g.has_edge(a, b):
+            raise ValueError(f"({a},{b}) is not an edge")
+        touching[a] |= 1 << i
+        touching[b] |= 1 << i
+        touched |= (1 << a) | (1 << b)
+    full = (1 << len(edges)) - 1
+    rows = []
+    for a, b in edges:
+        reach = (1 << a) | (1 << b) | g.neighbor_mask(a) | g.neighbor_mask(b)
+        conflict = 0
+        for v in bits(reach & touched):
+            conflict |= touching[v]
+        rows.append(full & ~conflict)
+    return rows
+
+
 def check_parallel_pairable(g: Graph, edges: Iterable[Edge]) -> bool:
     """True iff the given edges are pairwise compatible.
 
-    Follows the candidate-complement formulation: collect, per edge, the
-    incompatible remainder of the full edge set, and require the input to
-    avoid the union of those remainders.
+    Reads the compatibility matrix of the edges themselves: each row must
+    cover every other member.  Raises ValueError for a non-edge when more
+    than one distinct edge is given.
     """
-    edge_set = {canonical_edge(u, v) for u, v in edges}
+    edge_set = sorted({canonical_edge(u, v) for u, v in edges})
     if len(edge_set) <= 1:
         return True
-    cl = parallel_pair_candidates(g, edge_set)
-    all_edges = set(canonical_edge(u, v) for u, v in g.edges())
-    conflict: set[Edge] = set()
-    for e in edge_set:
-        conflict |= all_edges - cl[e] - {e}
-    return not (edge_set & conflict)
+    full = (1 << len(edge_set)) - 1
+    rows = _compat_rows(g, edge_set)
+    return all((row | 1 << i) == full for i, row in enumerate(rows))
 
 
 # -- seed policies -------------------------------------------------------------
+#
+# A policy picks one request index from ``pool``, given the compatibility
+# rows and the request set ``rset`` frozen at the start of the group.
 
 
-def _policy_greedy_max(pool: Sequence[Edge], cand_in_r: Mapping[Edge, set[Edge]]) -> Edge:
-    return max(sorted(pool), key=lambda e: len(cand_in_r[e]))
+def _policy_greedy_max(pool: int, rows: Sequence[int], rset: int) -> int:
+    """Most compatible partners within ``rset``; the lowest index on ties."""
+    return max(bits(pool), key=lambda i: (rows[i] & rset).bit_count())
 
 
-def _policy_lowest_id(pool: Sequence[Edge], cand_in_r: Mapping[Edge, set[Edge]]) -> Edge:
-    return min(pool)
+def _policy_lowest_id(pool: int, rows: Sequence[int], rset: int) -> int:
+    return (pool & -pool).bit_length() - 1
 
 
-SEED_POLICIES: dict[str, Callable[[Sequence[Edge], Mapping[Edge, set[Edge]]], Edge]] = {
+SEED_POLICIES: dict[str, Callable[[int, Sequence[int], int], int]] = {
     "greedy_max": _policy_greedy_max,
     "lowest_id": _policy_lowest_id,
 }
+
+
+def check_seed_policy(name: str) -> None:
+    """Raise ValueError unless ``name`` is a key of :data:`SEED_POLICIES`."""
+    if name not in SEED_POLICIES:
+        raise ValueError(
+            f"unknown seed_policy {name!r}; choose one of {', '.join(SEED_POLICIES)}"
+        )
 
 
 def dynamic_parallel_pairs(
@@ -219,55 +256,64 @@ def dynamic_parallel_pairs(
     """Partition the request batch into parallel-pairable groups.
 
     The batch is interpreted on the cross-domain complement of the
-    controlled network.  If the whole batch is already pairwise
-    compatible it forms a single group; otherwise groups grow greedily
-    from a seed, intersecting the shared candidate set after each
-    addition.  Candidates are recomputed from scratch at every group
-    start, keeping the quadratic cost profile of the scheduler.
+    controlled network.  Each group starts from a seed chosen by the seed
+    policy and grows greedily, intersecting the shared candidate set after
+    each addition; a pairwise compatible batch thus forms a single group.
+    Requests are indexed in sorted order and the scheduler runs on their
+    compatibility matrix, built once per batch, so it never scans edges
+    outside the batch.  The result is checked against the whole-edge-set
+    candidate lists before it is returned.
     """
-    pick = SEED_POLICIES[seed_policy] if isinstance(seed_policy, str) else seed_policy
+    check_seed_policy(seed_policy)
+    pick = SEED_POLICIES[seed_policy]
     comp = complement_inter_qnet(cg.data_network())
     cgraph = comp.graph
-    remaining: list[Edge] = [canonical_edge(*e) for e in r]
-    for e in remaining:
+    requests = [canonical_edge(*e) for e in r]
+    for e in requests:
         if not cgraph.has_edge(*e):
             raise RequestNotInComplement(f"request {e} is not a complement edge")
-    if len(set(remaining)) != len(remaining):
+    if len(set(requests)) != len(requests):
         raise RequestError("duplicate requests")
 
-    if check_parallel_pairable(cgraph, remaining):
-        table = ParallelPairTable((frozenset(remaining),) if remaining else ())
-        _assert_table_valid(cgraph, table, remaining)
-        return table
-
+    edges = sorted(requests)
+    rows = _compat_rows(cgraph, edges)
     groups: list[frozenset[Edge]] = []
-    original = list(remaining)
+    remaining = (1 << len(edges)) - 1
     while remaining:
-        cl = parallel_pair_candidates(cgraph, remaining)
-        rset = set(remaining)
-        cand_in_r = {e: set(cl[e]) & rset for e in remaining}
-        seed = pick(remaining, cand_in_r)
-        group = {seed}
-        remaining.remove(seed)
-        shared = cand_in_r[seed] & set(remaining)
+        rset = remaining
+        seed = pick(remaining, rows, rset)
+        group = 1 << seed
+        remaining ^= group
+        shared = rows[seed] & remaining
         while shared:
-            nxt = pick(sorted(shared), cand_in_r)
-            group.add(nxt)
-            remaining.remove(nxt)
-            shared = shared & set(cl[nxt])
-            shared.discard(nxt)
-        groups.append(frozenset(group))
+            nxt = pick(shared, rows, rset)
+            group |= 1 << nxt
+            remaining ^= 1 << nxt
+            shared &= rows[nxt]
+        groups.append(frozenset(edges[i] for i in bits(group)))
     table = ParallelPairTable(tuple(groups))
-    _assert_table_valid(cgraph, table, original)
+    _assert_table_valid(cgraph, table, requests)
     return table
 
 
 def _assert_table_valid(g: Graph, table: ParallelPairTable, requests: Sequence[Edge]) -> None:
+    """Check ``table`` against the paper's whole-edge-set formulation.
+
+    The groups must partition ``requests``, and every member's candidate
+    list must hold the rest of its group.  Raises ParallelPairViolation.
+    """
     got = sorted(e for grp in table.groups for e in grp)
-    assert got == sorted(requests), "groups must partition the request set"
-    assert sum(len(grp) for grp in table.groups) == len(requests)
+    if got != sorted(requests):
+        raise ParallelPairViolation("groups must partition the request set")
+    cl = parallel_pair_candidates(g, requests)
     for grp in table.groups:
-        assert check_parallel_pairable(g, grp), "group fails the pairable check"
+        for e in sorted(grp):
+            extra = grp - {e} - cl[e]
+            if extra:
+                raise ParallelPairViolation(
+                    f"group member {e} conflicts with {sorted(extra)}",
+                    extra_edges=tuple(sorted(extra)),
+                )
 
 
 def min_partition_oracle(g: Graph, r: Iterable[Edge]) -> int:

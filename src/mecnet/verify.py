@@ -137,7 +137,7 @@ def suite_measurement_oracle(seed: int = 77, max_vertices: int = 5) -> SuiteResu
 
 
 def suite_pairable_bruteforce(trials: int = 10000, seed: int = 5150) -> SuiteResult:
-    """Candidate-complement pairable check versus all-pairs evaluation."""
+    """Matrix pairable check versus all-pairs evaluation."""
     res = SuiteResult("pairable-vs-bruteforce")
     rnd = random.Random(seed)
     for _ in range(trials):

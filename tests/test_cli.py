@@ -4,8 +4,12 @@ fault injection."""
 import json
 import os
 
+import pytest
+
 import mecnet.cli as cli
+import mecnet.experiments as experiments
 import mecnet.verify as verify
+from mecnet.cqr import CqrPath
 from mecnet.experiments import (
     ExperimentConfig,
     PipelineMismatch,
@@ -188,6 +192,13 @@ class TestUsageErrors:
         cfg_path, _ = small_config(tmp_path, densities=[2.0])
         assert cli.main(["generate", "--config", cfg_path]) == cli.EXIT_USAGE
 
+    def test_unknown_seed_policy_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="greedy_max, lowest_id"):
+            ExperimentConfig.from_dict({"seed_policy": "greedy"})
+        cfg_path, _ = small_config(tmp_path, seed_policy="greedy")
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
+        assert "unknown seed_policy 'greedy'" in capsys.readouterr().err
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MECNET_OUT", str(tmp_path / "envout"))
         cfg_path, cfg = small_config(tmp_path)
@@ -206,4 +217,16 @@ class TestPipelineMismatchPath:
         cfg_path, cfg = small_config(tmp_path, repetitions=1, densities=[0.5])
         rc = cli.main(["run", "--config", cfg_path])
         assert rc == cli.EXIT_VERIFY
+        assert os.path.exists(os.path.join(cfg["output_dir"], "mismatch_instance.txt"))
+
+    def test_one_hop_baseline_route_dumps_instance(self, tmp_path, monkeypatch):
+        def one_hop_first(cg, requests):
+            paths, h_bar, chi, rest = original(cg, requests)
+            paths[0] = CqrPath(paths[0].request, 1, (), False)
+            return paths, h_bar, chi, rest
+
+        original = experiments.cqr_batch
+        monkeypatch.setattr(experiments, "cqr_batch", one_hop_first)
+        cfg_path, cfg = small_config(tmp_path, repetitions=1, densities=[0.5])
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_VERIFY
         assert os.path.exists(os.path.join(cfg["output_dir"], "mismatch_instance.txt"))

@@ -2,16 +2,26 @@
 dynamic partitioning, exact-partition oracle."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mecnet
+from mecnet.experiments import derive_seed, even_sizes
 from mecnet.graph import Graph
+from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
 from mecnet.pairs import (
     AdjacentRequest,
     RequestNotInComplement,
     RequestSet,
     SameQNetRequest,
+    _compat_rows,
+    canonical_edge,
     check_parallel_pairable,
     compatible,
     dynamic_parallel_pairs,
@@ -27,6 +37,53 @@ from mecnet.verify import random_inter_qnet
 
 def brute_force_pairable(g, edges):
     return all(compatible(g, a, b) for a, b in itertools.combinations(edges, 2))
+
+
+def candidate_pairable(g, edges):
+    """The paper's formulation: each edge's candidate list over the whole
+    edge set holds every other member."""
+    edge_set = {canonical_edge(*e) for e in edges}
+    cl = parallel_pair_candidates(g, edge_set)
+    return all(edge_set - {e} <= cl[e] for e in edge_set)
+
+
+def reference_dynamic_parallel_pairs(cg, requests, seed_policy):
+    """The scheduler as first written: candidate lists over the whole
+    complement edge set, rebuilt at every group start."""
+    if seed_policy == "greedy_max":
+        def pick(pool, cand_in_r):
+            return max(sorted(pool), key=lambda e: len(cand_in_r[e]))
+    else:
+        def pick(pool, cand_in_r):
+            return min(pool)
+    cgraph = complement_inter_qnet(cg.data_network()).graph
+    remaining = [canonical_edge(*e) for e in requests]
+    groups = []
+    while remaining:
+        cl = parallel_pair_candidates(cgraph, remaining)
+        rset = set(remaining)
+        cand_in_r = {e: set(cl[e]) & rset for e in remaining}
+        seed = pick(remaining, cand_in_r)
+        group = {seed}
+        remaining.remove(seed)
+        shared = cand_in_r[seed] & set(remaining)
+        while shared:
+            nxt = pick(sorted(shared), cand_in_r)
+            group.add(nxt)
+            remaining.remove(nxt)
+            shared = shared & set(cl[nxt])
+            shared.discard(nxt)
+        groups.append(frozenset(group))
+    return tuple(groups)
+
+
+@st.composite
+def graph_and_subset(draw):
+    n = draw(st.integers(2, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    sub = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=8, unique=True))
+    return Graph(n, edges), sub
 
 
 class TestCompatible:
@@ -100,6 +157,23 @@ class TestCheckParallelPairable:
     def test_shared_vertex_false(self):
         g = Graph(3, [(0, 1), (1, 2)])
         assert check_parallel_pairable(g, [(0, 1), (1, 2)]) is False
+
+    def test_non_edge_rejected(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError):
+            check_parallel_pairable(g, [(0, 1), (1, 2)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_and_subset())
+    def test_matrix_candidates_and_pairwise_agree(self, case):
+        g, sub = case
+        want = brute_force_pairable(g, sub)
+        assert check_parallel_pairable(g, sub) == want
+        assert candidate_pairable(g, sub) == want
+        rows = _compat_rows(g, sub)
+        for i, j in itertools.permutations(range(len(sub)), 2):
+            assert bool(rows[i] >> j & 1) == compatible(g, sub[i], sub[j])
+        assert all(not row >> i & 1 for i, row in enumerate(rows))
 
     def test_brute_force_agreement(self):
         rnd = random.Random(32)
@@ -206,6 +280,48 @@ class TestDynamicParallelPairs:
             t1 = dynamic_parallel_pairs(cg, rs, seed_policy=policy)
             t2 = dynamic_parallel_pairs(cg, rs, seed_policy=policy)
             assert t1.groups == t2.groups
+
+    def test_unknown_policy_rejected(self):
+        iq, cg = self._instance(7)
+        picks = complement_inter_qnet(iq).graph.edges()[:2]
+        with pytest.raises(ValueError, match="greedy_max, lowest_id"):
+            dynamic_parallel_pairs(cg, RequestSet.from_pairs(picks, iq), seed_policy="greedy")
+
+    @pytest.mark.parametrize("k", [4, 10])
+    @pytest.mark.parametrize("p", [0.2, 0.8])
+    def test_matches_whole_edge_set_loop_at_eval_scale(self, k, p):
+        iq = generate_inter_qnet(GenConfig(k, even_sizes(50, k), p, derive_seed(1, k, int(p * 10))))
+        cg = build_controlled(iq)
+        eligible = len(complement_inter_qnet(iq).graph.edges())
+        for vol in (50, 200):
+            rs = sample_requests(iq, min(vol, eligible), derive_seed(2, k, vol))
+            for policy in ("greedy_max", "lowest_id"):
+                got = dynamic_parallel_pairs(cg, rs, seed_policy=policy).groups
+                assert got == reference_dynamic_parallel_pairs(cg, rs, policy)
+
+    def test_table_violations_raise_under_optimize(self):
+        script = "\n".join([
+            "from mecnet.graph import Graph",
+            "from mecnet.pairs import ParallelPairTable, ParallelPairViolation, _assert_table_valid",
+            "print('debug', __debug__)",
+            "g = Graph(3, [(0, 1), (1, 2)])",
+            "for groups in [(frozenset({(0, 1), (1, 2)}),), (frozenset({(0, 1)}),)]:",
+            "    try:",
+            "        _assert_table_valid(g, ParallelPairTable(groups), [(0, 1), (1, 2)])",
+            "    except ParallelPairViolation as exc:",
+            "        print('raised', exc)",
+        ])
+        src = os.path.dirname(os.path.dirname(mecnet.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "debug False"
+        assert lines[1] == "raised group member (0, 1) conflicts with [(1, 2)]"
+        assert lines[2] == "raised groups must partition the request set"
 
     def test_table_text(self):
         iq = InterQNet(Graph(4, [(0, 3), (1, 2)]), QNetPartition(2, (1, 1, 2, 2)))
