@@ -3,7 +3,8 @@
 Requests are served one at a time on unit-weight shortest paths, with
 control vertices allowed as intermediates.  A remote (non-adjacent,
 cross-domain) pair always has a route of at most three hops: source to
-its control, control clique, control to destination.
+its control, control clique, control to destination.  Routes are read
+off neighbor masks in closed form; no search is needed.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, bits
+from .graph import bits
 from .qnet import ControlledInterQNet
 
 __all__ = ["CqrPath", "route_cqr", "cqr_batch", "paths_to_csv"]
@@ -25,56 +26,49 @@ class CqrPath:
     via_control: bool
 
     def __post_init__(self) -> None:
-        assert self.hops == len(self.intermediates) + 1
+        if self.hops != len(self.intermediates) + 1:
+            raise ValueError(
+                f"{self.hops} hops need {self.hops - 1} intermediates, "
+                f"got {len(self.intermediates)}"
+            )
 
 
-def _bfs_dist(g: Graph, src: int) -> list[int]:
-    dist = [-1] * g.vertex_count
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in bits(g.neighbor_mask(u)):
-                if dist[v] < 0:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def route_cqr(cg: ControlledInterQNet, req: tuple[int, int]) -> CqrPath:
     """Unit-weight shortest path for one request, deterministic tie-break.
 
     Among shortest paths the lexicographically smallest vertex sequence is
-    chosen (walk from the source, always taking the smallest neighbor that
-    still shrinks the distance to the destination).
+    chosen.  In a controlled network every pair is at most three hops
+    apart, so the route follows from the neighbor masks ``N``: one hop if
+    ``d`` is in ``N(s)``; else two via the lowest vertex of
+    ``N(s) & N(d)``; else three via the first ``v`` of ``N(s)`` whose
+    ``N(v)`` meets ``N(d)``, then the lowest vertex of ``N(v) & N(d)``.
     """
     s, d = req
     g = cg.graph
     if s == d:
         raise ValueError("source equals destination")
-    dist = _bfs_dist(g, d)
-    if dist[s] < 0:
-        raise ValueError("request endpoints are disconnected")
-    path = [s]
-    cur = s
-    while cur != d:
-        step = None
-        for v in bits(g.neighbor_mask(cur)):
-            if dist[v] == dist[cur] - 1:
-                step = v
+    ns = g.neighbor_mask(s)
+    nd = g.neighbor_mask(d)
+    if ns >> d & 1:
+        inter: tuple[int, ...] = ()
+    elif ns & nd:
+        inter = (_low(ns & nd),)
+    else:
+        for v in bits(ns):
+            shared = g.neighbor_mask(v) & nd
+            if shared:
+                inter = (v, _low(shared))
                 break
-        assert step is not None
-        path.append(step)
-        cur = step
-    inter = tuple(path[1:-1])
-    controls = set(cg.partition.control_nodes)
+        else:
+            raise ValueError(f"request {req} has no route of at most three hops")
+    controls = cg.partition.control_nodes
     return CqrPath(
         request=(s, d),
-        hops=len(path) - 1,
+        hops=len(inter) + 1,
         intermediates=inter,
         via_control=any(v in controls for v in inter),
     )

@@ -24,7 +24,7 @@ import numpy as np
 from .cqr import cqr_batch
 from .metrics import MetricsRecord, TimingParams
 from .netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
-from .pairs import check_seed_policy, dynamic_parallel_pairs
+from .pairs import ParallelPairViolation, check_seed_policy, dynamic_parallel_pairs
 from .qnet import (
     InterQNet,
     build_controlled,
@@ -57,12 +57,16 @@ SCHEMAS = {
 
 class PipelineMismatch(AssertionError):
     """A pipeline invariant failed on an instance: the measurement sequence
-    disagreed with the complement oracle, or a remote request routed in
-    one hop."""
+    disagreed with the complement oracle, a schedule or an extraction round
+    broke parallel pairability, or a remote request routed in one hop."""
 
     def __init__(self, message: str, instance_text: str):
         super().__init__(message)
         self.instance_text = instance_text
+
+    def __reduce__(self):
+        # pickled by a worker process, so both arguments must travel
+        return type(self), (self.args[0], self.instance_text)
 
 
 @dataclass(frozen=True)
@@ -180,9 +184,14 @@ def run_instance(
             vr.skipped = True
             out.volumes.append(vr)
             continue
-        table = dynamic_parallel_pairs(cg, rs, seed_policy=seed_policy)
-        for group in table.groups:
-            extract_epr(measured, group)  # raises on any extraction conflict
+        try:
+            table = dynamic_parallel_pairs(cg, rs, seed_policy=seed_policy)
+            for group in table.groups:
+                extract_epr(measured, group)  # raises on any extraction conflict
+        except ParallelPairViolation as exc:
+            raise PipelineMismatch(
+                f"parallel-pair violation: {exc}", instance_to_text(cg)
+            ) from exc
         paths, h_bar, chi, _ = cqr_batch(cg, rs.requests)
         adjacent = [p_.request for p_ in paths if p_.hops < 2]
         if adjacent:

@@ -12,12 +12,14 @@ new Graph values; instances are immutable from the caller's perspective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Optional
 
 __all__ = [
     "Graph",
     "MeasurementRecord",
     "bits",
+    "z_record",
     "graph_to_edgelist",
     "graph_from_edgelist",
 ]
@@ -50,6 +52,16 @@ class MeasurementRecord:
             raise ValueError("X measurement requires a special neighbor")
         if self.basis == "Z" and self.special_neighbor is not None:
             raise ValueError("Z measurement takes no special neighbor")
+
+
+@lru_cache(maxsize=None)
+def z_record(v: int) -> MeasurementRecord:
+    """The record of a Z measurement of ``v``.
+
+    It does not depend on the outcome and is frozen, so one instance per
+    vertex id is shared by every caller.
+    """
+    return MeasurementRecord(v, "Z", None, byproduct_tag=f"U[z,{v}]")
 
 
 class Graph:
@@ -216,9 +228,17 @@ class Graph:
 
     def measure_z(self, v: int) -> tuple["Graph", MeasurementRecord]:
         """Pauli-Z measurement rule: vertex deletion."""
-        g = self.delete_vertex(v)
-        rec = MeasurementRecord(v, "Z", None, byproduct_tag=f"U[z,{v}]")
-        return g, rec
+        return self.delete_vertex(v), z_record(v)
+
+    def keep(self, mask: int) -> "Graph":
+        """Induced subgraph on the alive vertices in ``mask``.
+
+        Every other slot goes dead, which is what Z-measuring each alive
+        vertex outside ``mask`` leaves, in any order.
+        """
+        alive = self._alive & mask
+        adj = tuple(a & alive if alive >> v & 1 else 0 for v, a in enumerate(self._adj))
+        return Graph._from_parts(self.vertex_count, adj, alive)
 
     # -- restriction -------------------------------------------------------
 
@@ -240,18 +260,26 @@ class Graph:
     # -- integrity ---------------------------------------------------------
 
     def check(self) -> None:
-        """Validate structural invariants; raises AssertionError on breakage."""
+        """Validate structural invariants; raises AssertionError on breakage.
+
+        The checks raise explicitly, so ``python -O`` keeps them.
+        """
         full = (1 << self.vertex_count) - 1
-        assert self._alive & ~full == 0
+        if self._alive & ~full:
+            raise AssertionError("alive mask has out-of-range bits")
         for v in range(self.vertex_count):
             a = self._adj[v]
-            assert a & ~full == 0, f"out-of-range bits at {v}"
-            assert not a >> v & 1, f"self-loop at {v}"
-            if not self._alive >> v & 1:
-                assert a == 0, f"dead vertex {v} keeps edges"
-            assert a & ~self._alive == 0, f"edge from {v} to dead vertex"
+            if a & ~full:
+                raise AssertionError(f"out-of-range bits at {v}")
+            if a >> v & 1:
+                raise AssertionError(f"self-loop at {v}")
+            if a and not self._alive >> v & 1:
+                raise AssertionError(f"dead vertex {v} keeps edges")
+            if a & ~self._alive:
+                raise AssertionError(f"edge from {v} to dead vertex")
             for u in bits(a):
-                assert self._adj[u] >> v & 1, f"asymmetric edge ({v},{u})"
+                if not self._adj[u] >> v & 1:
+                    raise AssertionError(f"asymmetric edge ({v},{u})")
 
 
 # -- serialization ----------------------------------------------------------

@@ -65,15 +65,9 @@ class RequestNotInComplement(RequestError):
 class ParallelPairViolation(RuntimeError):
     """A group failed the conflict-free extraction contract."""
 
-    def __init__(
-        self,
-        message: str,
-        extra_edges: tuple[Edge, ...] = (),
-        missing_edges: tuple[Edge, ...] = (),
-    ):
+    def __init__(self, message: str, extra_edges: tuple[Edge, ...] = ()):
         super().__init__(message)
         self.extra_edges = extra_edges
-        self.missing_edges = missing_edges
 
 
 @dataclass(frozen=True)

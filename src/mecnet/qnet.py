@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .graph import Graph, MeasurementRecord, bits
+from .graph import Graph, MeasurementRecord, bits, z_record
 
 __all__ = [
     "QNetPartition",
@@ -223,49 +223,42 @@ def mec_complementation(
 
 def restore_original(cg: ControlledInterQNet) -> InterQNet:
     """Z-measure every control node, recovering the original network."""
-    g = cg.graph
-    for c in cg.partition.control_nodes:
-        g, _ = g.measure_z(c)
+    g = cg.graph.keep((1 << cg.data_count) - 1)
     return InterQNet(g.restrict(cg.data_count), cg.partition.without_controls())
 
 
 def extract_epr(
     iq: InterQNet,
     group: Iterable[tuple[int, int]],
-    check: bool = True,
 ) -> tuple[Graph, list[MeasurementRecord]]:
     """Z-measure every vertex that is not an endpoint of ``group``.
 
-    For a parallel-pairable group the result is exactly the |group|
-    disjoint edges.  With ``check`` enabled the group is validated first;
-    either way a non-matching residue raises ParallelPairViolation, which
-    carries the offending edges.
+    The result is the subgraph induced on the endpoints, which holds every
+    requested edge.  It is exactly the |group| disjoint edges iff the
+    endpoints are pairwise distinct and no other edge joins them, which is
+    pairwise compatibility; otherwise ParallelPairViolation is raised,
+    carrying the extra edges.  Returns the graph and one Z record per
+    measured vertex, ascending.
     """
-    from .pairs import ParallelPairViolation, check_parallel_pairable
+    from .pairs import ParallelPairViolation
 
-    wanted = {(min(u, v), max(u, v)) for u, v in group}
-    for u, v in wanted:
-        if not iq.graph.has_edge(u, v):
-            raise ValueError(f"({u},{v}) is not an edge of the network")
-    if check and not check_parallel_pairable(iq.graph, wanted):
-        raise ParallelPairViolation(
-            "requested group is not parallel-pairable", extra_edges=()
-        )
-    endpoints = {v for e in wanted for v in e}
     g = iq.graph
-    records = []
-    for v in range(g.vertex_count):
-        if v not in endpoints:
-            g, rec = g.measure_z(v)
-            records.append(rec)
-    got = set(g.edges())
-    if got != wanted:
+    wanted = {(min(u, v), max(u, v)) for u, v in group}
+    endpoints = 0
+    for u, v in wanted:
+        if not g.has_edge(u, v):
+            raise ValueError(f"({u},{v}) is not an edge of the network")
+        endpoints |= (1 << u) | (1 << v)
+    if endpoints.bit_count() != 2 * len(wanted):
+        raise ParallelPairViolation("requested pairs share an endpoint")
+    kept = g.keep(endpoints)
+    extra = set(kept.edges()) - wanted
+    if extra:
         raise ParallelPairViolation(
             "post-measurement graph is not the requested matching",
-            extra_edges=tuple(sorted(got - wanted)),
-            missing_edges=tuple(sorted(wanted - got)),
+            extra_edges=tuple(sorted(extra)),
         )
-    return g, records
+    return kept, [z_record(v) for v in bits(g.alive_mask & ~endpoints)]
 
 
 # -- instance files ----------------------------------------------------------

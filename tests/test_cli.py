@@ -3,11 +3,16 @@ fault injection."""
 
 import json
 import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
+import mecnet
 import mecnet.cli as cli
 import mecnet.experiments as experiments
+import mecnet.pairs as pairs
 import mecnet.verify as verify
 from mecnet.cqr import CqrPath
 from mecnet.experiments import (
@@ -230,3 +235,44 @@ class TestPipelineMismatchPath:
         cfg_path, cfg = small_config(tmp_path, repetitions=1, densities=[0.5])
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_VERIFY
         assert os.path.exists(os.path.join(cfg["output_dir"], "mismatch_instance.txt"))
+
+    def test_mismatch_survives_pickling(self):
+        back = pickle.loads(pickle.dumps(PipelineMismatch("m", "n=2\n")))
+        assert type(back) is PipelineMismatch
+        assert str(back) == "m" and back.instance_text == "n=2\n"
+
+    def test_worker_mismatch_dumps_instance(self, tmp_path, monkeypatch):
+        # the corrupted rule reaches the worker processes through fork
+        def corrupted(self, v, k0):
+            return self.delete_vertex(v), original(Graph(2, [(0, 1)]), 1, 0)[1]
+
+        original = Graph.measure_x
+        monkeypatch.setattr(Graph, "measure_x", corrupted)
+        cfg_path, cfg = small_config(tmp_path, repetitions=1, densities=[0.5], jobs=2)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_VERIFY
+        dump = open(os.path.join(cfg["output_dir"], "mismatch_instance.txt")).read()
+        assert dump.startswith("n=") and "control:" in dump
+
+    def test_parallel_pair_violation_dumps_instance(self, tmp_path, monkeypatch, capsys):
+        # every request declared compatible: the scheduler's own check of
+        # the resulting single group must fail
+        def all_compatible(g, edges):
+            full = (1 << len(edges)) - 1
+            return [full & ~(1 << i) for i in range(len(edges))]
+
+        monkeypatch.setattr(pairs, "_compat_rows", all_compatible)
+        cfg_path, cfg = small_config(tmp_path, repetitions=1, densities=[0.2])
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_VERIFY
+        assert os.path.exists(os.path.join(cfg["output_dir"], "mismatch_instance.txt"))
+        assert "parallel-pair violation: group member" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        src = os.path.dirname(os.path.dirname(mecnet.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mecnet", "verify", "--suite", "pairable"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert "PASS" in proc.stdout

@@ -1,9 +1,21 @@
-"""Shortest-path baseline: hop model, tie-breaking, batch statistics."""
+"""Shortest-path baseline: hop model, tie-breaking, batch statistics.
 
+``route_cqr`` reads routes off neighbor masks in closed form; the
+breadth-first search below is the reference it is checked against.
+"""
+
+import itertools
 import random
+from types import SimpleNamespace
 
-from mecnet.cqr import cqr_batch, paths_to_csv, route_cqr
-from mecnet.graph import Graph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mecnet.cqr import CqrPath, cqr_batch, paths_to_csv, route_cqr
+from mecnet.experiments import derive_seed, even_sizes
+from mecnet.graph import Graph, bits
+from mecnet.netgen import GenConfig, generate_inter_qnet
 from mecnet.qnet import InterQNet, QNetPartition, build_controlled
 from mecnet.verify import random_inter_qnet
 
@@ -11,6 +23,62 @@ from mecnet.verify import random_inter_qnet
 def _cg(edges, k, membership):
     iq = InterQNet(Graph(len(membership), edges), QNetPartition(k, membership))
     return build_controlled(iq)
+
+
+def bfs_dist(g, src):
+    dist = [-1] * g.vertex_count
+    dist[src] = 0
+    frontier = [src]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in bits(g.neighbor_mask(u)):
+                if dist[v] < 0:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def reference_route(cg, req, dist=None):
+    """Lexicographically smallest shortest path by breadth-first search:
+    walk from the source, always taking the smallest neighbor that still
+    shrinks the distance to the destination.  ``dist`` may hold the
+    distances to the destination, computed once for many sources."""
+    s, d = req
+    g = cg.graph
+    if dist is None:
+        dist = bfs_dist(g, d)
+    if dist[s] < 0:
+        raise ValueError("request endpoints are disconnected")
+    path = [s]
+    while path[-1] != d:
+        cur = path[-1]
+        path.append(next(v for v in bits(g.neighbor_mask(cur)) if dist[v] == dist[cur] - 1))
+    inter = tuple(path[1:-1])
+    return CqrPath(
+        request=(s, d),
+        hops=len(path) - 1,
+        intermediates=inter,
+        via_control=any(v in cg.partition.control_nodes for v in inter),
+    )
+
+
+@st.composite
+def controlled_networks(draw):
+    """Controlled networks with 2-4 domains and at most 12 data vertices."""
+    k = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 12 // k), min_size=k, max_size=k))
+    membership = tuple(a for a, size in enumerate(sizes, start=1) for _ in range(size))
+    cross = [
+        (u, v)
+        for u, v in itertools.combinations(range(len(membership)), 2)
+        if membership[u] != membership[v]
+    ]
+    edges = draw(st.lists(st.sampled_from(cross), unique=True))
+    return _cg(edges, k, membership)
 
 
 class TestRouteCqr:
@@ -59,6 +127,46 @@ class TestRouteCqr:
             ]
             for req in remote:
                 assert 2 <= route_cqr(cg, req).hops <= 3
+
+
+    def test_unreachable_pair_raises(self):
+        # not a controlled network: a bare path of five vertices
+        net = SimpleNamespace(
+            graph=Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+            partition=SimpleNamespace(control_nodes=()),
+        )
+        assert route_cqr(net, (0, 3)).intermediates == (1, 2)
+        with pytest.raises(ValueError, match="at most three hops"):
+            route_cqr(net, (0, 4))
+
+    def test_same_endpoints_rejected(self):
+        with pytest.raises(ValueError):
+            route_cqr(_cg([(0, 3)], 2, (1, 1, 2, 2)), (1, 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(controlled_networks())
+    def test_matches_bfs_reference(self, cg):
+        for req in itertools.permutations(range(cg.graph.vertex_count), 2):
+            assert route_cqr(cg, req) == reference_route(cg, req)
+
+    @pytest.mark.parametrize("k", [4, 10])
+    @pytest.mark.parametrize("p", [0.2, 0.8])
+    def test_matches_bfs_reference_at_eval_scale(self, k, p):
+        # every ordered pair of data vertices on three 50-vertex instances
+        for rep in range(3):
+            gen_seed = derive_seed(3, k, int(p * 1_000_000), rep)
+            cg = build_controlled(generate_inter_qnet(GenConfig(k, even_sizes(50, k), p, gen_seed)))
+            for d in range(50):
+                dist = bfs_dist(cg.graph, d)
+                for s in range(50):
+                    if s != d:
+                        assert route_cqr(cg, (s, d)) == reference_route(cg, (s, d), dist)
+
+
+class TestCqrPath:
+    def test_hops_must_match_intermediates(self):
+        with pytest.raises(ValueError, match="3 hops need 2 intermediates, got 1"):
+            CqrPath((0, 1), 3, (5,), False)
 
 
 class TestCqrBatch:

@@ -2,11 +2,23 @@
 measurement rules, serialization."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mecnet.graph import Graph, MeasurementRecord, graph_from_edgelist, graph_to_edgelist
+import mecnet
+from mecnet.graph import (
+    Graph,
+    MeasurementRecord,
+    bits,
+    graph_from_edgelist,
+    graph_to_edgelist,
+)
 
 
 def all_graphs(n):
@@ -147,6 +159,10 @@ class TestMeasureZ:
         g, _ = g.measure_z(2)
         assert g.edges() == [] and g.vertices() == [1, 3]
 
+    def test_record_shared_per_vertex(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        assert g.measure_z(1)[1] is g.delete_vertex(0).measure_z(1)[1]
+
     def test_matches_delete(self):
         rnd = random.Random(5)
         for _ in range(100):
@@ -154,6 +170,39 @@ class TestMeasureZ:
             g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.5])
             v = rnd.randrange(n)
             assert g.measure_z(v)[0] == g.delete_vertex(v)
+
+
+@st.composite
+def graph_with_dead_slots_and_mask(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(n, edges)
+    for v in draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []:
+        g = g.delete_vertex(v)
+    # bits past the last slot must be ignored
+    return g, draw(st.integers(0, (1 << (n + 2)) - 1))
+
+
+class TestKeep:
+    def test_path_keeps_end_pair(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)]).keep(0b1001)
+        assert g.edges() == [] and g.vertices() == [0, 3]
+
+    def test_induced_edges_stay(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]).keep(0b0111)
+        assert g.edges() == [(0, 1), (1, 2)] and not g.is_alive(3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_with_dead_slots_and_mask())
+    def test_equals_z_measuring_the_rest(self, case):
+        g, mask = case
+        want = g
+        for v in bits(g.alive_mask & ~mask):
+            want, _ = want.measure_z(v)
+        got = g.keep(mask)
+        got.check()
+        assert got == want
 
 
 class TestRecordInvariants:
@@ -190,6 +239,24 @@ class TestStructure:
             v = rnd.randrange(n)
             g.local_complement(v).check()
             g.delete_vertex(v).check()
+
+    def test_check_raises_under_optimize(self):
+        script = "\n".join([
+            "from mecnet.graph import Graph",
+            "print('debug', __debug__)",
+            "broken = Graph._from_parts(2, (0b10, 0), 0b11)  # one-sided edge",
+            "try:",
+            "    broken.check()",
+            "except AssertionError as exc:",
+            "    print('raised', exc)",
+        ])
+        src = os.path.dirname(os.path.dirname(mecnet.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["debug False", "raised asymmetric edge (0,1)"]
 
     def test_connected(self):
         assert Graph(3, [(0, 1), (1, 2)]).connected()

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from mecnet.graph import Graph
-from mecnet.pairs import ParallelPairViolation
+from mecnet.pairs import ParallelPairViolation, check_parallel_pairable
 from mecnet.qnet import (
     ControlledInterQNet,
     InterQNet,
@@ -222,8 +222,39 @@ class TestExtractEpr:
             QNetPartition(2, (1, 2, 1, 2)),
         )
         with pytest.raises(ParallelPairViolation) as err:
-            extract_epr(iq, [(0, 1), (2, 3)], check=False)
+            extract_epr(iq, [(0, 1), (2, 3)])
         assert err.value.extra_edges == ((1, 2),)
+
+    def test_shared_endpoint_rejected(self):
+        # two requests meeting at vertex 1 would leave the 3-vertex path,
+        # which is not two EPR pairs
+        iq = InterQNet(Graph(3, [(0, 1), (1, 2)]), QNetPartition(2, (1, 2, 1)))
+        assert not check_parallel_pairable(iq.graph, [(0, 1), (1, 2)])
+        with pytest.raises(ParallelPairViolation, match="share an endpoint"):
+            extract_epr(iq, [(0, 1), (1, 2)])
+
+    def test_agrees_with_pairable_check_randomized(self):
+        rnd = random.Random(29)
+        for _ in range(200):
+            k = rnd.choice([2, 3, 4])
+            iq = random_inter_qnet(k, [rnd.randint(1, 4) for _ in range(k)], 0.5, rnd)
+            edges = iq.graph.edges()
+            if not edges:
+                continue
+            group = rnd.sample(edges, k=min(len(edges), rnd.randint(1, 3)))
+            try:
+                g, recs = extract_epr(iq, group)
+            except ParallelPairViolation:
+                assert not check_parallel_pairable(iq.graph, group)
+                continue
+            assert check_parallel_pairable(iq.graph, group)
+            want = iq.graph
+            for v in range(want.vertex_count):
+                if not any(v in e for e in group):
+                    want, _ = want.measure_z(v)
+            assert g == want
+            measured = [v for v in range(g.vertex_count) if not g.is_alive(v)]
+            assert [(r.vertex, r.basis) for r in recs] == [(v, "Z") for v in measured]
 
     def test_checked_mode_rejects_upfront(self):
         iq = InterQNet(
