@@ -15,7 +15,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import mean, pstdev
 from typing import Optional, Sequence
 
@@ -96,23 +96,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        timing = tuple(
-            TimingParams(t["lam"], t["tpm"], t["trm"], t["tpb"], t["trb"])
-            for t in d.get("timing_grid", [{"lam": 10, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1}])
-        )
-        return cls(
-            seed=d.get("seed", 1),
-            output_dir=d.get("output_dir", "out"),
-            repetitions=d.get("repetitions", 10),
-            nodes=d.get("nodes", 50),
-            qnet_counts=tuple(d.get("qnet_counts", [4])),
-            densities=tuple(d.get("densities", [0.2, 0.8])),
-            request_volumes=tuple(d.get("request_volumes", [10, 20])),
-            seed_policy=d.get("seed_policy", "greedy_max"),
-            timing_grid=timing,
-            jobs=d.get("jobs", 1),
-            instance_files=tuple(d.get("instance_files", [])),
-        )
+        """Build a config from a JSON object; absent keys keep the field
+        defaults and unknown keys are rejected with one ValueError."""
+        known = {f.name: f for f in fields(cls)}
+        unknown = [key for key in d if key not in known]
+        if unknown:
+            raise ValueError(
+                f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                f"known keys: {', '.join(known)}"
+            )
+        kwargs = {}
+        for name, value in d.items():
+            if name == "timing_grid":
+                value = tuple(
+                    TimingParams(t["lam"], t["tpm"], t["trm"], t["tpb"], t["trb"])
+                    for t in value
+                )
+            elif isinstance(known[name].default, tuple):
+                value = tuple(value)
+            kwargs[name] = value
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -174,18 +177,20 @@ def run_instance(
             "complementation mismatch against the edge-set oracle",
             instance_to_text(cg),
         )
+    # the complement just checked against the measured graph is also the
+    # one every batch is sampled from and scheduled on
     out = InstanceResult(k=k, p=p, rep=rep)
     part = iq.partition
     for vi, vol in enumerate(volumes):
         vr = VolumeResult(volume=vol)
         try:
-            rs = sample_requests(iq, vol, derive_seed(request_seed, vi))
+            rs = sample_requests(iq, vol, derive_seed(request_seed, vi), complement=oracle)
         except InsufficientPairsError:
             vr.skipped = True
             out.volumes.append(vr)
             continue
         try:
-            table = dynamic_parallel_pairs(cg, rs, seed_policy=seed_policy)
+            table = dynamic_parallel_pairs(cg, rs, seed_policy=seed_policy, complement=oracle)
             for group in table.groups:
                 extract_epr(measured, group)  # raises on any extraction conflict
         except ParallelPairViolation as exc:

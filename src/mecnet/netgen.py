@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import Graph
 from .pairs import RequestSet, canonical_edge
-from .qnet import InterQNet, QNetPartition
+from .qnet import InterQNet, QNetPartition, complement_inter_qnet
 
 __all__ = ["GenConfig", "InsufficientPairsError", "generate_inter_qnet", "sample_requests"]
 
@@ -83,7 +83,8 @@ def _uniform_spanning_tree(
         if u == root:
             continue
         parent = nxt[u]
-        assert parent is not None
+        if parent is None:
+            raise RuntimeError(f"vertex {u} was never joined to the spanning tree")
         edges.append((u, parent))
     return edges
 
@@ -104,22 +105,28 @@ def generate_inter_qnet(cfg: GenConfig) -> InterQNet:
     draws = rng.random(len(candidates))
     edges = sorted(tree) + [e for e, x in zip(candidates, draws) if x < cfg.p]
     iq = InterQNet(Graph(n, edges), QNetPartition(cfg.k, membership))
-    assert iq.connected, "spanning-tree construction must yield a connected graph"
+    if not iq.connected:
+        raise RuntimeError("spanning-tree construction must yield a connected graph")
     return iq
 
 
-def sample_requests(iq: InterQNet, count: int, rng_seed: int) -> RequestSet:
-    """Uniform sample, without replacement, of cross-domain non-adjacent pairs."""
+def sample_requests(
+    iq: InterQNet,
+    count: int,
+    rng_seed: int,
+    complement: Optional[InterQNet] = None,
+) -> RequestSet:
+    """Uniform sample, without replacement, of cross-domain non-adjacent pairs.
+
+    Those pairs are the edges of the cross-domain complement, drawn from in
+    lexicographic order; a caller that holds ``complement_inter_qnet(iq)``
+    passes it as ``complement``.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
-    part = iq.partition
-    n = part.data_count
-    pool = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if part.membership[u] != part.membership[v] and not iq.graph.has_edge(u, v)
-    ]
+    if complement is None:
+        complement = complement_inter_qnet(iq)
+    pool = complement.graph.edges()
     if count > len(pool):
         raise InsufficientPairsError(
             f"asked for {count} requests, only {len(pool)} eligible pairs exist"

@@ -81,7 +81,8 @@ class RequestSet:
     @classmethod
     def from_pairs(cls, pairs: Iterable[Edge], iq: InterQNet) -> "RequestSet":
         part = iq.partition
-        seen: list[Edge] = []
+        ordered: list[Edge] = []
+        seen: set[Edge] = set()
         for s, d in pairs:
             e = canonical_edge(s, d)
             if part.membership[e[0]] == part.membership[e[1]]:
@@ -90,8 +91,9 @@ class RequestSet:
                 raise AdjacentRequest(f"request {e} is already adjacent")
             if e in seen:
                 continue
-            seen.append(e)
-        return cls(tuple(seen), iq)
+            seen.add(e)
+            ordered.append(e)
+        return cls(tuple(ordered), iq)
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -102,12 +104,20 @@ class RequestSet:
 
 @dataclass(frozen=True)
 class CandidateList:
-    """Per-request sets of compatible edges, over the whole edge set."""
+    """Per-request sets of compatible edges, over the whole edge set.
 
-    entries: Mapping[Edge, frozenset[Edge]]
+    An edge is compatible with the target ``t = (a, b)`` exactly when both
+    its endpoints lie outside ``reach(t) = {a, b} | N(a) | N(b)``, so the
+    candidate list of ``t`` is the edge set of the subgraph induced on
+    ``free[t] = alive & ~reach(t)``.  Only that mask is stored; a lookup
+    decodes the edge set.
+    """
+
+    graph: Graph
+    free: Mapping[Edge, int]
 
     def __getitem__(self, e: Edge) -> frozenset[Edge]:
-        return self.entries[e]
+        return frozenset(self.graph.keep(self.free[e]).edges())
 
 
 @dataclass(frozen=True)
@@ -145,30 +155,20 @@ def compatible(g: Graph, e1: Edge, e2: Edge) -> bool:
     return not (m2 & n1) and not (m1 & n2)
 
 
-def _edge_masks(g: Graph, e: Edge) -> tuple[int, int]:
-    a, b = e
-    return (1 << a) | (1 << b), g.neighbor_mask(a) | g.neighbor_mask(b)
-
-
 def parallel_pair_candidates(g: Graph, targets: Iterable[Edge]) -> CandidateList:
     """For each target edge, every other edge of ``g`` compatible with it.
 
-    One pass over the full edge set per target.
+    One free-vertex mask per target (see :class:`CandidateList`).
     """
-    all_edges = [canonical_edge(u, v) for u, v in g.edges()]
-    masks = {e: _edge_masks(g, e) for e in all_edges}
-    scan = [(e, masks[e][0]) for e in all_edges]
-    entries: dict[Edge, frozenset[Edge]] = {}
+    alive = g.alive_mask
+    free: dict[Edge, int] = {}
     for t in targets:
-        t = canonical_edge(*t)
-        if t not in masks:
+        a, b = t = canonical_edge(*t)
+        if not (a >= 0 and b < g.vertex_count and g.has_edge(a, b)):
             raise ValueError(f"target {t} is not an edge")
-        em, nm = masks[t]
-        reach = em | nm
-        entries[t] = frozenset(
-            e for e, em2 in scan if not (reach & em2) and e != t
-        )
-    return CandidateList(entries)
+        reach = (1 << a) | (1 << b) | g.neighbor_mask(a) | g.neighbor_mask(b)
+        free[t] = alive & ~reach
+    return CandidateList(g, free)
 
 
 def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
@@ -176,8 +176,9 @@ def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
 
     Bit ``j`` of row ``i`` is set iff ``edges[i]`` and ``edges[j]`` are
     compatible (never for ``j == i``).  Each vertex maps to the mask of the
-    edges that touch it; an edge conflicts with every edge touching its
-    endpoints or their neighbors.
+    edges that touch it, and ``near[v]`` to the edges touching ``v`` or one
+    of its neighbors.  An edge ``(a, b)`` conflicts with every edge touching
+    its endpoints or their neighbors, that is with ``near[a] | near[b]``.
     """
     touching = [0] * g.vertex_count
     touched = 0
@@ -187,15 +188,12 @@ def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
         touching[a] |= 1 << i
         touching[b] |= 1 << i
         touched |= (1 << a) | (1 << b)
+    near = touching[:]
+    for v in bits(touched):
+        for u in bits(g.neighbor_mask(v) & touched):
+            near[v] |= touching[u]
     full = (1 << len(edges)) - 1
-    rows = []
-    for a, b in edges:
-        reach = (1 << a) | (1 << b) | g.neighbor_mask(a) | g.neighbor_mask(b)
-        conflict = 0
-        for v in bits(reach & touched):
-            conflict |= touching[v]
-        rows.append(full & ~conflict)
-    return rows
+    return [full & ~(near[a] | near[b]) for a, b in edges]
 
 
 def check_parallel_pairable(g: Graph, edges: Iterable[Edge]) -> bool:
@@ -246,22 +244,26 @@ def dynamic_parallel_pairs(
     cg: ControlledInterQNet,
     r: "RequestSet | Iterable[Edge]",
     seed_policy: str = "greedy_max",
+    complement: Optional[InterQNet] = None,
 ) -> ParallelPairTable:
     """Partition the request batch into parallel-pairable groups.
 
     The batch is interpreted on the cross-domain complement of the
-    controlled network.  Each group starts from a seed chosen by the seed
-    policy and grows greedily, intersecting the shared candidate set after
-    each addition; a pairwise compatible batch thus forms a single group.
-    Requests are indexed in sorted order and the scheduler runs on their
-    compatibility matrix, built once per batch, so it never scans edges
-    outside the batch.  The result is checked against the whole-edge-set
-    candidate lists before it is returned.
+    controlled network; a caller that already holds it (as
+    ``complement_inter_qnet(cg.data_network())``) passes it as
+    ``complement`` so that it is not rebuilt.  Each group starts from a seed
+    chosen by the seed policy and grows greedily, intersecting the shared
+    candidate set after each addition; a pairwise compatible batch thus
+    forms a single group.  Requests are indexed in sorted order and the
+    scheduler runs on their compatibility matrix, built once per batch, so
+    it never scans edges outside the batch.  The result is checked against
+    the whole-edge-set candidate lists before it is returned.
     """
     check_seed_policy(seed_policy)
     pick = SEED_POLICIES[seed_policy]
-    comp = complement_inter_qnet(cg.data_network())
-    cgraph = comp.graph
+    if complement is None:
+        complement = complement_inter_qnet(cg.data_network())
+    cgraph = complement.graph
     requests = [canonical_edge(*e) for e in r]
     for e in requests:
         if not cgraph.has_edge(*e):
@@ -273,9 +275,25 @@ def dynamic_parallel_pairs(
     rows = _compat_rows(cgraph, edges)
     groups: list[frozenset[Edge]] = []
     remaining = (1 << len(edges)) - 1
+    # ``live``: the remaining requests that still have a compatible partner
+    # among the remaining ones.  A request never regains a partner, so the
+    # mask only shrinks.  Every other remaining request counts 0 partners.
+    # While ``live`` is non-empty, greedy_max's seed (a count of at least 1)
+    # lies in it, and lowest_id's seed is the lowest remaining index, so
+    # both policies pick the same seed from ``live`` plus that index as from
+    # all remaining requests.  Once ``live`` is empty every count is 0 and
+    # both pick the lowest index, so the rest are singletons in index order.
+    live = remaining
     while remaining:
+        live &= remaining
+        for i in bits(live):
+            if not rows[i] & remaining:
+                live ^= 1 << i
+        if not live:
+            groups.extend(frozenset((edges[i],)) for i in bits(remaining))
+            break
         rset = remaining
-        seed = pick(remaining, rows, rset)
+        seed = pick(live | (remaining & -remaining), rows, rset)
         group = 1 << seed
         remaining ^= group
         shared = rows[seed] & remaining
@@ -294,19 +312,26 @@ def _assert_table_valid(g: Graph, table: ParallelPairTable, requests: Sequence[E
     """Check ``table`` against the paper's whole-edge-set formulation.
 
     The groups must partition ``requests``, and every member's candidate
-    list must hold the rest of its group.  Raises ParallelPairViolation.
+    list must hold the rest of its group.  With candidate lists held as
+    free-vertex masks, that is one mask test per member: the endpoints of
+    the rest of its group lie in its free mask.  A shared endpoint fails
+    too, as the other end of either edge neighbors it.  Raises
+    ParallelPairViolation.
     """
     got = sorted(e for grp in table.groups for e in grp)
     if got != sorted(requests):
         raise ParallelPairViolation("groups must partition the request set")
     cl = parallel_pair_candidates(g, requests)
     for grp in table.groups:
+        ends = 0
+        for a, b in grp:
+            ends |= (1 << a) | (1 << b)
         for e in sorted(grp):
-            extra = grp - {e} - cl[e]
-            if extra:
+            if ends & ~((1 << e[0]) | (1 << e[1])) & ~cl.free[e]:
+                extra = sorted(grp - {e} - cl[e])
                 raise ParallelPairViolation(
-                    f"group member {e} conflicts with {sorted(extra)}",
-                    extra_edges=tuple(sorted(extra)),
+                    f"group member {e} conflicts with {extra}",
+                    extra_edges=tuple(extra),
                 )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .graph import Graph, MeasurementRecord, bits, z_record
+from .graph import Graph, MeasurementRecord, bits, z_records
 
 __all__ = [
     "QNetPartition",
@@ -258,7 +258,7 @@ def extract_epr(
             "post-measurement graph is not the requested matching",
             extra_edges=tuple(sorted(extra)),
         )
-    return kept, [z_record(v) for v in bits(g.alive_mask & ~endpoints)]
+    return kept, z_records(g.alive_mask, endpoints)
 
 
 # -- instance files ----------------------------------------------------------

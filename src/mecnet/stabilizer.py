@@ -76,15 +76,19 @@ class StabilizerTableau:
         return tuple(_row_sign(r) for r in self.rows)
 
     def check(self) -> None:
-        assert len(self.rows) == self.n
+        if len(self.rows) != self.n:
+            raise ValueError(f"expected {self.n} generators, got {len(self.rows)}")
         full = (1 << self.n) - 1
         for i, r in enumerate(self.rows):
-            assert r[0] & ~full == 0 and r[1] & ~full == 0
+            if r[0] & ~full or r[1] & ~full:
+                raise ValueError(f"generator {i} acts outside {self.n} qubits")
             _row_sign(r)
             for r2 in self.rows[i + 1 :]:
-                assert not _anticommute(r, r2), "generators must commute"
+                if _anticommute(r, r2):
+                    raise ValueError("generators must commute")
         vecs = [(x << self.n) | z for x, z, _ in self.rows]
-        assert _gf2_rank(vecs) == self.n, "generators must be independent"
+        if _gf2_rank(vecs) != self.n:
+            raise ValueError("generators must be independent")
 
 
 def _gf2_rank(vectors: Iterable[int]) -> int:
@@ -170,8 +174,8 @@ def measure_pauli(
         if target >> pb & 1:
             target ^= pv
             acc = _row_mul(acc, pr)
-    assert target == 0, "commuting Pauli must lie in the stabilizer group"
-    assert acc[0] == b[0] and acc[1] == b[1]
+    if target != 0 or acc[0] != b[0] or acc[1] != b[1]:
+        raise ValueError("commuting Pauli must lie in the stabilizer group")
     outcome = 1 if acc[2] % 4 == 0 else -1
     return t, outcome
 
@@ -279,7 +283,8 @@ def graph_form(t: StabilizerTableau) -> tuple[int, ...]:
                     zs[j] = (zs[j] & ~bit) | xq
                 fixed = True
                 break
-        assert fixed, "valid tableau must admit a graph form"
+        if not fixed:
+            raise ValueError("valid tableau must admit a graph form")
     else:
         raise AssertionError("graph-form reduction did not converge")
     # Reorder rows so row j carries X pivot j, then clear the diagonal
@@ -288,12 +293,14 @@ def graph_form(t: StabilizerTableau) -> tuple[int, ...]:
     xs = [xs[i] for i in order]
     zs = [zs[i] for i in order]
     for j in range(m):
-        assert xs[j] == 1 << j, "X block must reduce to identity"
+        if xs[j] != 1 << j:
+            raise ValueError("X block must reduce to identity")
         if zs[j] >> j & 1:
             zs[j] ^= 1 << j
     for j in range(m):
         for l in bits(zs[j]):
-            assert zs[l] >> j & 1, "graph adjacency must be symmetric"
+            if not zs[l] >> j & 1:
+                raise ValueError("graph adjacency must be symmetric")
     return tuple(zs)
 
 

@@ -204,6 +204,27 @@ class TestUsageErrors:
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
         assert "unknown seed_policy 'greedy'" in capsys.readouterr().err
 
+    def test_unknown_config_keys_are_usage_error(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="unknown config key\\(s\\) 'repetition', 'denisties'"):
+            ExperimentConfig.from_dict({"repetition": 2, "seed": 3, "denisties": [0.2]})
+        cfg_path, _ = small_config(tmp_path, repetition=2)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unknown config key(s) 'repetition'" in err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_config_defaults_come_from_the_dataclass(self):
+        assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+        cfg = ExperimentConfig.from_dict({"densities": [0.5], "timing_grid": [
+            {"lam": 20, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1}]})
+        assert cfg.densities == (0.5,) and cfg.timing_grid[0].lam == 20
+        assert cfg.repetitions == ExperimentConfig().repetitions
+
+    def test_shipped_config_uses_known_keys(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = ExperimentConfig.from_json(os.path.join(root, "configs", "eval.json"))
+        assert cfg.repetitions == 1000 and len(cfg.timing_grid) == 3
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MECNET_OUT", str(tmp_path / "envout"))
         cfg_path, cfg = small_config(tmp_path)

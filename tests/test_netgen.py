@@ -1,13 +1,19 @@
 """Synthetic generator: structure, density, determinism, request sampling."""
 
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mecnet
+from mecnet.experiments import derive_seed, even_sizes
 from mecnet.netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
-from mecnet.qnet import instance_to_text
+from mecnet.qnet import complement_inter_qnet, instance_to_text
 
 
 def cross_pair_count(sizes):
@@ -103,3 +109,56 @@ class TestSampleRequests:
         iq = generate_inter_qnet(GenConfig(3, (4, 4, 4), 0.1, 4))
         rs = sample_requests(iq, 15, 7)
         assert len(set(rs.requests)) == 15
+
+    @pytest.mark.parametrize(
+        "k, p, volume, seed, digest",
+        [
+            (4, 0.2, 50, 11, "05a305d0e754809d"),
+            (6, 0.8, 40, 12, "0e01c38c42c9adca"),
+            (10, 0.2, 200, 13, "2dca169ef915e387"),
+            (8, 0.5, 150, 14, "42eb1b45f5c00faf"),
+        ],
+    )
+    def test_sample_unchanged(self, k, p, volume, seed, digest):
+        # the pool is the complement's edge list; it used to be this double
+        # loop, and the digests were recorded from the double-loop sampler
+        iq = generate_inter_qnet(GenConfig(k, even_sizes(50, k), p, derive_seed(seed, k)))
+        m = iq.partition.membership
+        pool = [
+            (u, v)
+            for u in range(50)
+            for v in range(u + 1, 50)
+            if m[u] != m[v] and not iq.graph.has_edge(u, v)
+        ]
+        assert complement_inter_qnet(iq).graph.edges() == pool
+        rng = np.random.default_rng(derive_seed(seed, volume))
+        want = tuple(pool[i] for i in rng.choice(len(pool), size=volume, replace=False))
+        got = sample_requests(iq, volume, derive_seed(seed, volume))
+        assert got.requests == want
+        assert hashlib.sha256(repr(got.requests).encode()).hexdigest()[:16] == digest
+        shared = sample_requests(
+            iq, volume, derive_seed(seed, volume), complement=complement_inter_qnet(iq)
+        )
+        assert shared.requests == want
+
+
+def test_generator_invariant_raises_under_optimize():
+    script = "\n".join([
+        "import mecnet.netgen as netgen",
+        "print('debug', __debug__)",
+        "netgen._uniform_spanning_tree = lambda membership, rng: []  # no tree",
+        "try:",
+        "    netgen.generate_inter_qnet(netgen.GenConfig(2, (2, 2), 0.0, 0))",
+        "except RuntimeError as exc:",
+        "    print('raised', exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(mecnet.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False",
+        "raised spanning-tree construction must yield a connected graph",
+    ]

@@ -17,9 +17,12 @@ from mecnet.graph import Graph
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
 from mecnet.pairs import (
     AdjacentRequest,
+    ParallelPairTable,
+    ParallelPairViolation,
     RequestNotInComplement,
     RequestSet,
     SameQNetRequest,
+    _assert_table_valid,
     _compat_rows,
     canonical_edge,
     check_parallel_pairable,
@@ -45,6 +48,19 @@ def candidate_pairable(g, edges):
     edge_set = {canonical_edge(*e) for e in edges}
     cl = parallel_pair_candidates(g, edge_set)
     return all(edge_set - {e} <= cl[e] for e in edge_set)
+
+
+def reference_candidates(g, targets):
+    """Candidate lists as first written: one pass over the whole edge set
+    per target, keeping every edge with no endpoint in the target's reach."""
+    out = {}
+    for t in targets:
+        a, b = canonical_edge(*t)
+        reach = (1 << a) | (1 << b) | g.neighbor_mask(a) | g.neighbor_mask(b)
+        out[(a, b)] = frozenset(
+            (u, v) for u, v in g.edges() if not reach >> u & 1 and not reach >> v & 1
+        )
+    return out
 
 
 def reference_dynamic_parallel_pairs(cg, requests, seed_policy):
@@ -116,7 +132,46 @@ class TestCompatible:
             compatible(g, (0, 2), (2, 3))
 
 
+@st.composite
+def graph_with_dead_slots(draw):
+    n = draw(st.integers(2, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    g = Graph(n, edges).keep(draw(st.integers(0, (1 << n) - 1)))
+    if g.edge_count == 0:
+        g = Graph(n, edges)
+    return g
+
+
+@st.composite
+def controlled_batches(draw):
+    """A controlled network with at most 12 data vertices and a batch of its
+    complement edges."""
+    k = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 12 // k), min_size=k, max_size=k))
+    iq = random_inter_qnet(k, sizes, draw(st.sampled_from([0.2, 0.5, 0.8])),
+                           random.Random(draw(st.integers(0, 2**32))))
+    avail = complement_inter_qnet(iq).graph.edges()
+    picks = draw(st.lists(st.sampled_from(avail), unique=True)) if avail else []
+    return iq, build_controlled(iq), picks
+
+
 class TestCandidates:
+    @settings(max_examples=300, deadline=None)
+    @given(graph_with_dead_slots())
+    def test_free_masks_equal_per_edge_scan(self, g):
+        targets = g.edges()
+        cl = parallel_pair_candidates(g, targets)
+        want = reference_candidates(g, targets)
+        for t in targets:
+            assert cl[t] == want[t]
+
+    def test_non_edge_target_rejected(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        for t in [(0, 2), (1, 7), (3, 3)]:
+            with pytest.raises(ValueError, match="is not an edge"):
+                parallel_pair_candidates(g, [t])
+
     def test_single_edge_graph(self):
         g = Graph(2, [(0, 1)])
         cl = parallel_pair_candidates(g, [(0, 1)])
@@ -298,6 +353,36 @@ class TestDynamicParallelPairs:
             for policy in ("greedy_max", "lowest_id"):
                 got = dynamic_parallel_pairs(cg, rs, seed_policy=policy).groups
                 assert got == reference_dynamic_parallel_pairs(cg, rs, policy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(controlled_batches())
+    def test_matches_whole_edge_set_loop_on_random_networks(self, case):
+        iq, cg, picks = case
+        rs = RequestSet.from_pairs(picks, iq)
+        comp = complement_inter_qnet(iq)
+        for policy in ("greedy_max", "lowest_id"):
+            want = reference_dynamic_parallel_pairs(cg, rs, policy)
+            assert dynamic_parallel_pairs(cg, rs, seed_policy=policy).groups == want
+            got = dynamic_parallel_pairs(cg, rs, seed_policy=policy, complement=comp)
+            assert got.groups == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_and_subset())
+    def test_check_agrees_with_per_edge_candidates(self, case):
+        g, sub = case
+        sub = sorted({canonical_edge(*e) for e in sub})
+        want = reference_candidates(g, sub)
+        conflicts = [(e, sorted(set(sub) - {e} - want[e])) for e in sub]
+        bad = [(e, extra) for e, extra in conflicts if extra]
+        table = ParallelPairTable((frozenset(sub),))
+        if not bad:
+            _assert_table_valid(g, table, sub)
+            return
+        with pytest.raises(ParallelPairViolation) as info:
+            _assert_table_valid(g, table, sub)
+        e, extra = bad[0]
+        assert str(info.value) == f"group member {e} conflicts with {extra}"
+        assert info.value.extra_edges == tuple(extra)
 
     def test_table_violations_raise_under_optimize(self):
         script = "\n".join([

@@ -2,10 +2,14 @@
 local-Clifford equivalence."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import mecnet
 from mecnet.graph import Graph
 from mecnet.stabilizer import (
     ORACLE_MAX_QUBITS,
@@ -99,6 +103,39 @@ class TestMeasurePauli:
             post, out1 = measure_pauli(t, q, "Z", forced_outcome=1)
             again, out2 = measure_pauli(post, q, "Z")
             assert out2 == out1 and again == post
+
+
+class TestTableauCheck:
+    @pytest.mark.parametrize(
+        "n, rows, message",
+        [
+            (2, ((1, 0, 0),), "expected 2 generators, got 1"),
+            (1, ((2, 0, 0),), "generator 0 acts outside 1 qubits"),
+            (1, ((1, 0, 0), (0, 1, 0)), "expected 1 generators, got 2"),
+            (2, ((1, 0, 0), (1, 0, 0)), "generators must be independent"),
+            (2, ((1, 0, 0), (0, 1, 0)), "generators must commute"),
+        ],
+    )
+    def test_invalid_tableau_raises_value_error(self, n, rows, message):
+        with pytest.raises(ValueError, match=message):
+            StabilizerTableau(n, rows).check()
+
+    def test_check_raises_under_optimize(self):
+        script = "\n".join([
+            "from mecnet.stabilizer import StabilizerTableau",
+            "print('debug', __debug__)",
+            "try:",
+            "    StabilizerTableau(2, ((1, 0, 0), (0, 1, 0))).check()  # X0 and Z0",
+            "except ValueError as exc:",
+            "    print('raised', exc)",
+        ])
+        src = os.path.dirname(os.path.dirname(mecnet.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["debug False", "raised generators must commute"]
 
 
 class TestRestrict:
