@@ -17,7 +17,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from statistics import mean, pstdev
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -97,30 +97,69 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build a config from a JSON object; absent keys keep the field
-        defaults and unknown keys are rejected with one ValueError."""
-        known = {f.name: f for f in fields(cls)}
-        unknown = [key for key in d if key not in known]
+        defaults.  Unknown keys are rejected with one ValueError, and so are
+        values that do not match their field's annotation, each bad field
+        named."""
+        hints = get_type_hints(cls)
+        unknown = [key for key in d if key not in hints]
         if unknown:
             raise ValueError(
                 f"unknown config key(s) {', '.join(map(repr, unknown))}; "
-                f"known keys: {', '.join(known)}"
+                f"known keys: {', '.join(hints)}"
             )
         kwargs = {}
+        bad = []
         for name, value in d.items():
-            if name == "timing_grid":
-                value = tuple(
-                    TimingParams(t["lam"], t["tpm"], t["trm"], t["tpb"], t["trb"])
-                    for t in value
-                )
-            elif isinstance(known[name].default, tuple):
-                value = tuple(value)
-            kwargs[name] = value
+            try:
+                kwargs[name] = _config_value(name, value, hints[name])
+            except TypeError as exc:
+                bad.append(str(exc))
+        if bad:
+            raise ValueError(f"bad config value(s): {'; '.join(bad)}")
         return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+_TIMING_KEYS = tuple(f.name for f in fields(TimingParams))
+
+
+def _is_number(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _config_value(name: str, value: Any, hint: Any) -> Any:
+    """A JSON config value as the field type ``hint``: tuple fields from a
+    list, checked element by element, and timing points from objects.
+    Raises TypeError naming the field (and the element) on a mismatch."""
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"{name} must be a list, got {type(value).__name__} {value!r}")
+        elem = get_args(hint)[0]
+        return tuple(_config_value(f"{name}[{i}]", v, elem) for i, v in enumerate(value))
+    if hint is TimingParams:
+        if not (
+            isinstance(value, dict)
+            and set(value) == set(_TIMING_KEYS)
+            and all(_is_number(v) for v in value.values())
+        ):
+            raise TypeError(
+                f"{name} must be an object of numbers with keys "
+                f"{', '.join(_TIMING_KEYS)}, got {value!r}"
+            )
+        return TimingParams(**value)
+    if hint is float:
+        ok = _is_number(value)
+    else:
+        ok = isinstance(value, hint) and not isinstance(value, bool)
+    if not ok:
+        raise TypeError(
+            f"{name} must be {hint.__name__}, got {type(value).__name__} {value!r}"
+        )
+    return value
 
 
 def derive_seed(*parts: int) -> int:
@@ -179,12 +218,13 @@ def run_instance(
         )
     # the complement just checked against the measured graph is also the
     # one every batch is sampled from and scheduled on
+    pool = oracle.graph.edges()
     out = InstanceResult(k=k, p=p, rep=rep)
     part = iq.partition
     for vi, vol in enumerate(volumes):
         vr = VolumeResult(volume=vol)
         try:
-            rs = sample_requests(iq, vol, derive_seed(request_seed, vi), complement=oracle)
+            rs = sample_requests(iq, vol, derive_seed(request_seed, vi), pool=pool)
         except InsufficientPairsError:
             vr.skipped = True
             out.volumes.append(vr)

@@ -114,23 +114,24 @@ def sample_requests(
     iq: InterQNet,
     count: int,
     rng_seed: int,
-    complement: Optional[InterQNet] = None,
+    pool: Optional[Sequence[tuple[int, int]]] = None,
 ) -> RequestSet:
     """Uniform sample, without replacement, of cross-domain non-adjacent pairs.
 
     Those pairs are the edges of the cross-domain complement, drawn from in
-    lexicographic order; a caller that holds ``complement_inter_qnet(iq)``
-    passes it as ``complement``.
+    lexicographic order.  A caller that samples several batches from one
+    network passes that edge list, ``complement_inter_qnet(iq).graph.edges()``,
+    as ``pool`` so that it is built once.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    if complement is None:
-        complement = complement_inter_qnet(iq)
-    pool = complement.graph.edges()
+    if pool is None:
+        pool = complement_inter_qnet(iq).graph.edges()
     if count > len(pool):
         raise InsufficientPairsError(
             f"asked for {count} requests, only {len(pool)} eligible pairs exist"
         )
     rng = np.random.default_rng(rng_seed)
     chosen = rng.choice(len(pool), size=count, replace=False)
-    return RequestSet.from_pairs([pool[i] for i in chosen], iq)
+    # complement edges drawn without replacement need no intake check
+    return RequestSet(tuple(pool[i] for i in chosen), iq)

@@ -9,9 +9,10 @@ on the cross-domain complement of the controlled network.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .graph import Graph, bits
 from .qnet import ControlledInterQNet, InterQNet, complement_inter_qnet
@@ -73,7 +74,13 @@ class ParallelPairViolation(RuntimeError):
 @dataclass(frozen=True)
 class RequestSet:
     """Batch of source-destination pairs, all inter-domain and non-adjacent
-    in the original network."""
+    in the original network.
+
+    The constructor trusts its input: pairs drawn without replacement from
+    the edge list of the cross-domain complement, as ``sample_requests``
+    draws them, are canonical, distinct, inter-domain and non-adjacent by
+    construction.  Pairs from anywhere else go through :meth:`from_pairs`.
+    """
 
     requests: tuple[Edge, ...]
     context: Optional[InterQNet] = None
@@ -179,12 +186,11 @@ def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
     edges that touch it, and ``near[v]`` to the edges touching ``v`` or one
     of its neighbors.  An edge ``(a, b)`` conflicts with every edge touching
     its endpoints or their neighbors, that is with ``near[a] | near[b]``.
+    The callers check that every entry of ``edges`` is an edge of ``g``.
     """
     touching = [0] * g.vertex_count
     touched = 0
     for i, (a, b) in enumerate(edges):
-        if not g.has_edge(a, b):
-            raise ValueError(f"({a},{b}) is not an edge")
         touching[a] |= 1 << i
         touching[b] |= 1 << i
         touched |= (1 << a) | (1 << b)
@@ -206,6 +212,9 @@ def check_parallel_pairable(g: Graph, edges: Iterable[Edge]) -> bool:
     edge_set = sorted({canonical_edge(u, v) for u, v in edges})
     if len(edge_set) <= 1:
         return True
+    for a, b in edge_set:
+        if not g.has_edge(a, b):
+            raise ValueError(f"({a},{b}) is not an edge")
     full = (1 << len(edge_set)) - 1
     rows = _compat_rows(g, edge_set)
     return all((row | 1 << i) == full for i, row in enumerate(rows))
@@ -213,22 +222,69 @@ def check_parallel_pairable(g: Graph, edges: Iterable[Edge]) -> bool:
 
 # -- seed policies -------------------------------------------------------------
 #
-# A policy picks one request index from ``pool``, given the compatibility
-# rows and the request set ``rset`` frozen at the start of the group.
+# A policy is built once per batch from the compatibility rows.  ``seed``
+# picks the seed of the next group from the remaining requests, or returns
+# None when no remaining request has a compatible partner left among them.
+# ``grow_order`` ranks the seed's candidates once per group; the group then
+# takes, in that order, each candidate still compatible with every member
+# so far.  Candidates only drop out as the group grows, so the first one
+# left in that order is the one the policy would pick at that step.
 
 
-def _policy_greedy_max(pool: int, rows: Sequence[int], rset: int) -> int:
-    """Most compatible partners within ``rset``; the lowest index on ties."""
-    return max(bits(pool), key=lambda i: (rows[i] & rset).bit_count())
+class _GreedyMax:
+    """Most compatible partners among the requests remaining at the start of
+    the group, for the seed and for each addition; the lowest index on ties.
+
+    A request's count ``(rows[i] & remaining).bit_count()`` never rises as
+    ``remaining`` shrinks, so a count taken earlier is an upper bound.  The
+    requests sit in a heap keyed ``(-bound, index)``.  The top is re-counted
+    and accepted only when its count still equals its bound: it is then at
+    least every other bound, so every other count, and any request with the
+    same count has the same bound and so a higher index.
+    """
+
+    def __init__(self, rows: Sequence[int]):
+        self.rows = rows
+        self.heap = [(-row.bit_count(), i) for i, row in enumerate(rows)]
+        heapq.heapify(self.heap)
+
+    def seed(self, remaining: int) -> Optional[int]:
+        heap, rows = self.heap, self.rows
+        while True:
+            bound, i = heap[0]
+            if not remaining >> i & 1:
+                heapq.heappop(heap)
+                continue
+            count = (rows[i] & remaining).bit_count()
+            if count == -bound:
+                heapq.heappop(heap)
+                # the highest count is 0: every remaining request is alone
+                return i if count else None
+            heapq.heapreplace(heap, (-count, i))
+
+    def grow_order(self, shared: int, rset: int) -> list[int]:
+        rows = self.rows
+        return sorted(bits(shared), key=lambda i: -(rows[i] & rset).bit_count())
 
 
-def _policy_lowest_id(pool: int, rows: Sequence[int], rset: int) -> int:
-    return (pool & -pool).bit_length() - 1
+class _LowestId:
+    """The lowest remaining index as the seed, and the lowest candidate at
+    each addition."""
+
+    def __init__(self, rows: Sequence[int]):
+        pass
+
+    def seed(self, remaining: int) -> Optional[int]:
+        return (remaining & -remaining).bit_length() - 1
+
+    def grow_order(self, shared: int, rset: int) -> Iterable[int]:
+        return bits(shared)
 
 
-SEED_POLICIES: dict[str, Callable[[int, Sequence[int], int], int]] = {
-    "greedy_max": _policy_greedy_max,
-    "lowest_id": _policy_lowest_id,
+# seed policy name -> class built from the batch's compatibility rows
+SEED_POLICIES: dict[str, type] = {
+    "greedy_max": _GreedyMax,
+    "lowest_id": _LowestId,
 }
 
 
@@ -256,11 +312,11 @@ def dynamic_parallel_pairs(
     candidate set after each addition; a pairwise compatible batch thus
     forms a single group.  Requests are indexed in sorted order and the
     scheduler runs on their compatibility matrix, built once per batch, so
-    it never scans edges outside the batch.  The result is checked against
-    the whole-edge-set candidate lists before it is returned.
+    it never scans edges outside the batch.  Each request is checked here,
+    once, to be a complement edge.  The result is checked against the
+    whole-edge-set candidate lists before it is returned.
     """
     check_seed_policy(seed_policy)
-    pick = SEED_POLICIES[seed_policy]
     if complement is None:
         complement = complement_inter_qnet(cg.data_network())
     cgraph = complement.graph
@@ -273,35 +329,21 @@ def dynamic_parallel_pairs(
 
     edges = sorted(requests)
     rows = _compat_rows(cgraph, edges)
+    policy = SEED_POLICIES[seed_policy](rows)
     groups: list[frozenset[Edge]] = []
     remaining = (1 << len(edges)) - 1
-    # ``live``: the remaining requests that still have a compatible partner
-    # among the remaining ones.  A request never regains a partner, so the
-    # mask only shrinks.  Every other remaining request counts 0 partners.
-    # While ``live`` is non-empty, greedy_max's seed (a count of at least 1)
-    # lies in it, and lowest_id's seed is the lowest remaining index, so
-    # both policies pick the same seed from ``live`` plus that index as from
-    # all remaining requests.  Once ``live`` is empty every count is 0 and
-    # both pick the lowest index, so the rest are singletons in index order.
-    live = remaining
     while remaining:
-        live &= remaining
-        for i in bits(live):
-            if not rows[i] & remaining:
-                live ^= 1 << i
-        if not live:
+        seed = policy.seed(remaining)
+        if seed is None:
             groups.extend(frozenset((edges[i],)) for i in bits(remaining))
             break
-        rset = remaining
-        seed = pick(live | (remaining & -remaining), rows, rset)
         group = 1 << seed
-        remaining ^= group
         shared = rows[seed] & remaining
-        while shared:
-            nxt = pick(shared, rows, rset)
-            group |= 1 << nxt
-            remaining ^= 1 << nxt
-            shared &= rows[nxt]
+        for i in policy.grow_order(shared, remaining):
+            if shared >> i & 1:
+                group |= 1 << i
+                shared &= rows[i]
+        remaining ^= group
         groups.append(frozenset(edges[i] for i in bits(group)))
     table = ParallelPairTable(tuple(groups))
     _assert_table_valid(cgraph, table, requests)

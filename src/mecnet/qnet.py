@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .graph import Graph, MeasurementRecord, bits, z_records
+from .graph import Graph, MeasurementRecord, z_records
 
 __all__ = [
     "QNetPartition",
@@ -91,10 +91,19 @@ class QNetPartition:
 
 
 def _check_cross_domain(graph: Graph, part: QNetPartition) -> None:
-    data = part.data_count
-    for u, v in graph.edges():
-        if u < data and v < data and part.membership[u] == part.membership[v]:
-            raise ValueError(f"edge ({u},{v}) stays inside QNet {part.membership[u]}")
+    """Raise ValueError on the first edge, in edge-list order, that joins two
+    data vertices of one QNet.
+
+    The first data vertex ``u`` with such a neighbour has none below it
+    (that neighbour would have been found first), so its lowest one gives
+    that edge.
+    """
+    qmasks = part.qnet_masks()
+    for u, a in enumerate(part.membership):
+        inside = graph.neighbor_mask(u) & qmasks[a]
+        if inside:
+            v = (inside & -inside).bit_length() - 1
+            raise ValueError(f"edge ({u},{v}) stays inside QNet {a}")
 
 
 @dataclass(frozen=True)
@@ -182,11 +191,11 @@ def complement_inter_qnet(iq: InterQNet) -> InterQNet:
     part = iq.partition
     qmasks = part.qnet_masks()
     full = (1 << part.data_count) - 1
-    edges = []
-    for u in range(part.data_count):
-        allowed = full & ~qmasks[part.membership[u]] & ~iq.graph.neighbor_mask(u)
-        edges.extend((u, v) for v in bits(allowed >> (u + 1) << (u + 1)))
-    return InterQNet(Graph(part.data_count, edges), part)
+    adj = tuple(
+        full & ~qmasks[a] & ~iq.graph.neighbor_mask(u)
+        for u, a in enumerate(part.membership)
+    )
+    return InterQNet(Graph._from_parts(part.data_count, adj, full), part)
 
 
 def k0_first_of_qnet1(graph: Graph, control: int, cg: "ControlledInterQNet") -> int:

@@ -213,6 +213,38 @@ class TestUsageErrors:
         assert "unknown config key(s) 'repetition'" in err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"repetitions": "2"}, "repetitions must be int, got str '2'"),
+            ({"densities": 0.2}, "densities must be a list, got float 0.2"),
+        ],
+    )
+    def test_wrong_value_type_is_usage_error(self, tmp_path, capsys, over, message):
+        cfg_path, _ = small_config(tmp_path, **over)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
+        assert f"usage error: bad config value(s): {message}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_every_bad_value_named_in_one_error(self):
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_dict({
+                "jobs": True,
+                "qnet_counts": [4, 6.0],
+                "timing_grid": [{"lam": 10, "tpm": 3, "trm": 1, "tpb": 4}],
+                "output_dir": "out",
+                "seed_policy": 3,
+            })
+        assert str(info.value) == (
+            "bad config value(s): jobs must be int, got bool True; "
+            "qnet_counts[1] must be int, got float 6.0; "
+            "timing_grid[0] must be an object of numbers with keys lam, tpm, trm, tpb, trb, "
+            "got {'lam': 10, 'tpm': 3, 'trm': 1, 'tpb': 4}; "
+            "seed_policy must be str, got int 3"
+        )
+        cfg = ExperimentConfig.from_dict({"densities": [1, 0.5], "instance_files": ["a.txt"]})
+        assert cfg.densities == (1, 0.5) and cfg.instance_files == ("a.txt",)
+
     def test_config_defaults_come_from_the_dataclass(self):
         assert ExperimentConfig.from_dict({}) == ExperimentConfig()
         cfg = ExperimentConfig.from_dict({"densities": [0.5], "timing_grid": [

@@ -136,9 +136,7 @@ class TestSampleRequests:
         got = sample_requests(iq, volume, derive_seed(seed, volume))
         assert got.requests == want
         assert hashlib.sha256(repr(got.requests).encode()).hexdigest()[:16] == digest
-        shared = sample_requests(
-            iq, volume, derive_seed(seed, volume), complement=complement_inter_qnet(iq)
-        )
+        shared = sample_requests(iq, volume, derive_seed(seed, volume), pool=pool)
         assert shared.requests == want
 
 

@@ -156,6 +156,49 @@ def controlled_batches(draw):
     return iq, build_controlled(iq), picks
 
 
+@st.composite
+def tie_heavy_batches(draw):
+    """A controlled network whose complement is built for tied partner
+    counts, and a batch of its complement edges.
+
+    Either the complement is disjoint copies of one small gadget, each copy
+    holding the same requests, or it is circulant: QNets of equal size
+    ``s``, with vertex ``j`` of one QNet joined to vertex ``l`` of a later
+    one exactly when ``(l - j) mod s`` lies in a drawn residue set, and the
+    requests are the edges of a drawn subset of those residues.
+    """
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 3))
+        m = draw(st.integers(k, 5))
+        extra = draw(st.lists(st.integers(1, k), min_size=m - k, max_size=m - k))
+        gadget_qnets = tuple(draw(st.permutations(list(range(1, k + 1)) + extra)))
+        cross = [(u, v) for u, v in itertools.combinations(range(m), 2)
+                 if gadget_qnets[u] != gadget_qnets[v]]
+        gadget = draw(st.lists(st.sampled_from(cross), min_size=1, unique=True))
+        asked = draw(st.lists(st.sampled_from(gadget), min_size=1, unique=True))
+        copies = draw(st.integers(2, 4))
+        membership = gadget_qnets * copies
+        comp_edges = [(u + c * m, v + c * m) for c in range(copies) for u, v in gadget]
+        requests = [(u + c * m, v + c * m) for c in range(copies) for u, v in asked]
+    else:
+        k = draw(st.integers(2, 4))
+        size = draw(st.integers(1, 3))
+        residues = draw(st.sets(st.integers(0, size - 1), min_size=1))
+        asked = draw(st.sets(st.sampled_from(sorted(residues)), min_size=1))
+        membership = tuple(a for a in range(1, k + 1) for _ in range(size))
+        comp_edges, requests = [], []
+        for a, b in itertools.combinations(range(k), 2):
+            for j, l in itertools.product(range(size), repeat=2):
+                e = (a * size + j, b * size + l)
+                if (l - j) % size in residues:
+                    comp_edges.append(e)
+                if (l - j) % size in asked:
+                    requests.append(e)
+    comp = InterQNet(Graph(len(membership), comp_edges), QNetPartition(k, membership))
+    iq = complement_inter_qnet(comp)
+    return build_controlled(iq), comp, requests
+
+
 class TestCandidates:
     @settings(max_examples=300, deadline=None)
     @given(graph_with_dead_slots())
@@ -365,6 +408,15 @@ class TestDynamicParallelPairs:
             assert dynamic_parallel_pairs(cg, rs, seed_policy=policy).groups == want
             got = dynamic_parallel_pairs(cg, rs, seed_policy=policy, complement=comp)
             assert got.groups == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_batches())
+    def test_matches_whole_edge_set_loop_on_tie_heavy_batches(self, case):
+        cg, comp, requests = case
+        assert complement_inter_qnet(cg.data_network()).graph == comp.graph
+        for policy in ("greedy_max", "lowest_id"):
+            want = reference_dynamic_parallel_pairs(cg, requests, policy)
+            assert dynamic_parallel_pairs(cg, requests, seed_policy=policy).groups == want
 
     @settings(max_examples=300, deadline=None)
     @given(graph_and_subset())

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecnet.graph import Graph
 from mecnet.pairs import ParallelPairViolation, check_parallel_pairable
@@ -115,7 +117,71 @@ class TestBuildControlled:
             ControlledInterQNet(Graph(4, bad.edges()), cg.partition)
 
 
+@st.composite
+def partitioned_graphs(draw):
+    """A partition of at most 12 vertices into QNets, members in any order,
+    and any graph on those vertices, links inside a QNet included."""
+    k = draw(st.integers(1, 4))
+    extra = draw(st.lists(st.integers(1, k), max_size=12 - k))
+    membership = tuple(draw(st.permutations(list(range(1, k + 1)) + extra)))
+    pairs = list(itertools.combinations(range(len(membership)), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(len(membership), edges), QNetPartition(k, membership)
+
+
+def edge_scan_cross_domain_error(graph, part):
+    """The cross-domain check as first written: the first edge of the edge
+    list that stays inside one QNet."""
+    m = part.membership
+    for u, v in graph.edges():
+        if u < part.data_count and v < part.data_count and m[u] == m[v]:
+            return f"edge ({u},{v}) stays inside QNet {m[u]}"
+    return None
+
+
+class TestCrossDomainCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(partitioned_graphs())
+    def test_matches_edge_scan(self, case):
+        g, part = case
+        d = part.data_count
+        controls = tuple(range(d, d + part.k_prime))
+        control_edges = list(itertools.combinations(controls, 2))
+        control_edges += [(v, controls[a - 1]) for v, a in enumerate(part.membership)]
+        controlled = Graph(d + part.k_prime, g.edges() + control_edges)
+        want = edge_scan_cross_domain_error(g, part)
+        assert edge_scan_cross_domain_error(controlled, part) == want
+        for build in (
+            lambda: InterQNet(g, part),
+            lambda: ControlledInterQNet(
+                controlled, QNetPartition(part.k, part.membership, controls)
+            ),
+        ):
+            if want is None:
+                build()
+                continue
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == want
+
+
 class TestComplement:
+    @settings(max_examples=300, deadline=None)
+    @given(partitioned_graphs())
+    def test_matches_edge_list_construction(self, case):
+        g, part = case
+        m = part.membership
+        n = g.vertex_count
+        iq = InterQNet(Graph(n, [(u, v) for u, v in g.edges() if m[u] != m[v]]), part)
+        want = Graph(n, [
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if m[u] != m[v] and not iq.graph.has_edge(u, v)
+        ])
+        got = complement_inter_qnet(iq)
+        assert got.graph == want and got.partition == part
+        assert got.connected == want.connected()
+
     def test_complete_bipartite_empties(self):
         iq = InterQNet(Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), QNetPartition(2, (1, 1, 2, 2)))
         assert complement_inter_qnet(iq).graph.edges() == []
