@@ -33,5 +33,5 @@ switched, _ = mec_complementation(cg)
 assert switched.graph == complement_inter_qnet(iq).graph
 
 requests = sample_requests(iq, 6, rng_seed=1)
-paths, h_bar, chi, _ = cqr_batch(cg, requests.requests)
+paths, h_bar, chi = cqr_batch(cg, requests.requests)
 print(f"6 sampled requests: baseline mean hops {h_bar:.2f}, after complementation 1.00")

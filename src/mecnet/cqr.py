@@ -77,23 +77,17 @@ def route_cqr(cg: ControlledInterQNet, req: tuple[int, int]) -> CqrPath:
 def cqr_batch(
     cg: ControlledInterQNet,
     requests: Iterable[tuple[int, int]],
-) -> tuple[list[CqrPath], Optional[float], int, dict[int, int]]:
+) -> tuple[list[CqrPath], Optional[float], int]:
     """Route every request independently (time-multiplexed service).
 
-    Returns the paths, the mean hop count (None for an empty batch), the
-    total intermediate count, and the per-vertex qubit demand: two per
-    swap at an intermediate, one per served endpoint.
+    Returns the paths, the mean hop count (None for an empty batch) and the
+    total intermediate count ``chi``; the batch's routing-qubit footprint
+    follows from it as ``metrics.arqf_cqr(len(requests), chi)``.
     """
     paths = [route_cqr(cg, r) for r in requests]
     chi = sum(len(p.intermediates) for p in paths)
-    load: dict[int, int] = {}
-    for p in paths:
-        for v in p.intermediates:
-            load[v] = load.get(v, 0) + 2
-        for v in p.request:
-            load[v] = load.get(v, 0) + 1
     h_bar = sum(p.hops for p in paths) / len(paths) if paths else None
-    return paths, h_bar, chi, load
+    return paths, h_bar, chi
 
 
 def paths_to_csv(paths: Iterable[CqrPath]) -> str:

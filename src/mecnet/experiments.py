@@ -2,10 +2,12 @@
 
 Per instance, the pipeline builds the controlled network, checks that the
 measurement sequence reproduces the combinatorial complement (aborting
-with a serialized counterexample if not), partitions each request batch,
-validates conflict-free extraction per group, routes the same batch with
-the shortest-path baseline, and evaluates the closed-form metrics on a
-timing grid.  Aggregates are deterministic for a fixed config and seed.
+with a serialized counterexample if not), partitions each request batch
+into rounds, routes the same batch with the shortest-path baseline, and
+evaluates the closed-form metrics on a timing grid.  Each round is checked
+once, by the scheduler's conflict-free check on the complement, which
+equals the measured graph.  Aggregates are deterministic for a fixed
+config and seed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .qnet import (
     InterQNet,
     build_controlled,
     complement_inter_qnet,
-    extract_epr,
     instance_from_text,
     instance_to_text,
     mec_complementation,
@@ -57,8 +58,9 @@ SCHEMAS = {
 
 class PipelineMismatch(AssertionError):
     """A pipeline invariant failed on an instance: the measurement sequence
-    disagreed with the complement oracle, a schedule or an extraction round
-    broke parallel pairability, or a remote request routed in one hop."""
+    disagreed with the complement oracle, a scheduled round failed the
+    scheduler's parallel-pairability check on the complement (which equals
+    the measured graph), or a remote request routed in one hop."""
 
     def __init__(self, message: str, instance_text: str):
         super().__init__(message)
@@ -217,7 +219,8 @@ def run_instance(
             instance_to_text(cg),
         )
     # the complement just checked against the measured graph is also the
-    # one every batch is sampled from and scheduled on
+    # one every batch is sampled from and scheduled on, so the scheduler's
+    # round check stands for extraction on the measured graph
     pool = oracle.graph.edges()
     out = InstanceResult(k=k, p=p, rep=rep)
     part = iq.partition
@@ -231,13 +234,11 @@ def run_instance(
             continue
         try:
             table = dynamic_parallel_pairs(cg, rs, seed_policy=seed_policy, complement=oracle)
-            for group in table.groups:
-                extract_epr(measured, group)  # raises on any extraction conflict
         except ParallelPairViolation as exc:
             raise PipelineMismatch(
                 f"parallel-pair violation: {exc}", instance_to_text(cg)
             ) from exc
-        paths, h_bar, chi, _ = cqr_batch(cg, rs.requests)
+        paths, h_bar, chi = cqr_batch(cg, rs.requests)
         adjacent = [p_.request for p_ in paths if p_.hops < 2]
         if adjacent:
             raise PipelineMismatch(
@@ -359,9 +360,12 @@ def _group_key(r: InstanceResult, v: VolumeResult) -> tuple:
 def write_reports(
     results: list[InstanceResult],
     out_dir: str,
-    timing_grid: Sequence[TimingParams] = (),
+    timing_grid: Sequence[TimingParams],
 ) -> dict[str, str]:
-    """Aggregate across repetitions and write the CSV tables; returns paths."""
+    """Aggregate across repetitions and write the CSV tables; returns paths.
+
+    ``timing_grid`` is the grid the results were run on: each volume result
+    holds one metrics record per grid point, in grid order."""
     os.makedirs(out_dir, exist_ok=True)
     cells: dict[tuple, list[VolumeResult]] = {}
     for r in results:
@@ -412,23 +416,18 @@ def write_reports(
                 round(ond_le, 6),
             ]
         )
-        by_timing: dict[int, list[MetricsRecord]] = {}
-        for v in vs:
-            for ti, recm in enumerate(v.metrics):
-                by_timing.setdefault(ti, []).append(recm)
-        for ti in sorted(by_timing):
-            recs = by_timing[ti]
-            t = timing_grid[ti] if ti < len(timing_grid) else None
+        for ti, t in enumerate(timing_grid):
+            recs = [v.metrics[ti] for v in vs]
             thr_rows.append(
                 [
                     p,
                     k,
                     vol,
-                    float(t.lam) if t else "",
-                    float(t.tpm) if t else "",
-                    float(t.trm) if t else "",
-                    float(t.tpb) if t else "",
-                    float(t.trb) if t else "",
+                    float(t.lam),
+                    float(t.tpm),
+                    float(t.trm),
+                    float(t.tpb),
+                    float(t.trb),
                     round(mean(r.r_bar for r in recs), 6),
                     round(mean(r.fm for r in recs), 6),
                     round(mean(r.fb for r in recs), 6),

@@ -20,7 +20,6 @@ __all__ = [
     "MeasurementRecord",
     "bits",
     "z_record",
-    "z_records",
     "graph_to_edgelist",
     "graph_from_edgelist",
 ]
@@ -63,30 +62,6 @@ def z_record(v: int) -> MeasurementRecord:
     vertex id is shared by every caller.
     """
     return MeasurementRecord(v, "Z", None, byproduct_tag=f"U[z,{v}]")
-
-
-@lru_cache(maxsize=64)
-def _z_record_row(alive: int) -> tuple[MeasurementRecord, ...]:
-    return tuple(z_record(v) for v in bits(alive))
-
-
-def z_records(alive: int, skip: int = 0) -> list[MeasurementRecord]:
-    """``z_record(v)`` for every ``v`` in ``alive & ~skip``, ascending.
-
-    The records of the whole mask ``alive`` are built once and cached, and
-    the result is cut out of them in one slice per gap between skipped
-    vertices.  An EPR extraction round skips only its ``2·|group|``
-    endpoints, so it takes at most ``2·|group| + 1`` slices.
-    """
-    row = _z_record_row(alive)
-    out: list[MeasurementRecord] = []
-    start = 0
-    for v in bits(skip & alive):
-        at = (alive & ((1 << v) - 1)).bit_count()
-        out += row[start:at]
-        start = at + 1
-    out += row[start:]
-    return out
 
 
 class Graph:

@@ -83,7 +83,6 @@ class RequestSet:
     """
 
     requests: tuple[Edge, ...]
-    context: Optional[InterQNet] = None
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Edge], iq: InterQNet) -> "RequestSet":
@@ -100,7 +99,7 @@ class RequestSet:
                 continue
             seen.add(e)
             ordered.append(e)
-        return cls(tuple(ordered), iq)
+        return cls(tuple(ordered))
 
     def __len__(self) -> int:
         return len(self.requests)

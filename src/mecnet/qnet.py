@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .graph import Graph, MeasurementRecord, z_records
+from .graph import Graph, MeasurementRecord, bits, z_record
 
 __all__ = [
     "QNetPartition",
@@ -248,6 +248,10 @@ def extract_epr(
     pairwise compatibility; otherwise ParallelPairViolation is raised,
     carrying the extra edges.  Returns the graph and one Z record per
     measured vertex, ascending.
+
+    This is the reference extraction for tests and demos; the pipeline
+    checks its rounds with the scheduler's check on the complement
+    instead.
     """
     from .pairs import ParallelPairViolation
 
@@ -267,7 +271,7 @@ def extract_epr(
             "post-measurement graph is not the requested matching",
             extra_edges=tuple(sorted(extra)),
         )
-    return kept, z_records(g.alive_mask, endpoints)
+    return kept, [z_record(v) for v in bits(g.alive_mask & ~endpoints)]
 
 
 # -- instance files ----------------------------------------------------------

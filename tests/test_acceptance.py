@@ -82,7 +82,7 @@ def sweep():
                         g, _ = extract_epr(measured, group)
                         assert sorted(g.edges()) == sorted(group)
                         extractions += 1
-                    paths, h_bar, chi, _ = cqr_batch(cg, rs.requests)
+                    paths, h_bar, chi = cqr_batch(cg, rs.requests)
                     rows.append(
                         {
                             "k": k,
@@ -316,7 +316,7 @@ def test_criterion_8_hop_count_reproduction():
                 # after complementation every requested pair is adjacent
                 measured, _ = mec_complementation(cg)
                 assert all(measured.graph.has_edge(s, d) for s, d in rs.requests)
-                _, h_bar, _, _ = cqr_batch(cg, rs.requests)
+                _, h_bar, _ = cqr_batch(cg, rs.requests)
                 hbars.append(h_bar)
             mean_h = sum(hbars) / len(hbars)
             assert len(hbars) >= 900

@@ -24,6 +24,7 @@ from mecnet.experiments import (
     write_reports,
 )
 from mecnet.graph import Graph
+from mecnet.metrics import TimingParams, throughput_cqr
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "openflights")
 
@@ -77,6 +78,24 @@ class TestRunCommand:
         cli.main(["run", "--config", cfg_path, "--jobs", "2", "--out", str(tmp_path / "o2")])
         parallel = open(os.path.join(tmp_path / "o2", "hops.csv")).read()
         assert serial == parallel
+
+    def test_throughput_rows_follow_the_timing_grid(self, tmp_path):
+        grid = [{"lam": lam, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1} for lam in (10, 20, 40)]
+        cfg_path, cfg = small_config(tmp_path, timing_grid=grid)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
+        lines = open(os.path.join(cfg["output_dir"], "throughput.csv")).read().splitlines()
+        header = lines[1].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+        cells = {(r["p"], r["k"], r["volume"]) for r in rows}
+        assert cells and len(rows) == len(grid) * len(cells)
+        for i in range(0, len(rows), len(grid)):
+            cell_rows = rows[i : i + len(grid)]
+            assert len({(r["p"], r["k"], r["volume"]) for r in cell_rows}) == 1
+            for t, r in zip(grid, cell_rows):
+                assert [float(r[name]) for name in ("lambda", "tpm", "trm", "tpb", "trb")] == [
+                    float(t[name]) for name in ("lam", "tpm", "trm", "tpb", "trb")
+                ]
+                assert float(r["fb"]) == round(throughput_cqr(TimingParams(**t)), 6)
 
     def test_mec_column_is_unity(self, tmp_path):
         cfg_path, cfg = small_config(tmp_path)
@@ -279,9 +298,9 @@ class TestPipelineMismatchPath:
 
     def test_one_hop_baseline_route_dumps_instance(self, tmp_path, monkeypatch):
         def one_hop_first(cg, requests):
-            paths, h_bar, chi, rest = original(cg, requests)
+            paths, h_bar, chi = original(cg, requests)
             paths[0] = CqrPath(paths[0].request, 1, (), False)
-            return paths, h_bar, chi, rest
+            return paths, h_bar, chi
 
         original = experiments.cqr_batch
         monkeypatch.setattr(experiments, "cqr_batch", one_hop_first)

@@ -172,15 +172,13 @@ class TestCqrPath:
 class TestCqrBatch:
     def test_all_two_hop(self):
         cg = _cg([(0, 4), (3, 4), (1, 4)], 3, (1, 1, 2, 2, 3))
-        paths, h_bar, chi, load = cqr_batch(cg, [(0, 3), (1, 3)])
+        paths, h_bar, chi = cqr_batch(cg, [(0, 3), (1, 3)])
         assert h_bar == 2.0 and chi == 2
-        assert load[4] == 4  # two swaps through the shared mediator
-        assert load[3] == 2 and load[0] == 1 and load[1] == 1
 
     def test_empty_batch(self):
         cg = _cg([(0, 3), (1, 2)], 2, (1, 1, 2, 2))
-        paths, h_bar, chi, load = cqr_batch(cg, [])
-        assert paths == [] and h_bar is None and chi == 0 and load == {}
+        paths, h_bar, chi = cqr_batch(cg, [])
+        assert paths == [] and h_bar is None and chi == 0
 
     def test_chi_identity(self):
         rnd = random.Random(41)
@@ -197,12 +195,12 @@ class TestCqrBatch:
             if not remote:
                 continue
             reqs = rnd.sample(remote, k=min(5, len(remote)))
-            paths, _, chi, _ = cqr_batch(cg, reqs)
+            paths, _, chi = cqr_batch(cg, reqs)
             assert chi == sum(p.hops - 1 for p in paths)
 
     def test_csv_shape(self):
         cg = _cg([(0, 3), (1, 2)], 2, (1, 1, 2, 2))
-        paths, _, _, _ = cqr_batch(cg, [(0, 2)])
+        paths, _, _ = cqr_batch(cg, [(0, 2)])
         text = paths_to_csv(paths)
         lines = text.splitlines()
         assert lines[0] == "request,hops,intermediates,via_control"

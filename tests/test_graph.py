@@ -18,8 +18,6 @@ from mecnet.graph import (
     bits,
     graph_from_edgelist,
     graph_to_edgelist,
-    z_record,
-    z_records,
 )
 
 
@@ -205,16 +203,6 @@ class TestKeep:
         got = g.keep(mask)
         got.check()
         assert got == want
-
-
-class TestZRecords:
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, (1 << 12) - 1), st.integers(0, (1 << 14) - 1))
-    def test_slices_equal_one_record_per_vertex(self, alive, skip):
-        got = z_records(alive, skip)
-        want = [z_record(v) for v in bits(alive & ~skip)]
-        assert got == want
-        assert all(a is b for a, b in zip(got, want))
 
 
 class TestRecordInvariants:
