@@ -38,7 +38,6 @@ from .stabilizer import (
 )
 from .cqr import CqrPath, cqr_batch, route_cqr
 from .metrics import (
-    MetricsRecord,
     TimingParams,
     arqf_cqr,
     arqf_mec,

@@ -8,6 +8,7 @@ directory comes from MECNET_OUT when set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -41,10 +42,6 @@ def _resolve_out(flag_value, config_value: str = "out") -> str:
     if flag_value:
         return flag_value
     return os.environ.get("MECNET_OUT", config_value)
-
-
-def _default_out() -> str:
-    return _resolve_out(None)
 
 
 def build_parser() -> _Parser:
@@ -81,30 +78,16 @@ def build_parser() -> _Parser:
     return p
 
 
-def _load_config(args, overrides: dict) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        cfg = ExperimentConfig()
-    d = cfg.__dict__.copy()
-    d["timing_grid"] = cfg.timing_grid
-    for key, val in overrides.items():
-        if val is not None:
-            d[key] = val
-    return ExperimentConfig(**d)
+def _load_config(args, **overrides) -> ExperimentConfig:
+    """The ``--config`` file (or the defaults), read once, with each flag
+    that was given overriding its field and the output directory resolved."""
+    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    given = {key: val for key, val in overrides.items() if val is not None}
+    return dataclasses.replace(cfg, output_dir=_resolve_out(args.out, cfg.output_dir), **given)
 
 
 def cmd_generate(args) -> int:
-    base = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    cfg = _load_config(
-        args,
-        {
-            "output_dir": _resolve_out(args.out, base.output_dir),
-            "seed": args.seed,
-            "nodes": args.nodes,
-            "repetitions": args.reps,
-        },
-    )
+    cfg = _load_config(args, seed=args.seed, nodes=args.nodes, repetitions=args.reps)
     out = os.path.join(cfg.output_dir, "instances")
     paths = generate_instances(cfg, out)
     print(f"wrote {len(paths)} instance files to {out}")
@@ -116,7 +99,7 @@ def cmd_ingest(args) -> int:
     countries = set(args.countries) if args.countries else None
     sub = (args.sample, args.seed) if args.sample else None
     iq, meta = build_real_instance(parsed, countries, sub)
-    out_dir = args.out or _default_out()
+    out_dir = _resolve_out(args.out)
     os.makedirs(out_dir, exist_ok=True)
     inst = os.path.join(out_dir, "real_instance.txt")
     with open(inst, "w", encoding="utf-8") as fh:
@@ -139,16 +122,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_run(args) -> int:
-    base = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    cfg = _load_config(
-        args,
-        {
-            "output_dir": _resolve_out(args.out, base.output_dir),
-            "jobs": args.jobs,
-            "repetitions": args.reps,
-            "seed": args.seed,
-        },
-    )
+    cfg = _load_config(args, jobs=args.jobs, repetitions=args.reps, seed=args.seed)
     try:
         results = run_experiment(cfg)
     except PipelineMismatch as exc:

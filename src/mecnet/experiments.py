@@ -4,10 +4,12 @@ Per instance, the pipeline builds the controlled network, checks that the
 measurement sequence reproduces the combinatorial complement (aborting
 with a serialized counterexample if not), partitions each request batch
 into rounds, routes the same batch with the shortest-path baseline, and
-evaluates the closed-form metrics on a timing grid.  Each round is checked
-once, by the scheduler's conflict-free check on the complement, which
-equals the measured graph.  Aggregates are deterministic for a fixed
-config and seed.
+records one result per request volume: ρ, r̄, h̄, χ and the footprints.
+None of these depend on timing; the reports apply the timing grid once,
+computing each grid point's throughput pair from the volume results.
+Each round is checked once, by the scheduler's conflict-free check on the
+complement, which equals the measured graph.  Aggregates are
+deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Any, Optional, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .cqr import cqr_batch
-from .metrics import MetricsRecord, TimingParams
+from .metrics import TimingParams, arqf_cqr, arqf_mec, throughput_cqr, throughput_mec
 from .netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
 from .pairs import ParallelPairViolation, check_seed_policy, dynamic_parallel_pairs
 from .qnet import (
@@ -184,7 +186,6 @@ class VolumeResult:
     q_cqr: int = 0
     q_pro: int = 0
     q_ond: int = 0
-    metrics: list[MetricsRecord] = field(default_factory=list)
 
 
 @dataclass
@@ -198,7 +199,6 @@ class InstanceResult:
 def run_instance(
     iq: InterQNet,
     volumes: Sequence[int],
-    timing_grid: Sequence[TimingParams],
     seed_policy: str,
     request_seed: int,
     k: int,
@@ -245,29 +245,24 @@ def run_instance(
                 f"requests {adjacent} route in one hop; remote requests start non-adjacent",
                 instance_to_text(cg),
             )
+        n = len(rs.requests)
         vr.rho = table.rho
-        vr.r_bar = len(rs.requests) / table.rho if table.rho else 0.0
+        vr.r_bar = n / table.rho if table.rho else 0.0
         vr.h_bar = h_bar
         vr.chi = chi
-        vr.q_cqr = 2 * len(rs.requests) + 2 * chi
-        for t in timing_grid:
-            rec = MetricsRecord.build(
-                t, len(rs.requests), table.rho, h_bar, chi, part.k_prime, part.sizes()
-            )
-            vr.metrics.append(rec)
-        if vr.metrics:
-            vr.q_pro = vr.metrics[0].q_mec_pro
-            vr.q_ond = vr.metrics[0].q_mec_ond
+        vr.q_cqr = arqf_cqr(n, chi)
+        vr.q_pro = arqf_mec(table.rho, part.k_prime, part.sizes(), n, "proactive")
+        vr.q_ond = arqf_mec(table.rho, part.k_prime, part.sizes(), n, "on_demand")
         out.volumes.append(vr)
     return out
 
 
 def _run_task(args: tuple) -> InstanceResult:
-    cfg_seed, nodes, k, p, rep, volumes, timing, policy = args
+    cfg_seed, nodes, k, p, rep, volumes, policy = args
     gen_seed = derive_seed(cfg_seed, k, int(p * 1_000_000), rep)
     iq = generate_inter_qnet(GenConfig(k, even_sizes(nodes, k), p, gen_seed))
     req_seed = derive_seed(cfg_seed, k, int(p * 1_000_000), rep, 17)
-    return run_instance(iq, volumes, timing, policy, req_seed, k, p, rep)
+    return run_instance(iq, volumes, policy, req_seed, k, p, rep)
 
 
 def generate_instances(cfg: ExperimentConfig, out_dir: str) -> list[str]:
@@ -318,7 +313,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[InstanceResult]:
                 run_instance(
                     iq,
                     cfg.request_volumes,
-                    cfg.timing_grid,
                     cfg.seed_policy,
                     req_seed,
                     iq.partition.k,
@@ -328,7 +322,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[InstanceResult]:
             )
         return results
     tasks = [
-        (cfg.seed, cfg.nodes, k, p, rep, cfg.request_volumes, cfg.timing_grid, cfg.seed_policy)
+        (cfg.seed, cfg.nodes, k, p, rep, cfg.request_volumes, cfg.seed_policy)
         for k in cfg.qnet_counts
         for p in cfg.densities
         for rep in range(cfg.repetitions)
@@ -364,8 +358,10 @@ def write_reports(
 ) -> dict[str, str]:
     """Aggregate across repetitions and write the CSV tables; returns paths.
 
-    ``timing_grid`` is the grid the results were run on: each volume result
-    holds one metrics record per grid point, in grid order."""
+    Each cell of ``throughput.csv`` has one row per point of ``timing_grid``,
+    in grid order: ``fm`` is the mean of each volume result's own f_M (the
+    per-result product, not one taken from the mean r̄), and ``fb`` depends
+    on the grid point alone."""
     os.makedirs(out_dir, exist_ok=True)
     cells: dict[tuple, list[VolumeResult]] = {}
     for r in results:
@@ -378,6 +374,7 @@ def write_reports(
         p, k, vol = key
         vs = cells[key]
         n = len(vs)
+        r_bar_mean = round(mean(v.r_bar for v in vs), 6)
         hbars = [v.h_bar for v in vs if v.h_bar is not None]
         hops_rows.append(
             [
@@ -397,7 +394,7 @@ def write_reports(
                 k,
                 vol,
                 n,
-                round(mean(v.r_bar for v in vs), 6),
+                r_bar_mean,
                 round(pstdev([v.r_bar for v in vs]), 6) if n > 1 else 0.0,
                 round(mean(v.rho for v in vs), 6),
                 round(pstdev([v.rho for v in vs]), 6) if n > 1 else 0.0,
@@ -416,8 +413,7 @@ def write_reports(
                 round(ond_le, 6),
             ]
         )
-        for ti, t in enumerate(timing_grid):
-            recs = [v.metrics[ti] for v in vs]
+        for t in timing_grid:
             thr_rows.append(
                 [
                     p,
@@ -428,9 +424,9 @@ def write_reports(
                     float(t.trm),
                     float(t.tpb),
                     float(t.trb),
-                    round(mean(r.r_bar for r in recs), 6),
-                    round(mean(r.fm for r in recs), 6),
-                    round(mean(r.fb for r in recs), 6),
+                    r_bar_mean,
+                    round(mean(throughput_mec(t, v.r_bar) for v in vs), 6),
+                    round(throughput_cqr(t), 6),
                 ]
             )
 

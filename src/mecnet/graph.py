@@ -135,9 +135,6 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(bits(self.neighbor_mask(v)))
 
-    def degree(self, v: int) -> int:
-        return self.neighbor_mask(v).bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)

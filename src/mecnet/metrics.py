@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = [
     "TimingParams",
-    "MetricsRecord",
     "mec_cycles",
     "cqr_cycles",
     "throughput_mec",
@@ -119,46 +118,3 @@ def arqf_mec(
     if mode == "on_demand":
         return 2 * r_size + rho * k_prime
     raise ValueError(f"unknown mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """Aggregated per-instance routing metrics."""
-
-    r_bar: float
-    rho: int
-    h_bar: Optional[float]
-    chi: int
-    fm: float
-    fb: float
-    q_cqr: int
-    q_mec_pro: int
-    q_mec_ond: int
-    n_m: int
-    n_b: int
-
-    @classmethod
-    def build(
-        cls,
-        t: TimingParams,
-        request_count: int,
-        rho: int,
-        h_bar: Optional[float],
-        chi: int,
-        k_prime: int,
-        qnet_sizes: Sequence[int],
-    ) -> "MetricsRecord":
-        r_bar = request_count / rho if rho else 0.0
-        return cls(
-            r_bar=r_bar,
-            rho=rho,
-            h_bar=h_bar,
-            chi=chi,
-            fm=throughput_mec(t, r_bar),
-            fb=throughput_cqr(t),
-            q_cqr=arqf_cqr(request_count, chi),
-            q_mec_pro=arqf_mec(rho, k_prime, qnet_sizes, request_count, "proactive"),
-            q_mec_ond=arqf_mec(rho, k_prime, qnet_sizes, request_count, "on_demand"),
-            n_m=mec_cycles(t),
-            n_b=cqr_cycles(t),
-        )

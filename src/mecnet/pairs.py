@@ -134,12 +134,6 @@ class ParallelPairTable:
     def rho(self) -> int:
         return len(self.groups)
 
-    def all_requests(self) -> set[Edge]:
-        out: set[Edge] = set()
-        for g in self.groups:
-            out |= g
-        return out
-
 
 # -- pairwise predicate --------------------------------------------------------
 

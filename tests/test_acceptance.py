@@ -22,7 +22,7 @@ import pytest
 from mecnet.cqr import cqr_batch
 from mecnet.experiments import derive_seed, even_sizes
 from mecnet.graph import Graph
-from mecnet.metrics import MetricsRecord, TimingParams, cqr_cycles, mec_cycles
+from mecnet.metrics import TimingParams, arqf_cqr, arqf_mec, cqr_cycles, mec_cycles
 from mecnet.netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
 from mecnet.openflights import build_real_instance, parse_openflights
 from mecnet.pairs import (
@@ -389,24 +389,18 @@ def test_criterion_10_footprint_identities_and_ordering(sweep):
     # footprint experiment fixes the control layer at four); identities
     # are exact everywhere.
     with criterion(10, "footprint identities exact; on-demand beats baseline when dense"):
-        t = TimingParams(10, 3, 1, 4, 1)
         dense_wins = dense_total = 0
         for row in sweep:
-            rec = MetricsRecord.build(
-                t,
-                row["n_requests"],
-                row["rho"],
-                row["h_bar"],
-                row["chi"],
-                row["k_prime"],
-                row["sizes"],
-            )
-            assert rec.q_cqr == 2 * row["n_requests"] + 2 * row["chi"]
-            assert rec.q_mec_pro == row["rho"] * (row["k_prime"] + sum(row["sizes"]))
-            assert rec.q_mec_ond == 2 * row["n_requests"] + row["rho"] * row["k_prime"]
-            if row["p"] == 0.8 and row["k_prime"] == 4:
+            n, rho, k_prime, sizes = row["n_requests"], row["rho"], row["k_prime"], row["sizes"]
+            q_cqr = arqf_cqr(n, row["chi"])
+            q_pro = arqf_mec(rho, k_prime, sizes, n, "proactive")
+            q_ond = arqf_mec(rho, k_prime, sizes, n, "on_demand")
+            assert q_cqr == 2 * n + 2 * row["chi"]
+            assert q_pro == rho * (k_prime + sum(sizes))
+            assert q_ond == 2 * n + rho * k_prime
+            if row["p"] == 0.8 and k_prime == 4:
                 dense_total += 1
-                dense_wins += rec.q_mec_ond <= rec.q_cqr
+                dense_wins += q_ond <= q_cqr
         assert dense_total > 0
         frac = dense_wins / dense_total
         assert frac >= 0.80, f"on-demand <= baseline in only {frac:.0%} of dense instances"

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from statistics import mean
 
 import pytest
 
@@ -18,13 +19,17 @@ from mecnet.cqr import CqrPath
 from mecnet.experiments import (
     ExperimentConfig,
     PipelineMismatch,
+    derive_seed,
+    even_sizes,
     generate_instances,
     render_figures,
     run_experiment,
+    run_instance,
     write_reports,
 )
 from mecnet.graph import Graph
-from mecnet.metrics import TimingParams, throughput_cqr
+from mecnet.metrics import TimingParams, arqf_cqr, arqf_mec, throughput_cqr, throughput_mec
+from mecnet.netgen import GenConfig, generate_inter_qnet
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "openflights")
 
@@ -45,6 +50,13 @@ def small_config(tmp_path, **over):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path), cfg
+
+
+def read_table(path):
+    """A report CSV as a list of row dicts (the schema line skipped)."""
+    lines = open(path).read().splitlines()
+    header = lines[1].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[2:]]
 
 
 class TestRunCommand:
@@ -72,30 +84,45 @@ class TestRunCommand:
         assert head.startswith("# mecnet.hops.v")
 
     def test_parallel_jobs_identical(self, tmp_path):
+        # the reports are computed from the volume results the workers pickle
         cfg_path, cfg = small_config(tmp_path)
         cli.main(["run", "--config", cfg_path])
-        serial = open(os.path.join(cfg["output_dir"], "hops.csv")).read()
         cli.main(["run", "--config", cfg_path, "--jobs", "2", "--out", str(tmp_path / "o2")])
-        parallel = open(os.path.join(tmp_path / "o2", "hops.csv")).read()
-        assert serial == parallel
+        for name in ("hops", "parallelism", "arqf", "throughput"):
+            serial = open(os.path.join(cfg["output_dir"], f"{name}.csv")).read()
+            parallel = open(os.path.join(tmp_path / "o2", f"{name}.csv")).read()
+            assert serial == parallel, name
 
     def test_throughput_rows_follow_the_timing_grid(self, tmp_path):
         grid = [{"lam": lam, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1} for lam in (10, 20, 40)]
         cfg_path, cfg = small_config(tmp_path, timing_grid=grid)
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
-        lines = open(os.path.join(cfg["output_dir"], "throughput.csv")).read().splitlines()
-        header = lines[1].split(",")
-        rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+        rows = read_table(os.path.join(cfg["output_dir"], "throughput.csv"))
+        r_bar = {
+            (r["p"], r["k"], r["volume"]): r["r_bar_mean"]
+            for r in read_table(os.path.join(cfg["output_dir"], "parallelism.csv"))
+        }
+        results: dict[tuple, list] = {}
+        for res in run_experiment(ExperimentConfig.from_json(cfg_path)):
+            for v in res.volumes:
+                if not v.skipped:
+                    results.setdefault((str(res.p), str(res.k), str(v.volume)), []).append(v)
         cells = {(r["p"], r["k"], r["volume"]) for r in rows}
-        assert cells and len(rows) == len(grid) * len(cells)
+        assert cells and cells == set(r_bar) == set(results)
+        assert len(rows) == len(grid) * len(cells)
         for i in range(0, len(rows), len(grid)):
             cell_rows = rows[i : i + len(grid)]
-            assert len({(r["p"], r["k"], r["volume"]) for r in cell_rows}) == 1
+            cell = (cell_rows[0]["p"], cell_rows[0]["k"], cell_rows[0]["volume"])
+            assert {(r["p"], r["k"], r["volume"]) for r in cell_rows} == {cell}
             for t, r in zip(grid, cell_rows):
+                timing = TimingParams(**t)
                 assert [float(r[name]) for name in ("lambda", "tpm", "trm", "tpb", "trb")] == [
                     float(t[name]) for name in ("lam", "tpm", "trm", "tpb", "trb")
                 ]
-                assert float(r["fb"]) == round(throughput_cqr(TimingParams(**t)), 6)
+                assert r["r_bar"] == r_bar[cell]
+                fm = round(mean(throughput_mec(timing, v.r_bar) for v in results[cell]), 6)
+                assert float(r["fm"]) == fm
+                assert float(r["fb"]) == round(throughput_cqr(timing), 6)
 
     def test_mec_column_is_unity(self, tmp_path):
         cfg_path, cfg = small_config(tmp_path)
@@ -103,6 +130,28 @@ class TestRunCommand:
         lines = open(os.path.join(cfg["output_dir"], "hops.csv")).read().splitlines()
         for row in lines[2:]:
             assert row.split(",")[4] == "1.0"
+
+
+class TestRunInstance:
+    def test_volume_results_hold_the_closed_forms(self):
+        checked = 0
+        for p in (0.2, 0.8):
+            for rep in range(3):
+                iq = generate_inter_qnet(GenConfig(3, even_sizes(18, 3), p, derive_seed(5, rep)))
+                part = iq.partition
+                res = run_instance(iq, (4, 6, 500), "greedy_max", derive_seed(6, rep), 3, p, rep)
+                assert [v.volume for v in res.volumes] == [4, 6, 500]
+                assert res.volumes[-1].skipped
+                for v in res.volumes:
+                    if v.skipped:
+                        continue
+                    n = v.volume
+                    assert v.q_cqr == arqf_cqr(n, v.chi)
+                    assert v.q_pro == arqf_mec(v.rho, part.k_prime, part.sizes(), n, "proactive")
+                    assert v.q_ond == arqf_mec(v.rho, part.k_prime, part.sizes(), n, "on_demand")
+                    assert v.r_bar * v.rho == pytest.approx(n)
+                    checked += 1
+        assert checked > 0
 
 
 class TestGenerateAndRunFromFiles:
@@ -121,6 +170,17 @@ class TestGenerateAndRunFromFiles:
         )
         results = run_experiment(run_cfg)
         assert len(results) == len(instances)
+
+    def test_flags_override_the_config_file(self, tmp_path):
+        cfg_path, cfg = small_config(tmp_path)
+        assert cli.main(["generate", "--config", cfg_path, "--reps", "1", "--nodes", "12"]) == cli.EXIT_OK
+        inst_dir = os.path.join(cfg["output_dir"], "instances")
+        assert len([f for f in os.listdir(inst_dir) if f.endswith(".txt")]) == 2
+        meta = [json.loads(l) for l in open(os.path.join(inst_dir, "metadata.jsonl"))]
+        assert len(meta) == 2 and all(m["nodes"] == 12 for m in meta)
+        assert cli.main(["run", "--config", cfg_path, "--reps", "1"]) == cli.EXIT_OK
+        rows = read_table(os.path.join(cfg["output_dir"], "hops.csv"))
+        assert rows and all(r["instances"] == "1" for r in rows)
 
     def test_metadata_contents(self, tmp_path):
         cfg = ExperimentConfig(seed=3, repetitions=1, nodes=12, qnet_counts=(3,), densities=(0.5,))

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from mecnet.metrics import (
-    MetricsRecord,
     TimingParams,
     arqf_cqr,
     arqf_mec,
@@ -137,14 +136,3 @@ class TestFootprints:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             arqf_mec(1, 2, [1], 1, "lazy")
-
-
-class TestMetricsRecord:
-    def test_size_identity(self):
-        t = TimingParams(10, 3, 1, 4, 1)
-        rec = MetricsRecord.build(t, 12, 3, 2.5, 18, 4, [3, 3, 3, 3])
-        assert rec.r_bar * rec.rho == pytest.approx(12)
-        assert rec.q_cqr == 2 * 12 + 2 * 18
-        assert rec.q_mec_pro == 3 * (4 + 12)
-        assert rec.q_mec_ond == 2 * 12 + 3 * 4
-        assert rec.n_m == 2 and rec.n_b == 2
