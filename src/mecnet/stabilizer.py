@@ -91,15 +91,27 @@ class StabilizerTableau:
             raise ValueError("generators must be independent")
 
 
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Echelon basis ``{top bit: row}`` of the GF(2) span of ``rows``.
+
+    Each row is reduced only by the pivots on its own successive top bits:
+    every step clears the current top bit, and a row whose top bit has no
+    pivot yet becomes that pivot.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            prow = pivots.get(top)
+            if prow is None:
+                pivots[top] = row
+                break
+            row ^= prow
+    return pivots
+
+
 def _gf2_rank(vectors: Iterable[int]) -> int:
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+    return len(_echelon(vectors))
 
 
 def graph_state(g: Graph) -> StabilizerTableau:
@@ -139,15 +151,18 @@ def measure_pauli(
 ) -> tuple[StabilizerTableau, int]:
     """Measure X or Z on qubit ``q``; returns the post-state and the ±1 outcome.
 
-    When the outcome is random, ``forced_outcome`` selects the branch; with
-    neither ``forced_outcome`` nor ``rng`` given, a module-default RNG is
-    used.  A deterministic outcome ignores ``forced_outcome``.
+    When the outcome is random, ``forced_outcome`` (+1 or -1) selects the
+    branch; with neither ``forced_outcome`` nor ``rng`` given, a
+    module-default RNG is used.  A deterministic outcome ignores
+    ``forced_outcome``.
     """
     b = _basis_row(t.n, q, basis)
+    if forced_outcome is not None and forced_outcome not in (1, -1):
+        raise ValueError(f"forced outcome must be +1 or -1, got {forced_outcome!r}")
     anti = [i for i, r in enumerate(t.rows) if _anticommute(r, b)]
     if anti:
         if forced_outcome is not None:
-            outcome = 1 if forced_outcome > 0 else -1
+            outcome = 1 if forced_outcome == 1 else -1
         else:
             outcome = (rng or random).choice((1, -1))
         rows = list(t.rows)
@@ -157,25 +172,18 @@ def measure_pauli(
         rows[pivot] = (b[0], b[1], 0 if outcome == 1 else 2)
         return StabilizerTableau(t.n, tuple(rows)), outcome
     # Deterministic: express b as a product of generators and read the sign.
-    pivots: list[tuple[int, int, Row]] = []
-    for x, z, p in t.rows:
-        vec = (x << t.n) | z
-        row = (x, z, p)
-        for pb, pv, pr in pivots:
-            if vec >> pb & 1:
-                vec ^= pv
-                row = _row_mul(row, pr)
-        if vec:
-            pivots.append((vec.bit_length() - 1, vec, row))
-            pivots.sort(reverse=True)
-    target = (b[0] << t.n) | b[1]
-    acc: Row = (0, 0, 0)
-    for pb, pv, pr in pivots:
-        if target >> pb & 1:
-            target ^= pv
-            acc = _row_mul(acc, pr)
-    if target != 0 or acc[0] != b[0] or acc[1] != b[1]:
+    # Below its Pauli part each vector is tagged with the generators it
+    # combines (bits 0..k-1) and with b itself (bit k).  If b lies in the
+    # group, it reduces to a pure tag whose top bit is k.
+    k = len(t.rows)
+    vecs = [(x << t.n | z) << (k + 1) | 1 << i for i, (x, z, _) in enumerate(t.rows)]
+    vecs.append((b[0] << t.n | b[1]) << (k + 1) | 1 << k)
+    combo = _echelon(vecs).get(k)
+    if combo is None:
         raise ValueError("commuting Pauli must lie in the stabilizer group")
+    acc: Row = (0, 0, 0)
+    for i in bits(combo ^ 1 << k):
+        acc = _row_mul(acc, t.rows[i])
     outcome = 1 if acc[2] % 4 == 0 else -1
     return t, outcome
 
@@ -183,11 +191,33 @@ def measure_pauli(
 # -- restriction to a subsystem ----------------------------------------------
 
 
-def _compress(mask_bits: int, positions: Sequence[int]) -> int:
+def _qubit_mask(n: int, qubits: Iterable[int]) -> int:
+    """Bit mask of ``qubits``; a qubit outside ``range(n)`` raises ValueError."""
+    mask = 0
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"invalid qubit {q}")
+        mask |= 1 << q
+    return mask
+
+
+def _runs(positions: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Maximal runs of consecutive ``positions`` as (source bit, target bit,
+    width mask): position ``positions[i]`` goes to bit ``i``."""
+    runs = []
+    start = 0
+    for i in range(1, len(positions) + 1):
+        if i == len(positions) or positions[i] != positions[i - 1] + 1:
+            runs.append((positions[start], start, (1 << (i - start)) - 1))
+            start = i
+    return runs
+
+
+def _compress(mask_bits: int, runs: Sequence[tuple[int, int, int]]) -> int:
+    """Gather the bits of ``mask_bits`` with one shift-and-mask per run."""
     out = 0
-    for i, p in enumerate(positions):
-        if mask_bits >> p & 1:
-            out |= 1 << i
+    for src, dst, width in runs:
+        out |= (mask_bits >> src & width) << dst
     return out
 
 
@@ -196,43 +226,63 @@ def restrict_to(t: StabilizerTableau, keep: Iterable[int]) -> Optional[Stabilize
 
     Returns None when the kept subsystem is not in a pure (product) state,
     i.e. when fewer than len(keep) independent generators act trivially on
-    the discarded qubits.
+    the discarded qubits.  A qubit outside ``range(t.n)`` raises ValueError.
     """
-    positions = sorted(set(keep))
-    m = len(positions)
-    outside = [q for q in range(t.n) if q not in positions]
+    keep_mask = _qubit_mask(t.n, keep)
+    outside = ((1 << t.n) - 1) & ~keep_mask
     rows = list(t.rows)
-    # Eliminate x then z support on each discarded qubit.
-    used: set[int] = set()
-    for q in outside:
+    # Eliminate x then z support on each discarded qubit; rows without
+    # support there are never pivots and are never changed.
+    touching = [i for i, (x, z, _) in enumerate(rows) if (x | z) & outside]
+    used = 0
+    for q in bits(outside):
+        bit = 1 << q
         for part in (0, 1):
-            pivot = None
-            for i, r in enumerate(rows):
-                if i in used:
-                    continue
-                if r[part] >> q & 1:
-                    pivot = i
-                    break
+            pivot = next((i for i in touching if rows[i][part] & bit and not used >> i & 1), None)
             if pivot is None:
                 continue
-            used.add(pivot)
-            for i, r in enumerate(rows):
-                if i != pivot and r[part] >> q & 1:
-                    rows[i] = _row_mul(r, rows[pivot])
-    out_mask = 0
-    for q in outside:
-        out_mask |= 1 << q
-    kept_rows = [
-        (_compress(x, positions), _compress(z, positions), p)
-        for x, z, p in rows
-        if not (x & out_mask or z & out_mask)
-    ]
+            used |= 1 << pivot
+            prow = rows[pivot]
+            for i in touching:
+                if rows[i][part] & bit and i != pivot:
+                    rows[i] = _row_mul(rows[i], prow)
+    m = keep_mask.bit_count()
+    kept_rows = [r for r in rows if not (r[0] | r[1]) & outside]
     if len(kept_rows) != m:
         return None
+    # A prefix, such as every qubit when there is no mask, needs no repack.
+    if keep_mask != (1 << m) - 1:
+        runs = _runs(list(bits(keep_mask)))
+        kept_rows = [(_compress(x, runs), _compress(z, runs), p) for x, z, p in kept_rows]
     return StabilizerTableau(m, tuple(kept_rows))
 
 
 # -- graph form and local-Clifford equivalence --------------------------------
+
+
+def _symmetric(adj: Sequence[int]) -> bool:
+    """True iff the bit matrix with rows ``adj`` equals its transpose.
+
+    Rows are packed ``m`` bits apart.  Column j is gathered with one
+    multiply: ``packed >> j & ones`` holds entry (i, j) at bit i*m, and the
+    multiplier (m bits, m-1 places apart) moves a copy of that bit to
+    (m-1)**2 + i.  No two product terms land on the same place, so the
+    sum has no carries.
+    """
+    m = len(adj)
+    if m < 2:
+        return True
+    packed = 0
+    for i, row in enumerate(adj):
+        packed |= row << (i * m)
+    ones = ((1 << m * m) - 1) // ((1 << m) - 1)
+    spread = ((1 << m * (m - 1)) - 1) // ((1 << (m - 1)) - 1)
+    shift = (m - 1) ** 2
+    full = (1 << m) - 1
+    for j, row in enumerate(adj):
+        if (packed >> j & ones) * spread >> shift & full != row:
+            return False
+    return True
 
 
 def graph_form(t: StabilizerTableau) -> tuple[int, ...]:
@@ -241,110 +291,80 @@ def graph_form(t: StabilizerTableau) -> tuple[int, ...]:
     Signs are irrelevant here and are dropped.
     """
     m = t.n
-    xs = [r[0] for r in t.rows]
-    zs = [r[1] for r in t.rows]
-    for _ in range(m + 1):
-        # Row-reduce the X block.
-        r = 0
-        pivot_cols = []
-        for col in range(m):
-            sel = None
-            for i in range(r, m):
-                if xs[i] >> col & 1:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            xs[r], xs[sel] = xs[sel], xs[r]
-            zs[r], zs[sel] = zs[sel], zs[r]
-            for i in range(m):
-                if i != r and xs[i] >> col & 1:
-                    xs[i] ^= xs[r]
-                    zs[i] ^= zs[r]
-            pivot_cols.append(col)
-            r += 1
-        if r == m:
-            break
-        # Pure-Z rows exist; a Hadamard on a non-pivot support column
-        # strictly raises the X rank (guaranteed by commutation).
-        fixed = False
-        pivot_mask = 0
-        for c in pivot_cols:
-            pivot_mask |= 1 << c
-        for i in range(r, m):
-            free = zs[i] & ~pivot_mask
-            if free:
-                q = (free & -free).bit_length() - 1
-                bit = 1 << q
-                for j in range(m):
-                    xq = xs[j] & bit
-                    zq = zs[j] & bit
-                    xs[j] = (xs[j] & ~bit) | zq
-                    zs[j] = (zs[j] & ~bit) | xq
-                fixed = True
-                break
-        if not fixed:
+    full = (1 << m) - 1
+    # Pack each row as x << m | z, so that the top-bit pivots of the rows
+    # with an X part fall in the X block, at m + column.
+    rows = []
+    for i, (x, z, _) in enumerate(t.rows):
+        if (x | z) & ~full:
+            raise ValueError(f"generator {i} acts outside {m} qubits")
+        rows.append(x << m | z)
+    pivots = _echelon(rows)
+    h = full
+    for top in pivots:
+        if top >= m:
+            h &= ~(1 << (top - m))
+    if h:
+        # The X-free products span the Z vectors orthogonal to the X rows
+        # (commutation), and that space maps one-to-one onto the non-pivot
+        # columns h, so a Hadamard on all of them makes the X block invertible.
+        hx = h << m
+        rows = [v & ~(hx | h) | (v & hx) >> m | (v & h) << m for v in rows]
+        pivots = _echelon(rows)
+    # Back-substitute, lowest pivot first, so that row c becomes X_c Z^zs[c];
+    # then clear the diagonal of the Z block with phase-gate column maps.
+    zs: list[int] = []
+    for c in range(m):
+        row = pivots.get(m + c)
+        if row is None:
             raise ValueError("valid tableau must admit a graph form")
-    else:
-        raise AssertionError("graph-form reduction did not converge")
-    # Reorder rows so row j carries X pivot j, then clear the diagonal
-    # of the Z block with phase-gate column maps.
-    order = sorted(range(m), key=lambda i: (xs[i] & -xs[i]).bit_length())
-    xs = [xs[i] for i in order]
-    zs = [zs[i] for i in order]
-    for j in range(m):
-        if xs[j] != 1 << j:
-            raise ValueError("X block must reduce to identity")
-        if zs[j] >> j & 1:
-            zs[j] ^= 1 << j
-    for j in range(m):
-        for l in bits(zs[j]):
-            if not zs[l] >> j & 1:
-                raise ValueError("graph adjacency must be symmetric")
-    return tuple(zs)
+        x = row >> m ^ 1 << c
+        z = row & full
+        while x:
+            low = x & -x
+            x ^= low
+            z ^= zs[low.bit_length() - 1]
+        zs.append(z)
+    adj = tuple(z & ~(1 << c) for c, z in enumerate(zs))
+    if not _symmetric(adj):
+        raise ValueError("graph adjacency must be symmetric")
+    return adj
 
 
-def _components(adj: Sequence[int]) -> list[frozenset[int]]:
-    m = len(adj)
-    seen = 0
+def _components(adj: Sequence[int]) -> list[int]:
+    """Vertex masks of the connected components, by lowest vertex."""
     comps = []
-    for v in range(m):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= adj[u]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        comps.append(frozenset(bits(comp)))
+    left = (1 << len(adj)) - 1
+    while left:
+        comp = todo = left & -left
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo |= new
+        comps.append(comp)
+        left &= ~comp
     return comps
 
 
-def _nullspace(rows: list[int], width: int) -> list[int]:
-    """Null-space basis of a GF(2) system given as coefficient row masks."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        for col, prow in pivots.items():
-            if row >> col & 1:
-                row ^= prow
-        if not row:
-            continue
-        col = row.bit_length() - 1
-        # Keep full RREF: clear the new pivot column from existing rows.
-        for c2 in list(pivots):
-            if pivots[c2] >> col & 1:
-                pivots[c2] ^= row
-        pivots[col] = row
-    free_cols = [c for c in range(width) if c not in pivots]
+def _nullspace(rows: Iterable[int], width: int) -> list[int]:
+    """Null-space basis of a GF(2) system given as coefficient row masks,
+    one vector per free column, in increasing column order."""
+    pivots = _echelon(rows)
+    free = (1 << width) - 1
+    for col in pivots:
+        free &= ~(1 << col)
+    if not free:
+        return []
+    # Back-substitute each free column through the pivots above it, lowest
+    # first: pivot row pc sets bit pc to the parity of its lower bits.
+    order = sorted(pivots.items())
     basis = []
-    for fc in free_cols:
+    for fc in bits(free):
         v = 1 << fc
-        for pc, prow in pivots.items():
-            if prow >> fc & 1:
+        for pc, prow in order:
+            if pc > fc and (prow & v).bit_count() & 1:
                 v |= 1 << pc
         basis.append(v)
     return basis
@@ -353,31 +373,33 @@ def _nullspace(rows: list[int], width: int) -> list[int]:
 _LC_SEARCH_CAP = 1 << 20
 
 
-def _component_lc_match(ga: Sequence[int], gb: Sequence[int], verts: Sequence[int]) -> bool:
+def _component_lc_match(ga: Sequence[int], gb: Sequence[int], comp: int) -> bool:
     """Per-qubit symplectic map existence between two graph adjacencies,
-    restricted to one connected component."""
-    idx = {v: i for i, v in enumerate(verts)}
-    m = len(verts)
-    ra = [_compress(ga[v], verts) for v in verts]
-    rb = [_compress(gb[v], verts) for v in verts]
+    restricted to the connected component with vertex mask ``comp``."""
+    if comp == (1 << len(ga)) - 1:
+        ra, rb = ga, gb
+    else:
+        verts = list(bits(comp))
+        runs = _runs(verts)
+        ra = tuple(_compress(ga[v], runs) for v in verts)
+        rb = tuple(_compress(gb[v], runs) for v in verts)
     if ra == rb:
         return True
-    # Unknowns: diagonals (a | b | c | d), 4m bits.  For every entry (i, j):
+    m = len(ra)
+    # Unknowns: diagonals (c | a | b | d) from the low bits up, 4m bits.
+    # For every entry (i, j):
     #   a_i*GB_ij + b_i*[i==j] + sum_l c_l*GA_il*GB_lj + d_j*GA_ij = 0
-    eqs = []
-    for i in range(m):
-        for j in range(m):
-            row = 0
-            if rb[i] >> j & 1:
-                row |= 1 << i
+    # With c lowest, its dense part is reduced last, which saves about a
+    # quarter of the elimination steps on the oracle's systems; repeated
+    # equations are dropped before elimination.
+    eqs = set()
+    for i, (ai, bi) in enumerate(zip(ra, rb)):
+        for j, bj in enumerate(rb):
+            # symmetric adjacency: column j of GB is row j
+            row = ai & bj | (bi >> j & 1) << (m + i) | (ai >> j & 1) << (3 * m + j)
             if i == j:
-                row |= 1 << (m + i)
-            cmask = ra[i] & rb[j]  # symmetric adjacency: column j == row j
-            row |= cmask << (2 * m)
-            if ra[i] >> j & 1:
-                row |= 1 << (3 * m + j)
-            if row:
-                eqs.append(row)
+                row |= 1 << (2 * m + i)
+            eqs.add(row)
     basis = _nullspace(eqs, 4 * m)
     if not basis:
         return False
@@ -387,9 +409,9 @@ def _component_lc_match(ga: Sequence[int], gb: Sequence[int], verts: Sequence[in
     sol = 0
     for counter in range(1, 1 << len(basis)):
         sol ^= basis[(counter & -counter).bit_length() - 1]
-        a = sol & lo
-        b = sol >> m & lo
-        c = sol >> (2 * m) & lo
+        c = sol & lo
+        a = sol >> m & lo
+        b = sol >> (2 * m) & lo
         d = sol >> (3 * m) & lo
         # Every per-qubit 2x2 block must be invertible: a*d xor b*c == 1.
         if ((a & d) ^ (b & c)) == lo:
@@ -407,6 +429,7 @@ def equal_up_to_local_clifford(
 
     Qubits outside the mask must be disentangled from it in both states
     (they are discarded before comparison); otherwise False is returned.
+    A mask qubit outside ``range(a.n)`` raises ValueError.
     """
     if a.n != b.n:
         raise ValueError("tableaux must have the same qubit count")
@@ -419,13 +442,11 @@ def equal_up_to_local_clifford(
         return False
     ga = graph_form(ra)
     gb = graph_form(rb)
-    ca = _components(ga)
-    cb = _components(gb)
-    if set(ca) != set(cb):
+    # Equal graph forms need no component split (most oracle checks).
+    if ga == gb:
+        return True
+    comps = _components(ga)
+    if comps != _components(gb):
         return False
-    for comp in ca:
-        if len(comp) < 2:
-            continue  # single-qubit states are always locally related
-        if not _component_lc_match(ga, gb, sorted(comp)):
-            return False
-    return True
+    # single-qubit components are always locally related
+    return all(c & (c - 1) == 0 or _component_lc_match(ga, gb, c) for c in comps)

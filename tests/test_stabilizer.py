@@ -8,12 +8,21 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mecnet
-from mecnet.graph import Graph
+from mecnet.graph import Graph, bits
 from mecnet.stabilizer import (
+    _LC_SEARCH_CAP,
     ORACLE_MAX_QUBITS,
     StabilizerTableau,
+    _compress,
+    _gf2_rank,
+    _nullspace,
+    _row_mul,
+    _runs,
+    _symmetric,
     equal_up_to_local_clifford,
     graph_form,
     graph_state,
@@ -292,3 +301,484 @@ def _power_edges(n):
     pairs = list(itertools.combinations(range(n), 2))
     for sel in range(1 << len(pairs)):
         yield [pairs[i] for i in range(len(pairs)) if sel >> i & 1]
+
+
+# -- bit-by-bit references ----------------------------------------------------
+#
+# The earlier implementation of the GF(2) bookkeeping, written one bit at a
+# time.  The bitset internals above must agree with it: same null spaces,
+# same gathered bits, same equivalence verdicts.
+
+
+def ref_gf2_rank(vectors):
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def ref_deterministic_outcome(t, b):
+    """Sign of the commuting Pauli row ``b`` in the stabilizer group of ``t``."""
+    pivots = []
+    for x, z, p in t.rows:
+        vec = (x << t.n) | z
+        row = (x, z, p)
+        for pb, pv, pr in pivots:
+            if vec >> pb & 1:
+                vec ^= pv
+                row = _row_mul(row, pr)
+        if vec:
+            pivots.append((vec.bit_length() - 1, vec, row))
+            pivots.sort(reverse=True)
+    target = (b[0] << t.n) | b[1]
+    acc = (0, 0, 0)
+    for pb, pv, pr in pivots:
+        if target >> pb & 1:
+            target ^= pv
+            acc = _row_mul(acc, pr)
+    assert target == 0 and acc[:2] == b[:2]
+    return 1 if acc[2] % 4 == 0 else -1
+
+
+def ref_compress(mask_bits, positions):
+    out = 0
+    for i, p in enumerate(positions):
+        if mask_bits >> p & 1:
+            out |= 1 << i
+    return out
+
+
+def ref_restrict_to(t, keep):
+    positions = sorted(set(keep))
+    m = len(positions)
+    outside = [q for q in range(t.n) if q not in positions]
+    rows = list(t.rows)
+    used = set()
+    for q in outside:
+        for part in (0, 1):
+            pivot = None
+            for i, r in enumerate(rows):
+                if i in used:
+                    continue
+                if r[part] >> q & 1:
+                    pivot = i
+                    break
+            if pivot is None:
+                continue
+            used.add(pivot)
+            for i, r in enumerate(rows):
+                if i != pivot and r[part] >> q & 1:
+                    rows[i] = _row_mul(r, rows[pivot])
+    out_mask = 0
+    for q in outside:
+        out_mask |= 1 << q
+    kept_rows = [
+        (ref_compress(x, positions), ref_compress(z, positions), p)
+        for x, z, p in rows
+        if not (x & out_mask or z & out_mask)
+    ]
+    if len(kept_rows) != m:
+        return None
+    return StabilizerTableau(m, tuple(kept_rows))
+
+
+def ref_graph_form(t):
+    m = t.n
+    xs = [r[0] for r in t.rows]
+    zs = [r[1] for r in t.rows]
+    for _ in range(m + 1):
+        r = 0
+        pivot_cols = []
+        for col in range(m):
+            sel = None
+            for i in range(r, m):
+                if xs[i] >> col & 1:
+                    sel = i
+                    break
+            if sel is None:
+                continue
+            xs[r], xs[sel] = xs[sel], xs[r]
+            zs[r], zs[sel] = zs[sel], zs[r]
+            for i in range(m):
+                if i != r and xs[i] >> col & 1:
+                    xs[i] ^= xs[r]
+                    zs[i] ^= zs[r]
+            pivot_cols.append(col)
+            r += 1
+        if r == m:
+            break
+        fixed = False
+        pivot_mask = 0
+        for c in pivot_cols:
+            pivot_mask |= 1 << c
+        for i in range(r, m):
+            free = zs[i] & ~pivot_mask
+            if free:
+                q = (free & -free).bit_length() - 1
+                bit = 1 << q
+                for j in range(m):
+                    xq = xs[j] & bit
+                    zq = zs[j] & bit
+                    xs[j] = (xs[j] & ~bit) | zq
+                    zs[j] = (zs[j] & ~bit) | xq
+                fixed = True
+                break
+        if not fixed:
+            raise ValueError("valid tableau must admit a graph form")
+    else:
+        raise AssertionError("graph-form reduction did not converge")
+    order = sorted(range(m), key=lambda i: (xs[i] & -xs[i]).bit_length())
+    xs = [xs[i] for i in order]
+    zs = [zs[i] for i in order]
+    for j in range(m):
+        if xs[j] != 1 << j:
+            raise ValueError("X block must reduce to identity")
+        if zs[j] >> j & 1:
+            zs[j] ^= 1 << j
+    for j in range(m):
+        for l in bits(zs[j]):
+            if not zs[l] >> j & 1:
+                raise ValueError("graph adjacency must be symmetric")
+    return tuple(zs)
+
+
+def ref_components(adj):
+    m = len(adj)
+    seen = 0
+    comps = []
+    for v in range(m):
+        if seen >> v & 1:
+            continue
+        comp = 1 << v
+        frontier = comp
+        while frontier:
+            nxt = 0
+            for u in bits(frontier):
+                nxt |= adj[u]
+            frontier = nxt & ~comp
+            comp |= nxt
+        seen |= comp
+        comps.append(frozenset(bits(comp)))
+    return comps
+
+
+def ref_nullspace(rows, width):
+    pivots = {}
+    for row in rows:
+        for col, prow in pivots.items():
+            if row >> col & 1:
+                row ^= prow
+        if not row:
+            continue
+        col = row.bit_length() - 1
+        for c2 in list(pivots):
+            if pivots[c2] >> col & 1:
+                pivots[c2] ^= row
+        pivots[col] = row
+    free_cols = [c for c in range(width) if c not in pivots]
+    basis = []
+    for fc in free_cols:
+        v = 1 << fc
+        for pc, prow in pivots.items():
+            if prow >> fc & 1:
+                v |= 1 << pc
+        basis.append(v)
+    return basis
+
+
+def ref_component_lc_match(ga, gb, verts):
+    m = len(verts)
+    ra = [ref_compress(ga[v], verts) for v in verts]
+    rb = [ref_compress(gb[v], verts) for v in verts]
+    if ra == rb:
+        return True
+    eqs = []
+    for i in range(m):
+        for j in range(m):
+            row = 0
+            if rb[i] >> j & 1:
+                row |= 1 << i
+            if i == j:
+                row |= 1 << (m + i)
+            row |= (ra[i] & rb[j]) << (2 * m)
+            if ra[i] >> j & 1:
+                row |= 1 << (3 * m + j)
+            if row:
+                eqs.append(row)
+    basis = ref_nullspace(eqs, 4 * m)
+    if not basis:
+        return False
+    if 1 << len(basis) > _LC_SEARCH_CAP:
+        raise RuntimeError("local-Clifford search space exceeds the oracle limit")
+    lo = (1 << m) - 1
+    sol = 0
+    for counter in range(1, 1 << len(basis)):
+        sol ^= basis[(counter & -counter).bit_length() - 1]
+        a = sol & lo
+        b = sol >> m & lo
+        c = sol >> (2 * m) & lo
+        d = sol >> (3 * m) & lo
+        if ((a & d) ^ (b & c)) == lo:
+            return True
+    return False
+
+
+def ref_equal_up_to_local_clifford(a, b, mask=None):
+    if a.n != b.n:
+        raise ValueError("tableaux must have the same qubit count")
+    keep = sorted(set(range(a.n) if mask is None else mask))
+    if not keep:
+        return True
+    ra = ref_restrict_to(a, keep)
+    rb = ref_restrict_to(b, keep)
+    if ra is None or rb is None:
+        return False
+    ga = ref_graph_form(ra)
+    gb = ref_graph_form(rb)
+    ca = ref_components(ga)
+    cb = ref_components(gb)
+    if set(ca) != set(cb):
+        return False
+    for comp in ca:
+        if len(comp) < 2:
+            continue
+        if not ref_component_lc_match(ga, gb, sorted(comp)):
+            return False
+    return True
+
+
+def _span(vectors):
+    """Reduced basis of the span, as a sorted tuple (a canonical form)."""
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = [min(b, b ^ v) for b in basis] + [v]
+    return tuple(sorted(basis))
+
+
+def _verdict(check, a, b, mask):
+    try:
+        return check(a, b, mask)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@st.composite
+def gf2_systems(draw):
+    width = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=3 * width))
+    return rows, width
+
+
+@st.composite
+def graphs(draw, min_n=2, max_n=ORACLE_MAX_QUBITS):
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    p = draw(st.sampled_from([0.15, 0.35, 0.6, 0.9]))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Graph(n, [e for e in pairs if rnd.random() < p])
+
+
+class TestBitsetInternalsAgainstReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(gf2_systems())
+    def test_nullspace_span_and_dimension(self, system):
+        rows, width = system
+        got = _nullspace(rows, width)
+        want = ref_nullspace(rows, width)
+        assert len(got) == len(want)
+        assert _span(got) == _span(want)
+        for v in got:
+            assert v and all((row & v).bit_count() % 2 == 0 for row in rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=30))
+    def test_gf2_rank(self, vectors):
+        assert _gf2_rank(vectors) == ref_gf2_rank(vectors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**40 - 1),
+        st.lists(st.integers(0, 39), max_size=24).flatmap(
+            lambda ps: st.sampled_from([ps, sorted(ps), sorted(set(ps)), ps[::-1]])
+        ),
+    )
+    def test_compress_runs(self, mask_bits, positions):
+        # unsorted, duplicated and non-contiguous positions alike
+        assert _compress(mask_bits, _runs(positions)) == ref_compress(mask_bits, positions)
+
+    def test_runs_are_maximal(self):
+        assert _runs([]) == []
+        assert _runs([0, 1, 2, 5, 6, 9]) == [(0, 0, 0b111), (5, 3, 0b11), (9, 5, 0b1)]
+        assert _runs([3, 3, 2]) == [(3, 0, 1), (3, 1, 1), (2, 2, 1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda m: st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m)))
+    def test_symmetric(self, adj):
+        want = all(adj[i] >> j & 1 == adj[j] >> i & 1 for i in range(len(adj)) for j in range(len(adj)))
+        assert _symmetric(adj) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.data())
+    def test_lc_orbit_is_equivalent(self, g, data):
+        h = g
+        for v in data.draw(st.lists(st.integers(0, g.vertex_count - 1), max_size=8)):
+            h = h.local_complement(v)
+        a, b = graph_state(g), graph_state(h)
+        assert equal_up_to_local_clifford(a, b)
+        assert ref_equal_up_to_local_clifford(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.data())
+    def test_edge_flip_verdict_matches_reference(self, g, data):
+        n = g.vertex_count
+        u, v = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+        flipped = Graph(n, set(g.edges()) ^ {(u, v)})
+        a, b = graph_state(g), graph_state(flipped)
+        assert _verdict(equal_up_to_local_clifford, a, b, None) == _verdict(
+            ref_equal_up_to_local_clifford, a, b, None
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=8), graphs(max_n=8), st.data())
+    def test_disconnected_verdict_matches_reference(self, g1, g2, data):
+        n1, n = g1.vertex_count, g1.vertex_count + g2.vertex_count
+        edges = g1.edges() + [(u + n1, v + n1) for u, v in g2.edges()]
+        g = Graph(n, edges)
+        h = g
+        for v in data.draw(st.lists(st.integers(0, n - 1), max_size=6)):
+            h = h.local_complement(v)
+        if data.draw(st.booleans()):
+            u, v = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+            h = Graph(n, set(h.edges()) ^ {(u, v)})
+        a, b = graph_state(g), graph_state(h)
+        assert _verdict(equal_up_to_local_clifford, a, b, None) == _verdict(
+            ref_equal_up_to_local_clifford, a, b, None
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(min_n=3), st.data())
+    def test_masked_verdict_matches_reference(self, g, data):
+        # measure qubits out so that the survivor mask has gaps (several Z
+        # measurements, or one X measurement, whose byproducts would change
+        # the basis of later ones), then compare with the predicted graph
+        # and with a one-edge mutant of it
+        n = g.vertex_count
+        post, predicted = graph_state(g), g
+        forced = data.draw(st.sampled_from((1, -1)))
+        hubs = [v for v in range(n) if g.neighbor_mask(v)]
+        if hubs and data.draw(st.booleans()):
+            v = data.draw(st.sampled_from(hubs))
+            gone = {v}
+            post, _ = measure_pauli(post, v, "X", forced_outcome=forced)
+            predicted, _ = g.measure_x(v, data.draw(st.sampled_from(sorted(g.neighbors(v)))))
+        else:
+            gone = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 2))
+            for v in sorted(gone):
+                post, _ = measure_pauli(post, v, "Z", forced_outcome=forced)
+                predicted, _ = predicted.measure_z(v)
+        survivors = [q for q in range(n) if q not in gone]
+        u, v = data.draw(st.sampled_from(list(itertools.combinations(survivors, 2))))
+        mutant = Graph(n, set(predicted.edges()) ^ {(u, v)})
+        mask = data.draw(st.permutations(survivors + survivors[:1]))  # unsorted, one repeat
+        for target in (graph_state(predicted), graph_state(mutant)):
+            assert _verdict(equal_up_to_local_clifford, post, target, mask) == _verdict(
+                ref_equal_up_to_local_clifford, post, target, mask
+            )
+        assert equal_up_to_local_clifford(post, graph_state(predicted), mask)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.data())
+    def test_restrict_and_graph_form_match_reference(self, g, data):
+        n = g.vertex_count
+        post = graph_state(g)
+        for v in data.draw(st.sets(st.integers(0, n - 1), max_size=3)):
+            basis = data.draw(st.sampled_from("XZ"))
+            post, _ = measure_pauli(post, v, basis, forced_outcome=data.draw(st.sampled_from((1, -1))))
+        keep = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        got = restrict_to(post, keep)
+        assert got == ref_restrict_to(post, keep)
+        if got is not None:
+            # a different Hadamard set may give another graph of the same orbit
+            form = graph_form(got)
+            m = got.n
+            same_orbit = graph_state(Graph(m, [(i, j) for i in range(m) for j in bits(form[i]) if i < j]))
+            assert ref_equal_up_to_local_clifford(got, same_orbit)
+            if all(x == 1 << i for i, (x, _, _) in enumerate(got.rows)):
+                assert form == ref_graph_form(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(min_n=1, max_n=10), st.data())
+    def test_deterministic_outcome_matches_reference(self, g, data):
+        t = graph_state(g)
+        for _ in range(data.draw(st.integers(1, 6))):
+            q = data.draw(st.integers(0, g.vertex_count - 1))
+            basis = data.draw(st.sampled_from("XZ"))
+            if outcome_deterministic(t, q, basis):
+                b = (1 << q, 0, 0) if basis == "X" else (0, 1 << q, 0)
+                post, outcome = measure_pauli(t, q, basis)
+                assert post is t and outcome == ref_deterministic_outcome(t, b)
+            else:
+                t, _ = measure_pauli(t, q, basis, forced_outcome=data.draw(st.sampled_from((1, -1))))
+
+
+class TestBadInputFailsLoudly:
+    def test_mask_qubit_beyond_range(self):
+        t = graph_state(Graph(3, [(0, 1), (1, 2)]))
+        with pytest.raises(ValueError, match="invalid qubit 5"):
+            equal_up_to_local_clifford(t, t, [0, 5])
+
+    def test_negative_keep_qubit(self):
+        t = graph_state(Graph(3, [(0, 1), (1, 2)]))
+        with pytest.raises(ValueError, match="invalid qubit -1"):
+            restrict_to(t, [-1, 0, 1, 2])
+
+    @pytest.mark.parametrize("forced", [0, 2, -2, 0.5, "1"])
+    def test_forced_outcome_must_be_plus_or_minus_one(self, forced):
+        t = graph_state(Graph(2, [(0, 1)]))
+        with pytest.raises(ValueError, match="forced outcome must be"):
+            measure_pauli(t, 0, "Z", forced_outcome=forced)
+        with pytest.raises(ValueError, match="forced outcome must be"):
+            measure_pauli(graph_state(Graph(1)), 0, "X", forced_outcome=forced)  # deterministic
+
+    def test_graph_form_rejects_asymmetric_block(self):
+        # X0 Z1 and X1 anticommute, so no graph form exists
+        with pytest.raises(ValueError, match="graph adjacency must be symmetric"):
+            graph_form(StabilizerTableau(2, ((1, 2, 0), (2, 0, 0))))
+
+    def test_graph_form_rejects_generator_outside(self):
+        with pytest.raises(ValueError, match="generator 1 acts outside 2 qubits"):
+            graph_form(StabilizerTableau(2, ((1, 0, 0), (4, 0, 0))))
+
+    def test_invalid_qubits_raise_under_optimize(self):
+        script = "\n".join([
+            "from mecnet.graph import Graph",
+            "from mecnet.stabilizer import equal_up_to_local_clifford, graph_state, measure_pauli, restrict_to",
+            "t = graph_state(Graph(3, [(0, 1), (1, 2)]))",
+            "print('debug', __debug__)",
+            "for call in (lambda: equal_up_to_local_clifford(t, t, [0, 5]),",
+            "             lambda: restrict_to(t, [-1, 0, 1, 2]),",
+            "             lambda: measure_pauli(t, 0, 'Z', forced_outcome=0)):",
+            "    try:",
+            "        call()",
+            "    except ValueError as exc:",
+            "        print('raised', exc)",
+        ])
+        src = os.path.dirname(os.path.dirname(mecnet.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "debug False",
+            "raised invalid qubit 5",
+            "raised invalid qubit -1",
+            "raised forced outcome must be +1 or -1, got 0",
+        ]
