@@ -257,10 +257,15 @@ def run_instance(
     return out
 
 
+def _generated(cfg_seed: int, nodes: int, k: int, p: float, rep: int) -> tuple[int, InterQNet]:
+    """The generator seed and the network of grid cell ``(k, p, rep)``."""
+    gen_seed = derive_seed(cfg_seed, k, int(p * 1_000_000), rep)
+    return gen_seed, generate_inter_qnet(GenConfig(k, even_sizes(nodes, k), p, gen_seed))
+
+
 def _run_task(args: tuple) -> InstanceResult:
     cfg_seed, nodes, k, p, rep, volumes, policy = args
-    gen_seed = derive_seed(cfg_seed, k, int(p * 1_000_000), rep)
-    iq = generate_inter_qnet(GenConfig(k, even_sizes(nodes, k), p, gen_seed))
+    _, iq = _generated(cfg_seed, nodes, k, p, rep)
     req_seed = derive_seed(cfg_seed, k, int(p * 1_000_000), rep, 17)
     return run_instance(iq, volumes, policy, req_seed, k, p, rep)
 
@@ -273,10 +278,7 @@ def generate_instances(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     for k in cfg.qnet_counts:
         for p in cfg.densities:
             for rep in range(cfg.repetitions):
-                gen_seed = derive_seed(cfg.seed, k, int(p * 1_000_000), rep)
-                iq = generate_inter_qnet(
-                    GenConfig(k, even_sizes(cfg.nodes, k), p, gen_seed)
-                )
+                gen_seed, iq = _generated(cfg.seed, cfg.nodes, k, p, rep)
                 name = f"k{k}_p{p:g}_r{rep}.txt"
                 path = os.path.join(out_dir, name)
                 with open(path, "w", encoding="utf-8") as fh:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Literal, Optional
+from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 __all__ = [
     "Graph",
     "MeasurementRecord",
     "bits",
+    "components",
     "z_record",
     "graph_to_edgelist",
     "graph_from_edgelist",
@@ -31,6 +32,27 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def components(adj: Sequence[int], mask: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph induced on
+    ``mask``, ordered by lowest vertex.  ``adj[v]`` is the neighbor mask of
+    vertex ``v``."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        mask ^= comp
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+            frontier = reach & mask
+            mask ^= frontier
+            comp |= frontier
+        comps.append(comp)
+    return comps
 
 
 @dataclass(frozen=True)
@@ -154,19 +176,7 @@ class Graph:
 
     def connected(self) -> bool:
         """True iff the alive vertices form one connected component."""
-        alive = self._alive
-        if alive == 0:
-            return True
-        start = (alive & -alive).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= self._adj[u]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen & alive == alive
+        return len(components(self._adj, self._alive)) <= 1
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):
@@ -296,16 +306,29 @@ def graph_to_edgelist(g: Graph) -> str:
 
 
 def graph_from_edgelist(text: str) -> Graph:
-    """Parse the edge-list text format produced by :func:`graph_to_edgelist`."""
+    """Parse the edge-list text format produced by :func:`graph_to_edgelist`.
+
+    Blank lines and ``#`` comments are skipped.  A malformed line raises
+    ValueError naming it.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("n="):
-        raise ValueError("missing 'n=<vertex_count>' header")
-    n = int(lines[0][2:])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        first = f" before {lines[0]!r}" if lines else ""
+        raise ValueError(f"missing 'n=<vertex_count>' header{first}")
+    (n,) = _int_fields(lines[0], lines[0][2:].split(), 1)
+    edges = [_int_fields(ln, ln.split(), 2) for ln in lines[1:]]
     return Graph(n, edges)
+
+
+def _int_fields(line: str, fields: Iterable[str], count: Optional[int] = None) -> tuple[int, ...]:
+    """The integers in ``fields``, blank ones skipped.  Raises ValueError
+    naming ``line`` if one is not an integer or, given ``count``, if there
+    are not exactly that many."""
+    try:
+        ints = tuple(int(f) for f in fields if f.strip())
+    except ValueError:
+        ints = None
+    if ints is None or count is not None and len(ints) != count:
+        raise ValueError(f"malformed line: {line!r}")
+    return ints

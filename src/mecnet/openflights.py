@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .graph import Graph, bits
+from .graph import Graph, components
 from .qnet import InterQNet, QNetPartition
 
 __all__ = ["FlightRecord", "ParseResult", "parse_openflights", "build_real_instance"]
@@ -149,7 +149,8 @@ def build_real_instance(
     index = {n: i for i, n in enumerate(nodes)}
     raw = Graph(len(nodes), [(index[a], index[b]) for a, b in pairs])
 
-    comp_mask = _largest_component(raw)
+    adj = [raw.neighbor_mask(v) for v in range(raw.vertex_count)]
+    comp_mask = max(components(adj, raw.alive_mask), key=int.bit_count)
     kept = [n for n in nodes if comp_mask >> index[n] & 1]
     kept_idx = {n: i for i, n in enumerate(kept)}
     countries = sorted({c for _, c in kept})
@@ -171,23 +172,3 @@ def build_real_instance(
         "snapshot_hash": snapshot_hash,
     }
     return iq, meta
-
-
-def _largest_component(g: Graph) -> int:
-    best = 0
-    seen = 0
-    for v in range(g.vertex_count):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.neighbor_mask(u)
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        if comp.bit_count() > best.bit_count():
-            best = comp
-    return best

@@ -12,10 +12,11 @@ cross-domain complement; Z-measuring them restores the original network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .graph import Graph, MeasurementRecord, bits, z_record
+from .graph import Graph, MeasurementRecord, bits, graph_from_edgelist, graph_to_edgelist, z_record
+from .graph import _int_fields
 
 __all__ = [
     "QNetPartition",
@@ -110,13 +111,11 @@ def _check_cross_domain(graph: Graph, part: QNetPartition) -> None:
 class InterQNet:
     """Cross-domain graph over the data vertices of a QNetPartition.
 
-    The ``connected`` flag records whether the network is interactive;
-    complement networks are allowed to be disconnected.
+    Complement networks are allowed to be disconnected.
     """
 
     graph: Graph
     partition: QNetPartition
-    connected: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.partition.control_nodes:
@@ -126,7 +125,11 @@ class InterQNet:
         if self.graph.alive_count != self.graph.vertex_count:
             raise ValueError("InterQNet graphs must have no deleted vertices")
         _check_cross_domain(self.graph, self.partition)
-        object.__setattr__(self, "connected", self.graph.connected())
+
+    @property
+    def connected(self) -> bool:
+        """Whether the network is interactive (one connected component)."""
+        return self.graph.connected()
 
 
 @dataclass(frozen=True)
@@ -278,53 +281,56 @@ def extract_epr(
 
 
 def instance_to_text(net: "InterQNet | ControlledInterQNet") -> str:
-    """Serialize a network: edge list, then QNet membership and controls."""
+    """Serialize a network: the :func:`graph_to_edgelist` text, then one
+    ``qnet a: v,...`` line per QNet and, if present, a ``control:`` line."""
     part = net.partition
-    lines = [f"n={net.graph.vertex_count}"]
-    lines += [f"{u} {v}" for u, v in net.graph.edges()]
-    for a in range(1, part.k + 1):
-        members = ",".join(str(v) for v in part.members(a))
-        lines.append(f"qnet {a}: {members}")
+    lines = [
+        f"qnet {a}: " + ",".join(str(v) for v in part.members(a))
+        for a in range(1, part.k + 1)
+    ]
     if part.control_nodes:
         lines.append("control: " + ",".join(str(c) for c in part.control_nodes))
-    return "\n".join(lines) + "\n"
+    return graph_to_edgelist(net.graph) + "\n".join(lines) + "\n"
 
 
 def instance_from_text(text: str) -> "InterQNet | ControlledInterQNet":
-    n = None
-    edges: list[tuple[int, int]] = []
-    qnets: dict[int, list[int]] = {}
-    controls: list[int] = []
+    """Parse :func:`instance_to_text` output.
+
+    The ``qnet`` and ``control`` lines are read here and every other line
+    by :func:`graph_from_edgelist`, so the ``n=`` header must come before
+    the edges.  A malformed line raises ValueError naming it.
+    """
+    graph_lines = []
+    qnet_ids: set[int] = set()
+    qnet_of: dict[int, int] = {}
+    controls: tuple[int, ...] = ()
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("n="):
-            n = int(line[2:])
-        elif line.startswith("qnet"):
-            head, _, body = line.partition(":")
-            a = int(head.split()[1])
-            qnets[a] = [int(tok) for tok in body.split(",") if tok.strip()]
-        elif line.startswith("control"):
-            _, _, body = line.partition(":")
-            controls = [int(tok) for tok in body.split(",") if tok.strip()]
+        head, sep, body = line.partition(":")
+        words = head.split()
+        if words[:1] == ["qnet"]:
+            (a,) = _int_fields(line, words[1:], 1)
+            if not sep or a in qnet_ids:
+                raise ValueError(f"malformed line: {line!r}")
+            qnet_ids.add(a)
+            for v in _int_fields(line, body.split(",")):
+                if v in qnet_of:
+                    raise ValueError(
+                        f"malformed line: {line!r}: vertex {v} is already in QNet {qnet_of[v]}"
+                    )
+                qnet_of[v] = a
+        elif words == ["control"] and sep:
+            controls = _int_fields(line, body.split(","))
         else:
-            u, v = line.split()
-            edges.append((int(u), int(v)))
-    if n is None:
-        raise ValueError("missing 'n=' header")
-    k = max(qnets) if qnets else 0
-    if sorted(qnets) != list(range(1, k + 1)):
-        raise ValueError("QNet ids must be 1..k")
-    data_count = sum(len(vs) for vs in qnets.values())
-    membership = [0] * data_count
-    for a, vs in qnets.items():
-        for v in vs:
-            if not 0 <= v < data_count:
-                raise ValueError(f"data vertex {v} out of range")
-            membership[v] = a
-    part = QNetPartition(k, tuple(membership), tuple(controls))
-    g = Graph(n, edges)
+            graph_lines.append(line)
+    g = graph_from_edgelist("\n".join(graph_lines))
+    data = range(len(qnet_of))
+    missing = [v for v in data if v not in qnet_of]
+    if missing:
+        raise ValueError(f"malformed instance: data vertex {missing[0]} is in no QNet")
+    # QNetPartition rejects QNet ids outside 1..k and empty QNets
+    k = max(qnet_ids, default=0)
+    part = QNetPartition(k, tuple(qnet_of[v] for v in data), controls)
     if controls:
         return ControlledInterQNet(g, part)
     return InterQNet(g, part)

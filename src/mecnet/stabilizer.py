@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graph import Graph, bits
+from .graph import Graph, bits, components
 
 __all__ = [
     "ORACLE_MAX_QUBITS",
@@ -331,23 +331,6 @@ def graph_form(t: StabilizerTableau) -> tuple[int, ...]:
     return adj
 
 
-def _components(adj: Sequence[int]) -> list[int]:
-    """Vertex masks of the connected components, by lowest vertex."""
-    comps = []
-    left = (1 << len(adj)) - 1
-    while left:
-        comp = todo = left & -left
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            new = adj[low.bit_length() - 1] & ~comp
-            comp |= new
-            todo |= new
-        comps.append(comp)
-        left &= ~comp
-    return comps
-
-
 def _nullspace(rows: Iterable[int], width: int) -> list[int]:
     """Null-space basis of a GF(2) system given as coefficient row masks,
     one vector per free column, in increasing column order."""
@@ -445,8 +428,9 @@ def equal_up_to_local_clifford(
     # Equal graph forms need no component split (most oracle checks).
     if ga == gb:
         return True
-    comps = _components(ga)
-    if comps != _components(gb):
+    full = (1 << len(ga)) - 1
+    comps = components(ga, full)
+    if comps != components(gb, full):
         return False
     # single-qubit components are always locally related
     return all(c & (c - 1) == 0 or _component_lc_match(ga, gb, c) for c in comps)

@@ -34,7 +34,7 @@ from .stabilizer import (
 )
 from .timeline import walk_cqr_window, walk_mec_window
 
-__all__ = ["SuiteResult", "ALL_SUITES", "run_suite", "random_inter_qnet"]
+__all__ = ["SuiteResult", "ALL_SUITES", "random_inter_qnet"]
 
 
 @dataclass
@@ -187,7 +187,3 @@ ALL_SUITES: dict[str, Callable[[], SuiteResult]] = {
     "pairable": suite_pairable_bruteforce,
     "timeline": suite_timeline,
 }
-
-
-def run_suite(name: str) -> SuiteResult:
-    return ALL_SUITES[name]()

@@ -30,6 +30,7 @@ from mecnet.experiments import (
 from mecnet.graph import Graph
 from mecnet.metrics import TimingParams, arqf_cqr, arqf_mec, throughput_cqr, throughput_mec
 from mecnet.netgen import GenConfig, generate_inter_qnet
+from mecnet.qnet import instance_from_text
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "openflights")
 
@@ -181,6 +182,34 @@ class TestGenerateAndRunFromFiles:
         assert cli.main(["run", "--config", cfg_path, "--reps", "1"]) == cli.EXIT_OK
         rows = read_table(os.path.join(cfg["output_dir"], "hops.csv"))
         assert rows and all(r["instances"] == "1" for r in rows)
+
+    def test_generated_files_are_the_networks_run_builds(self, tmp_path, monkeypatch):
+        cfg_path, cfg = small_config(tmp_path)
+        built = {}
+
+        def capture(iq, volumes, seed_policy, request_seed, k, p, rep):
+            built[k, p, rep] = iq
+            return experiments.InstanceResult(k=k, p=p, rep=rep)
+
+        monkeypatch.setattr(experiments, "run_instance", capture)
+        run_experiment(ExperimentConfig.from_json(cfg_path))
+        assert cli.main(["generate", "--config", cfg_path]) == cli.EXIT_OK
+        inst_dir = os.path.join(cfg["output_dir"], "instances")
+        meta = [json.loads(l) for l in open(os.path.join(inst_dir, "metadata.jsonl"))]
+        assert sorted((m["k"], m["p"], m["rep"]) for m in meta) == sorted(built)
+        for m in meta:
+            with open(os.path.join(inst_dir, m["file"]), encoding="utf-8") as fh:
+                net = instance_from_text(fh.read())
+            want = built[m["k"], m["p"], m["rep"]]
+            assert net.graph == want.graph and net.partition == want.partition
+
+    def test_malformed_instance_file_is_usage_error(self, tmp_path, capsys):
+        inst = tmp_path / "bad.txt"
+        inst.write_text("n=2\n0 1\nqnet: 0,1\n")
+        cfg_path, _ = small_config(tmp_path, instance_files=[str(inst)])
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: malformed line: 'qnet: 0,1'\n"
 
     def test_metadata_contents(self, tmp_path):
         cfg = ExperimentConfig(seed=3, repetitions=1, nodes=12, qnet_counts=(3,), densities=(0.5,))

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 
+import networkx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from mecnet.graph import (
     Graph,
     MeasurementRecord,
     bits,
+    components,
     graph_from_edgelist,
     graph_to_edgelist,
 )
@@ -205,6 +207,28 @@ class TestKeep:
         assert got == want
 
 
+class TestComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(graph_with_dead_slots_and_mask())
+    def test_matches_networkx_by_lowest_vertex(self, case):
+        g, mask = case
+        g = g.keep(mask)
+        ref = networkx.Graph()
+        ref.add_nodes_from(g.vertices())
+        ref.add_edges_from(g.edges())
+        want = sorted(sorted(c) for c in networkx.connected_components(ref))
+        adj = [g.neighbor_mask(v) for v in range(g.vertex_count)]
+        assert [list(bits(c)) for c in components(adj, g.alive_mask)] == want
+        assert g.connected() == (len(want) <= 1)
+
+    def test_induced_on_mask(self):
+        # a path 0-1-2 without its middle vertex splits in two
+        adj = [0b010, 0b101, 0b010]
+        assert components(adj, 0b101) == [0b001, 0b100]
+        assert components(adj, 0b111) == [0b111]
+        assert components(adj, 0) == []
+
+
 class TestRecordInvariants:
     def test_x_needs_neighbor(self):
         with pytest.raises(ValueError):
@@ -283,6 +307,18 @@ class TestSerialization:
     def test_missing_header(self):
         with pytest.raises(ValueError):
             graph_from_edgelist("0 1\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("n=2\n0\n", "0"), ("n=2\n0 x\n", "0 x"), ("n=2\n0 1 1\n", "0 1 1"), ("n=x\n", "n=x")],
+    )
+    def test_malformed_line_is_named(self, text, line):
+        with pytest.raises(ValueError, match=f"^malformed line: '{line}'$"):
+            graph_from_edgelist(text)
+
+    def test_header_must_come_first(self):
+        with pytest.raises(ValueError, match="header before '0 1'"):
+            graph_from_edgelist("# comment\n0 1\nn=2\n")
 
     def test_deleted_vertices_not_serializable(self):
         with pytest.raises(ValueError):

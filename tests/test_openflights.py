@@ -94,6 +94,25 @@ class TestBuildInstance:
         assert a.graph == b.graph and ma == mb
         assert a.connected
 
+    @pytest.mark.parametrize(
+        "left, k",
+        [(("France", "Germany"), 2), (("Sweden", "Switzerland"), 3)],
+    )
+    def test_tie_keeps_the_component_of_the_lowest_vertex(self, left, k):
+        # two three-city components: one over the countries ``left``, one a
+        # path over Italy, Portugal and Spain; cities are numbered by
+        # (country, city), so ``left`` decides which holds vertex 0
+        a, b = left
+        records = [
+            FlightRecord("Rome", "Italy", "Madrid", "Spain"),
+            FlightRecord("Madrid", "Spain", "Lisbon", "Portugal"),
+            FlightRecord("Lyon", a, "Berlin", b),
+            FlightRecord("Paris", a, "Berlin", b),
+        ]
+        iq, meta = build_real_instance(records)
+        assert iq.partition.k == k
+        assert meta["cities"] == 3 and meta["dropped_outside_component"] == 3
+
     def test_oversample_rejected(self, parsed):
         with pytest.raises(ValueError):
             build_real_instance(parsed, subsample=(10**6, 0))

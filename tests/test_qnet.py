@@ -351,11 +351,39 @@ class TestInstanceFiles:
     def test_format_sections(self):
         iq = InterQNet(Graph(2, [(0, 1)]), QNetPartition(2, (1, 2)))
         text = instance_to_text(build_controlled(iq))
-        lines = text.splitlines()
-        assert lines[0] == "n=4"
-        assert "qnet 1: 0" in lines and "qnet 2: 1" in lines
-        assert lines[-1] == "control: 2,3"
+        assert text == "n=4\n0 1\n0 2\n1 3\n2 3\nqnet 1: 0\nqnet 2: 1\ncontrol: 2,3\n"
 
     def test_bad_qnet_ids(self):
         with pytest.raises(ValueError):
             instance_from_text("n=2\n0 1\nqnet 2: 0\nqnet 3: 1\n")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "qnet: 0,1",  # no QNet id
+            "qnet x: 0",  # non-integer QNet id
+            "qnet 1 2: 0",  # two QNet ids
+            "qnet 1 0",  # no colon
+            "qnet 1: 1",  # QNet listed twice
+            "qnet 1: 0,y",  # non-integer vertex id
+            "control: 2,z",  # non-integer control id
+            "0",  # short edge line
+            "0 x",  # non-integer edge endpoint
+        ],
+    )
+    def test_malformed_line_is_named(self, bad):
+        text = f"n=2\n0 1\nqnet 1: 0\nqnet 2: 1\n{bad}\n"
+        with pytest.raises(ValueError, match=f"^malformed line: '{bad}'$"):
+            instance_from_text(text)
+
+    def test_vertex_in_two_qnets(self):
+        with pytest.raises(ValueError, match="'qnet 2: 0,1': vertex 0 is already in QNet 1"):
+            instance_from_text("n=2\n0 1\nqnet 1: 0\nqnet 2: 0,1\n")
+
+    def test_vertex_in_no_qnet(self):
+        with pytest.raises(ValueError, match="data vertex 1 is in no QNet"):
+            instance_from_text("n=3\n0 2\nqnet 1: 0\nqnet 2: 2\n")
+
+    def test_header_must_come_before_the_edges(self):
+        with pytest.raises(ValueError, match="header before '0 1'"):
+            instance_from_text("0 1\nn=2\nqnet 1: 0\nqnet 2: 1\n")
