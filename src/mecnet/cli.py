@@ -97,7 +97,7 @@ def cmd_generate(args) -> int:
 def cmd_ingest(args) -> int:
     parsed = parse_openflights(args.airports, args.routes)
     countries = set(args.countries) if args.countries else None
-    sub = (args.sample, args.seed) if args.sample else None
+    sub = (args.sample, args.seed) if args.sample is not None else None
     iq, meta = build_real_instance(parsed, countries, sub)
     out_dir = _resolve_out(args.out)
     os.makedirs(out_dir, exist_ok=True)

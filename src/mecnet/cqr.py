@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 from .graph import bits
 from .qnet import ControlledInterQNet
 
-__all__ = ["CqrPath", "route_cqr", "cqr_batch", "paths_to_csv"]
+__all__ = ["CqrPath", "route_cqr", "cqr_batch"]
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,3 @@ def cqr_batch(
     h_bar = sum(p.hops for p in paths) / len(paths) if paths else None
     return paths, h_bar, chi
 
-
-def paths_to_csv(paths: Iterable[CqrPath]) -> str:
-    lines = ["request,hops,intermediates,via_control"]
-    for p in paths:
-        inter = ";".join(str(v) for v in p.intermediates)
-        lines.append(f"{p.request[0]}-{p.request[1]},{p.hops},{inter},{int(p.via_control)}")
-    return "\n".join(lines) + "\n"

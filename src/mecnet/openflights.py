@@ -137,6 +137,8 @@ def build_real_instance(
     )
     if subsample is not None:
         count, seed = subsample
+        if count < 1:
+            raise ValueError(f"sample size must be at least 1, got {count}")
         if count > len(pairs):
             raise ValueError(f"cannot sample {count} of {len(pairs)} edges")
         rng = np.random.default_rng(seed)

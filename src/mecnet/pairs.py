@@ -18,10 +18,7 @@ from .graph import Graph, bits
 from .qnet import ControlledInterQNet, InterQNet, complement_inter_qnet
 
 __all__ = [
-    "Edge",
     "RequestError",
-    "SameQNetRequest",
-    "AdjacentRequest",
     "RequestNotInComplement",
     "ParallelPairViolation",
     "RequestSet",
@@ -35,8 +32,6 @@ __all__ = [
     "min_partition_oracle",
     "SEED_POLICIES",
     "check_seed_policy",
-    "requests_to_text",
-    "requests_from_text",
     "table_to_text",
 ]
 
@@ -49,14 +44,6 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 class RequestError(ValueError):
     """A request pair violates the intake contract."""
-
-
-class SameQNetRequest(RequestError):
-    pass
-
-
-class AdjacentRequest(RequestError):
-    pass
 
 
 class RequestNotInComplement(RequestError):
@@ -73,33 +60,18 @@ class ParallelPairViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class RequestSet:
-    """Batch of source-destination pairs, all inter-domain and non-adjacent
-    in the original network.
+    """Batch of source-destination pairs, as ``sample_requests`` draws them
+    without replacement from the edge list of the cross-domain complement:
+    canonical, distinct, inter-domain and non-adjacent in the original
+    network.
 
-    The constructor trusts its input: pairs drawn without replacement from
-    the edge list of the cross-domain complement, as ``sample_requests``
-    draws them, are canonical, distinct, inter-domain and non-adjacent by
-    construction.  Pairs from anywhere else go through :meth:`from_pairs`.
+    The constructor checks nothing.  :func:`dynamic_parallel_pairs` is the
+    one intake check for requests from anywhere: a pair that is not a
+    complement edge (inside one QNet, or already adjacent) raises
+    RequestNotInComplement, and a duplicate raises RequestError.
     """
 
     requests: tuple[Edge, ...]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Edge], iq: InterQNet) -> "RequestSet":
-        part = iq.partition
-        ordered: list[Edge] = []
-        seen: set[Edge] = set()
-        for s, d in pairs:
-            e = canonical_edge(s, d)
-            if part.membership[e[0]] == part.membership[e[1]]:
-                raise SameQNetRequest(f"request {e} stays inside one QNet")
-            if iq.graph.has_edge(*e):
-                raise AdjacentRequest(f"request {e} is already adjacent")
-            if e in seen:
-                continue
-            seen.add(e)
-            ordered.append(e)
-        return cls(tuple(ordered))
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -411,22 +383,7 @@ def min_partition_oracle(g: Graph, r: Iterable[Edge]) -> int:
     return best
 
 
-# -- wire formats --------------------------------------------------------------
-
-
-def requests_to_text(rs: "RequestSet | Iterable[Edge]") -> str:
-    return "".join(f"{s} {d}\n" for s, d in rs)
-
-
-def requests_from_text(text: str) -> list[Edge]:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        s, d = line.split()
-        out.append(canonical_edge(int(s), int(d)))
-    return out
+# -- text output ---------------------------------------------------------------
 
 
 def table_to_text(table: ParallelPairTable) -> str:

@@ -13,7 +13,7 @@ cross-domain complement; Z-measuring them restores the original network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from .graph import Graph, MeasurementRecord, bits, graph_from_edgelist, graph_to_edgelist, z_record
 from .graph import _int_fields
@@ -27,12 +27,9 @@ __all__ = [
     "mec_complementation",
     "restore_original",
     "extract_epr",
-    "k0_first_of_qnet1",
     "instance_to_text",
     "instance_from_text",
 ]
-
-K0Policy = Callable[[Graph, int, "ControlledInterQNet"], int]
 
 
 @dataclass(frozen=True)
@@ -201,32 +198,18 @@ def complement_inter_qnet(iq: InterQNet) -> InterQNet:
     return InterQNet(Graph._from_parts(part.data_count, adj, full), part)
 
 
-def k0_first_of_qnet1(graph: Graph, control: int, cg: "ControlledInterQNet") -> int:
-    """Default special-neighbor policy: the lowest-id vertex of QNet 1."""
-    return min(cg.partition.members(1))
-
-
-def mec_complementation(
-    cg: ControlledInterQNet,
-    k0_policy: Optional[K0Policy] = None,
-) -> tuple[InterQNet, list[MeasurementRecord]]:
+def mec_complementation(cg: ControlledInterQNet) -> tuple[InterQNet, list[MeasurementRecord]]:
     """X-measure every control node in order; the surviving data graph is
     the cross-domain complement of the underlying network.
 
-    The default policy reuses the first vertex of QNet 1 as the special
-    neighbor for every control; correctness is only claimed for it.  After
-    the first measurement that vertex is adjacent to all remaining
-    controls, so the policy never fails mid-sequence.
+    The special neighbor of every control is ``k0``, the lowest vertex of
+    QNet 1.  It neighbors the first control, and from the first measurement
+    on it neighbors every remaining control, so each measurement is defined.
     """
-    policy = k0_policy or k0_first_of_qnet1
+    k0 = min(cg.partition.members(1))
     g = cg.graph
     records: list[MeasurementRecord] = []
     for c in cg.partition.control_nodes:
-        k0 = policy(g, c, cg)
-        if not g.has_edge(c, k0):
-            raise ValueError(
-                f"k0 policy returned {k0}, not a neighbor of control {c}"
-            )
         g, rec = g.measure_x(c, k0)
         records.append(rec)
     data = g.restrict(cg.data_count)

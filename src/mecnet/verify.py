@@ -59,7 +59,11 @@ def random_inter_qnet(
     k: int, sizes: list[int], p: float, rnd: random.Random
 ) -> InterQNet:
     """Rejection-sampled connected cross-domain graph (test-grade generator,
-    independent of the production spanning-tree generator)."""
+    independent of the production spanning-tree generator).
+
+    Raises ValueError when no connected draw can exist: more than one vertex
+    and no cross-domain pair, or ``p <= 0``.
+    """
     membership = tuple(a for a, s in enumerate(sizes, start=1) for _ in range(s))
     n = len(membership)
     pairs = [
@@ -68,6 +72,10 @@ def random_inter_qnet(
         for v in range(u + 1, n)
         if membership[u] != membership[v]
     ]
+    if n > 1 and (not pairs or p <= 0):
+        raise ValueError(
+            f"no connected cross-domain graph on sizes {sizes} with p={p}"
+        )
     while True:
         edges = [e for e in pairs if rnd.random() < p]
         g = Graph(n, edges)

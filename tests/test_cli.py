@@ -271,6 +271,26 @@ class TestIngestCommand:
         meta = json.loads(open(tmp_path / "real_instance.meta.jsonl").read())
         assert meta["parse"]["join_failures"] == 2
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_sample_size_below_one_is_usage_error(self, tmp_path, capsys, size):
+        rc = cli.main(
+            [
+                "ingest",
+                "--airports",
+                os.path.join(FIXTURES, "airports.dat"),
+                "--routes",
+                os.path.join(FIXTURES, "routes.dat"),
+                "--sample",
+                size,
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"usage error: sample size must be at least 1, got {size}" in err
+        assert not os.path.exists(tmp_path / "real_instance.txt")
+
     def test_missing_file_is_io_error(self, tmp_path):
         rc = cli.main(
             ["ingest", "--airports", "/nonexistent.dat", "--routes", "/nope.dat"]

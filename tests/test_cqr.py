@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecnet.cqr import CqrPath, cqr_batch, paths_to_csv, route_cqr
+from mecnet.cqr import CqrPath, cqr_batch, route_cqr
 from mecnet.experiments import derive_seed, even_sizes
 from mecnet.graph import Graph, bits
 from mecnet.netgen import GenConfig, generate_inter_qnet
@@ -197,11 +197,3 @@ class TestCqrBatch:
             reqs = rnd.sample(remote, k=min(5, len(remote)))
             paths, _, chi = cqr_batch(cg, reqs)
             assert chi == sum(p.hops - 1 for p in paths)
-
-    def test_csv_shape(self):
-        cg = _cg([(0, 3), (1, 2)], 2, (1, 1, 2, 2))
-        paths, _, _ = cqr_batch(cg, [(0, 2)])
-        text = paths_to_csv(paths)
-        lines = text.splitlines()
-        assert lines[0] == "request,hops,intermediates,via_control"
-        assert lines[1].startswith("0-2,3,")

@@ -16,12 +16,10 @@ from mecnet.experiments import derive_seed, even_sizes
 from mecnet.graph import Graph
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
 from mecnet.pairs import (
-    AdjacentRequest,
     ParallelPairTable,
     ParallelPairViolation,
+    RequestError,
     RequestNotInComplement,
-    RequestSet,
-    SameQNetRequest,
     _assert_table_valid,
     _compat_rows,
     canonical_edge,
@@ -30,8 +28,6 @@ from mecnet.pairs import (
     dynamic_parallel_pairs,
     min_partition_oracle,
     parallel_pair_candidates,
-    requests_from_text,
-    requests_to_text,
     table_to_text,
 )
 from mecnet.qnet import InterQNet, QNetPartition, build_controlled, complement_inter_qnet
@@ -285,30 +281,12 @@ class TestCheckParallelPairable:
             assert check_parallel_pairable(g, sub) == brute_force_pairable(g, sub)
 
 
-class TestRequestSet:
-    def _net(self):
-        return InterQNet(
-            Graph(6, [(0, 3), (1, 4), (2, 5), (0, 4)]),
-            QNetPartition(2, (1, 1, 1, 2, 2, 2)),
-        )
-
-    def test_same_qnet_rejected(self):
-        with pytest.raises(SameQNetRequest):
-            RequestSet.from_pairs([(0, 1)], self._net())
-
-    def test_adjacent_rejected(self):
-        with pytest.raises(AdjacentRequest):
-            RequestSet.from_pairs([(0, 3)], self._net())
-
-    def test_duplicates_collapse(self):
-        rs = RequestSet.from_pairs([(0, 5), (5, 0)], self._net())
-        assert rs.requests == ((0, 5),)
-
-    def test_wire_format(self):
-        rs = RequestSet.from_pairs([(0, 5), (1, 3)], self._net())
-        text = requests_to_text(rs)
-        assert text == "0 5\n1 3\n"
-        assert requests_from_text(text) == [(0, 5), (1, 3)]
+def two_domains_of_three():
+    """QNets {0, 1, 2} and {3, 4, 5} with links 0-3, 0-4, 1-4 and 2-5."""
+    return InterQNet(
+        Graph(6, [(0, 3), (1, 4), (2, 5), (0, 4)]),
+        QNetPartition(2, (1, 1, 1, 2, 2, 2)),
+    )
 
 
 class TestDynamicParallelPairs:
@@ -320,18 +298,12 @@ class TestDynamicParallelPairs:
     def test_already_pairable_single_group(self):
         iq = InterQNet(Graph(4, [(0, 3), (1, 2)]), QNetPartition(2, (1, 1, 2, 2)))
         cg = build_controlled(iq)
-        rs = RequestSet.from_pairs([(0, 2), (1, 3)], iq)
-        table = dynamic_parallel_pairs(cg, rs)
+        table = dynamic_parallel_pairs(cg, [(0, 2), (1, 3)])
         assert table.rho == 1 and table.groups[0] == frozenset({(0, 2), (1, 3)})
 
     def test_shared_endpoint_two_groups(self):
-        iq = InterQNet(
-            Graph(6, [(0, 3), (1, 4), (2, 5), (0, 4)]),
-            QNetPartition(2, (1, 1, 1, 2, 2, 2)),
-        )
-        cg = build_controlled(iq)
-        rs = RequestSet.from_pairs([(0, 5), (1, 5)], iq)
-        table = dynamic_parallel_pairs(cg, rs)
+        cg = build_controlled(two_domains_of_three())
+        table = dynamic_parallel_pairs(cg, [(0, 5), (1, 5)])
         assert table.rho == 2
         assert sorted(sorted(g) for g in table.groups) == [[(0, 5)], [(1, 5)]]
 
@@ -340,6 +312,18 @@ class TestDynamicParallelPairs:
         cg = build_controlled(iq)
         with pytest.raises(RequestNotInComplement):
             dynamic_parallel_pairs(cg, [(0, 3)])  # an original link, not remote
+
+    def test_same_qnet_and_adjacent_requests_rejected(self):
+        # the scheduler is the one intake check for request pairs
+        cg = build_controlled(two_domains_of_three())
+        for bad in [(0, 1), (3, 0)]:  # inside QNet 1; an original link, reversed
+            with pytest.raises(RequestNotInComplement, match=rf"request \({min(bad)}, {max(bad)}\) "):
+                dynamic_parallel_pairs(cg, [(0, 5), bad])
+
+    def test_reversed_duplicate_rejected(self):
+        cg = build_controlled(two_domains_of_three())
+        with pytest.raises(RequestError, match="duplicate requests"):
+            dynamic_parallel_pairs(cg, [(0, 5), (5, 0)])
 
     def test_partitions_and_groups_pairable(self):
         rnd = random.Random(33)
@@ -350,7 +334,7 @@ class TestDynamicParallelPairs:
             if len(avail) < 2:
                 continue
             picks = rnd.sample(avail, k=min(len(avail), rnd.randint(2, 8)))
-            table = dynamic_parallel_pairs(cg, RequestSet.from_pairs(picks, iq))
+            table = dynamic_parallel_pairs(cg, picks)
             got = sorted(e for grp in table.groups for e in grp)
             assert got == sorted(set(picks))
             for grp in table.groups:
@@ -366,24 +350,23 @@ class TestDynamicParallelPairs:
             if len(avail) < 2:
                 continue
             picks = rnd.sample(avail, k=min(len(avail), 5))
-            table = dynamic_parallel_pairs(cg, RequestSet.from_pairs(picks, iq))
+            table = dynamic_parallel_pairs(cg, picks)
             assert (table.rho == 1) == brute_force_pairable(comp.graph, picks)
 
     def test_policies_deterministic(self):
         iq, cg = self._instance(7)
         comp = complement_inter_qnet(iq)
         picks = comp.graph.edges()[:6]
-        rs = RequestSet.from_pairs(picks, iq)
         for policy in ("greedy_max", "lowest_id"):
-            t1 = dynamic_parallel_pairs(cg, rs, seed_policy=policy)
-            t2 = dynamic_parallel_pairs(cg, rs, seed_policy=policy)
+            t1 = dynamic_parallel_pairs(cg, picks, seed_policy=policy)
+            t2 = dynamic_parallel_pairs(cg, picks, seed_policy=policy)
             assert t1.groups == t2.groups
 
     def test_unknown_policy_rejected(self):
         iq, cg = self._instance(7)
         picks = complement_inter_qnet(iq).graph.edges()[:2]
         with pytest.raises(ValueError, match="greedy_max, lowest_id"):
-            dynamic_parallel_pairs(cg, RequestSet.from_pairs(picks, iq), seed_policy="greedy")
+            dynamic_parallel_pairs(cg, picks, seed_policy="greedy")
 
     @pytest.mark.parametrize("k", [4, 10])
     @pytest.mark.parametrize("p", [0.2, 0.8])
@@ -401,12 +384,11 @@ class TestDynamicParallelPairs:
     @given(controlled_batches())
     def test_matches_whole_edge_set_loop_on_random_networks(self, case):
         iq, cg, picks = case
-        rs = RequestSet.from_pairs(picks, iq)
         comp = complement_inter_qnet(iq)
         for policy in ("greedy_max", "lowest_id"):
-            want = reference_dynamic_parallel_pairs(cg, rs, policy)
-            assert dynamic_parallel_pairs(cg, rs, seed_policy=policy).groups == want
-            got = dynamic_parallel_pairs(cg, rs, seed_policy=policy, complement=comp)
+            want = reference_dynamic_parallel_pairs(cg, picks, policy)
+            assert dynamic_parallel_pairs(cg, picks, seed_policy=policy).groups == want
+            got = dynamic_parallel_pairs(cg, picks, seed_policy=policy, complement=comp)
             assert got.groups == want
 
     @settings(max_examples=200, deadline=None)
@@ -463,7 +445,7 @@ class TestDynamicParallelPairs:
     def test_table_text(self):
         iq = InterQNet(Graph(4, [(0, 3), (1, 2)]), QNetPartition(2, (1, 1, 2, 2)))
         cg = build_controlled(iq)
-        table = dynamic_parallel_pairs(cg, RequestSet.from_pairs([(0, 2), (1, 3)], iq))
+        table = dynamic_parallel_pairs(cg, [(0, 2), (1, 3)])
         assert table_to_text(table) == "T1: (0,2) (1,3)\n"
 
 
@@ -492,5 +474,5 @@ class TestMinPartitionOracle:
             if len(avail) < 2:
                 continue
             picks = rnd.sample(avail, k=min(len(avail), 7))
-            table = dynamic_parallel_pairs(cg, RequestSet.from_pairs(picks, iq))
+            table = dynamic_parallel_pairs(cg, picks)
             assert min_partition_oracle(comp.graph, picks) <= table.rho

@@ -22,6 +22,7 @@ from mecnet.qnet import (
     mec_complementation,
     restore_original,
 )
+from mecnet import verify
 from mecnet.verify import random_inter_qnet
 
 
@@ -245,15 +246,6 @@ class TestMecComplementation:
                 if step % 2 == 0:
                     assert g == intermediate_contract(cg, step)
 
-    def test_bad_policy_rejected(self):
-        cg = build_controlled(butterfly())
-
-        def broken(graph, control, cg_):
-            return 2  # vertex 2 sits in domain 2, never adjacent to control c1
-
-        with pytest.raises(ValueError):
-            mec_complementation(cg, k0_policy=broken)
-
 
 class TestRestore:
     def test_roundtrip_randomized(self):
@@ -387,3 +379,27 @@ class TestInstanceFiles:
     def test_header_must_come_before_the_edges(self):
         with pytest.raises(ValueError, match="header before '0 1'"):
             instance_from_text("0 1\nn=2\nqnet 1: 0\nqnet 2: 1\n")
+
+
+class TestRandomInterQNet:
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        """Make the first draw of the sampling loop fail, so a missing guard
+        fails the test instead of looping forever."""
+
+        def sampled(*args):
+            raise AssertionError("entered the sampling loop")
+
+        monkeypatch.setattr(verify, "Graph", sampled)
+
+    def test_one_qnet_rejected(self, no_sampling):
+        with pytest.raises(ValueError, match="no connected cross-domain graph"):
+            random_inter_qnet(1, [2], 0.5, random.Random(0))
+
+    def test_zero_density_rejected(self, no_sampling):
+        with pytest.raises(ValueError, match="no connected cross-domain graph"):
+            random_inter_qnet(2, [2, 2], 0.0, random.Random(0))
+
+    def test_single_vertex_accepted(self):
+        iq = random_inter_qnet(1, [1], 0.0, random.Random(0))
+        assert iq.graph.vertex_count == 1 and iq.connected

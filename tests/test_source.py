@@ -2,10 +2,33 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-MODULES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "mecnet").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "mecnet").glob("*.py"))
+
+# Exports that no other code names, each with the reason it stays public.
+UNUSED_EXPORTS_ALLOWED = {
+    "pairs.py": {
+        "RequestError": "raised to callers of dynamic_parallel_pairs, which catch it by type",
+        "RequestNotInComplement": "raised to callers of dynamic_parallel_pairs, which catch it by type",
+        "ParallelPairTable": "return type of dynamic_parallel_pairs",
+        "CandidateList": "return type of parallel_pair_candidates",
+        "SEED_POLICIES": "the seed policy names, listed in the ValueError of check_seed_policy",
+    },
+    "openflights.py": {
+        "FlightRecord": "record type of ParseResult.records",
+        "ParseResult": "return type of parse_openflights",
+    },
+    "timeline.py": {"LongRunResult": "return type of simulate_mec_long_run"},
+    "verify.py": {"SuiteResult": "return type of every suite in ALL_SUITES"},
+    "stabilizer.py": {
+        "StabilizerTableau": "return type of graph_state, measure_pauli and restrict_to",
+        "outcome_deterministic": "oracle for the outcomes that measure_pauli draws",
+    },
+}
 
 
 def parse(path):
@@ -34,15 +57,78 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert statement on lines {lines}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_all_names_are_defined(path):
-    module = parse(path)
-    exported = [
+def exported_names(module):
+    return [
         name
         for node in module.body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         for name in ast.literal_eval(node.value)
     ]
-    missing = sorted(set(exported) - defined_names(module))
+
+
+def used_names(path):
+    """Identifiers a file uses: names, attributes, imported names and the
+    words of its string constants other than docstrings (the benchmark's
+    tracer names its trace points in strings)."""
+    module = parse(path)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(module)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    names = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_defined(path):
+    module = parse(path)
+    missing = sorted(set(exported_names(module)) - defined_names(module))
     assert not missing, f"{path.name}: __all__ names {missing} are not defined"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_are_used(path):
+    # users: the other library modules (not the package's re-exports), the
+    # demos, the benchmark and every test file but the module's own and this
+    # one, whose allowlist names every name it holds
+    own_test = ROOT / "tests" / f"test_{path.stem}.py"
+    skip = (path, own_test, ROOT / "src" / "mecnet" / "__init__.py", pathlib.Path(__file__).resolve())
+    users = [
+        p
+        for p in [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")]
+        if p not in skip
+    ]
+    used = set().union(*(used_names(p) for p in users))
+    allowed = UNUSED_EXPORTS_ALLOWED.get(path.name, {})
+    unused = sorted(set(exported_names(parse(path))) - used - set(allowed))
+    assert not unused, f"{path.name}: __all__ names {unused} are used nowhere else"
+
+
+def test_allowlist_holds_only_exports():
+    exports = {path.name: set(exported_names(parse(path))) for path in MODULES}
+    stale = sorted(
+        f"{module}:{name}"
+        for module, names in UNUSED_EXPORTS_ALLOWED.items()
+        for name in names
+        if name not in exports.get(module, set())
+    )
+    assert not stale, f"allowlisted names that are not exported: {stale}"
