@@ -60,7 +60,7 @@ def build_parser() -> _Parser:
     i.add_argument("--routes", required=True)
     i.add_argument("--countries", nargs="*", default=None)
     i.add_argument("--sample", type=int, default=None, help="edge subsample size")
-    i.add_argument("--seed", type=int, default=0)
+    i.add_argument("--seed", type=int, default=None, help="subsample seed (default 0)")
     i.add_argument("--out", default=None)
 
     r = sub.add_parser("run", help="run the experiment pipeline")
@@ -95,9 +95,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    if args.sample is None and args.seed is not None:
+        raise ValueError("--seed only seeds the --sample subsample; give --sample too")
     parsed = parse_openflights(args.airports, args.routes)
     countries = set(args.countries) if args.countries else None
-    sub = (args.sample, args.seed) if args.sample is not None else None
+    sub = (args.sample, args.seed or 0) if args.sample is not None else None
     iq, meta = build_real_instance(parsed, countries, sub)
     out_dir = _resolve_out(args.out)
     os.makedirs(out_dir, exist_ok=True)

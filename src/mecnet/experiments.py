@@ -28,7 +28,7 @@ import numpy as np
 from .cqr import cqr_batch
 from .metrics import TimingParams, arqf_cqr, arqf_mec, throughput_cqr, throughput_mec
 from .netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
-from .pairs import ParallelPairViolation, check_seed_policy, dynamic_parallel_pairs
+from .pairs import ParallelPairViolation, dynamic_parallel_pairs
 from .qnet import (
     InterQNet,
     build_controlled,
@@ -82,6 +82,8 @@ class ExperimentConfig:
     qnet_counts: tuple[int, ...] = (4,)
     densities: tuple[float, ...] = (0.2, 0.8)
     request_volumes: tuple[int, ...] = (10, 20)
+    # the scheduler is the paper's greedy; the key stays so that configs
+    # naming it still parse
     seed_policy: str = "greedy_max"
     timing_grid: tuple[TimingParams, ...] = (TimingParams(10, 3, 1, 4, 1),)
     jobs: int = 1
@@ -96,14 +98,19 @@ class ExperimentConfig:
             raise ValueError("need at least one request volume and timing point")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
-        check_seed_policy(self.seed_policy)
+        if self.seed_policy != "greedy_max":
+            raise ValueError(
+                f"unknown seed_policy {self.seed_policy!r}; the only scheduler is 'greedy_max'"
+            )
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build a config from a JSON object; absent keys keep the field
         defaults.  Unknown keys are rejected with one ValueError, and so are
         values that do not match their field's annotation, each bad field
-        named."""
+        named, and a value that is not an object."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__} {d!r}")
         hints = get_type_hints(cls)
         unknown = [key for key in d if key not in hints]
         if unknown:
@@ -199,7 +206,6 @@ class InstanceResult:
 def run_instance(
     iq: InterQNet,
     volumes: Sequence[int],
-    seed_policy: str,
     request_seed: int,
     k: int,
     p: float,
@@ -233,7 +239,7 @@ def run_instance(
             out.volumes.append(vr)
             continue
         try:
-            table = dynamic_parallel_pairs(cg, rs, seed_policy=seed_policy, complement=oracle)
+            table = dynamic_parallel_pairs(cg, rs, complement=oracle)
         except ParallelPairViolation as exc:
             raise PipelineMismatch(
                 f"parallel-pair violation: {exc}", instance_to_text(cg)
@@ -264,10 +270,10 @@ def _generated(cfg_seed: int, nodes: int, k: int, p: float, rep: int) -> tuple[i
 
 
 def _run_task(args: tuple) -> InstanceResult:
-    cfg_seed, nodes, k, p, rep, volumes, policy = args
+    cfg_seed, nodes, k, p, rep, volumes = args
     _, iq = _generated(cfg_seed, nodes, k, p, rep)
     req_seed = derive_seed(cfg_seed, k, int(p * 1_000_000), rep, 17)
-    return run_instance(iq, volumes, policy, req_seed, k, p, rep)
+    return run_instance(iq, volumes, req_seed, k, p, rep)
 
 
 def generate_instances(cfg: ExperimentConfig, out_dir: str) -> list[str]:
@@ -312,19 +318,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[InstanceResult]:
             iq = net if isinstance(net, InterQNet) else net.data_network()
             req_seed = derive_seed(cfg.seed, i, 17)
             results.append(
-                run_instance(
-                    iq,
-                    cfg.request_volumes,
-                    cfg.seed_policy,
-                    req_seed,
-                    iq.partition.k,
-                    -1.0,
-                    i,
-                )
+                run_instance(iq, cfg.request_volumes, req_seed, iq.partition.k, -1.0, i)
             )
         return results
     tasks = [
-        (cfg.seed, cfg.nodes, k, p, rep, cfg.request_volumes, cfg.seed_policy)
+        (cfg.seed, cfg.nodes, k, p, rep, cfg.request_volumes)
         for k in cfg.qnet_counts
         for p in cfg.densities
         for rep in range(cfg.repetitions)

@@ -189,14 +189,6 @@ class Graph:
 
     # -- rewrite rules -----------------------------------------------------
 
-    def complement(self) -> "Graph":
-        """Edge-complement among alive vertices; dead slots stay isolated."""
-        alive = self._alive
-        adj = list(self._adj)
-        for v in bits(alive):
-            adj[v] = alive & ~adj[v] & ~(1 << v)
-        return Graph._from_parts(self.vertex_count, tuple(adj), alive)
-
     def local_complement(self, v: int) -> "Graph":
         """Complement the induced subgraph on the open neighborhood of ``v``."""
         self._check_alive(v)

@@ -30,8 +30,6 @@ __all__ = [
     "check_parallel_pairable",
     "dynamic_parallel_pairs",
     "min_partition_oracle",
-    "SEED_POLICIES",
-    "check_seed_policy",
     "table_to_text",
 ]
 
@@ -185,86 +183,38 @@ def check_parallel_pairable(g: Graph, edges: Iterable[Edge]) -> bool:
     return all((row | 1 << i) == full for i, row in enumerate(rows))
 
 
-# -- seed policies -------------------------------------------------------------
-#
-# A policy is built once per batch from the compatibility rows.  ``seed``
-# picks the seed of the next group from the remaining requests, or returns
-# None when no remaining request has a compatible partner left among them.
-# ``grow_order`` ranks the seed's candidates once per group; the group then
-# takes, in that order, each candidate still compatible with every member
-# so far.  Candidates only drop out as the group grows, so the first one
-# left in that order is the one the policy would pick at that step.
+# -- scheduler -----------------------------------------------------------------
 
 
-class _GreedyMax:
-    """Most compatible partners among the requests remaining at the start of
-    the group, for the seed and for each addition; the lowest index on ties.
+def _greedy_seed(
+    heap: list[tuple[int, int]], rows: Sequence[int], remaining: int
+) -> Optional[int]:
+    """The remaining request with the most compatible partners among the
+    remaining requests, the lowest index on ties; None when that count is 0.
 
     A request's count ``(rows[i] & remaining).bit_count()`` never rises as
     ``remaining`` shrinks, so a count taken earlier is an upper bound.  The
-    requests sit in a heap keyed ``(-bound, index)``.  The top is re-counted
+    requests sit in ``heap`` keyed ``(-bound, index)``.  The top is re-counted
     and accepted only when its count still equals its bound: it is then at
     least every other bound, so every other count, and any request with the
     same count has the same bound and so a higher index.
     """
-
-    def __init__(self, rows: Sequence[int]):
-        self.rows = rows
-        self.heap = [(-row.bit_count(), i) for i, row in enumerate(rows)]
-        heapq.heapify(self.heap)
-
-    def seed(self, remaining: int) -> Optional[int]:
-        heap, rows = self.heap, self.rows
-        while True:
-            bound, i = heap[0]
-            if not remaining >> i & 1:
-                heapq.heappop(heap)
-                continue
-            count = (rows[i] & remaining).bit_count()
-            if count == -bound:
-                heapq.heappop(heap)
-                # the highest count is 0: every remaining request is alone
-                return i if count else None
-            heapq.heapreplace(heap, (-count, i))
-
-    def grow_order(self, shared: int, rset: int) -> list[int]:
-        rows = self.rows
-        return sorted(bits(shared), key=lambda i: -(rows[i] & rset).bit_count())
-
-
-class _LowestId:
-    """The lowest remaining index as the seed, and the lowest candidate at
-    each addition."""
-
-    def __init__(self, rows: Sequence[int]):
-        pass
-
-    def seed(self, remaining: int) -> Optional[int]:
-        return (remaining & -remaining).bit_length() - 1
-
-    def grow_order(self, shared: int, rset: int) -> Iterable[int]:
-        return bits(shared)
-
-
-# seed policy name -> class built from the batch's compatibility rows
-SEED_POLICIES: dict[str, type] = {
-    "greedy_max": _GreedyMax,
-    "lowest_id": _LowestId,
-}
-
-
-def check_seed_policy(name: str) -> None:
-    """Raise ValueError unless ``name`` is a key of :data:`SEED_POLICIES`."""
-    if name not in SEED_POLICIES:
-        raise ValueError(
-            f"unknown seed_policy {name!r}; choose one of {', '.join(SEED_POLICIES)}"
-        )
+    while True:
+        bound, i = heap[0]
+        if not remaining >> i & 1:
+            heapq.heappop(heap)
+            continue
+        count = (rows[i] & remaining).bit_count()
+        if count == -bound:
+            heapq.heappop(heap)
+            # the highest count is 0: every remaining request is alone
+            return i if count else None
+        heapq.heapreplace(heap, (-count, i))
 
 
 def dynamic_parallel_pairs(
     cg: ControlledInterQNet,
     r: "RequestSet | Iterable[Edge]",
-    seed_policy: str = "greedy_max",
     complement: Optional[InterQNet] = None,
 ) -> ParallelPairTable:
     """Partition the request batch into parallel-pairable groups.
@@ -272,16 +222,17 @@ def dynamic_parallel_pairs(
     The batch is interpreted on the cross-domain complement of the
     controlled network; a caller that already holds it (as
     ``complement_inter_qnet(cg.data_network())``) passes it as
-    ``complement`` so that it is not rebuilt.  Each group starts from a seed
-    chosen by the seed policy and grows greedily, intersecting the shared
-    candidate set after each addition; a pairwise compatible batch thus
-    forms a single group.  Requests are indexed in sorted order and the
-    scheduler runs on their compatibility matrix, built once per batch, so
-    it never scans edges outside the batch.  Each request is checked here,
-    once, to be a complement edge.  The result is checked against the
-    whole-edge-set candidate lists before it is returned.
+    ``complement`` so that it is not rebuilt.  Each group is the paper's
+    greedy: it starts from the remaining request with the most compatible
+    partners among the remaining ones and grows by the candidate with the
+    most, the lowest index on ties, intersecting the shared candidate set
+    after each addition; a pairwise compatible batch thus forms a single
+    group.  Requests are indexed in sorted order and the scheduler runs on
+    their compatibility matrix, built once per batch, so it never scans
+    edges outside the batch.  Each request is checked here, once, to be a
+    complement edge.  The result is checked against the whole-edge-set
+    candidate lists before it is returned.
     """
-    check_seed_policy(seed_policy)
     if complement is None:
         complement = complement_inter_qnet(cg.data_network())
     cgraph = complement.graph
@@ -294,17 +245,21 @@ def dynamic_parallel_pairs(
 
     edges = sorted(requests)
     rows = _compat_rows(cgraph, edges)
-    policy = SEED_POLICIES[seed_policy](rows)
+    heap = [(-row.bit_count(), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
     groups: list[frozenset[Edge]] = []
     remaining = (1 << len(edges)) - 1
     while remaining:
-        seed = policy.seed(remaining)
+        seed = _greedy_seed(heap, rows, remaining)
         if seed is None:
             groups.extend(frozenset((edges[i],)) for i in bits(remaining))
             break
         group = 1 << seed
         shared = rows[seed] & remaining
-        for i in policy.grow_order(shared, remaining):
+        # candidates only drop out of ``shared`` as the group grows, so one
+        # ranking by partners left at group start gives each step's pick:
+        # the first candidate in it still shared
+        for i in sorted(bits(shared), key=lambda j: -(rows[j] & remaining).bit_count()):
             if shared >> i & 1:
                 group |= 1 << i
                 shared &= rows[i]

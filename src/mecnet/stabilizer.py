@@ -147,14 +147,12 @@ def measure_pauli(
     q: int,
     basis: str,
     forced_outcome: Optional[int] = None,
-    rng: Optional[random.Random] = None,
 ) -> tuple[StabilizerTableau, int]:
     """Measure X or Z on qubit ``q``; returns the post-state and the ±1 outcome.
 
     When the outcome is random, ``forced_outcome`` (+1 or -1) selects the
-    branch; with neither ``forced_outcome`` nor ``rng`` given, a
-    module-default RNG is used.  A deterministic outcome ignores
-    ``forced_outcome``.
+    branch; without it, the module-default RNG draws the branch.  A
+    deterministic outcome ignores ``forced_outcome``.
     """
     b = _basis_row(t.n, q, basis)
     if forced_outcome is not None and forced_outcome not in (1, -1):
@@ -164,7 +162,7 @@ def measure_pauli(
         if forced_outcome is not None:
             outcome = 1 if forced_outcome == 1 else -1
         else:
-            outcome = (rng or random).choice((1, -1))
+            outcome = random.choice((1, -1))
         rows = list(t.rows)
         pivot = anti[0]
         for i in anti[1:]:

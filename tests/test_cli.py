@@ -140,7 +140,7 @@ class TestRunInstance:
             for rep in range(3):
                 iq = generate_inter_qnet(GenConfig(3, even_sizes(18, 3), p, derive_seed(5, rep)))
                 part = iq.partition
-                res = run_instance(iq, (4, 6, 500), "greedy_max", derive_seed(6, rep), 3, p, rep)
+                res = run_instance(iq, (4, 6, 500), derive_seed(6, rep), 3, p, rep)
                 assert [v.volume for v in res.volumes] == [4, 6, 500]
                 assert res.volumes[-1].skipped
                 for v in res.volumes:
@@ -187,7 +187,7 @@ class TestGenerateAndRunFromFiles:
         cfg_path, cfg = small_config(tmp_path)
         built = {}
 
-        def capture(iq, volumes, seed_policy, request_seed, k, p, rep):
+        def capture(iq, volumes, request_seed, k, p, rep):
             built[k, p, rep] = iq
             return experiments.InstanceResult(k=k, p=p, rep=rep)
 
@@ -291,6 +291,23 @@ class TestIngestCommand:
         assert f"usage error: sample size must be at least 1, got {size}" in err
         assert not os.path.exists(tmp_path / "real_instance.txt")
 
+    def test_seed_without_sample_is_usage_error(self, tmp_path, capsys):
+        fixture = ["--airports", os.path.join(FIXTURES, "airports.dat"),
+                   "--routes", os.path.join(FIXTURES, "routes.dat")]
+        rc = cli.main(["ingest", *fixture, "--seed", "9", "--out", str(tmp_path / "a")])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error:" in err and "--seed" in err and "--sample" in err
+        assert not os.path.exists(tmp_path / "a")
+        # --sample alone keeps seed 0, as sidecars written before record
+        metas = []
+        for name, seed in (("b", []), ("c", ["--seed", "0"])):
+            out = tmp_path / name
+            assert cli.main(["ingest", *fixture, "--sample", "20", *seed, "--out", str(out)]) == cli.EXIT_OK
+            metas.append(open(out / "real_instance.meta.jsonl").read())
+            assert (out / "real_instance.txt").read_text() == open(tmp_path / "b" / "real_instance.txt").read()
+        assert metas[0] == metas[1] and json.loads(metas[0])["subsample"] == [20, 0]
+
     def test_missing_file_is_io_error(self, tmp_path):
         rc = cli.main(
             ["ingest", "--airports", "/nonexistent.dat", "--routes", "/nope.dat"]
@@ -326,11 +343,25 @@ class TestUsageErrors:
         assert cli.main(["generate", "--config", cfg_path]) == cli.EXIT_USAGE
 
     def test_unknown_seed_policy_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(ValueError, match="greedy_max, lowest_id"):
-            ExperimentConfig.from_dict({"seed_policy": "greedy"})
-        cfg_path, _ = small_config(tmp_path, seed_policy="greedy")
-        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
-        assert "unknown seed_policy 'greedy'" in capsys.readouterr().err
+        # the scheduler is the paper's greedy; the key accepts only its name
+        assert ExperimentConfig.from_dict({"seed_policy": "greedy_max"}) == ExperimentConfig()
+        for policy in ("greedy", "lowest_id"):
+            with pytest.raises(ValueError, match="the only scheduler is 'greedy_max'"):
+                ExperimentConfig.from_dict({"seed_policy": policy})
+            cfg_path, _ = small_config(tmp_path, seed_policy=policy)
+            assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
+            assert f"usage error: unknown seed_policy {policy!r}" in capsys.readouterr().err
+            assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("text, kind", [("5", "int"), ('[{"a": 1}]', "list")])
+    def test_config_not_an_object_is_usage_error(self, tmp_path, capsys, text, kind):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"usage error: config must be a JSON object, got {kind}" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "out")
 
     def test_unknown_config_keys_are_usage_error(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="unknown config key\\(s\\) 'repetition', 'denisties'"):

@@ -29,25 +29,6 @@ def all_graphs(n):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if sel >> i & 1])
 
 
-class TestComplement:
-    def test_empty_to_complete(self):
-        assert Graph(3).complement().edges() == [(0, 1), (0, 2), (1, 2)]
-
-    def test_complete_to_empty(self):
-        k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
-        assert k3.complement().edges() == []
-
-    def test_path_to_single_edge(self):
-        assert Graph(3, [(0, 1), (1, 2)]).complement().edges() == [(0, 2)]
-
-    def test_involution_random(self):
-        rnd = random.Random(1)
-        for _ in range(200):
-            n = rnd.randint(1, 9)
-            g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.5])
-            assert g.complement().complement() == g
-
-
 class TestLocalComplement:
     def test_star_gains_triangle(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
@@ -259,7 +240,6 @@ class TestStructure:
             n = rnd.randint(2, 8)
             g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.5])
             g.check()
-            g.complement().check()
             v = rnd.randrange(n)
             g.local_complement(v).check()
             g.delete_vertex(v).check()

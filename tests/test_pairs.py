@@ -59,15 +59,12 @@ def reference_candidates(g, targets):
     return out
 
 
-def reference_dynamic_parallel_pairs(cg, requests, seed_policy):
-    """The scheduler as first written: candidate lists over the whole
+def reference_dynamic_parallel_pairs(cg, requests):
+    """The greedy scheduler as first written: candidate lists over the whole
     complement edge set, rebuilt at every group start."""
-    if seed_policy == "greedy_max":
-        def pick(pool, cand_in_r):
-            return max(sorted(pool), key=lambda e: len(cand_in_r[e]))
-    else:
-        def pick(pool, cand_in_r):
-            return min(pool)
+    def pick(pool, cand_in_r):
+        return max(sorted(pool), key=lambda e: len(cand_in_r[e]))
+
     cgraph = complement_inter_qnet(cg.data_network()).graph
     remaining = [canonical_edge(*e) for e in requests]
     groups = []
@@ -357,16 +354,7 @@ class TestDynamicParallelPairs:
         iq, cg = self._instance(7)
         comp = complement_inter_qnet(iq)
         picks = comp.graph.edges()[:6]
-        for policy in ("greedy_max", "lowest_id"):
-            t1 = dynamic_parallel_pairs(cg, picks, seed_policy=policy)
-            t2 = dynamic_parallel_pairs(cg, picks, seed_policy=policy)
-            assert t1.groups == t2.groups
-
-    def test_unknown_policy_rejected(self):
-        iq, cg = self._instance(7)
-        picks = complement_inter_qnet(iq).graph.edges()[:2]
-        with pytest.raises(ValueError, match="greedy_max, lowest_id"):
-            dynamic_parallel_pairs(cg, picks, seed_policy="greedy")
+        assert dynamic_parallel_pairs(cg, picks).groups == dynamic_parallel_pairs(cg, picks).groups
 
     @pytest.mark.parametrize("k", [4, 10])
     @pytest.mark.parametrize("p", [0.2, 0.8])
@@ -376,29 +364,24 @@ class TestDynamicParallelPairs:
         eligible = len(complement_inter_qnet(iq).graph.edges())
         for vol in (50, 200):
             rs = sample_requests(iq, min(vol, eligible), derive_seed(2, k, vol))
-            for policy in ("greedy_max", "lowest_id"):
-                got = dynamic_parallel_pairs(cg, rs, seed_policy=policy).groups
-                assert got == reference_dynamic_parallel_pairs(cg, rs, policy)
+            assert dynamic_parallel_pairs(cg, rs).groups == reference_dynamic_parallel_pairs(cg, rs)
 
     @settings(max_examples=200, deadline=None)
     @given(controlled_batches())
     def test_matches_whole_edge_set_loop_on_random_networks(self, case):
         iq, cg, picks = case
         comp = complement_inter_qnet(iq)
-        for policy in ("greedy_max", "lowest_id"):
-            want = reference_dynamic_parallel_pairs(cg, picks, policy)
-            assert dynamic_parallel_pairs(cg, picks, seed_policy=policy).groups == want
-            got = dynamic_parallel_pairs(cg, picks, seed_policy=policy, complement=comp)
-            assert got.groups == want
+        want = reference_dynamic_parallel_pairs(cg, picks)
+        assert dynamic_parallel_pairs(cg, picks).groups == want
+        assert dynamic_parallel_pairs(cg, picks, complement=comp).groups == want
 
     @settings(max_examples=200, deadline=None)
     @given(tie_heavy_batches())
     def test_matches_whole_edge_set_loop_on_tie_heavy_batches(self, case):
         cg, comp, requests = case
         assert complement_inter_qnet(cg.data_network()).graph == comp.graph
-        for policy in ("greedy_max", "lowest_id"):
-            want = reference_dynamic_parallel_pairs(cg, requests, policy)
-            assert dynamic_parallel_pairs(cg, requests, seed_policy=policy).groups == want
+        want = reference_dynamic_parallel_pairs(cg, requests)
+        assert dynamic_parallel_pairs(cg, requests).groups == want
 
     @settings(max_examples=300, deadline=None)
     @given(graph_and_subset())

@@ -16,7 +16,6 @@ UNUSED_EXPORTS_ALLOWED = {
         "RequestNotInComplement": "raised to callers of dynamic_parallel_pairs, which catch it by type",
         "ParallelPairTable": "return type of dynamic_parallel_pairs",
         "CandidateList": "return type of parallel_pair_candidates",
-        "SEED_POLICIES": "the seed policy names, listed in the ValueError of check_seed_policy",
     },
     "openflights.py": {
         "FlightRecord": "record type of ParseResult.records",
