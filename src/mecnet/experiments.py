@@ -98,6 +98,10 @@ class ExperimentConfig:
             raise ValueError("need at least one request volume and timing point")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        for key in ("qnet_counts", "densities", "request_volumes"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} repeats a value: {list(values)}")
         if self.seed_policy != "greedy_max":
             raise ValueError(
                 f"unknown seed_policy {self.seed_policy!r}; the only scheduler is 'greedy_max'"
@@ -315,7 +319,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[InstanceResult]:
         for i, path in enumerate(cfg.instance_files):
             with open(path, encoding="utf-8") as fh:
                 net = instance_from_text(fh.read())
-            iq = net if isinstance(net, InterQNet) else net.data_network()
+            iq = net if isinstance(net, InterQNet) else net.data
             req_seed = derive_seed(cfg.seed, i, 17)
             results.append(
                 run_instance(iq, cfg.request_volumes, req_seed, iq.partition.k, -1.0, i)

@@ -49,6 +49,9 @@ class TimingParams:
         for name in ("tpm", "trm", "tpb", "trb"):
             if _frac(getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        for prep, route in (("tpm", "trm"), ("tpb", "trb")):
+            if _frac(getattr(self, prep)) + _frac(getattr(self, route)) == 0:
+                raise ValueError(f"cycle time {prep} + {route} must be positive")
 
 
 def mec_cycles(t: TimingParams) -> int:
@@ -59,8 +62,6 @@ def mec_cycles(t: TimingParams) -> int:
     cycles whose re-preparation deadline falls inside the window.
     """
     lam, tp, tr = _frac(t.lam), _frac(t.tpm), _frac(t.trm)
-    if tp + tr == 0:
-        raise ValueError("cycle time must be positive")
     if lam < tr:
         return 0
     if lam < tp + tr:
@@ -71,8 +72,6 @@ def mec_cycles(t: TimingParams) -> int:
 def cqr_cycles(t: TimingParams) -> int:
     """Service cycles per window when preparation starts at request arrival."""
     lam, tp, tr = _frac(t.lam), _frac(t.tpb), _frac(t.trb)
-    if tp + tr == 0:
-        raise ValueError("cycle time must be positive")
     if lam < tp + tr:
         return 0
     return int(lam // (tp + tr))

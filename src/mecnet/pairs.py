@@ -221,8 +221,8 @@ def dynamic_parallel_pairs(
 
     The batch is interpreted on the cross-domain complement of the
     controlled network; a caller that already holds it (as
-    ``complement_inter_qnet(cg.data_network())``) passes it as
-    ``complement`` so that it is not rebuilt.  Each group is the paper's
+    ``complement_inter_qnet(cg.data)``) passes it as ``complement`` so
+    that it is not rebuilt.  Each group is the paper's
     greedy: it starts from the remaining request with the most compatible
     partners among the remaining ones and grows by the candidate with the
     most, the lowest index on ties, intersecting the shared candidate set
@@ -234,7 +234,7 @@ def dynamic_parallel_pairs(
     candidate lists before it is returned.
     """
     if complement is None:
-        complement = complement_inter_qnet(cg.data_network())
+        complement = complement_inter_qnet(cg.data)
     cgraph = complement.graph
     requests = [canonical_edge(*e) for e in r]
     for e in requests:

@@ -12,8 +12,8 @@ cross-domain complement; Z-measuring them restores the original network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 from .graph import Graph, MeasurementRecord, bits, graph_from_edgelist, graph_to_edgelist, z_record
 from .graph import _int_fields
@@ -84,9 +84,6 @@ class QNetPartition:
             masks[a] |= 1 << v
         return masks
 
-    def without_controls(self) -> "QNetPartition":
-        return QNetPartition(self.k, self.membership, ())
-
 
 def _check_cross_domain(graph: Graph, part: QNetPartition) -> None:
     """Raise ValueError on the first edge, in edge-list order, that joins two
@@ -131,59 +128,37 @@ class InterQNet:
 
 @dataclass(frozen=True)
 class ControlledInterQNet:
-    """Inter-QNet augmented with a fully connected control layer."""
+    """Inter-QNet augmented with a fully connected control layer.
 
-    graph: Graph
-    partition: QNetPartition
+    ``graph`` and ``partition`` are built from ``data``, the only field:
+    controls ``d .. d + k' - 1`` follow the ``d`` data vertices."""
+
+    data: InterQNet
+    graph: Graph = field(init=False, repr=False, compare=False)
+    partition: QNetPartition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        part = self.partition
-        if not part.control_nodes:
-            raise ValueError("ControlledInterQNet requires control nodes")
-        g = self.graph
-        if g.alive_count != g.vertex_count:
-            raise ValueError("controlled graphs must have no deleted vertices")
-        if g.vertex_count != part.data_count + part.k_prime:
-            raise ValueError("graph size does not match partition plus controls")
-        _check_cross_domain(g, part)
-        controls = part.control_nodes
-        cmask = 0
-        for c in controls:
-            cmask |= 1 << c
-        qmasks = part.qnet_masks()
-        for a, c in enumerate(controls, start=1):
-            want = cmask & ~(1 << c)
-            if a <= part.k:
-                want |= qmasks[a]
-            if g.neighbor_mask(c) != want:
-                raise ValueError(f"control node {c} has the wrong neighborhood")
+        part, g = self.data.partition, self.data.graph
+        d, kp = part.data_count, part.k_prime
+        controls = tuple(range(d, d + kp))
+        # data vertex v keeps its links and gains its QNet's control; each
+        # control gets the clique minus itself plus its QNet's members
+        clique = ((1 << kp) - 1) << d
+        members = part.qnet_masks()[1:] + [0] * (kp - part.k)
+        adj = [g.neighbor_mask(v) | 1 << (d + a - 1) for v, a in enumerate(part.membership)]
+        adj += [clique & ~(1 << c) | m for c, m in zip(controls, members)]
+        graph = Graph._from_parts(d + kp, tuple(adj), (1 << (d + kp)) - 1)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "partition", QNetPartition(part.k, part.membership, controls))
 
     @property
     def data_count(self) -> int:
         return self.partition.data_count
 
-    def data_network(self) -> InterQNet:
-        """The underlying Inter-QNet (controls stripped, not measured)."""
-        d = self.data_count
-        edges = [(u, v) for u, v in self.graph.edges() if u < d and v < d]
-        return InterQNet(Graph(d, edges), self.partition.without_controls())
-
 
 def build_controlled(iq: InterQNet) -> ControlledInterQNet:
     """Append k' fresh controls: a clique, plus control a joined to QNet a."""
-    part = iq.partition
-    d = part.data_count
-    kp = part.k_prime
-    controls = tuple(range(d, d + kp))
-    edges = iq.graph.edges()
-    for i in range(kp):
-        for j in range(i + 1, kp):
-            edges.append((controls[i], controls[j]))
-    for a in range(1, part.k + 1):
-        for v in part.members(a):
-            edges.append((v, controls[a - 1]))
-    g = Graph(d + kp, edges)
-    return ControlledInterQNet(g, QNetPartition(part.k, part.membership, controls))
+    return ControlledInterQNet(iq)
 
 
 def complement_inter_qnet(iq: InterQNet) -> InterQNet:
@@ -212,14 +187,13 @@ def mec_complementation(cg: ControlledInterQNet) -> tuple[InterQNet, list[Measur
     for c in cg.partition.control_nodes:
         g, rec = g.measure_x(c, k0)
         records.append(rec)
-    data = g.restrict(cg.data_count)
-    return InterQNet(data, cg.partition.without_controls()), records
+    return InterQNet(g.restrict(cg.data_count), cg.data.partition), records
 
 
 def restore_original(cg: ControlledInterQNet) -> InterQNet:
     """Z-measure every control node, recovering the original network."""
     g = cg.graph.keep((1 << cg.data_count) - 1)
-    return InterQNet(g.restrict(cg.data_count), cg.partition.without_controls())
+    return InterQNet(g.restrict(cg.data_count), cg.data.partition)
 
 
 def extract_epr(
@@ -281,12 +255,14 @@ def instance_from_text(text: str) -> "InterQNet | ControlledInterQNet":
 
     The ``qnet`` and ``control`` lines are read here and every other line
     by :func:`graph_from_edgelist`, so the ``n=`` header must come before
-    the edges.  A malformed line raises ValueError naming it.
+    the edges.  A malformed line raises ValueError naming it.  With a
+    ``control:`` line, the file must hold exactly the controlled network
+    that :func:`build_controlled` makes of its data vertices.
     """
     graph_lines = []
     qnet_ids: set[int] = set()
     qnet_of: dict[int, int] = {}
-    controls: tuple[int, ...] = ()
+    controls: Optional[tuple[int, ...]] = None
     for raw in text.splitlines():
         line = raw.strip()
         head, sep, body = line.partition(":")
@@ -303,17 +279,29 @@ def instance_from_text(text: str) -> "InterQNet | ControlledInterQNet":
                     )
                 qnet_of[v] = a
         elif words == ["control"] and sep:
+            if controls is not None:
+                raise ValueError(f"malformed line: {line!r}")
             controls = _int_fields(line, body.split(","))
         else:
             graph_lines.append(line)
     g = graph_from_edgelist("\n".join(graph_lines))
-    data = range(len(qnet_of))
-    missing = [v for v in data if v not in qnet_of]
+    d = len(qnet_of)
+    missing = [v for v in range(d) if v not in qnet_of]
     if missing:
         raise ValueError(f"malformed instance: data vertex {missing[0]} is in no QNet")
     # QNetPartition rejects QNet ids outside 1..k and empty QNets
     k = max(qnet_ids, default=0)
-    part = QNetPartition(k, tuple(qnet_of[v] for v in data), controls)
-    if controls:
-        return ControlledInterQNet(g, part)
-    return InterQNet(g, part)
+    part = QNetPartition(k, tuple(qnet_of[v] for v in range(d)))
+    if controls is None:
+        return InterQNet(g, part)
+    kp = part.k_prime
+    want = tuple(range(d, d + kp))
+    if controls != want:
+        raise ValueError(f"malformed instance: control ids {controls}, expected {want}")
+    if g.vertex_count != d + kp:
+        raise ValueError(f"malformed instance: {g.vertex_count} vertices, expected {d + kp}")
+    cg = ControlledInterQNet(InterQNet(g.keep((1 << d) - 1).restrict(d), part))
+    for v in range(g.vertex_count):
+        if g.neighbor_mask(v) != cg.graph.neighbor_mask(v):
+            raise ValueError(f"malformed instance: vertex {v} lacks or adds a control link")
+    return cg

@@ -18,7 +18,6 @@ from .graph import Graph
 from .metrics import TimingParams, cqr_cycles, mec_cycles
 from .pairs import check_parallel_pairable, compatible
 from .qnet import (
-    ControlledInterQNet,
     InterQNet,
     QNetPartition,
     build_controlled,

@@ -211,6 +211,15 @@ class TestGenerateAndRunFromFiles:
         err = capsys.readouterr().err
         assert err == "usage error: malformed line: 'qnet: 0,1'\n"
 
+    def test_controlled_file_with_a_foreign_control_layer_is_usage_error(self, tmp_path, capsys):
+        inst = tmp_path / "bad.txt"
+        inst.write_text("n=4\n0 1\n0 2\n1 3\n2 3\nqnet 1: 0\nqnet 2: 1\ncontrol: 3,2\n")
+        cfg_path, _ = small_config(tmp_path, instance_files=[str(inst)])
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: malformed instance: control ids (3, 2), expected (2, 3)\n"
+        assert not os.path.exists(tmp_path / "out")
+
     def test_metadata_contents(self, tmp_path):
         cfg = ExperimentConfig(seed=3, repetitions=1, nodes=12, qnet_counts=(3,), densities=(0.5,))
         generate_instances(cfg, str(tmp_path))
@@ -352,6 +361,26 @@ class TestUsageErrors:
             assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
             assert f"usage error: unknown seed_policy {policy!r}" in capsys.readouterr().err
             assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("prep, route", [("tpm", "trm"), ("tpb", "trb")])
+    def test_zero_cycle_time_is_usage_error(self, tmp_path, capsys, prep, route):
+        timing = {"lam": 10, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1, prep: 0, route: 0}
+        cfg_path, _ = small_config(tmp_path, timing_grid=[timing])
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: cycle time {prep} + {route} must be positive\n"
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "key, values",
+        [("qnet_counts", [3, 3]), ("densities", [0.2, 0.8, 0.2]), ("request_volumes", [4, 4])],
+    )
+    def test_repeated_grid_value_is_usage_error(self, tmp_path, capsys, key, values):
+        cfg_path, _ = small_config(tmp_path, **{key: values})
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: {key} repeats a value: {values}\n"
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("text, kind", [("5", "int"), ('[{"a": 1}]', "list")])
     def test_config_not_an_object_is_usage_error(self, tmp_path, capsys, text, kind):

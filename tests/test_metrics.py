@@ -25,8 +25,12 @@ class TestTimingParams:
             TimingParams(1, -1, 1, 1, 1)
 
     def test_zero_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            mec_cycles(TimingParams(5, 0, 0, 1, 1))
+        with pytest.raises(ValueError, match="cycle time tpm \\+ trm must be positive"):
+            TimingParams(5, 0, 0, 1, 1)
+        with pytest.raises(ValueError, match="cycle time tpb \\+ trb must be positive"):
+            TimingParams(5, 1, 1, 0, 0)
+        t = TimingParams(5, 0, 1, 0, 1)  # one zero term alone is a valid cycle
+        assert mec_cycles(t) == walk_mec_window(t) == 6
 
 
 class TestThroughputMec:

@@ -65,7 +65,7 @@ def reference_dynamic_parallel_pairs(cg, requests):
     def pick(pool, cand_in_r):
         return max(sorted(pool), key=lambda e: len(cand_in_r[e]))
 
-    cgraph = complement_inter_qnet(cg.data_network()).graph
+    cgraph = complement_inter_qnet(cg.data).graph
     remaining = [canonical_edge(*e) for e in requests]
     groups = []
     while remaining:
@@ -379,7 +379,7 @@ class TestDynamicParallelPairs:
     @given(tie_heavy_batches())
     def test_matches_whole_edge_set_loop_on_tie_heavy_batches(self, case):
         cg, comp, requests = case
-        assert complement_inter_qnet(cg.data_network()).graph == comp.graph
+        assert complement_inter_qnet(cg.data).graph == comp.graph
         want = reference_dynamic_parallel_pairs(cg, requests)
         assert dynamic_parallel_pairs(cg, requests).groups == want
 

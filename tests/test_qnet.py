@@ -3,12 +3,13 @@ EPR extraction, instance files."""
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecnet.graph import Graph
+from mecnet.graph import Graph, graph_to_edgelist
 from mecnet.pairs import ParallelPairViolation, check_parallel_pairable
 from mecnet.qnet import (
     ControlledInterQNet,
@@ -38,7 +39,7 @@ def intermediate_contract(cg, d):
     keep their own control, and links among processed domains are
     complemented while all other links stay original."""
     part = cg.partition
-    orig = cg.data_network().graph
+    orig = cg.data.graph
     n_d = part.data_count
     controls = part.control_nodes
     rem = controls[d:]
@@ -63,6 +64,41 @@ def intermediate_contract(cg, d):
     for c in controls[:d]:
         g = g.delete_vertex(c)
     return g
+
+
+def edge_list_controlled(iq):
+    """The controlled graph as first built, edge by edge: the data links,
+    then the control clique, then control a joined to each member of QNet a."""
+    part = iq.partition
+    d = part.data_count
+    kp = part.k_prime
+    controls = tuple(range(d, d + kp))
+    edges = iq.graph.edges()
+    for i in range(kp):
+        for j in range(i + 1, kp):
+            edges.append((controls[i], controls[j]))
+    for a in range(1, part.k + 1):
+        for v in part.members(a):
+            edges.append((v, controls[a - 1]))
+    return Graph(d + kp, edges)
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """A partition of at most 12 vertices into QNets, members in any order,
+    and any graph on those vertices, links inside a QNet included."""
+    k = draw(st.integers(1, 4))
+    extra = draw(st.lists(st.integers(1, k), max_size=12 - k))
+    membership = tuple(draw(st.permutations(list(range(1, k + 1)) + extra)))
+    pairs = list(itertools.combinations(range(len(membership)), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(len(membership), edges), QNetPartition(k, membership)
+
+
+def cross_domain(g, part):
+    """``g`` without its links inside a QNet, as an InterQNet."""
+    m = part.membership
+    return InterQNet(Graph(g.vertex_count, [(u, v) for u, v in g.edges() if m[u] != m[v]]), part)
 
 
 class TestPartition:
@@ -113,21 +149,21 @@ class TestBuildControlled:
     def test_validation_rejects_broken_control(self):
         iq = InterQNet(Graph(2, [(0, 1)]), QNetPartition(2, (1, 2)))
         cg = build_controlled(iq)
-        bad = cg.graph.delete_vertex(3)
-        with pytest.raises(ValueError):
-            ControlledInterQNet(Graph(4, bad.edges()), cg.partition)
+        bad = Graph(4, cg.graph.delete_vertex(3).edges())
+        text = instance_to_text(cg).replace(graph_to_edgelist(cg.graph), graph_to_edgelist(bad))
+        with pytest.raises(ValueError, match="vertex 1 lacks or adds a control link"):
+            instance_from_text(text)
 
-
-@st.composite
-def partitioned_graphs(draw):
-    """A partition of at most 12 vertices into QNets, members in any order,
-    and any graph on those vertices, links inside a QNet included."""
-    k = draw(st.integers(1, 4))
-    extra = draw(st.lists(st.integers(1, k), max_size=12 - k))
-    membership = tuple(draw(st.permutations(list(range(1, k + 1)) + extra)))
-    pairs = list(itertools.combinations(range(len(membership)), 2))
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph(len(membership), edges), QNetPartition(k, membership)
+    @settings(max_examples=300, deadline=None)
+    @given(partitioned_graphs())
+    def test_matches_edge_list_construction(self, case):
+        iq = cross_domain(*case)
+        cg = ControlledInterQNet(iq)
+        d, kp = iq.partition.data_count, iq.partition.k_prime
+        assert cg.graph == edge_list_controlled(iq)
+        assert cg.partition.control_nodes == tuple(range(d, d + kp))
+        assert cg.partition.membership == iq.partition.membership
+        assert cg.data is iq and build_controlled(iq) == cg
 
 
 def edge_scan_cross_domain_error(graph, part):
@@ -152,12 +188,11 @@ class TestCrossDomainCheck:
         controlled = Graph(d + part.k_prime, g.edges() + control_edges)
         want = edge_scan_cross_domain_error(g, part)
         assert edge_scan_cross_domain_error(controlled, part) == want
-        for build in (
-            lambda: InterQNet(g, part),
-            lambda: ControlledInterQNet(
-                controlled, QNetPartition(part.k, part.membership, controls)
-            ),
-        ):
+        # the file text of the controlled graph; the reader checks it
+        text = instance_to_text(SimpleNamespace(
+            graph=controlled, partition=QNetPartition(part.k, part.membership, controls)
+        ))
+        for build in (lambda: InterQNet(g, part), lambda: instance_from_text(text)):
             if want is None:
                 build()
                 continue
@@ -173,7 +208,7 @@ class TestComplement:
         g, part = case
         m = part.membership
         n = g.vertex_count
-        iq = InterQNet(Graph(n, [(u, v) for u, v in g.edges() if m[u] != m[v]]), part)
+        iq = cross_domain(g, part)
         want = Graph(n, [
             (u, v)
             for u, v in itertools.combinations(range(n), 2)
@@ -344,6 +379,36 @@ class TestInstanceFiles:
         iq = InterQNet(Graph(2, [(0, 1)]), QNetPartition(2, (1, 2)))
         text = instance_to_text(build_controlled(iq))
         assert text == "n=4\n0 1\n0 2\n1 3\n2 3\nqnet 1: 0\nqnet 2: 1\ncontrol: 2,3\n"
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("1 3\n", "", "vertex 1 lacks or adds a control link"),  # missing control edge
+            ("0 2\n", "0 2\n0 3\n", "vertex 0 lacks or adds a control link"),  # extra data-control edge
+            ("control: 2,3", "control: 3,2", r"control ids \(3, 2\), expected \(2, 3\)"),
+            ("control: 2,3", "control: 2,2", r"control ids \(2, 2\), expected \(2, 3\)"),
+            ("control: 2,3", "control: 2,3,4", r"control ids \(2, 3, 4\), expected \(2, 3\)"),
+            ("control: 2,3", "control: 2", r"control ids \(2,\), expected \(2, 3\)"),
+            ("n=4", "n=5", "5 vertices, expected 4"),
+        ],
+    )
+    def test_controlled_file_must_hold_the_built_control_layer(self, old, new, message):
+        iq = InterQNet(Graph(2, [(0, 1)]), QNetPartition(2, (1, 2)))
+        text = instance_to_text(build_controlled(iq))
+        assert old in text
+        with pytest.raises(ValueError, match=f"^malformed instance: {message}$"):
+            instance_from_text(text.replace(old, new))
+
+    def test_padding_control_takes_no_data_vertex(self):
+        iq = InterQNet(Graph(3, [(0, 1), (1, 2)]), QNetPartition(3, (1, 2, 3)))
+        text = instance_to_text(build_controlled(iq))
+        assert "control: 3,4,5,6\n" in text
+        with pytest.raises(ValueError, match="vertex 0 lacks or adds a control link"):
+            instance_from_text(text.replace("n=7\n", "n=7\n0 6\n"))
+
+    def test_control_line_given_twice(self):
+        with pytest.raises(ValueError, match="^malformed line: 'control: 2,3'$"):
+            instance_from_text("n=4\n0 1\n0 2\n1 3\n2 3\nqnet 1: 0\nqnet 2: 1\ncontrol: 2,3\ncontrol: 2,3\n")
 
     def test_bad_qnet_ids(self):
         with pytest.raises(ValueError):
