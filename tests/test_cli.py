@@ -1,6 +1,7 @@
 """CLI and experiment pipeline: subcommands, exit codes, reproducibility,
 fault injection."""
 
+import hashlib
 import json
 import os
 import pickle
@@ -324,7 +325,69 @@ class TestIngestCommand:
         assert rc == cli.EXIT_IO
 
 
+REPORT_FILES = (
+    "arqf.csv", "hops.csv", "parallelism.csv", "throughput.csv",
+    "arqf.svg", "hops.svg", "parallelism_rbar.svg", "parallelism_rho.svg", "throughput.svg",
+)
+
+# sha256 of each report file, in REPORT_FILES order, for two small runs:
+# "mixed" has a volume of 0, a volume skipped in some instances and in whole
+# cells, and two timing points; "all_skipped" skips its one volume
+# everywhere, so its CSVs hold only the schema line and the header
+REPORT_DIGESTS = {
+    "mixed": (
+        {
+            "seed": 5, "repetitions": 3, "nodes": 12, "qnet_counts": [3],
+            "densities": [0.2, 0.8], "request_volumes": [0, 5, 12, 30],
+            "timing_grid": [
+                {"lam": 10, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1},
+                {"lam": 2.5, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1},
+            ],
+        },
+        (
+            "61b9c3323e2889204f12b0f0bfaf7a4e32ea137c803a6f0e5b75046185a88f01",
+            "142e0eb027ad2e110ff5fcc0399da2dd7f37d8f349a09fd97cc0ca6c2c506e07",
+            "d06176d26bb177d61468e74eb1922845d47264ea116b8413923a9103bd7c07bd",
+            "88cd0487c851a99e27571993dae348ca1385fe0c545f07fd23c22ef6106d275d",
+            "7651fed710be8798d6db95c8f42659db96e712be131f8f60e3dad2e3fc341651",
+            "ff2c7dbb0cc8eb92ed0032a72fdaca214d87b4257eda91ebbe7c6d3ea5557d9a",
+            "2717b4ee7da1a29dbc547ee586c72a1d483bac202de714f0a99bfa5d67d37289",
+            "12041ac0b891a0ca73c645d88c1dce08b8f0b5c79ace8e0d59d155621888c0fa",
+            "5a69b4afde9a8f7876f9bb7e8d2961b645b29c1d8a1c4f75a8055065191630b2",
+        ),
+    ),
+    "all_skipped": (
+        {
+            "seed": 5, "repetitions": 1, "nodes": 12, "qnet_counts": [3],
+            "densities": [0.5], "request_volumes": [100],
+        },
+        (
+            "03b8c0ac0a19ea59206049b7c4e814810a72b906eb06cf1dbcec0e1aebd87258",
+            "1f8b398c396f2f7290bc354f9b5685fd969cb3c6053a551f6d2f9834013b2dc7",
+            "70b9d5a345fce3f5f4a977ccfb3d8a367dc9e3edb8c2c21fcab5e97c10bc5bfd",
+            "0eeb5b1e2a8a363c5b13211f73ce6df7d0fca39fe6699bdc2f03b1e771d50763",
+            "48b1a46e9c6ff3f48dc0e188f65330a5a988de9ed83da76fb3492f1f910df75d",
+            "12918421e4a3221b998d01d7c6075aa13eac3ba23ea75e9c6ba9f007ddccab69",
+            "abadd29ee4327028ba35b1785cd0c2762cbb29378e9b176a10b4a1c35a33ee3e",
+            "7c6951a2809ce04aec5015f215d4816068ba415f27ec16feb7db205f14a8df79",
+            "097aa7120fc6977733cb5d98780b30a12bea16dd3160a6b03a371b8482d08292",
+        ),
+    ),
+}
+
+
 class TestReportCommand:
+    @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+    def test_report_bytes_are_pinned(self, tmp_path, name):
+        cfg, digests = REPORT_DIGESTS[name]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(cfg, output_dir=str(tmp_path / "out"))))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+        got = tuple(
+            hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in REPORT_FILES
+        )
+        assert dict(zip(REPORT_FILES, got)) == dict(zip(REPORT_FILES, digests))
+
     def test_rerender_from_csv_only(self, tmp_path):
         cfg_path, cfg = small_config(tmp_path)
         cli.main(["run", "--config", cfg_path])
