@@ -15,7 +15,6 @@ deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -50,14 +49,6 @@ __all__ = [
     "generate_instances",
 ]
 
-SCHEMAS = {
-    "hops": "mecnet.hops.v1",
-    "parallelism": "mecnet.parallelism.v1",
-    "arqf": "mecnet.arqf.v1",
-    "throughput": "mecnet.throughput.v1",
-}
-
-
 class PipelineMismatch(AssertionError):
     """A pipeline invariant failed on an instance: the measurement sequence
     disagreed with the complement oracle, a scheduled round failed the
@@ -90,29 +81,33 @@ class ExperimentConfig:
     instance_files: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        """Raises one ValueError that names every failed check."""
+        failed = []
         if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
+            failed.append("repetitions must be at least 1")
         if not (self.qnet_counts or self.instance_files):
-            raise ValueError("no experiment selected")
+            failed.append("no experiment selected")
         if not self.request_volumes or not self.timing_grid:
-            raise ValueError("need at least one request volume and timing point")
+            failed.append("need at least one request volume and timing point")
         if self.jobs < 1:
-            raise ValueError("jobs must be positive")
+            failed.append("jobs must be positive")
         for key in ("qnet_counts", "densities", "request_volumes"):
             values = getattr(self, key)
             if len(set(values)) != len(values):
-                raise ValueError(f"{key} repeats a value: {list(values)}")
+                failed.append(f"{key} repeats a value: {list(values)}")
         if self.seed_policy != "greedy_max":
-            raise ValueError(
+            failed.append(
                 f"unknown seed_policy {self.seed_policy!r}; the only scheduler is 'greedy_max'"
             )
+        if failed:
+            raise ValueError("; ".join(failed))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build a config from a JSON object; absent keys keep the field
         defaults.  Unknown keys are rejected with one ValueError, and so are
-        values that do not match their field's annotation, each bad field
-        named, and a value that is not an object."""
+        values that do not match their field's annotation or that their type
+        refuses, each named by its path, and a value that is not an object."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {type(d).__name__} {d!r}")
         hints = get_type_hints(cls)
@@ -127,7 +122,7 @@ class ExperimentConfig:
         for name, value in d.items():
             try:
                 kwargs[name] = _config_value(name, value, hints[name])
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 bad.append(str(exc))
         if bad:
             raise ValueError(f"bad config value(s): {'; '.join(bad)}")
@@ -149,7 +144,8 @@ def _is_number(x: object) -> bool:
 def _config_value(name: str, value: Any, hint: Any) -> Any:
     """A JSON config value as the field type ``hint``: tuple fields from a
     list, checked element by element, and timing points from objects.
-    Raises TypeError naming the field (and the element) on a mismatch."""
+    Raises TypeError naming the field (and the element) on a mismatch, and
+    ValueError with that name prefixed when ``TimingParams`` refuses a point."""
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"{name} must be a list, got {type(value).__name__} {value!r}")
@@ -165,7 +161,10 @@ def _config_value(name: str, value: Any, hint: Any) -> Any:
                 f"{name} must be an object of numbers with keys "
                 f"{', '.join(_TIMING_KEYS)}, got {value!r}"
             )
-        return TimingParams(**value)
+        try:
+            return TimingParams(**value)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
     if hint is float:
         ok = _is_number(value)
     else:
@@ -341,18 +340,26 @@ def run_experiment(cfg: ExperimentConfig) -> list[InstanceResult]:
 
 # -- aggregation and reports ---------------------------------------------------
 
+# table name -> (schema tag, header line).  A table's tag is bumped on its
+# own whenever its columns change; ``render_figures`` refuses any other tag.
+TABLES = {
+    "hops": ("mecnet.hops.v1", "p,k,volume,instances,mec_hops,cqr_hops_mean,cqr_hops_std,hop_reduction"),
+    "parallelism": ("mecnet.parallelism.v1", "p,k,volume,instances,r_bar_mean,r_bar_std,rho_mean,rho_std"),
+    "arqf": ("mecnet.arqf.v1", "p,k,volume,instances,q_cqr_mean,q_mec_pro_mean,q_mec_ond_mean,ond_le_cqr_frac"),
+    "throughput": ("mecnet.throughput.v1", "p,k,volume,lambda,tpm,trm,tpb,trb,r_bar,fm,fb"),
+}
 
-def _csv_text(schema: str, header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    buf.write(f"# {schema}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+
+def _mean(xs) -> Any:
+    """The mean rounded to 6 places (a whole mean of ints stays an int); blank for no values."""
+    xs = list(xs)
+    return round(mean(xs), 6) if xs else ""
 
 
-def _group_key(r: InstanceResult, v: VolumeResult) -> tuple:
-    return (r.p, r.k, v.volume)
+def _std(xs) -> float:
+    """The population standard deviation rounded to 6 places; 0.0 for one value."""
+    xs = list(xs)
+    return round(pstdev(xs), 6) if len(xs) > 1 else 0.0
 
 
 def write_reports(
@@ -371,171 +378,107 @@ def write_reports(
     for r in results:
         for v in r.volumes:
             if not v.skipped:
-                cells.setdefault(_group_key(r, v), []).append(v)
+                cells.setdefault((r.p, r.k, v.volume), []).append(v)
 
-    hops_rows, par_rows, arqf_rows, thr_rows = [], [], [], []
-    for key in sorted(cells):
-        p, k, vol = key
-        vs = cells[key]
-        n = len(vs)
-        r_bar_mean = round(mean(v.r_bar for v in vs), 6)
+    rows: dict[str, list[list]] = {name: [] for name in TABLES}
+    for (p, k, vol), vs in sorted(cells.items()):
         hbars = [v.h_bar for v in vs if v.h_bar is not None]
-        hops_rows.append(
-            [
-                p,
-                k,
-                vol,
-                n,
-                1.0,
-                round(mean(hbars), 6) if hbars else "",
-                round(pstdev(hbars), 6) if len(hbars) > 1 else 0.0,
-                round(mean(1 - 1 / h for h in hbars), 6) if hbars else "",
-            ]
-        )
-        par_rows.append(
-            [
-                p,
-                k,
-                vol,
-                n,
-                r_bar_mean,
-                round(pstdev([v.r_bar for v in vs]), 6) if n > 1 else 0.0,
-                round(mean(v.rho for v in vs), 6),
-                round(pstdev([v.rho for v in vs]), 6) if n > 1 else 0.0,
-            ]
-        )
-        ond_le = mean(1.0 if v.q_ond <= v.q_cqr else 0.0 for v in vs)
-        arqf_rows.append(
-            [
-                p,
-                k,
-                vol,
-                n,
-                round(mean(v.q_cqr for v in vs), 6),
-                round(mean(v.q_pro for v in vs), 6),
-                round(mean(v.q_ond for v in vs), 6),
-                round(ond_le, 6),
-            ]
-        )
+        r_bars, rhos = [v.r_bar for v in vs], [v.rho for v in vs]
+        r_bar = _mean(r_bars)
+        cell = [p, k, vol, len(vs)]
+        hop_reduction = _mean(1 - 1 / h for h in hbars)
+        rows["hops"].append(cell + [1.0, _mean(hbars), _std(hbars), hop_reduction])
+        rows["parallelism"].append(cell + [r_bar, _std(r_bars), _mean(rhos), _std(rhos)])
+        qs = [_mean(getattr(v, q) for v in vs) for q in ("q_cqr", "q_pro", "q_ond")]
+        ond_le = _mean(1.0 if v.q_ond <= v.q_cqr else 0.0 for v in vs)
+        rows["arqf"].append(cell + qs + [ond_le])
         for t in timing_grid:
-            thr_rows.append(
-                [
-                    p,
-                    k,
-                    vol,
-                    float(t.lam),
-                    float(t.tpm),
-                    float(t.trm),
-                    float(t.tpb),
-                    float(t.trb),
-                    r_bar_mean,
-                    round(mean(throughput_mec(t, v.r_bar) for v in vs), 6),
-                    round(throughput_cqr(t), 6),
-                ]
-            )
+            timing = [float(getattr(t, key)) for key in _TIMING_KEYS]
+            fm = _mean(throughput_mec(t, v.r_bar) for v in vs)
+            rows["throughput"].append([p, k, vol, *timing, r_bar, fm, round(throughput_cqr(t), 6)])
 
     paths = {}
-    tables = {
-        "hops": (
-            ["p", "k", "volume", "instances", "mec_hops", "cqr_hops_mean", "cqr_hops_std", "hop_reduction"],
-            hops_rows,
-        ),
-        "parallelism": (
-            ["p", "k", "volume", "instances", "r_bar_mean", "r_bar_std", "rho_mean", "rho_std"],
-            par_rows,
-        ),
-        "arqf": (
-            ["p", "k", "volume", "instances", "q_cqr_mean", "q_mec_pro_mean", "q_mec_ond_mean", "ond_le_cqr_frac"],
-            arqf_rows,
-        ),
-        "throughput": (
-            ["p", "k", "volume", "lambda", "tpm", "trm", "tpb", "trb", "r_bar", "fm", "fb"],
-            thr_rows,
-        ),
-    }
-    for name, (header, rows) in tables.items():
-        path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(SCHEMAS[name], header, rows))
-        paths[name] = path
+    for name, (tag, header) in TABLES.items():
+        paths[name] = os.path.join(out_dir, f"{name}.csv")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(f"# {tag}\n{header}\n")
+            csv.writer(fh, lineterminator="\n").writerows(rows[name])
     return paths
 
 
-def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
-    rows = list(csv.reader(lines))
-    return rows[0], rows[1:]
+# figure -> (table, title, y label, {series label: column}).  A label is a
+# template filled from the table row.  ``arqf`` draws one bar group per row;
+# the others plot each column against ``volume``, leaving out a row with a
+# blank value (the hops of volume 0).
+_FIGURES = {
+    "hops": (
+        "hops",
+        "Average hops per request",
+        "hops",
+        {"CQR k={k} p={p}": "cqr_hops_mean", "MEC (all regimes)": "mec_hops"},
+    ),
+    "parallelism_rbar": (
+        "parallelism",
+        "Scheduler parallelism",
+        "parallel requests per cycle",
+        {"k={k} p={p}": "r_bar_mean"},
+    ),
+    "parallelism_rho": (
+        "parallelism",
+        "Scheduler parallelism",
+        "cycles",
+        {"k={k} p={p}": "rho_mean"},
+    ),
+    "arqf": (
+        "arqf",
+        "Aggregate routing-qubit footprint",
+        "qubits",
+        {"CQR": "q_cqr_mean", "proactive": "q_mec_pro_mean", "on-demand": "q_mec_ond_mean"},
+    ),
+    "throughput": (
+        "throughput",
+        "Throughput",
+        "served per time unit",
+        {"MEC k={k} p={p} lam={lambda}": "fm", "CQR k={k} p={p} lam={lambda}": "fb"},
+    ),
+}
 
 
 def render_figures(out_dir: str) -> list[str]:
-    """Rebuild the SVG figures purely from the CSV tables in ``out_dir``."""
+    """Rebuild the SVG figures purely from the CSV tables in ``out_dir``.
+
+    Raises ValueError, naming the file, when a table's schema line is not
+    the tag that ``TABLES`` holds for it."""
+    tables = {}
+    for name, (tag, _) in TABLES.items():
+        path = os.path.join(out_dir, f"{name}.csv")
+        with open(path, encoding="utf-8") as fh:
+            found = fh.readline().rstrip("\n").removeprefix("# ")
+            if found != tag:
+                raise ValueError(f"{path} has schema tag {found!r}, expected {tag!r}")
+            tables[name] = list(csv.DictReader(fh))
+
     written = []
-
-    header, rows = _read_csv(os.path.join(out_dir, "hops.csv"))
-    series: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        rec = dict(zip(header, row))
-        if rec["cqr_hops_mean"] == "":
-            continue
-        label = f"CQR k={rec['k']} p={rec['p']}"
-        series.setdefault(label, []).append(
-            (float(rec["volume"]), float(rec["cqr_hops_mean"]))
-        )
-        series.setdefault("MEC (all regimes)", []).append((float(rec["volume"]), 1.0))
-    path = os.path.join(out_dir, "hops.svg")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(line_chart(series, "Average hops per request", "requests", "hops"))
-    written.append(path)
-
-    header, rows = _read_csv(os.path.join(out_dir, "parallelism.csv"))
-    rbar: dict[str, list[tuple[float, float]]] = {}
-    rho: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        rec = dict(zip(header, row))
-        label = f"k={rec['k']} p={rec['p']}"
-        rbar.setdefault(label, []).append((float(rec["volume"]), float(rec["r_bar_mean"])))
-        rho.setdefault(label, []).append((float(rec["volume"]), float(rec["rho_mean"])))
-    for name, data, ylab in (
-        ("parallelism_rbar", rbar, "parallel requests per cycle"),
-        ("parallelism_rho", rho, "cycles"),
-    ):
-        path = os.path.join(out_dir, f"{name}.svg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(line_chart(data, "Scheduler parallelism", "requests", ylab))
-        written.append(path)
-
-    header, rows = _read_csv(os.path.join(out_dir, "arqf.csv"))
-    groups = []
-    qc, qp, qo = [], [], []
-    for row in rows:
-        rec = dict(zip(header, row))
-        groups.append(f"k={rec['k']} p={rec['p']} |R|={rec['volume']}")
-        qc.append(float(rec["q_cqr_mean"]))
-        qp.append(float(rec["q_mec_pro_mean"]))
-        qo.append(float(rec["q_mec_ond_mean"]))
-    path = os.path.join(out_dir, "arqf.svg")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            grouped_bars(
-                groups,
-                {"CQR": qc, "proactive": qp, "on-demand": qo},
-                "Aggregate routing-qubit footprint",
+    for name, (table, title, ylabel, columns) in _FIGURES.items():
+        rows = tables[table]
+        if name == "arqf":
+            svg = grouped_bars(
+                [f"k={row['k']} p={row['p']} |R|={row['volume']}" for row in rows],
+                {label: [float(row[col]) for row in rows] for label, col in columns.items()},
+                title,
                 "configuration",
-                "qubits",
+                ylabel,
             )
-        )
-    written.append(path)
-
-    header, rows = _read_csv(os.path.join(out_dir, "throughput.csv"))
-    fm: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        rec = dict(zip(header, row))
-        label = f"k={rec['k']} p={rec['p']} lam={rec['lambda']}"
-        fm.setdefault(f"MEC {label}", []).append((float(rec["volume"]), float(rec["fm"])))
-        fm.setdefault(f"CQR {label}", []).append((float(rec["volume"]), float(rec["fb"])))
-    path = os.path.join(out_dir, "throughput.svg")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(line_chart(fm, "Throughput", "requests", "served per time unit"))
-    written.append(path)
+        else:
+            series: dict[str, list[tuple[float, float]]] = {}
+            for row in rows:
+                if "" not in (row[col] for col in columns.values()):
+                    for label, col in columns.items():
+                        series.setdefault(label.format(**row), []).append(
+                            (float(row["volume"]), float(row[col]))
+                        )
+            svg = line_chart(series, title, "requests", ylabel)
+        written.append(os.path.join(out_dir, f"{name}.svg"))
+        with open(written[-1], "w", encoding="utf-8") as fh:
+            fh.write(svg)
     return written

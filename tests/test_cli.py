@@ -397,6 +397,21 @@ class TestReportCommand:
         assert cli.main(["report", "--out", out]) == cli.EXIT_OK
         assert os.path.exists(os.path.join(out, "hops.svg"))
 
+    def test_report_refuses_a_table_with_another_schema_tag(self, tmp_path, capsys):
+        cfg_path, cfg = small_config(tmp_path)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
+        out = cfg["output_dir"]
+        table = os.path.join(out, "parallelism.csv")
+        text = open(table).read()
+        assert text.startswith("# mecnet.parallelism.v1\n")
+        with open(table, "w") as fh:
+            fh.write(text.replace("# mecnet.parallelism.v1", "# mecnet.parallelism.v0", 1))
+        assert cli.main(["report", "--out", out]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: {table} has schema tag 'mecnet.parallelism.v0', "
+            "expected 'mecnet.parallelism.v1'\n"
+        )
+
     def test_svg_pure_function_of_csv(self, tmp_path):
         cfg_path, cfg = small_config(tmp_path)
         cli.main(["run", "--config", cfg_path])
@@ -431,7 +446,10 @@ class TestUsageErrors:
         cfg_path, _ = small_config(tmp_path, timing_grid=[timing])
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert err == f"usage error: cycle time {prep} + {route} must be positive\n"
+        assert err == (
+            f"usage error: bad config value(s): timing_grid[0]: "
+            f"cycle time {prep} + {route} must be positive\n"
+        )
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize(
@@ -478,21 +496,45 @@ class TestUsageErrors:
         assert not os.path.exists(tmp_path / "out")
 
     def test_every_bad_value_named_in_one_error(self):
-        with pytest.raises(ValueError) as info:
-            ExperimentConfig.from_dict({
-                "jobs": True,
-                "qnet_counts": [4, 6.0],
-                "timing_grid": [{"lam": 10, "tpm": 3, "trm": 1, "tpb": 4}],
-                "output_dir": "out",
-                "seed_policy": 3,
-            })
-        assert str(info.value) == (
-            "bad config value(s): jobs must be int, got bool True; "
-            "qnet_counts[1] must be int, got float 6.0; "
-            "timing_grid[0] must be an object of numbers with keys lam, tpm, trm, tpb, trb, "
-            "got {'lam': 10, 'tpm': 3, 'trm': 1, 'tpb': 4}; "
-            "seed_policy must be str, got int 3"
-        )
+        timing = {"lam": 10, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1}
+        cases = [
+            (
+                {
+                    "jobs": True,
+                    "qnet_counts": [4, 6.0],
+                    "timing_grid": [{"lam": 10, "tpm": 3, "trm": 1, "tpb": 4}],
+                    "output_dir": "out",
+                    "seed_policy": 3,
+                },
+                "bad config value(s): jobs must be int, got bool True; "
+                "qnet_counts[1] must be int, got float 6.0; "
+                "timing_grid[0] must be an object of numbers with keys lam, tpm, trm, tpb, trb, "
+                "got {'lam': 10, 'tpm': 3, 'trm': 1, 'tpb': 4}; "
+                "seed_policy must be str, got int 3",
+            ),
+            # a value its type refuses is named by its path next to the type errors
+            (
+                {"jobs": True, "timing_grid": [timing, dict(timing, lam=0)]},
+                "bad config value(s): jobs must be int, got bool True; "
+                "timing_grid[1]: lam must be positive",
+            ),
+            (
+                {"jobs": True, "timing_grid": [dict(timing, lam=0)]},
+                "bad config value(s): jobs must be int, got bool True; "
+                "timing_grid[0]: lam must be positive",
+            ),
+            # every failed check of the whole config, not only the first
+            ({"jobs": 0, "repetitions": 0}, "repetitions must be at least 1; jobs must be positive"),
+            (
+                {"jobs": 0, "repetitions": 0, "request_volumes": [4, 4]},
+                "repetitions must be at least 1; jobs must be positive; "
+                "request_volumes repeats a value: [4, 4]",
+            ),
+        ]
+        for config, message in cases:
+            with pytest.raises(ValueError) as info:
+                ExperimentConfig.from_dict(config)
+            assert str(info.value) == message
         cfg = ExperimentConfig.from_dict({"densities": [1, 0.5], "instance_files": ["a.txt"]})
         assert cfg.densities == (1, 0.5) and cfg.instance_files == ("a.txt",)
 
