@@ -220,12 +220,12 @@ def run_instance(
         measured, _ = mec_complementation(cg)
     except ValueError as exc:
         raise PipelineMismatch(
-            f"measurement sequence failed: {exc}", instance_to_text(cg)
+            f"measurement sequence failed: {exc}", instance_to_text(iq)
         ) from exc
     if measured.graph != oracle.graph:
         raise PipelineMismatch(
             "complementation mismatch against the edge-set oracle",
-            instance_to_text(cg),
+            instance_to_text(iq),
         )
     # the complement just checked against the measured graph is also the
     # one every batch is sampled from and scheduled on, so the scheduler's
@@ -245,14 +245,14 @@ def run_instance(
             table = dynamic_parallel_pairs(cg, rs, complement=oracle)
         except ParallelPairViolation as exc:
             raise PipelineMismatch(
-                f"parallel-pair violation: {exc}", instance_to_text(cg)
+                f"parallel-pair violation: {exc}", instance_to_text(iq)
             ) from exc
         paths, h_bar, chi = cqr_batch(cg, rs.requests)
         adjacent = [p_.request for p_ in paths if p_.hops < 2]
         if adjacent:
             raise PipelineMismatch(
                 f"requests {adjacent} route in one hop; remote requests start non-adjacent",
-                instance_to_text(cg),
+                instance_to_text(iq),
             )
         n = len(rs.requests)
         vr.rho = table.rho
@@ -317,8 +317,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[InstanceResult]:
         results = []
         for i, path in enumerate(cfg.instance_files):
             with open(path, encoding="utf-8") as fh:
-                net = instance_from_text(fh.read())
-            iq = net if isinstance(net, InterQNet) else net.data
+                iq = instance_from_text(fh.read())
             req_seed = derive_seed(cfg.seed, i, 17)
             results.append(
                 run_instance(iq, cfg.request_volumes, req_seed, iq.partition.k, -1.0, i)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import Graph
-from .pairs import RequestSet, canonical_edge
+from .pairs import RequestSet
 from .qnet import InterQNet, QNetPartition, complement_inter_qnet
 
 __all__ = ["GenConfig", "InsufficientPairsError", "generate_inter_qnet", "sample_requests"]
@@ -95,16 +95,13 @@ def generate_inter_qnet(cfg: GenConfig) -> InterQNet:
     rng = np.random.default_rng(cfg.rng_seed)
     membership = _membership(cfg)
     n = cfg.node_count
-    tree = {canonical_edge(u, v) for u, v in _uniform_spanning_tree(membership, rng)}
-    candidates = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if membership[u] != membership[v] and (u, v) not in tree
-    ]
+    part = QNetPartition(cfg.k, membership)
+    tree = InterQNet(Graph(n, _uniform_spanning_tree(membership, rng)), part)
+    # the cross-domain pairs not in the tree, in lexicographic order
+    candidates = complement_inter_qnet(tree).graph.edges()
     draws = rng.random(len(candidates))
-    edges = sorted(tree) + [e for e, x in zip(candidates, draws) if x < cfg.p]
-    iq = InterQNet(Graph(n, edges), QNetPartition(cfg.k, membership))
+    edges = tree.graph.edges() + [e for e, x in zip(candidates, draws) if x < cfg.p]
+    iq = InterQNet(Graph(n, edges), part)
     if not iq.connected:
         raise RuntimeError("spanning-tree construction must yield a connected graph")
     return iq

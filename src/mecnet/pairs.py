@@ -24,7 +24,6 @@ __all__ = [
     "RequestSet",
     "CandidateList",
     "ParallelPairTable",
-    "canonical_edge",
     "compatible",
     "parallel_pair_candidates",
     "check_parallel_pairable",

@@ -13,7 +13,8 @@ cross-domain complement; Z-measuring them restores the original network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable
 
 from .graph import Graph, MeasurementRecord, bits, graph_from_edgelist, graph_to_edgelist, z_record
 from .graph import _int_fields
@@ -34,16 +35,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QNetPartition:
-    """Assignment of data vertices to QNets 1..k plus control-node ids.
+    """Assignment of data vertices to QNets 1..k.
 
-    ``membership[v]`` is the QNet index of data vertex ``v``.  Control ids
-    live outside the membership range; when k is odd the final control has
-    no QNet of its own.
+    ``membership[v]`` is the QNet index of data vertex ``v``.
     """
 
     k: int
     membership: tuple[int, ...]
-    control_nodes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -53,12 +51,6 @@ class QNetPartition:
         for a in range(1, self.k + 1):
             if a not in self.membership:
                 raise ValueError(f"QNet {a} is empty")
-        if self.control_nodes and len(self.control_nodes) != self.k_prime:
-            raise ValueError(
-                f"expected {self.k_prime} control nodes, got {len(self.control_nodes)}"
-            )
-        if set(self.control_nodes) & set(range(self.data_count)):
-            raise ValueError("control nodes must not be data vertices")
 
     @property
     def k_prime(self) -> int:
@@ -67,6 +59,14 @@ class QNetPartition:
     @property
     def data_count(self) -> int:
         return len(self.membership)
+
+    @cached_property
+    def control_nodes(self) -> tuple[int, ...]:
+        """Ids of the k' controls of the controlled network, right after the
+        data vertices; control a joins QNet a, and when k is odd the last
+        one has no QNet of its own."""
+        d, kp = self.data_count, self.k_prime
+        return tuple(range(d, d + kp))
 
     def members(self, a: int) -> list[int]:
         return [v for v, qa in enumerate(self.membership) if qa == a]
@@ -112,8 +112,6 @@ class InterQNet:
     partition: QNetPartition
 
     def __post_init__(self) -> None:
-        if self.partition.control_nodes:
-            raise ValueError("InterQNet carries no control nodes")
         if self.graph.vertex_count != self.partition.data_count:
             raise ValueError("graph size does not match the partition")
         if self.graph.alive_count != self.graph.vertex_count:
@@ -130,8 +128,9 @@ class InterQNet:
 class ControlledInterQNet:
     """Inter-QNet augmented with a fully connected control layer.
 
-    ``graph`` and ``partition`` are built from ``data``, the only field:
-    controls ``d .. d + k' - 1`` follow the ``d`` data vertices."""
+    ``graph`` is built from ``data``, the only field, and ``partition`` is
+    the data network's own: controls ``partition.control_nodes`` follow the
+    ``d`` data vertices."""
 
     data: InterQNet
     graph: Graph = field(init=False, repr=False, compare=False)
@@ -140,16 +139,15 @@ class ControlledInterQNet:
     def __post_init__(self) -> None:
         part, g = self.data.partition, self.data.graph
         d, kp = part.data_count, part.k_prime
-        controls = tuple(range(d, d + kp))
         # data vertex v keeps its links and gains its QNet's control; each
         # control gets the clique minus itself plus its QNet's members
         clique = ((1 << kp) - 1) << d
         members = part.qnet_masks()[1:] + [0] * (kp - part.k)
         adj = [g.neighbor_mask(v) | 1 << (d + a - 1) for v, a in enumerate(part.membership)]
-        adj += [clique & ~(1 << c) | m for c, m in zip(controls, members)]
+        adj += [clique & ~(1 << c) | m for c, m in zip(part.control_nodes, members)]
         graph = Graph._from_parts(d + kp, tuple(adj), (1 << (d + kp)) - 1)
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "partition", QNetPartition(part.k, part.membership, controls))
+        object.__setattr__(self, "partition", part)
 
     @property
     def data_count(self) -> int:
@@ -187,13 +185,13 @@ def mec_complementation(cg: ControlledInterQNet) -> tuple[InterQNet, list[Measur
     for c in cg.partition.control_nodes:
         g, rec = g.measure_x(c, k0)
         records.append(rec)
-    return InterQNet(g.restrict(cg.data_count), cg.data.partition), records
+    return InterQNet(g.restrict(cg.data_count), cg.partition), records
 
 
 def restore_original(cg: ControlledInterQNet) -> InterQNet:
     """Z-measure every control node, recovering the original network."""
     g = cg.graph.keep((1 << cg.data_count) - 1)
-    return InterQNet(g.restrict(cg.data_count), cg.data.partition)
+    return InterQNet(g.restrict(cg.data_count), cg.partition)
 
 
 def extract_epr(
@@ -237,32 +235,28 @@ def extract_epr(
 # -- instance files ----------------------------------------------------------
 
 
-def instance_to_text(net: "InterQNet | ControlledInterQNet") -> str:
-    """Serialize a network: the :func:`graph_to_edgelist` text, then one
-    ``qnet a: v,...`` line per QNet and, if present, a ``control:`` line."""
-    part = net.partition
+def instance_to_text(iq: InterQNet) -> str:
+    """Serialize a data network: the :func:`graph_to_edgelist` text, then
+    one ``qnet a: v,...`` line per QNet.  The control layer is not written;
+    :func:`build_controlled` makes it from the data network alone."""
+    part = iq.partition
     lines = [
         f"qnet {a}: " + ",".join(str(v) for v in part.members(a))
         for a in range(1, part.k + 1)
     ]
-    if part.control_nodes:
-        lines.append("control: " + ",".join(str(c) for c in part.control_nodes))
-    return graph_to_edgelist(net.graph) + "\n".join(lines) + "\n"
+    return graph_to_edgelist(iq.graph) + "\n".join(lines) + "\n"
 
 
-def instance_from_text(text: str) -> "InterQNet | ControlledInterQNet":
+def instance_from_text(text: str) -> InterQNet:
     """Parse :func:`instance_to_text` output.
 
-    The ``qnet`` and ``control`` lines are read here and every other line
-    by :func:`graph_from_edgelist`, so the ``n=`` header must come before
-    the edges.  A malformed line raises ValueError naming it.  With a
-    ``control:`` line, the file must hold exactly the controlled network
-    that :func:`build_controlled` makes of its data vertices.
+    The ``qnet`` lines are read here and every other line by
+    :func:`graph_from_edgelist`, so the ``n=`` header must come before the
+    edges.  A malformed line raises ValueError naming it.
     """
     graph_lines = []
     qnet_ids: set[int] = set()
     qnet_of: dict[int, int] = {}
-    controls: Optional[tuple[int, ...]] = None
     for raw in text.splitlines():
         line = raw.strip()
         head, sep, body = line.partition(":")
@@ -278,10 +272,6 @@ def instance_from_text(text: str) -> "InterQNet | ControlledInterQNet":
                         f"malformed line: {line!r}: vertex {v} is already in QNet {qnet_of[v]}"
                     )
                 qnet_of[v] = a
-        elif words == ["control"] and sep:
-            if controls is not None:
-                raise ValueError(f"malformed line: {line!r}")
-            controls = _int_fields(line, body.split(","))
         else:
             graph_lines.append(line)
     g = graph_from_edgelist("\n".join(graph_lines))
@@ -291,17 +281,4 @@ def instance_from_text(text: str) -> "InterQNet | ControlledInterQNet":
         raise ValueError(f"malformed instance: data vertex {missing[0]} is in no QNet")
     # QNetPartition rejects QNet ids outside 1..k and empty QNets
     k = max(qnet_ids, default=0)
-    part = QNetPartition(k, tuple(qnet_of[v] for v in range(d)))
-    if controls is None:
-        return InterQNet(g, part)
-    kp = part.k_prime
-    want = tuple(range(d, d + kp))
-    if controls != want:
-        raise ValueError(f"malformed instance: control ids {controls}, expected {want}")
-    if g.vertex_count != d + kp:
-        raise ValueError(f"malformed instance: {g.vertex_count} vertices, expected {d + kp}")
-    cg = ControlledInterQNet(InterQNet(g.keep((1 << d) - 1).restrict(d), part))
-    for v in range(g.vertex_count):
-        if g.neighbor_mask(v) != cg.graph.neighbor_mask(v):
-            raise ValueError(f"malformed instance: vertex {v} lacks or adds a control link")
-    return cg
+    return InterQNet(g, QNetPartition(k, tuple(qnet_of[v] for v in range(d))))

@@ -37,8 +37,6 @@ __all__ = [
 def walk_mec_window(t: TimingParams) -> int:
     """Completed proactive cycles in one window, by laying blocks."""
     lam, tp, tr = _frac(t.lam), _frac(t.tpm), _frac(t.trm)
-    if tp + tr == 0:
-        raise ValueError("cycle time must be positive")
     if lam < tr:
         return 0  # routing alone overruns the window
     if lam < tp + tr:
@@ -54,8 +52,6 @@ def walk_mec_window(t: TimingParams) -> int:
 def walk_cqr_window(t: TimingParams) -> int:
     """Completed on-demand cycles in one window, by laying blocks."""
     lam, tp, tr = _frac(t.lam), _frac(t.tpb), _frac(t.trb)
-    if tp + tr == 0:
-        raise ValueError("cycle time must be positive")
     count = 0
     clock = Fraction(0)
     while clock + tp + tr <= lam:
@@ -84,8 +80,6 @@ def simulate_mec_long_run(t: TimingParams, windows: int = 4096) -> LongRunResult
     ``lam == trm`` still hosts the routing stage.
     """
     lam, tp, tr = _frac(t.lam), _frac(t.tpm), _frac(t.trm)
-    if tp + tr == 0:
-        raise ValueError("cycle time must be positive")
     horizon = lam * windows
     ready = Fraction(0)  # proactively prepared before the first arrival
     completions = 0

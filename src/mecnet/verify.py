@@ -100,7 +100,7 @@ def suite_complement(trials: int = 1000, seed: int = 20240) -> SuiteResult:
         except (ValueError, AssertionError):
             ok = False  # a broken rule may derail the sequence entirely
         if not ok:
-            res.failures.append(instance_to_text(cg))
+            res.failures.append(instance_to_text(iq))
     return res
 
 

@@ -213,12 +213,14 @@ class TestGenerateAndRunFromFiles:
         assert err == "usage error: malformed line: 'qnet: 0,1'\n"
 
     def test_controlled_file_with_a_foreign_control_layer_is_usage_error(self, tmp_path, capsys):
+        # an instance file holds the data network only; a control line is
+        # refused whatever control layer it names
         inst = tmp_path / "bad.txt"
         inst.write_text("n=4\n0 1\n0 2\n1 3\n2 3\nqnet 1: 0\nqnet 2: 1\ncontrol: 3,2\n")
         cfg_path, _ = small_config(tmp_path, instance_files=[str(inst)])
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert err == "usage error: malformed instance: control ids (3, 2), expected (2, 3)\n"
+        assert err == "usage error: malformed line: 'control: 3,2'\n"
         assert not os.path.exists(tmp_path / "out")
 
     def test_metadata_contents(self, tmp_path):
@@ -596,8 +598,18 @@ class TestPipelineMismatchPath:
         monkeypatch.setattr(Graph, "measure_x", corrupted)
         cfg_path, cfg = small_config(tmp_path, repetitions=1, densities=[0.5], jobs=2)
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_VERIFY
-        dump = open(os.path.join(cfg["output_dir"], "mismatch_instance.txt")).read()
-        assert dump.startswith("n=") and "control:" in dump
+        dump_path = os.path.join(cfg["output_dir"], "mismatch_instance.txt")
+        dump = open(dump_path).read()
+        assert dump.startswith("n=") and "control:" not in dump
+        # the dump replays: the same fault again while the rule is corrupted,
+        # a clean run once it is restored
+        replay = tmp_path / "replay"
+        replay.mkdir()
+        replay_cfg, replay_over = small_config(replay, instance_files=[dump_path])
+        assert cli.main(["run", "--config", replay_cfg]) == cli.EXIT_VERIFY
+        assert open(os.path.join(replay_over["output_dir"], "mismatch_instance.txt")).read() == dump
+        monkeypatch.setattr(Graph, "measure_x", original)
+        assert cli.main(["run", "--config", replay_cfg]) == cli.EXIT_OK
 
     def test_parallel_pair_violation_dumps_instance(self, tmp_path, monkeypatch, capsys):
         # every request declared compatible: the scheduler's own check of
