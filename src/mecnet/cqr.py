@@ -10,9 +10,8 @@ off neighbor masks in closed form; no search is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .graph import bits
 from .qnet import ControlledInterQNet
 
 __all__ = ["CqrPath", "route_cqr", "cqr_batch"]
@@ -48,29 +47,38 @@ def route_cqr(cg: ControlledInterQNet, req: tuple[int, int]) -> CqrPath:
     ``N(v)`` meets ``N(d)``, then the lowest vertex of ``N(v) & N(d)``.
     """
     s, d = req
-    g = cg.graph
+    return _route(cg.graph.adjacency, cg.partition.data_count, s, d)
+
+
+def _route(adj: Sequence[int], data_count: int, s: int, d: int) -> CqrPath:
+    """:func:`route_cqr` on the neighbor masks ``adj`` of the controlled
+    graph, whose controls are the ids from ``data_count`` on."""
     if s == d:
         raise ValueError("source equals destination")
-    ns = g.neighbor_mask(s)
-    nd = g.neighbor_mask(d)
+    n = len(adj)
+    if not (0 <= s < n and 0 <= d < n):
+        raise ValueError(f"invalid vertex id {s if not 0 <= s < n else d}")
+    ns, nd = adj[s], adj[d]
     if ns >> d & 1:
         inter: tuple[int, ...] = ()
     elif ns & nd:
         inter = (_low(ns & nd),)
     else:
-        for v in bits(ns):
-            shared = g.neighbor_mask(v) & nd
+        while ns:
+            low = ns & -ns
+            ns ^= low
+            v = low.bit_length() - 1
+            shared = adj[v] & nd
             if shared:
                 inter = (v, _low(shared))
                 break
         else:
-            raise ValueError(f"request {req} has no route of at most three hops")
-    controls = cg.partition.control_nodes
+            raise ValueError(f"request {(s, d)} has no route of at most three hops")
     return CqrPath(
         request=(s, d),
         hops=len(inter) + 1,
         intermediates=inter,
-        via_control=any(v in controls for v in inter),
+        via_control=max(inter, default=-1) >= data_count,
     )
 
 
@@ -84,7 +92,8 @@ def cqr_batch(
     total intermediate count ``chi``; the batch's routing-qubit footprint
     follows from it as ``metrics.arqf_cqr(len(requests), chi)``.
     """
-    paths = [route_cqr(cg, r) for r in requests]
+    adj, data_count = cg.graph.adjacency, cg.partition.data_count
+    paths = [_route(adj, data_count, s, d) for s, d in requests]
     chi = sum(len(p.intermediates) for p in paths)
     h_bar = sum(p.hops for p in paths) / len(paths) if paths else None
     return paths, h_bar, chi

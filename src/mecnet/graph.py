@@ -150,6 +150,12 @@ class Graph:
     def alive_mask(self) -> int:
         return self._alive
 
+    @property
+    def adjacency(self) -> tuple[int, ...]:
+        """The neighbor mask of every slot by id, 0 for a dead slot.  Unlike
+        :meth:`neighbor_mask` it checks no id: a negative one wraps around."""
+        return self._adj
+
     def neighbor_mask(self, v: int) -> int:
         self._check_vertex(v)
         return self._adj[v]
@@ -165,9 +171,12 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         out = []
-        for u in bits(self._alive):
-            for v in bits(self._adj[u] >> (u + 1) << (u + 1)):
-                out.append((u, v))
+        for u, a in enumerate(self._adj):
+            m = a >> (u + 1)
+            while m:
+                low = m & -m
+                m ^= low
+                out.append((u, u + low.bit_length()))
         return out
 
     @property

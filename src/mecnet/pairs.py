@@ -129,14 +129,13 @@ def parallel_pair_candidates(g: Graph, targets: Iterable[Edge]) -> CandidateList
 
     One free-vertex mask per target (see :class:`CandidateList`).
     """
-    alive = g.alive_mask
+    adj, n, alive = g.adjacency, g.vertex_count, g.alive_mask
     free: dict[Edge, int] = {}
     for t in targets:
         a, b = t = canonical_edge(*t)
-        if not (a >= 0 and b < g.vertex_count and g.has_edge(a, b)):
+        if not (a >= 0 and b < n and adj[a] >> b & 1):
             raise ValueError(f"target {t} is not an edge")
-        reach = (1 << a) | (1 << b) | g.neighbor_mask(a) | g.neighbor_mask(b)
-        free[t] = alive & ~reach
+        free[t] = alive & ~((1 << a) | (1 << b) | adj[a] | adj[b])
     return CandidateList(g, free)
 
 
@@ -150,16 +149,21 @@ def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
     its endpoints or their neighbors, that is with ``near[a] | near[b]``.
     The callers check that every entry of ``edges`` is an edge of ``g``.
     """
+    adj = g.adjacency
     touching = [0] * g.vertex_count
     touched = 0
     for i, (a, b) in enumerate(edges):
         touching[a] |= 1 << i
         touching[b] |= 1 << i
         touched |= (1 << a) | (1 << b)
-    near = touching[:]
-    for v in bits(touched):
-        for u in bits(g.neighbor_mask(v) & touched):
-            near[v] |= touching[u]
+    near = []
+    for v, t in enumerate(touching):
+        us = adj[v] & touched if t else 0
+        while us:
+            low = us & -us
+            us ^= low
+            t |= touching[low.bit_length() - 1]
+        near.append(t)
     full = (1 << len(edges)) - 1
     return [full & ~(near[a] | near[b]) for a, b in edges]
 
@@ -235,10 +239,13 @@ def dynamic_parallel_pairs(
     if complement is None:
         complement = complement_inter_qnet(cg.data)
     cgraph = complement.graph
-    requests = [canonical_edge(*e) for e in r]
-    for e in requests:
-        if not cgraph.has_edge(*e):
-            raise RequestNotInComplement(f"request {e} is not a complement edge")
+    adj, n = cgraph.adjacency, cgraph.vertex_count
+    requests = [(u, v) if u < v else (v, u) for u, v in r]
+    for a, b in requests:
+        if not (a >= 0 and b < n):
+            raise ValueError(f"invalid vertex id {a if not 0 <= a < n else b}")
+        if not adj[a] >> b & 1:
+            raise RequestNotInComplement(f"request {(a, b)} is not a complement edge")
     if len(set(requests)) != len(requests):
         raise RequestError("duplicate requests")
 
@@ -272,18 +279,19 @@ def dynamic_parallel_pairs(
 def _assert_table_valid(g: Graph, table: ParallelPairTable, requests: Sequence[Edge]) -> None:
     """Check ``table`` against the paper's whole-edge-set formulation.
 
-    The groups must partition ``requests``, and every member's candidate
-    list must hold the rest of its group.  With candidate lists held as
-    free-vertex masks, that is one mask test per member: the endpoints of
-    the rest of its group lie in its free mask.  A shared endpoint fails
-    too, as the other end of either edge neighbors it.  Raises
-    ParallelPairViolation.
+    The groups must partition ``requests`` (which hold no duplicate), and
+    every member's candidate list must hold the rest of its group, one
+    mask test per member of a group of two or more (a singleton has no
+    rest): the endpoints of the rest lie in the member's free mask.  A
+    shared endpoint fails too, as the other end of either edge neighbors
+    it.  Raises ParallelPairViolation.
     """
-    got = sorted(e for grp in table.groups for e in grp)
-    if got != sorted(requests):
+    got = [e for grp in table.groups for e in grp]
+    if len(got) != len(requests) or set(got) != set(requests):
         raise ParallelPairViolation("groups must partition the request set")
-    cl = parallel_pair_candidates(g, requests)
-    for grp in table.groups:
+    multi = [grp for grp in table.groups if len(grp) > 1]
+    cl = parallel_pair_candidates(g, [e for grp in multi for e in grp])
+    for grp in multi:
         ends = 0
         for a, b in grp:
             ends |= (1 << a) | (1 << b)

@@ -143,7 +143,7 @@ class ControlledInterQNet:
         # control gets the clique minus itself plus its QNet's members
         clique = ((1 << kp) - 1) << d
         members = part.qnet_masks()[1:] + [0] * (kp - part.k)
-        adj = [g.neighbor_mask(v) | 1 << (d + a - 1) for v, a in enumerate(part.membership)]
+        adj = [m | 1 << (d + a - 1) for m, a in zip(g.adjacency, part.membership)]
         adj += [clique & ~(1 << c) | m for c, m in zip(part.control_nodes, members)]
         graph = Graph._from_parts(d + kp, tuple(adj), (1 << (d + kp)) - 1)
         object.__setattr__(self, "graph", graph)
@@ -165,8 +165,8 @@ def complement_inter_qnet(iq: InterQNet) -> InterQNet:
     qmasks = part.qnet_masks()
     full = (1 << part.data_count) - 1
     adj = tuple(
-        full & ~qmasks[a] & ~iq.graph.neighbor_mask(u)
-        for u, a in enumerate(part.membership)
+        full & ~qmasks[a] & ~m
+        for m, a in zip(iq.graph.adjacency, part.membership)
     )
     return InterQNet(Graph._from_parts(part.data_count, adj, full), part)
 

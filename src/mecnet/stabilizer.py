@@ -122,7 +122,7 @@ def graph_state(g: Graph) -> StabilizerTableau:
     """
     if g.vertex_count > ORACLE_MAX_QUBITS:
         raise ValueError(f"oracle limit is {ORACLE_MAX_QUBITS} qubits")
-    rows = tuple((1 << i, g.neighbor_mask(i), 0) for i in range(g.vertex_count))
+    rows = tuple((1 << i, m, 0) for i, m in enumerate(g.adjacency))
     return StabilizerTableau(g.vertex_count, rows)
 
 

@@ -133,7 +133,7 @@ class TestRouteCqr:
         # not a controlled network: a bare path of five vertices
         net = SimpleNamespace(
             graph=Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
-            partition=SimpleNamespace(control_nodes=()),
+            partition=SimpleNamespace(data_count=5),  # no controls
         )
         assert route_cqr(net, (0, 3)).intermediates == (1, 2)
         with pytest.raises(ValueError, match="at most three hops"):
@@ -142,6 +142,18 @@ class TestRouteCqr:
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):
             route_cqr(_cg([(0, 3)], 2, (1, 1, 2, 2)), (1, 1))
+
+    def test_out_of_range_ids_rejected(self):
+        # the last vertex (a control) neighbors 3, so a negative id that
+        # wrapped around would route (-1, 3) in one hop
+        cg = _cg([(0, 3), (1, 2)], 2, (1, 1, 2, 2))
+        n = cg.graph.vertex_count
+        assert cg.graph.has_edge(n - 1, 3)
+        for bad, name in [((-1, 3), -1), ((0, n), n)]:
+            with pytest.raises(ValueError, match=rf"^invalid vertex id {name}$"):
+                route_cqr(cg, bad)
+            with pytest.raises(ValueError, match=rf"^invalid vertex id {name}$"):
+                cqr_batch(cg, [(0, 3), bad])
 
     @settings(max_examples=150, deadline=None)
     @given(controlled_networks())
@@ -179,6 +191,20 @@ class TestCqrBatch:
         cg = _cg([(0, 3), (1, 2)], 2, (1, 1, 2, 2))
         paths, h_bar, chi = cqr_batch(cg, [])
         assert paths == [] and h_bar is None and chi == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(controlled_networks())
+    def test_agrees_with_route_cqr_and_bfs_reference(self, cg):
+        n = cg.graph.vertex_count
+        reqs = list(itertools.permutations(range(n), 2))
+        dists = [bfs_dist(cg.graph, d) for d in range(n)]
+        want = [reference_route(cg, (s, d), dists[d]) for s, d in reqs]
+        paths, h_bar, chi = cqr_batch(cg, reqs)
+        assert paths == [route_cqr(cg, r) for r in reqs] == want
+        assert h_bar == sum(p.hops for p in want) / len(want)
+        assert chi == sum(len(p.intermediates) for p in want)
+        controls = cg.partition.control_nodes
+        assert [p.via_control for p in paths] == [any(v in controls for v in p.intermediates) for p in paths]
 
     def test_chi_identity(self):
         rnd = random.Random(41)

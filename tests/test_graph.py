@@ -188,6 +188,18 @@ class TestKeep:
         assert got == want
 
 
+class TestAdjacency:
+    @settings(max_examples=300, deadline=None)
+    @given(graph_with_dead_slots_and_mask())
+    def test_edges_and_adjacency_agree_with_neighbor_masks(self, case):
+        g, mask = case
+        g = g.keep(mask)
+        n = g.vertex_count
+        assert g.adjacency == tuple(g.neighbor_mask(v) for v in range(n))
+        pairs = itertools.combinations(range(n), 2)
+        assert g.edges() == [(u, v) for u, v in pairs if g.has_edge(u, v)]
+
+
 class TestComponents:
     @settings(max_examples=300, deadline=None)
     @given(graph_with_dead_slots_and_mask())

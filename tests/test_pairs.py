@@ -322,6 +322,19 @@ class TestDynamicParallelPairs:
         with pytest.raises(RequestError, match="duplicate requests"):
             dynamic_parallel_pairs(cg, [(0, 5), (5, 0)])
 
+    def test_out_of_range_ids_rejected(self):
+        # the last complement vertex neighbors 1, so a negative id that
+        # wrapped around would read (-1, 1) as a complement edge
+        cg = build_controlled(two_domains_of_three())
+        comp = complement_inter_qnet(cg.data).graph
+        n = comp.vertex_count
+        assert comp.has_edge(n - 1, 1)
+        for bad, name in [((-1, 1), -1), ((0, n), n)]:
+            with pytest.raises(ValueError, match=rf"^invalid vertex id {name}$"):
+                dynamic_parallel_pairs(cg, [(0, 5), bad])
+            with pytest.raises(ValueError, match=rf"^target \({bad[0]}, {bad[1]}\) is not an edge$"):
+                parallel_pair_candidates(comp, [bad])
+
     def test_partitions_and_groups_pairable(self):
         rnd = random.Random(33)
         for seed in range(40):
@@ -400,6 +413,35 @@ class TestDynamicParallelPairs:
         e, extra = bad[0]
         assert str(info.value) == f"group member {e} conflicts with {extra}"
         assert info.value.extra_edges == tuple(extra)
+
+    @staticmethod
+    def _sparse_batch():
+        """An eval-scale batch at p=0.2, where most groups are singletons."""
+        iq = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.2, derive_seed(1, 4, 2)))
+        comp = complement_inter_qnet(iq)
+        rs = sample_requests(iq, 200, derive_seed(2, 4, 200))
+        groups = dynamic_parallel_pairs(build_controlled(iq), rs, complement=comp).groups
+        singles = [min(grp) for grp in groups if len(grp) == 1]
+        assert len(singles) > len(groups) // 2
+        return comp.graph, rs.requests, groups, singles
+
+    def test_check_finds_one_conflicting_pair_among_singletons(self):
+        g, requests, groups, singles = self._sparse_batch()
+        pairs = itertools.combinations(singles, 2)
+        e, f = next((e, f) for e, f in pairs if not compatible(g, e, f))
+        merged = [grp for grp in groups if grp not in ({e}, {f})]
+        merged.insert(len(merged) // 2, frozenset({e, f}))
+        lo, hi = sorted((e, f))
+        with pytest.raises(ParallelPairViolation) as info:
+            _assert_table_valid(g, ParallelPairTable(tuple(merged)), requests)
+        assert str(info.value) == f"group member {lo} conflicts with {[hi]}"
+        assert info.value.extra_edges == (hi,)
+
+    def test_check_refuses_a_repeated_request_in_place_of_another(self):
+        g, requests, groups, singles = self._sparse_batch()
+        table = [frozenset({singles[0]}) if grp == {singles[1]} else grp for grp in groups]
+        with pytest.raises(ParallelPairViolation, match="^groups must partition the request set$"):
+            _assert_table_valid(g, ParallelPairTable(tuple(table)), requests)
 
     def test_table_violations_raise_under_optimize(self):
         script = "\n".join([
