@@ -99,6 +99,19 @@ class ExperimentConfig:
             failed.append(
                 f"unknown seed_policy {self.seed_policy!r}; the only scheduler is 'greedy_max'"
             )
+        # each grid cell must give a network that GenConfig, where the
+        # generator's rules are stated, accepts
+        for i, k in enumerate(self.qnet_counts):
+            for j, p in enumerate(self.densities):
+                try:
+                    GenConfig(k, even_sizes(self.nodes, k) if k > 0 else (), p, 0)
+                except ValueError as exc:
+                    cell = f"nodes={self.nodes}, qnet_counts[{i}]={k}, densities[{j}]={p}"
+                    failed.append(f"grid cell {cell}: {exc}")
+        failed += [
+            f"request_volumes[{i}] must be non-negative, got {vol}"
+            for i, vol in enumerate(self.request_volumes) if vol < 0
+        ]
         if failed:
             raise ValueError("; ".join(failed))
 
@@ -207,12 +220,7 @@ class InstanceResult:
 
 
 def run_instance(
-    iq: InterQNet,
-    volumes: Sequence[int],
-    request_seed: int,
-    k: int,
-    p: float,
-    rep: int,
+    iq: InterQNet, volumes: Sequence[int], request_seed: int, p: float, rep: int
 ) -> InstanceResult:
     cg = build_controlled(iq)
     oracle = complement_inter_qnet(iq)
@@ -231,7 +239,7 @@ def run_instance(
     # one every batch is sampled from and scheduled on, so the scheduler's
     # round check stands for extraction on the measured graph
     pool = oracle.graph.edges()
-    out = InstanceResult(k=k, p=p, rep=rep)
+    out = InstanceResult(k=iq.partition.k, p=p, rep=rep)
     part = iq.partition
     for vi, vol in enumerate(volumes):
         vr = VolumeResult(volume=vol)
@@ -276,7 +284,7 @@ def _run_task(args: tuple) -> InstanceResult:
     cfg_seed, nodes, k, p, rep, volumes = args
     _, iq = _generated(cfg_seed, nodes, k, p, rep)
     req_seed = derive_seed(cfg_seed, k, int(p * 1_000_000), rep, 17)
-    return run_instance(iq, volumes, req_seed, k, p, rep)
+    return run_instance(iq, volumes, req_seed, p, rep)
 
 
 def generate_instances(cfg: ExperimentConfig, out_dir: str) -> list[str]:
@@ -319,9 +327,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[InstanceResult]:
             with open(path, encoding="utf-8") as fh:
                 iq = instance_from_text(fh.read())
             req_seed = derive_seed(cfg.seed, i, 17)
-            results.append(
-                run_instance(iq, cfg.request_volumes, req_seed, iq.partition.k, -1.0, i)
-            )
+            results.append(run_instance(iq, cfg.request_volumes, req_seed, -1.0, i))
         return results
     tasks = [
         (cfg.seed, cfg.nodes, k, p, rep, cfg.request_volumes)

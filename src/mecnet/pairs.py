@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graph import Graph, bits
 from .qnet import ControlledInterQNet, InterQNet, complement_inter_qnet
@@ -22,11 +22,9 @@ __all__ = [
     "RequestNotInComplement",
     "ParallelPairViolation",
     "RequestSet",
-    "CandidateList",
     "ParallelPairTable",
     "compatible",
     "parallel_pair_candidates",
-    "check_parallel_pairable",
     "dynamic_parallel_pairs",
     "min_partition_oracle",
     "table_to_text",
@@ -78,24 +76,6 @@ class RequestSet:
 
 
 @dataclass(frozen=True)
-class CandidateList:
-    """Per-request sets of compatible edges, over the whole edge set.
-
-    An edge is compatible with the target ``t = (a, b)`` exactly when both
-    its endpoints lie outside ``reach(t) = {a, b} | N(a) | N(b)``, so the
-    candidate list of ``t`` is the edge set of the subgraph induced on
-    ``free[t] = alive & ~reach(t)``.  Only that mask is stored; a lookup
-    decodes the edge set.
-    """
-
-    graph: Graph
-    free: Mapping[Edge, int]
-
-    def __getitem__(self, e: Edge) -> frozenset[Edge]:
-        return frozenset(self.graph.keep(self.free[e]).edges())
-
-
-@dataclass(frozen=True)
 class ParallelPairTable:
     groups: tuple[frozenset[Edge], ...]
 
@@ -124,10 +104,14 @@ def compatible(g: Graph, e1: Edge, e2: Edge) -> bool:
     return not (m2 & n1) and not (m1 & n2)
 
 
-def parallel_pair_candidates(g: Graph, targets: Iterable[Edge]) -> CandidateList:
-    """For each target edge, every other edge of ``g`` compatible with it.
+def parallel_pair_candidates(g: Graph, targets: Iterable[Edge]) -> dict[Edge, int]:
+    """For each target edge, the free-vertex mask of its candidate list.
 
-    One free-vertex mask per target (see :class:`CandidateList`).
+    An edge is compatible with the target ``t = (a, b)`` exactly when both
+    its endpoints lie outside ``reach(t) = {a, b} | N(a) | N(b)``, so the
+    candidate list of ``t``, every other edge of ``g`` compatible with it,
+    is the edge set of the subgraph induced on
+    ``free[t] = alive & ~reach(t)``.  Only that mask is returned.
     """
     adj, n, alive = g.adjacency, g.vertex_count, g.alive_mask
     free: dict[Edge, int] = {}
@@ -136,7 +120,7 @@ def parallel_pair_candidates(g: Graph, targets: Iterable[Edge]) -> CandidateList
         if not (a >= 0 and b < n and adj[a] >> b & 1):
             raise ValueError(f"target {t} is not an edge")
         free[t] = alive & ~((1 << a) | (1 << b) | adj[a] | adj[b])
-    return CandidateList(g, free)
+    return free
 
 
 def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
@@ -166,24 +150,6 @@ def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
         near.append(t)
     full = (1 << len(edges)) - 1
     return [full & ~(near[a] | near[b]) for a, b in edges]
-
-
-def check_parallel_pairable(g: Graph, edges: Iterable[Edge]) -> bool:
-    """True iff the given edges are pairwise compatible.
-
-    Reads the compatibility matrix of the edges themselves: each row must
-    cover every other member.  Raises ValueError for a non-edge when more
-    than one distinct edge is given.
-    """
-    edge_set = sorted({canonical_edge(u, v) for u, v in edges})
-    if len(edge_set) <= 1:
-        return True
-    for a, b in edge_set:
-        if not g.has_edge(a, b):
-            raise ValueError(f"({a},{b}) is not an edge")
-    full = (1 << len(edge_set)) - 1
-    rows = _compat_rows(g, edge_set)
-    return all((row | 1 << i) == full for i, row in enumerate(rows))
 
 
 # -- scheduler -----------------------------------------------------------------
@@ -290,14 +256,14 @@ def _assert_table_valid(g: Graph, table: ParallelPairTable, requests: Sequence[E
     if len(got) != len(requests) or set(got) != set(requests):
         raise ParallelPairViolation("groups must partition the request set")
     multi = [grp for grp in table.groups if len(grp) > 1]
-    cl = parallel_pair_candidates(g, [e for grp in multi for e in grp])
+    free = parallel_pair_candidates(g, [e for grp in multi for e in grp])
     for grp in multi:
         ends = 0
         for a, b in grp:
             ends |= (1 << a) | (1 << b)
         for e in sorted(grp):
-            if ends & ~((1 << e[0]) | (1 << e[1])) & ~cl.free[e]:
-                extra = sorted(grp - {e} - cl[e])
+            if ends & ~((1 << e[0]) | (1 << e[1])) & ~free[e]:
+                extra = sorted(f for f in grp if f != e and (1 << f[0] | 1 << f[1]) & ~free[e])
                 raise ParallelPairViolation(
                     f"group member {e} conflicts with {extra}",
                     extra_edges=tuple(extra),

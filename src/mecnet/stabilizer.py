@@ -21,7 +21,6 @@ with an invertibility side condition.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -151,7 +150,7 @@ def measure_pauli(
     """Measure X or Z on qubit ``q``; returns the post-state and the ±1 outcome.
 
     When the outcome is random, ``forced_outcome`` (+1 or -1) selects the
-    branch; without it, the module-default RNG draws the branch.  A
+    branch, and without it ValueError is raised: nothing is drawn.  A
     deterministic outcome ignores ``forced_outcome``.
     """
     b = _basis_row(t.n, q, basis)
@@ -159,10 +158,9 @@ def measure_pauli(
         raise ValueError(f"forced outcome must be +1 or -1, got {forced_outcome!r}")
     anti = [i for i, r in enumerate(t.rows) if _anticommute(r, b)]
     if anti:
-        if forced_outcome is not None:
-            outcome = 1 if forced_outcome == 1 else -1
-        else:
-            outcome = random.choice((1, -1))
+        if forced_outcome is None:
+            raise ValueError(f"{basis} on qubit {q} has a random outcome; pass forced_outcome")
+        outcome = 1 if forced_outcome == 1 else -1
         rows = list(t.rows)
         pivot = anti[0]
         for i in anti[1:]:

@@ -2,8 +2,8 @@
 
 Each suite pits an implementation path against independent code: the
 measurement sequence against the combinatorial complement, graph rules
-against the stabilizer tableau, the pairable check against all-pairs
-brute force, and the closed-form throughput against the block walkers.
+against the stabilizer tableau, the scheduler's compatibility rows against
+``compatible``, and the closed-form throughput against the block walkers.
 Failures carry a serialized counterexample for triage.
 """
 
@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from . import pairs
 from .graph import Graph
 from .metrics import TimingParams, cqr_cycles, mec_cycles
-from .pairs import check_parallel_pairable, compatible
 from .qnet import (
     InterQNet,
     QNetPartition,
@@ -144,7 +144,8 @@ def suite_measurement_oracle(seed: int = 77, max_vertices: int = 5) -> SuiteResu
 
 
 def suite_pairable_bruteforce(trials: int = 10000, seed: int = 5150) -> SuiteResult:
-    """Matrix pairable check versus all-pairs evaluation."""
+    """The scheduler's compatibility rows, looked up on :mod:`mecnet.pairs` at
+    each call, versus ``compatible`` bit by bit, with an empty diagonal."""
     res = SuiteResult("pairable-vs-bruteforce")
     rnd = random.Random(seed)
     for _ in range(trials):
@@ -154,11 +155,12 @@ def suite_pairable_bruteforce(trials: int = 10000, seed: int = 5150) -> SuiteRes
             continue
         g = Graph(n, edges)
         sub = rnd.sample(edges, k=min(len(edges), rnd.randint(1, 8)))
-        brute = all(
-            compatible(g, e1, e2) for e1, e2 in itertools.combinations(sub, 2)
-        )
+        want = [
+            sum(1 << j for j, f in enumerate(sub) if f != e and pairs.compatible(g, e, f))
+            for e in sub
+        ]
         res.checked += 1
-        if check_parallel_pairable(g, sub) != brute:
+        if pairs._compat_rows(g, sub) != want:
             res.failures.append(f"edges={edges} sub={sub}")
     return res
 

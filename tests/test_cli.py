@@ -54,6 +54,23 @@ def small_config(tmp_path, **over):
     return str(path), cfg
 
 
+def all_compatible_rows(g, edges):
+    """A planted rows fault: every request compatible with every other."""
+    full = (1 << len(edges)) - 1
+    return [full & ~(1 << i) for i in range(len(edges))]
+
+
+def near_a_only_rows(g, edges):
+    """A planted rows fault, one-sided: each edge conflicts only with the
+    edges touching its lower endpoint or one of that endpoint's neighbours."""
+    def near(v):
+        reach = (1 << v) | g.neighbor_mask(v)
+        return sum(1 << j for j, (c, d) in enumerate(edges) if reach >> c & 1 or reach >> d & 1)
+
+    full = (1 << len(edges)) - 1
+    return [full & ~near(a) for a, _ in edges]
+
+
 def read_table(path):
     """A report CSV as a list of row dicts (the schema line skipped)."""
     lines = open(path).read().splitlines()
@@ -141,7 +158,8 @@ class TestRunInstance:
             for rep in range(3):
                 iq = generate_inter_qnet(GenConfig(3, even_sizes(18, 3), p, derive_seed(5, rep)))
                 part = iq.partition
-                res = run_instance(iq, (4, 6, 500), derive_seed(6, rep), 3, p, rep)
+                res = run_instance(iq, (4, 6, 500), derive_seed(6, rep), p, rep)
+                assert (res.k, res.p, res.rep) == (3, p, rep)
                 assert [v.volume for v in res.volumes] == [4, 6, 500]
                 assert res.volumes[-1].skipped
                 for v in res.volumes:
@@ -188,9 +206,9 @@ class TestGenerateAndRunFromFiles:
         cfg_path, cfg = small_config(tmp_path)
         built = {}
 
-        def capture(iq, volumes, request_seed, k, p, rep):
-            built[k, p, rep] = iq
-            return experiments.InstanceResult(k=k, p=p, rep=rep)
+        def capture(iq, volumes, request_seed, p, rep):
+            built[iq.partition.k, p, rep] = iq
+            return experiments.InstanceResult(k=iq.partition.k, p=p, rep=rep)
 
         monkeypatch.setattr(experiments, "run_instance", capture)
         run_experiment(ExperimentConfig.from_json(cfg_path))
@@ -258,6 +276,18 @@ class TestVerifyCommand:
         original = Graph.measure_x
         monkeypatch.setattr(Graph, "measure_x", corrupted)
         assert cli.main(["verify", "--suite", "complement"]) == cli.EXIT_VERIFY
+
+    @pytest.mark.parametrize(
+        "fault", [all_compatible_rows, near_a_only_rows], ids=["all_compatible", "near_a_only"]
+    )
+    def test_planted_rows_fault_fails_pairable_suite(self, monkeypatch, capsys, fault):
+        # the suite reads the scheduler's rows bit by bit, so even a rows
+        # function that only drops the conflicts of one endpoint fails it
+        monkeypatch.setattr(pairs, "_compat_rows", fault)
+        assert cli.main(["verify", "--suite", "pairable"]) == cli.EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "pairable-vs-bruteforce: FAIL" in out
+        assert "  counterexample: edges=" in out
 
     def test_oracle_limit_skips_instead_of_failing(self):
         res = verify.suite_measurement_oracle(max_vertices=40)
@@ -426,6 +456,44 @@ class TestReportCommand:
 class TestUsageErrors:
     def test_unknown_command(self):
         assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "over, named",
+        [
+            (
+                {"densities": [0.2, 1.5], "repetitions": 40, "request_volumes": [50, 100]},
+                "grid cell nodes=18, qnet_counts[0]=3, densities[1]=1.5: "
+                "edge probability must lie in [0,1]",
+            ),
+            ({"request_volumes": [10, -5]}, "request_volumes[1] must be non-negative, got -5"),
+            (
+                {"qnet_counts": [1], "densities": [0.2]},
+                "grid cell nodes=18, qnet_counts[0]=1, densities[0]=0.2: need at least two QNets",
+            ),
+            # no QNet at all: refused the same way, not by a division by zero
+            (
+                {"qnet_counts": [0], "densities": [0.2]},
+                "grid cell nodes=18, qnet_counts[0]=0, densities[0]=0.2: need at least two QNets",
+            ),
+            (
+                {"nodes": 3, "qnet_counts": [4], "densities": [0.8]},
+                "grid cell nodes=3, qnet_counts[0]=4, densities[0]=0.8: QNet sizes must be positive",
+            ),
+        ],
+        ids=["density", "volume", "one_qnet", "no_qnet", "nodes"],
+    )
+    def test_bad_grid_value_refused_when_the_config_is_read(
+        self, tmp_path, capsys, monkeypatch, over, named, jobs
+    ):
+        def never(*args):
+            raise AssertionError("run_instance ran on a refused config")
+
+        monkeypatch.setattr(experiments, "run_instance", never)
+        cfg_path, _ = small_config(tmp_path, jobs=jobs, **over)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {named}\n"
+        assert not os.path.exists(tmp_path / "out")
 
     def test_invalid_density_is_usage_error(self, tmp_path):
         cfg_path, _ = small_config(tmp_path, densities=[2.0])
@@ -614,11 +682,7 @@ class TestPipelineMismatchPath:
     def test_parallel_pair_violation_dumps_instance(self, tmp_path, monkeypatch, capsys):
         # every request declared compatible: the scheduler's own check of
         # the resulting single group must fail
-        def all_compatible(g, edges):
-            full = (1 << len(edges)) - 1
-            return [full & ~(1 << i) for i in range(len(edges))]
-
-        monkeypatch.setattr(pairs, "_compat_rows", all_compatible)
+        monkeypatch.setattr(pairs, "_compat_rows", all_compatible_rows)
         cfg_path, cfg = small_config(tmp_path, repetitions=1, densities=[0.2])
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_VERIFY
         assert os.path.exists(os.path.join(cfg["output_dir"], "mismatch_instance.txt"))

@@ -1,4 +1,4 @@
-"""Compatibility predicate, candidate generation, pairable check,
+"""Compatibility predicate, candidate generation, compatibility rows,
 dynamic partitioning, exact-partition oracle."""
 
 import itertools
@@ -23,7 +23,6 @@ from mecnet.pairs import (
     _assert_table_valid,
     _compat_rows,
     canonical_edge,
-    check_parallel_pairable,
     compatible,
     dynamic_parallel_pairs,
     min_partition_oracle,
@@ -38,11 +37,24 @@ def brute_force_pairable(g, edges):
     return all(compatible(g, a, b) for a, b in itertools.combinations(edges, 2))
 
 
+def rows_pairable(g, edges):
+    """The all-pairs verdict read off the compatibility rows: each row
+    covers every other member."""
+    full = (1 << len(edges)) - 1
+    return all((row | 1 << i) == full for i, row in enumerate(_compat_rows(g, edges)))
+
+
+def candidate_lists(g, targets):
+    """Each target's candidate list, decoded from its free-vertex mask."""
+    free = parallel_pair_candidates(g, targets)
+    return {t: frozenset(g.keep(mask).edges()) for t, mask in free.items()}
+
+
 def candidate_pairable(g, edges):
     """The paper's formulation: each edge's candidate list over the whole
     edge set holds every other member."""
     edge_set = {canonical_edge(*e) for e in edges}
-    cl = parallel_pair_candidates(g, edge_set)
+    cl = candidate_lists(g, edge_set)
     return all(edge_set - {e} <= cl[e] for e in edge_set)
 
 
@@ -69,7 +81,7 @@ def reference_dynamic_parallel_pairs(cg, requests):
     remaining = [canonical_edge(*e) for e in requests]
     groups = []
     while remaining:
-        cl = parallel_pair_candidates(cgraph, remaining)
+        cl = candidate_lists(cgraph, remaining)
         rset = set(remaining)
         cand_in_r = {e: set(cl[e]) & rset for e in remaining}
         seed = pick(remaining, cand_in_r)
@@ -197,7 +209,7 @@ class TestCandidates:
     @given(graph_with_dead_slots())
     def test_free_masks_equal_per_edge_scan(self, g):
         targets = g.edges()
-        cl = parallel_pair_candidates(g, targets)
+        cl = candidate_lists(g, targets)
         want = reference_candidates(g, targets)
         for t in targets:
             assert cl[t] == want[t]
@@ -210,19 +222,19 @@ class TestCandidates:
 
     def test_single_edge_graph(self):
         g = Graph(2, [(0, 1)])
-        cl = parallel_pair_candidates(g, [(0, 1)])
+        cl = candidate_lists(g, [(0, 1)])
         assert cl[(0, 1)] == frozenset()
 
     def test_perfect_matching(self):
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
-        cl = parallel_pair_candidates(g, g.edges())
+        cl = candidate_lists(g, g.edges())
         for e in g.edges():
             assert cl[e] == frozenset(set(g.edges()) - {e})
 
     def test_candidates_span_whole_edge_set(self):
         # candidate sets may contain edges outside the target list
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
-        cl = parallel_pair_candidates(g, [(0, 1)])
+        cl = candidate_lists(g, [(0, 1)])
         assert cl[(0, 1)] == frozenset({(2, 3), (4, 5)})
 
     def test_agrees_with_pairwise_predicate(self):
@@ -234,32 +246,21 @@ class TestCandidates:
                 continue
             g = Graph(n, edges)
             targets = rnd.sample(edges, k=min(4, len(edges)))
-            cl = parallel_pair_candidates(g, targets)
+            cl = candidate_lists(g, targets)
             for t in targets:
                 want = {e for e in edges if e != t and compatible(g, t, e)}
                 assert cl[t] == want
 
 
 class TestCheckParallelPairable:
-    def test_singleton(self):
-        g = Graph(2, [(0, 1)])
-        assert check_parallel_pairable(g, [(0, 1)]) is True
-
-    def test_shared_vertex_false(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        assert check_parallel_pairable(g, [(0, 1), (1, 2)]) is False
-
-    def test_non_edge_rejected(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            check_parallel_pairable(g, [(0, 1), (1, 2)])
+    """The all-pairs verdict of the compatibility rows and of the candidate
+    lists against the pairwise predicate."""
 
     @settings(max_examples=300, deadline=None)
     @given(graph_and_subset())
     def test_matrix_candidates_and_pairwise_agree(self, case):
         g, sub = case
         want = brute_force_pairable(g, sub)
-        assert check_parallel_pairable(g, sub) == want
         assert candidate_pairable(g, sub) == want
         rows = _compat_rows(g, sub)
         for i, j in itertools.permutations(range(len(sub)), 2):
@@ -275,7 +276,7 @@ class TestCheckParallelPairable:
                 continue
             g = Graph(n, edges)
             sub = rnd.sample(edges, k=min(len(edges), rnd.randint(1, 8)))
-            assert check_parallel_pairable(g, sub) == brute_force_pairable(g, sub)
+            assert rows_pairable(g, sub) == brute_force_pairable(g, sub)
 
 
 def two_domains_of_three():

@@ -15,7 +15,6 @@ UNUSED_EXPORTS_ALLOWED = {
         "RequestError": "raised to callers of dynamic_parallel_pairs, which catch it by type",
         "RequestNotInComplement": "raised to callers of dynamic_parallel_pairs, which catch it by type",
         "ParallelPairTable": "return type of dynamic_parallel_pairs",
-        "CandidateList": "return type of parallel_pair_candidates",
     },
     "openflights.py": {
         "FlightRecord": "record type of ParseResult.records",
@@ -25,7 +24,7 @@ UNUSED_EXPORTS_ALLOWED = {
     "verify.py": {"SuiteResult": "return type of every suite in ALL_SUITES"},
     "stabilizer.py": {
         "StabilizerTableau": "return type of graph_state, measure_pauli and restrict_to",
-        "outcome_deterministic": "oracle for the outcomes that measure_pauli draws",
+        "outcome_deterministic": "tells a caller whether measure_pauli needs forced_outcome",
     },
 }
 
@@ -54,6 +53,72 @@ def test_no_assert_statements(path):
     # python -O strips assert statements, and the runtime checks with them
     lines = [node.lineno for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statement on lines {lines}"
+
+
+# The only calls into the random modules: seeded generators and seed
+# material, each given its seed.
+SEEDED_RANDOMNESS = {
+    "random": {"Random"},
+    "np.random": {"default_rng", "SeedSequence"},
+    "numpy.random": {"default_rng", "SeedSequence"},
+}
+
+
+def dotted_name(node):
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def unseeded_randomness(module):
+    """Line and name of each call that draws from a module-level generator
+    or builds a generator without a seed; names imported out of a random
+    module would escape that check, so they count too."""
+    found = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and node.module in SEEDED_RANDOMNESS:
+            found.append((node.lineno, f"from {node.module} import"))
+        elif isinstance(node, ast.Call):
+            owner, _, attr = (dotted_name(node.func) or "").rpartition(".")
+            allowed = SEEDED_RANDOMNESS.get(owner)
+            if allowed is not None and (attr not in allowed or not (node.args or node.keywords)):
+                found.append((node.lineno, f"{owner}.{attr}"))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_randomness_is_seeded(path):
+    # everything is deterministic given a seed
+    found = unseeded_randomness(parse(path))
+    assert not found, f"{path.name}: unseeded randomness {found}"
+
+
+def test_unseeded_randomness_rule_flags_each_form():
+    source = "\n".join([
+        "import random",
+        "import numpy as np",
+        "from random import choice",
+        "random.Random(7).choice([1])",
+        "np.random.default_rng(3)",
+        "np.random.SeedSequence([1, 2])",
+        "random.choice([1])",
+        "random.Random()",
+        "np.random.rand(2)",
+        "np.random.default_rng()",
+    ])
+    found = unseeded_randomness(ast.parse(source))
+    assert found == [
+        (3, "from random import"),
+        (7, "random.choice"),
+        (8, "random.Random"),
+        (9, "np.random.rand"),
+        (10, "np.random.default_rng"),
+    ]
 
 
 def exported_names(module):

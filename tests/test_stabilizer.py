@@ -79,6 +79,13 @@ class TestMeasurePauli:
             survivor = restrict_to(post, [1])
             assert survivor.rows == ((1, 0, 0 if forced == 1 else 2),)
 
+    def test_random_outcome_without_forced_branch_rejected(self):
+        # nothing is drawn: a random outcome needs its branch named
+        t = graph_state(Graph(2, [(0, 1)]))
+        for q, basis in [(0, "Z"), (1, "X")]:
+            with pytest.raises(ValueError, match=rf"^{basis} on qubit {q} has a random outcome; pass forced_outcome$"):
+                measure_pauli(t, q, basis)
+
     def test_forced_ignored_when_deterministic(self):
         t = graph_state(Graph(1))
         _, outcome = measure_pauli(t, 0, "X", forced_outcome=-1)
