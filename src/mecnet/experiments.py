@@ -287,6 +287,13 @@ def _run_task(args: tuple) -> InstanceResult:
     return run_instance(iq, volumes, req_seed, p, rep)
 
 
+def _run_file(args: tuple) -> InstanceResult:
+    cfg_seed, i, path, volumes = args
+    with open(path, encoding="utf-8") as fh:
+        iq = instance_from_text(fh.read())
+    return run_instance(iq, volumes, derive_seed(cfg_seed, i, 17), -1.0, i)
+
+
 def generate_instances(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     """Write one instance file per (k, density, repetition); returns paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -321,26 +328,23 @@ def generate_instances(cfg: ExperimentConfig, out_dir: str) -> list[str]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[InstanceResult]:
+    """One result per instance file, or per grid cell ``(k, p, rep)``, in
+    order; ``jobs > 1`` runs them on a process pool."""
     if cfg.instance_files:
-        results = []
-        for i, path in enumerate(cfg.instance_files):
-            with open(path, encoding="utf-8") as fh:
-                iq = instance_from_text(fh.read())
-            req_seed = derive_seed(cfg.seed, i, 17)
-            results.append(run_instance(iq, cfg.request_volumes, req_seed, -1.0, i))
-        return results
-    tasks = [
-        (cfg.seed, cfg.nodes, k, p, rep, cfg.request_volumes)
-        for k in cfg.qnet_counts
-        for p in cfg.densities
-        for rep in range(cfg.repetitions)
-    ]
+        task = _run_file
+        tasks = [(cfg.seed, i, path, cfg.request_volumes) for i, path in enumerate(cfg.instance_files)]
+    else:
+        task = _run_task
+        tasks = [
+            (cfg.seed, cfg.nodes, k, p, rep, cfg.request_volumes)
+            for k in cfg.qnet_counts
+            for p in cfg.densities
+            for rep in range(cfg.repetitions)
+        ]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_run_task, tasks))
-    else:
-        results = [_run_task(t) for t in tasks]
-    return results
+            return list(pool.map(task, tasks))
+    return [task(t) for t in tasks]
 
 
 # -- aggregation and reports ---------------------------------------------------

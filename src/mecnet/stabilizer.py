@@ -327,26 +327,47 @@ def graph_form(t: StabilizerTableau) -> tuple[int, ...]:
     return adj
 
 
-def _nullspace(rows: Iterable[int], width: int) -> list[int]:
-    """Null-space basis of a GF(2) system given as coefficient row masks,
-    one vector per free column, in increasing column order."""
-    pivots = _echelon(rows)
-    free = (1 << width) - 1
-    for col in pivots:
-        free &= ~(1 << col)
-    if not free:
-        return []
-    # Back-substitute each free column through the pivots above it, lowest
-    # first: pivot row pc sets bit pc to the parity of its lower bits.
-    order = sorted(pivots.items())
-    basis = []
-    for fc in bits(free):
-        v = 1 << fc
-        for pc, prow in order:
-            if pc > fc and (prow & v).bit_count() & 1:
-                v |= 1 << pc
-        basis.append(v)
-    return basis
+def _kernel(columns: Sequence[int]) -> list[int]:
+    """Null-space basis of the GF(2) system whose unknown ``u`` has the
+    coefficient column ``columns[u]``, a mask over the equations.
+
+    Each column is tagged with its unknown's bit below the column bits, so
+    one echelon pass finds the combinations of columns that sum to zero:
+    exactly the pivots whose top bit falls in the tag.
+    """
+    w = len(columns)
+    pivots = _echelon(col << w | 1 << u for u, col in enumerate(columns))
+    return [row for top, row in pivots.items() if top < w]
+
+
+def _lc_columns(ra: Sequence[int], rb: Sequence[int]) -> list[int]:
+    """Coefficient columns of the local-Clifford system between two
+    symmetric adjacencies on ``m`` vertices, unknowns (c | a | b | d).
+
+    Per-qubit blocks [[a, b], [c, d]] map ``ra``'s graph state onto
+    ``rb``'s exactly when, for every entry (i, j),
+
+        a_i*GB_ij + b_i*[i==j] + sum_l c_l*GA_il*GB_lj + d_j*GA_ij = 0
+
+    (Van den Nest, Dehaene & De Moor, PRA 70, 034302, 2004).  Equation
+    (i, j) is bit i*m + j of each column.  ``spread`` holds GA_il at bit
+    i*m: by symmetry that is column l of ``ra`` packed m bits apart, one
+    shift-and-mask, and times ``rb[l]`` (m bits) it lays row GB_l at each
+    of those places with no carries.
+    """
+    m = len(ra)
+    packed = 0
+    for i, row in enumerate(ra):
+        packed |= row << (i * m)
+    ones = ((1 << m * m) - 1) // ((1 << m) - 1)
+    c, a, b, d = [], [], [], []
+    for l, bl in enumerate(rb):
+        spread = packed >> l & ones
+        c.append(spread * bl)
+        a.append(bl << (l * m))
+        b.append(1 << (l * m + l))
+        d.append(spread << l)
+    return c + a + b + d
 
 
 _LC_SEARCH_CAP = 1 << 20
@@ -365,21 +386,7 @@ def _component_lc_match(ga: Sequence[int], gb: Sequence[int], comp: int) -> bool
     if ra == rb:
         return True
     m = len(ra)
-    # Unknowns: diagonals (c | a | b | d) from the low bits up, 4m bits.
-    # For every entry (i, j):
-    #   a_i*GB_ij + b_i*[i==j] + sum_l c_l*GA_il*GB_lj + d_j*GA_ij = 0
-    # With c lowest, its dense part is reduced last, which saves about a
-    # quarter of the elimination steps on the oracle's systems; repeated
-    # equations are dropped before elimination.
-    eqs = set()
-    for i, (ai, bi) in enumerate(zip(ra, rb)):
-        for j, bj in enumerate(rb):
-            # symmetric adjacency: column j of GB is row j
-            row = ai & bj | (bi >> j & 1) << (m + i) | (ai >> j & 1) << (3 * m + j)
-            if i == j:
-                row |= 1 << (2 * m + i)
-            eqs.add(row)
-    basis = _nullspace(eqs, 4 * m)
+    basis = _kernel(_lc_columns(ra, rb))
     if not basis:
         return False
     if 1 << len(basis) > _LC_SEARCH_CAP:
@@ -396,6 +403,34 @@ def _component_lc_match(ga: Sequence[int], gb: Sequence[int], comp: int) -> bool
         if ((a & d) ^ (b & c)) == lo:
             return True
     return False
+
+
+def _kept_part(
+    t: StabilizerTableau, keep: Sequence[int], keep_mask: int
+) -> Optional[StabilizerTableau | tuple[int, ...]]:
+    """The part of ``t`` on the sorted qubits ``keep``, or None when it is
+    mixed.
+
+    An operand whose X block is the identity, such as every graph state,
+    is read directly.  Its generator i is X_i Z^z_i up to phase, so a
+    product is supported on the kept set only if its generators are kept,
+    and the kept part is pure iff no kept z_i leaves the kept set (no edge
+    leaves it).  Its graph form is then the kept Z block, compressed, with
+    the diagonal (a phase gate per qubit) cleared; that adjacency is
+    returned before its symmetry check.  Any other tableau is restricted.
+    """
+    n = t.n
+    rows = t.rows
+    if len(rows) != n or any(x != 1 << i or z >> n for i, (x, z, _) in enumerate(rows)):
+        return restrict_to(t, keep)
+    outside = ((1 << n) - 1) & ~keep_mask
+    zs = [rows[q][1] for q in keep]
+    if any(z & outside for z in zs):
+        return None
+    if keep_mask != (1 << len(keep)) - 1:
+        runs = _runs(keep)
+        zs = [_compress(z, runs) for z in zs]
+    return tuple(z & ~(1 << i) for i, z in enumerate(zs))
 
 
 def equal_up_to_local_clifford(
@@ -415,12 +450,16 @@ def equal_up_to_local_clifford(
     keep = sorted(set(range(a.n) if mask is None else mask))
     if not keep:
         return True
-    ra = restrict_to(a, keep)
-    rb = restrict_to(b, keep)
-    if ra is None or rb is None:
+    keep_mask = _qubit_mask(a.n, keep)
+    parts = [_kept_part(t, keep, keep_mask) for t in (a, b)]
+    if parts[0] is None or parts[1] is None:
         return False
-    ga = graph_form(ra)
-    gb = graph_form(rb)
+    for i, part in enumerate(parts):
+        if isinstance(part, StabilizerTableau):
+            parts[i] = graph_form(part)
+        elif not _symmetric(part):
+            raise ValueError("graph adjacency must be symmetric")
+    ga, gb = parts
     # Equal graph forms need no component split (most oracle checks).
     if ga == gb:
         return True

@@ -104,7 +104,7 @@ def suite_complement(trials: int = 1000, seed: int = 20240) -> SuiteResult:
     return res
 
 
-def suite_measurement_oracle(seed: int = 77, max_vertices: int = 5) -> SuiteResult:
+def suite_measurement_oracle(seed: int = 77, max_vertices: int = ORACLE_MAX_QUBITS) -> SuiteResult:
     """Graph-level X and Z rules versus the stabilizer tableau, all branches."""
     res = SuiteResult("measurement-rules-vs-tableau")
     if max_vertices > ORACLE_MAX_QUBITS:

@@ -191,6 +191,68 @@ class TestGenerateAndRunFromFiles:
         results = run_experiment(run_cfg)
         assert len(results) == len(instances)
 
+    @staticmethod
+    def _two_files(tmp_path):
+        cfg_path, cfg = small_config(tmp_path, repetitions=1)
+        assert cli.main(["generate", "--config", cfg_path]) == cli.EXIT_OK
+        inst_dir = os.path.join(cfg["output_dir"], "instances")
+        files = sorted(os.path.join(inst_dir, f) for f in os.listdir(inst_dir) if f.endswith(".txt"))
+        assert len(files) == 2  # one k, two densities, one rep
+        return files
+
+    def test_instance_files_identical_at_two_jobs(self, tmp_path):
+        files = self._two_files(tmp_path)
+        outs = []
+        for jobs in (1, 2):
+            run_dir = tmp_path / f"jobs{jobs}"
+            run_dir.mkdir()
+            cfg_path, cfg = small_config(run_dir, instance_files=files, jobs=jobs)
+            assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
+            outs.append(cfg["output_dir"])
+        for name in ("hops", "parallelism", "arqf", "throughput"):
+            serial = open(os.path.join(outs[0], f"{name}.csv"), "rb").read()
+            assert serial == open(os.path.join(outs[1], f"{name}.csv"), "rb").read(), name
+
+    def test_instance_files_reach_the_process_pool(self, tmp_path, monkeypatch):
+        files = self._two_files(tmp_path)
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                seen.extend(t[2] for t in tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        results = run_experiment(ExperimentConfig(request_volumes=(3,), instance_files=tuple(files), jobs=2))
+        assert seen == [2, *files]
+        assert [r.rep for r in results] == [0, 1]
+        seen.clear()
+        run_experiment(ExperimentConfig(request_volumes=(3,), instance_files=tuple(files), jobs=1))
+        assert seen == []
+
+    def test_worker_mismatch_on_an_instance_file_dumps_it(self, tmp_path, monkeypatch):
+        files = self._two_files(tmp_path)
+
+        def corrupted(self, v, k0):
+            return self.delete_vertex(v), original(Graph(2, [(0, 1)]), 1, 0)[1]
+
+        original = Graph.measure_x
+        monkeypatch.setattr(Graph, "measure_x", corrupted)
+        cfg_path, cfg = small_config(tmp_path, instance_files=files, jobs=2)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_VERIFY
+        dump = open(os.path.join(cfg["output_dir"], "mismatch_instance.txt")).read()
+        assert dump == open(files[0]).read()
+
     def test_flags_override_the_config_file(self, tmp_path):
         cfg_path, cfg = small_config(tmp_path)
         assert cli.main(["generate", "--config", cfg_path, "--reps", "1", "--nodes", "12"]) == cli.EXIT_OK
@@ -288,6 +350,20 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "pairable-vs-bruteforce: FAIL" in out
         assert "  counterexample: edges=" in out
+
+    def test_measurement_suite_reaches_the_oracle_limit(self, monkeypatch):
+        sizes = []
+
+        def recording(g):
+            sizes.append(g.vertex_count)
+            return graph_state(g)
+
+        graph_state = verify.graph_state
+        monkeypatch.setattr(verify, "graph_state", recording)
+        res = verify.suite_measurement_oracle()
+        assert res.passed and res.failures == [] and res.checked > 0
+        assert max(sizes) == verify.ORACLE_MAX_QUBITS
+        assert sum(n > 5 for n in sizes) > len(sizes) // 2
 
     def test_oracle_limit_skips_instead_of_failing(self):
         res = verify.suite_measurement_oracle(max_vertices=40)

@@ -19,7 +19,10 @@ from mecnet.stabilizer import (
     StabilizerTableau,
     _compress,
     _gf2_rank,
-    _nullspace,
+    _kept_part,
+    _kernel,
+    _lc_columns,
+    _qubit_mask,
     _row_mul,
     _runs,
     _symmetric,
@@ -497,12 +500,10 @@ def ref_nullspace(rows, width):
     return basis
 
 
-def ref_component_lc_match(ga, gb, verts):
-    m = len(verts)
-    ra = [ref_compress(ga[v], verts) for v in verts]
-    rb = [ref_compress(gb[v], verts) for v in verts]
-    if ra == rb:
-        return True
+def ref_lc_equations(ra, rb):
+    """The local-Clifford system one equation (i, j) at a time, unknowns
+    (a | b | c | d) from the low bits up."""
+    m = len(ra)
     eqs = []
     for i in range(m):
         for j in range(m):
@@ -516,6 +517,16 @@ def ref_component_lc_match(ga, gb, verts):
                 row |= 1 << (3 * m + j)
             if row:
                 eqs.append(row)
+    return eqs
+
+
+def ref_component_lc_match(ga, gb, verts):
+    m = len(verts)
+    ra = [ref_compress(ga[v], verts) for v in verts]
+    rb = [ref_compress(gb[v], verts) for v in verts]
+    if ra == rb:
+        return True
+    eqs = ref_lc_equations(ra, rb)
     basis = ref_nullspace(eqs, 4 * m)
     if not basis:
         return False
@@ -592,12 +603,33 @@ def graphs(draw, min_n=2, max_n=ORACLE_MAX_QUBITS):
     return Graph(n, [e for e in pairs if rnd.random() < p])
 
 
+@st.composite
+def x_identity_tableaux(draw):
+    """Graph states with bare X slots of deleted vertices, Y in place of X
+    on some generators (a Hermitian Z-diagonal entry) and random signs."""
+    g = draw(graphs(min_n=1))
+    n = g.vertex_count
+    for v in sorted(draw(st.sets(st.integers(0, n - 1), max_size=n // 3))):
+        g = g.delete_vertex(v)
+    rows = []
+    for i, (x, z, p) in enumerate(graph_state(g).rows):
+        if draw(st.booleans()):
+            z, p = z | 1 << i, 1
+        rows.append((x, z, (p + draw(st.sampled_from((0, 2)))) % 4))
+    t = StabilizerTableau(n, tuple(rows))
+    t.check()
+    return t
+
+
 class TestBitsetInternalsAgainstReferences:
     @settings(max_examples=300, deadline=None)
     @given(gf2_systems())
     def test_nullspace_span_and_dimension(self, system):
+        # the column kernel reads the transpose: one mask over the
+        # equations per unknown
         rows, width = system
-        got = _nullspace(rows, width)
+        columns = [sum((row >> u & 1) << e for e, row in enumerate(rows)) for u in range(width)]
+        got = _kernel(columns)
         want = ref_nullspace(rows, width)
         assert len(got) == len(want)
         assert _span(got) == _span(want)
@@ -733,6 +765,76 @@ class TestBitsetInternalsAgainstReferences:
                 assert post is t and outcome == ref_deterministic_outcome(t, b)
             else:
                 t, _ = measure_pauli(t, q, basis, forced_outcome=data.draw(st.sampled_from((1, -1))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.data())
+    def test_lc_system_null_space_matches_rows(self, g, data):
+        # LC-orbit pairs, some with one edge flipped: the column-built
+        # system has the row system's null space, so the search cap raises
+        # on exactly the same inputs
+        h = g
+        for v in data.draw(st.lists(st.integers(0, g.vertex_count - 1), max_size=8)):
+            h = h.local_complement(v)
+        if data.draw(st.booleans()):
+            u, v = data.draw(st.sampled_from(list(itertools.combinations(range(g.vertex_count), 2))))
+            h = Graph(g.vertex_count, set(h.edges()) ^ {(u, v)})
+        ra, rb = g.adjacency, h.adjacency
+        m, lo = len(ra), (1 << len(ra)) - 1
+        got = _kernel(_lc_columns(ra, rb))
+        want = ref_nullspace(ref_lc_equations(ra, rb), 4 * m)
+        assert len(got) == len(want)
+        # the library orders the unknowns (c | a | b | d), the reference (a | b | c | d)
+        relabelled = [v >> m & (lo | lo << m) | (v & lo) << 2 * m | v & lo << 3 * m for v in got]
+        assert _span(relabelled) == _span(want)
+
+
+class TestGraphStateOperandsReadDirectly:
+    """An operand whose X block is the identity skips the restriction and
+    the graph-form elimination; both must give what they would have."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x_identity_tableaux(), st.data())
+    def test_direct_read_equals_restricted_graph_form(self, t, data):
+        keep = sorted(data.draw(st.sets(st.integers(0, t.n - 1), min_size=1)))
+        got = _kept_part(t, keep, _qubit_mask(t.n, keep))
+        restricted = restrict_to(t, keep)
+        if restricted is None:
+            assert got is None
+        else:
+            assert isinstance(got, tuple) and got == graph_form(restricted)
+        # the other operand of a check goes through the restriction as before
+        post, _ = measure_pauli(t, keep[0], "Z", forced_outcome=1)
+        assert _kept_part(post, keep, _qubit_mask(t.n, keep)) == restrict_to(post, keep)
+        assert equal_up_to_local_clifford(post, t, keep) == ref_equal_up_to_local_clifford(post, t, keep)
+
+    def test_mixed_kept_part_is_none(self):
+        # the edge (1, 2) leaves the kept set {0, 1}; (0, 1) does not
+        t = graph_state(Graph(3, [(0, 1), (1, 2)]))
+        assert _kept_part(t, [0, 1], 0b011) is None and restrict_to(t, [0, 1]) is None
+        assert _kept_part(t, [0, 2], 0b101) is None and restrict_to(t, [0, 2]) is None
+        assert _kept_part(t, [0, 1, 2], 0b111) == (0b010, 0b101, 0b010)
+
+    def test_asymmetric_z_block_raises_after_both_restrictions(self):
+        # X0 Z1 and X1 anticommute: no graph form exists.  A mixed other
+        # operand still decides first, as it does through restrict_to.
+        bad = StabilizerTableau(3, ((1, 2, 0), (2, 0, 0), (4, 0, 0)))
+        for mask in (None, [0, 1]):
+            with pytest.raises(ValueError, match="^graph adjacency must be symmetric$"):
+                equal_up_to_local_clifford(bad, graph_state(Graph(3)), mask)
+            with pytest.raises(ValueError, match="^graph adjacency must be symmetric$"):
+                equal_up_to_local_clifford(graph_state(Graph(3)), bad, mask)
+        mixed = graph_state(Graph(3, [(1, 2)]))
+        assert not equal_up_to_local_clifford(bad, mixed, [0, 1])
+        assert not equal_up_to_local_clifford(mixed, bad, [0, 1])
+        assert not ref_equal_up_to_local_clifford(bad, mixed, [0, 1])
+
+    @pytest.mark.parametrize("mask, message", [([0, 5], "invalid qubit 5"), ([7, 1, -1], "invalid qubit -1")])
+    def test_mask_qubit_out_of_range(self, mask, message):
+        t = graph_state(Graph(3, [(0, 1), (1, 2)]))
+        post, _ = measure_pauli(t, 1, "X", forced_outcome=1)
+        for a, b in ((t, t), (post, t), (t, post), (post, post)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                equal_up_to_local_clifford(a, b, mask)
 
 
 class TestBadInputFailsLoudly:
