@@ -9,7 +9,6 @@ on the cross-domain complement of the controlled network.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -155,30 +154,37 @@ def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
 # -- scheduler -----------------------------------------------------------------
 
 
-def _greedy_seed(
-    heap: list[tuple[int, int]], rows: Sequence[int], remaining: int
-) -> Optional[int]:
-    """The remaining request with the most compatible partners among the
-    remaining requests, the lowest index on ties; None when that count is 0.
-
-    A request's count ``(rows[i] & remaining).bit_count()`` never rises as
-    ``remaining`` shrinks, so a count taken earlier is an upper bound.  The
-    requests sit in ``heap`` keyed ``(-bound, index)``.  The top is re-counted
-    and accepted only when its count still equals its bound: it is then at
-    least every other bound, so every other count, and any request with the
-    same count has the same bound and so a higher index.
+def _count_planes(rows: Sequence[int]) -> list[int]:
+    """Bit-sliced partner counts: bit ``i`` of ``planes[b]`` is bit ``b`` of
+    ``rows[i].bit_count()``, since the rows are symmetric and each is added
+    in with a ripple carry (a plane appended on overflow).  The scheduler
+    keeps each remaining count at ``(rows[i] & remaining).bit_count()``.
     """
-    while True:
-        bound, i = heap[0]
-        if not remaining >> i & 1:
-            heapq.heappop(heap)
-            continue
-        count = (rows[i] & remaining).bit_count()
-        if count == -bound:
-            heapq.heappop(heap)
-            # the highest count is 0: every remaining request is alone
-            return i if count else None
-        heapq.heapreplace(heap, (-count, i))
+    planes: list[int] = []
+    for carry in rows:
+        for b, p in enumerate(planes):
+            if not carry:
+                break
+            planes[b], carry = p ^ carry, p & carry
+        if carry:
+            planes.append(carry)
+    return planes
+
+
+def _decrement(planes: list[int], mask: int) -> None:
+    """Subtract 1 from each (positive) count in ``mask`` with a borrow."""
+    for b, p in enumerate(planes):
+        if not mask:
+            return
+        planes[b], mask = p ^ mask, mask & ~p
+
+
+def _argmax(planes: Sequence[int], s: int) -> int:
+    """The bit of the highest count in ``s``, the lowest index on ties."""
+    for p in reversed(planes):
+        if s & p:
+            s &= p
+    return s & -s
 
 
 def dynamic_parallel_pairs(
@@ -191,16 +197,16 @@ def dynamic_parallel_pairs(
     The batch is interpreted on the cross-domain complement of the
     controlled network; a caller that already holds it (as
     ``complement_inter_qnet(cg.data)``) passes it as ``complement`` so
-    that it is not rebuilt.  Each group is the paper's
-    greedy: it starts from the remaining request with the most compatible
-    partners among the remaining ones and grows by the candidate with the
-    most, the lowest index on ties, intersecting the shared candidate set
+    that it is not rebuilt.  Each group is the paper's greedy: it starts
+    from the remaining request with the most compatible partners among the
+    remaining ones and grows by the shared candidate with the most at group
+    start, the lowest index on ties, intersecting the shared candidate set
     after each addition; a pairwise compatible batch thus forms a single
     group.  Requests are indexed in sorted order and the scheduler runs on
-    their compatibility matrix, built once per batch, so it never scans
-    edges outside the batch.  Each request is checked here, once, to be a
-    complement edge.  The result is checked against the whole-edge-set
-    candidate lists before it is returned.
+    their compatibility matrix, built once per batch, with the counts held
+    bit-sliced (``_count_planes``), so each pick is a few mask operations.
+    Each request is checked here, once, to be a complement edge, and the
+    result against the whole-edge-set candidate lists.
     """
     if complement is None:
         complement = complement_inter_qnet(cg.data)
@@ -217,25 +223,24 @@ def dynamic_parallel_pairs(
 
     edges = sorted(requests)
     rows = _compat_rows(cgraph, edges)
-    heap = [(-row.bit_count(), i) for i, row in enumerate(rows)]
-    heapq.heapify(heap)
+    planes = _count_planes(rows)
     groups: list[frozenset[Edge]] = []
     remaining = (1 << len(edges)) - 1
     while remaining:
-        seed = _greedy_seed(heap, rows, remaining)
-        if seed is None:
+        group = _argmax(planes, remaining)
+        shared = rows[group.bit_length() - 1] & remaining
+        if not shared:
+            # the highest count is 0: every remaining request is alone
             groups.extend(frozenset((edges[i],)) for i in bits(remaining))
             break
-        group = 1 << seed
-        shared = rows[seed] & remaining
-        # candidates only drop out of ``shared`` as the group grows, so one
-        # ranking by partners left at group start gives each step's pick:
-        # the first candidate in it still shared
-        for i in sorted(bits(shared), key=lambda j: -(rows[j] & remaining).bit_count()):
-            if shared >> i & 1:
-                group |= 1 << i
-                shared &= rows[i]
+        # the counts stay frozen at their group-start values while it grows
+        while shared:
+            pick = _argmax(planes, shared)
+            group |= pick
+            shared &= rows[pick.bit_length() - 1]
         remaining ^= group
+        for i in bits(group):
+            _decrement(planes, rows[i] & remaining)
         groups.append(frozenset(edges[i] for i in bits(group)))
     table = ParallelPairTable(tuple(groups))
     _assert_table_valid(cgraph, table, requests)

@@ -222,14 +222,19 @@ def restrict_to(t: StabilizerTableau, keep: Iterable[int]) -> Optional[Stabilize
 
     Returns None when the kept subsystem is not in a pure (product) state,
     i.e. when fewer than len(keep) independent generators act trivially on
-    the discarded qubits.  A qubit outside ``range(t.n)`` raises ValueError.
+    the discarded qubits.  A kept or acted-on qubit outside ``range(t.n)``
+    raises ValueError.
     """
     keep_mask = _qubit_mask(t.n, keep)
     outside = ((1 << t.n) - 1) & ~keep_mask
     rows = list(t.rows)
     # Eliminate x then z support on each discarded qubit; rows without
-    # support there are never pivots and are never changed.
-    touching = [i for i, (x, z, _) in enumerate(rows) if (x | z) & outside]
+    # support there are never pivots and are never changed.  Only these
+    # rows can act beyond the n qubits, which lie outside ``keep_mask`` too.
+    touching = [i for i, (x, z, _) in enumerate(rows) if (x | z) & ~keep_mask]
+    for i in touching:
+        if (rows[i][0] | rows[i][1]) >> t.n:
+            raise ValueError(f"generator {i} acts outside {t.n} qubits")
     used = 0
     for q in bits(outside):
         bit = 1 << q

@@ -13,15 +13,18 @@ from hypothesis import strategies as st
 
 import mecnet
 from mecnet.experiments import derive_seed, even_sizes
-from mecnet.graph import Graph
+from mecnet.graph import Graph, bits
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
 from mecnet.pairs import (
     ParallelPairTable,
     ParallelPairViolation,
     RequestError,
     RequestNotInComplement,
+    _argmax,
     _assert_table_valid,
     _compat_rows,
+    _count_planes,
+    _decrement,
     canonical_edge,
     compatible,
     dynamic_parallel_pairs,
@@ -279,6 +282,127 @@ class TestCheckParallelPairable:
             assert rows_pairable(g, sub) == brute_force_pairable(g, sub)
 
 
+def plane_counts(planes, m):
+    """Each of the ``m`` requests' counts, read back from the bit planes."""
+    return [sum((p >> i & 1) << b for b, p in enumerate(planes)) for i in range(m)]
+
+
+def recounted_greedy(rows):
+    """The scheduler's greedy as group masks over the compatibility rows,
+    every partner count recomputed from the rows at each group start."""
+    remaining = (1 << len(rows)) - 1
+    groups = []
+    while remaining:
+        count = {i: (rows[i] & remaining).bit_count() for i in bits(remaining)}
+        seed = min(count, key=lambda i: (-count[i], i))
+        if not count[seed]:
+            groups.extend(1 << i for i in bits(remaining))
+            break
+        group, shared = 1 << seed, rows[seed] & remaining
+        while shared:
+            pick = min(bits(shared), key=lambda i: (-count[i], i))
+            group |= 1 << pick
+            shared &= rows[pick]
+        remaining ^= group
+        groups.append(group)
+    return groups
+
+
+@st.composite
+def symmetric_rows(draw):
+    """Rows of a random symmetric bit matrix with a zero diagonal."""
+    m = draw(st.integers(0, 40))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    rows = [0] * m
+    for i, j in itertools.combinations(range(m), 2):
+        if rnd.random() < density:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
+
+
+class TestCountPlanes:
+    """The scheduler's bit-sliced partner counts against popcounts of the
+    rows, through a random sequence of group removals."""
+
+    @staticmethod
+    def _check_removals(rows, rnd):
+        m = len(rows)
+        planes = _count_planes(rows)
+        assert len(planes) == max((row.bit_count() for row in rows), default=0).bit_length()
+        remaining = (1 << m) - 1
+        order = list(range(m))
+        rnd.shuffle(order)
+        while True:
+            counts = plane_counts(planes, m)
+            for i in bits(remaining):
+                assert counts[i] == (rows[i] & remaining).bit_count()
+            if not remaining:
+                return
+            for s in (remaining, remaining & rnd.getrandbits(m) or remaining):
+                best = min(bits(s), key=lambda i: (-counts[i], i))
+                assert _argmax(planes, s) == 1 << best
+            size = rnd.randint(1, 4)
+            group, order = order[:size], order[size:]
+            for g in group:
+                remaining ^= 1 << g
+            for g in group:
+                _decrement(planes, rows[g] & remaining)
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_rows(), st.randoms(use_true_random=False))
+    def test_planes_track_popcounts_on_symmetric_rows(self, rows, rnd):
+        self._check_removals(rows, rnd)
+
+    @settings(max_examples=200, deadline=None)
+    @given(controlled_batches(), st.randoms(use_true_random=False))
+    def test_planes_track_popcounts_on_compat_rows(self, case, rnd):
+        iq, _, picks = case
+        self._check_removals(_compat_rows(complement_inter_qnet(iq).graph, sorted(picks)), rnd)
+
+    @settings(max_examples=200, deadline=None)
+    @given(controlled_batches())
+    def test_compat_rows_are_symmetric(self, case):
+        # the planes sum columns, which give the partner counts only because
+        # the rows are symmetric
+        iq, _, picks = case
+        rows = _compat_rows(complement_inter_qnet(iq).graph, sorted(picks))
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            assert rows[i] >> j & 1 == rows[j] >> i & 1
+
+    def test_empty_batch(self):
+        assert _count_planes([]) == []
+        cg = build_controlled(two_domains_of_three())
+        assert dynamic_parallel_pairs(cg, []).groups == ()
+
+    def test_all_incompatible_batch_has_no_plane(self):
+        # the complement is a star on vertex 0, so every request shares it
+        iq = InterQNet(Graph(6, []), QNetPartition(2, (1, 2, 2, 2, 2, 2)))
+        comp = complement_inter_qnet(iq).graph
+        requests = comp.edges()
+        assert _count_planes(_compat_rows(comp, requests)) == []
+        table = dynamic_parallel_pairs(build_controlled(iq), requests[::-1])
+        assert table.groups == tuple(frozenset((e,)) for e in requests)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 9, 17])
+    def test_counts_at_powers_of_two_append_a_plane(self, m):
+        # all pairs compatible: every count is m - 1
+        full = (1 << m) - 1
+        planes = _count_planes([full ^ 1 << i for i in range(m)])
+        assert len(planes) == (m - 1).bit_length()
+        assert plane_counts(planes, m) == [m - 1] * m
+        # a star: the centre's count reaches m - 1 one leaf row at a time
+        planes = _count_planes([full ^ 1] + [1] * (m - 1))
+        assert len(planes) == (m - 1).bit_length()
+        assert plane_counts(planes, m) == [m - 1] + [1] * (m - 1)
+        # two QNets whose complement is the perfect matching (i, m + i)
+        links = [(i, m + j) for i in range(m) for j in range(m) if i != j]
+        cg = build_controlled(InterQNet(Graph(2 * m, links), QNetPartition(2, (1,) * m + (2,) * m)))
+        requests = [(i, m + i) for i in range(m)]
+        assert dynamic_parallel_pairs(cg, requests).groups == (frozenset(requests),)
+
+
 def two_domains_of_three():
     """QNets {0, 1, 2} and {3, 4, 5} with links 0-3, 0-4, 1-4 and 2-5."""
     return InterQNet(
@@ -379,6 +503,18 @@ class TestDynamicParallelPairs:
         for vol in (50, 200):
             rs = sample_requests(iq, min(vol, eligible), derive_seed(2, k, vol))
             assert dynamic_parallel_pairs(cg, rs).groups == reference_dynamic_parallel_pairs(cg, rs)
+
+    def test_matches_recounted_greedy_at_scale(self):
+        # 800 requests on 200 data vertices at p=0.8; the whole-edge-set
+        # loop takes most of a minute here, so the reference recounts every
+        # partner from the compatibility rows at each group start instead
+        iq = generate_inter_qnet(GenConfig(4, even_sizes(200, 4), 0.8, derive_seed(1, 4, 8)))
+        rs = sample_requests(iq, 800, derive_seed(2, 4, 800))
+        edges = sorted(rs.requests)
+        rows = _compat_rows(complement_inter_qnet(iq).graph, edges)
+        assert max(row.bit_count() for row in rows) >= 64
+        want = tuple(frozenset(edges[i] for i in bits(g)) for g in recounted_greedy(rows))
+        assert dynamic_parallel_pairs(build_controlled(iq), rs).groups == want
 
     @settings(max_examples=200, deadline=None)
     @given(controlled_batches())

@@ -865,6 +865,23 @@ class TestBadInputFailsLoudly:
         with pytest.raises(ValueError, match="generator 1 acts outside 2 qubits"):
             graph_form(StabilizerTableau(2, ((1, 0, 0), (4, 0, 0))))
 
+    @pytest.mark.parametrize("mask", [[0, 2], [1, 2], [0, 1], None])
+    @pytest.mark.parametrize("rows, bad", [
+        (((1, 8, 0), (2, 0, 0), (4, 0, 0)), 0),  # Z on qubit 3, X block the identity
+        (((1, 0, 0), (2, 0, 0), (4, 16, 0)), 2),  # Z on qubit 4, X block the identity
+        (((1, 0, 0), (10, 0, 0), (4, 0, 0)), 1),  # X on qubit 3
+    ], ids=["z3", "z4", "x3"])
+    def test_generator_outside_n_qubits_raises_for_every_mask(self, rows, bad, mask):
+        # a stray bit must not be compressed away by the repack of a mask
+        t = StabilizerTableau(3, rows)
+        message = f"^generator {bad} acts outside 3 qubits$"
+        with pytest.raises(ValueError, match=message):
+            restrict_to(t, range(3) if mask is None else mask)
+        good = graph_state(Graph(3, [(0, 1)]))
+        for a, b in ((t, t), (t, good), (good, t)):
+            with pytest.raises(ValueError, match=message):
+                equal_up_to_local_clifford(a, b, mask)
+
     def test_invalid_qubits_raise_under_optimize(self):
         script = "\n".join([
             "from mecnet.graph import Graph",
