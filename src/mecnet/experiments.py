@@ -15,11 +15,12 @@ deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from statistics import mean, pstdev
+from statistics import pstdev
 from typing import Any, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -360,9 +361,21 @@ TABLES = {
 
 
 def _mean(xs) -> Any:
-    """The mean rounded to 6 places (a whole mean of ints stays an int); blank for no values."""
+    """The mean rounded to 6 places (a whole mean of ints stays an int); blank for no values.
+
+    The sum is exact: every value's ``as_integer_ratio`` has a power-of-two
+    denominator, so the largest one is common to all, and the one int/int
+    division is correctly rounded, as ``statistics.mean`` is."""
     xs = list(xs)
-    return round(mean(xs), 6) if xs else ""
+    if not xs:
+        return ""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(d for _, d in ratios)
+    num = sum(n * (den // d) for n, d in ratios)
+    count = len(xs) * den
+    if den == 1 and num % count == 0 and all(isinstance(x, int) for x in xs):
+        return num // count
+    return round(num / count, 6)
 
 
 def _std(xs) -> float:
@@ -389,6 +402,11 @@ def write_reports(
             if not v.skipped:
                 cells.setdefault((r.p, r.k, v.volume), []).append(v)
 
+    # the timing columns and fb depend on the grid point alone
+    points = [
+        (t, [float(getattr(t, key)) for key in _TIMING_KEYS], round(throughput_cqr(t), 6))
+        for t in timing_grid
+    ]
     rows: dict[str, list[list]] = {name: [] for name in TABLES}
     for (p, k, vol), vs in sorted(cells.items()):
         hbars = [v.h_bar for v in vs if v.h_bar is not None]
@@ -401,18 +419,30 @@ def write_reports(
         qs = [_mean(getattr(v, q) for v in vs) for q in ("q_cqr", "q_pro", "q_ond")]
         ond_le = _mean(1.0 if v.q_ond <= v.q_cqr else 0.0 for v in vs)
         rows["arqf"].append(cell + qs + [ond_le])
-        for t in timing_grid:
-            timing = [float(getattr(t, key)) for key in _TIMING_KEYS]
+        for t, timing, fb in points:
             fm = _mean(throughput_mec(t, v.r_bar) for v in vs)
-            rows["throughput"].append([p, k, vol, *timing, r_bar, fm, round(throughput_cqr(t), 6)])
+            rows["throughput"].append([p, k, vol, *timing, r_bar, fm, fb])
 
     paths = {}
     for name, (tag, header) in TABLES.items():
         paths[name] = os.path.join(out_dir, f"{name}.csv")
-        with open(paths[name], "w", encoding="utf-8") as fh:
-            fh.write(f"# {tag}\n{header}\n")
-            csv.writer(fh, lineterminator="\n").writerows(rows[name])
+        text = io.StringIO()
+        text.write(f"# {tag}\n{header}\n")
+        csv.writer(text, lineterminator="\n").writerows(rows[name])
+        _write_in_place(paths[name], text.getvalue())
     return paths
+
+
+def _write_in_place(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 over the old bytes, then cut the
+    file at the end of the new content.
+
+    Opening without ``O_TRUNC`` matters on ext4 (``auto_da_alloc``), which
+    flushes a file truncated to zero and rewritten when it is closed: each
+    report rewrite then costs about ten times as much."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
 
 
 # figure -> (table, title, y label, {series label: column}).  A label is a
@@ -453,41 +483,80 @@ _FIGURES = {
 }
 
 
+def _read_table(path: str, tag: str, header: str) -> list[tuple[int, dict[str, str]]]:
+    """The rows of one report table, each with its line number.
+
+    Raises ValueError, naming the file, when the schema line is not ``tag``
+    or line 2 is not ``header``, and naming the line as well when a row has
+    another number of fields than the header.  Blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        found = fh.readline().rstrip("\n").removeprefix("# ")
+        if found != tag:
+            raise ValueError(f"{path} has schema tag {found!r}, expected {tag!r}")
+        found = fh.readline().rstrip("\n")
+        if found != header:
+            raise ValueError(f"{path} line 2 has header {found!r}, expected {header!r}")
+        columns = header.split(",")
+        rows = []
+        reader = csv.reader(fh)
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(columns):
+                raise ValueError(
+                    f"{path} line {reader.line_num + 2} has {len(cells)} fields, "
+                    f"expected {len(columns)}"
+                )
+            rows.append((reader.line_num + 2, dict(zip(columns, cells))))
+    return rows
+
+
+def _number(path: str, line: int, row: dict[str, str], column: str) -> float:
+    """One cell of a report table as a float; a ValueError names the file,
+    the line and the column of a cell that is not a number."""
+    try:
+        return float(row[column])
+    except ValueError:
+        raise ValueError(
+            f"{path} line {line}, column {column!r}: {row[column]!r} is not a number"
+        ) from None
+
+
 def render_figures(out_dir: str) -> list[str]:
     """Rebuild the SVG figures purely from the CSV tables in ``out_dir``.
 
-    Raises ValueError, naming the file, when a table's schema line is not
-    the tag that ``TABLES`` holds for it."""
+    Raises ValueError, naming the file, when a table's schema line or
+    header is not the one that ``TABLES`` holds for it, and naming the line
+    too for a row of the wrong length or a cell that is not a number."""
     tables = {}
-    for name, (tag, _) in TABLES.items():
+    for name, (tag, header) in TABLES.items():
         path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, encoding="utf-8") as fh:
-            found = fh.readline().rstrip("\n").removeprefix("# ")
-            if found != tag:
-                raise ValueError(f"{path} has schema tag {found!r}, expected {tag!r}")
-            tables[name] = list(csv.DictReader(fh))
+        tables[name] = (path, _read_table(path, tag, header))
 
     written = []
     for name, (table, title, ylabel, columns) in _FIGURES.items():
-        rows = tables[table]
+        path, rows = tables[table]
         if name == "arqf":
             svg = grouped_bars(
-                [f"k={row['k']} p={row['p']} |R|={row['volume']}" for row in rows],
-                {label: [float(row[col]) for row in rows] for label, col in columns.items()},
+                [f"k={row['k']} p={row['p']} |R|={row['volume']}" for _, row in rows],
+                {
+                    label: [_number(path, line, row, col) for line, row in rows]
+                    for label, col in columns.items()
+                },
                 title,
                 "configuration",
                 ylabel,
             )
         else:
             series: dict[str, list[tuple[float, float]]] = {}
-            for row in rows:
+            for line, row in rows:
                 if "" not in (row[col] for col in columns.values()):
+                    volume = _number(path, line, row, "volume")
                     for label, col in columns.items():
                         series.setdefault(label.format(**row), []).append(
-                            (float(row["volume"]), float(row[col]))
+                            (volume, _number(path, line, row, col))
                         )
             svg = line_chart(series, title, "requests", ylabel)
         written.append(os.path.join(out_dir, f"{name}.svg"))
-        with open(written[-1], "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write_in_place(written[-1], svg)
     return written

@@ -21,6 +21,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _text(s: str) -> str:
+    """``s`` escaped for an SVG text node."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _scale(vals: Sequence[float]) -> tuple[float, float]:
     lo, hi = min(vals), max(vals)
     if lo == hi:
@@ -34,12 +39,12 @@ def _axes(title: str, xlabel: str, ylabel: str, xlo, xhi, ylo, yhi, xticks=True)
     py = lambda y: _H - _MB - (y - ylo) / (yhi - ylo) * (_H - _MT - _MB)
     out = [
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W/2}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{_W/2}" y="24" text-anchor="middle" font-size="16">{_text(title)}</text>',
         f'<line x1="{_ML}" y1="{_H-_MB}" x2="{_W-_MR}" y2="{_H-_MB}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H-_MB}" stroke="black"/>',
-        f'<text x="{_W/2}" y="{_H-16}" text-anchor="middle" font-size="13">{xlabel}</text>',
+        f'<text x="{_W/2}" y="{_H-16}" text-anchor="middle" font-size="13">{_text(xlabel)}</text>',
         f'<text x="18" y="{_H/2}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 18 {_H/2})">{ylabel}</text>',
+        f'transform="rotate(-90 18 {_H/2})">{_text(ylabel)}</text>',
     ]
     for i in range(5):
         xv = xlo + (xhi - xlo) * i / 4
@@ -66,7 +71,7 @@ def _legend(names: Sequence[str]) -> list[str]:
         y = _MT + 8 + 16 * i
         color = _COLORS[i % len(_COLORS)]
         out.append(f'<rect x="{_W-_MR-150}" y="{y-9}" width="12" height="12" fill="{color}"/>')
-        out.append(f'<text x="{_W-_MR-132}" y="{y+2}" font-size="12">{name}</text>')
+        out.append(f'<text x="{_W-_MR-132}" y="{y+2}" font-size="12">{_text(name)}</text>')
     return out
 
 
@@ -127,7 +132,7 @@ def grouped_bars(
     for gi, label in enumerate(groups):
         x = _ML + gi * span + span / 2
         parts.append(
-            f'<text x="{x:.1f}" y="{_H-_MB+18}" text-anchor="middle" font-size="11">{label}</text>'
+            f'<text x="{x:.1f}" y="{_H-_MB+18}" text-anchor="middle" font-size="11">{_text(label)}</text>'
         )
     parts.extend(_legend(list(series)))
     body = "\n".join(parts)

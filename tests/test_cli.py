@@ -8,13 +8,17 @@ import pickle
 import subprocess
 import sys
 from statistics import mean
+from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mecnet
 import mecnet.cli as cli
 import mecnet.experiments as experiments
 import mecnet.pairs as pairs
+import mecnet.svgplot as svgplot
 import mecnet.verify as verify
 from mecnet.cqr import CqrPath
 from mecnet.experiments import (
@@ -527,6 +531,141 @@ class TestReportCommand:
         first = open(os.path.join(out, "hops.svg")).read()
         render_figures(out)
         assert open(os.path.join(out, "hops.svg")).read() == first
+
+    @staticmethod
+    def _edit_hops_line(out, lineno, edit):
+        """Rewrite one line of ``hops.csv`` (1-based) through ``edit``."""
+        table = os.path.join(out, "hops.csv")
+        lines = open(table).read().split("\n")
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        with open(table, "w") as fh:
+            fh.write("\n".join(lines))
+        return table
+
+    def test_report_refuses_a_short_row(self, tmp_path, capsys):
+        cfg_path, cfg = small_config(tmp_path)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
+        table = self._edit_hops_line(
+            cfg["output_dir"], 4, lambda line: ",".join(line.split(",")[:5])
+        )
+        assert cli.main(["report", "--out", cfg["output_dir"]]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {table} line 4 has 5 fields, expected 8\n"
+
+    def test_report_refuses_a_renamed_header_column(self, tmp_path, capsys):
+        cfg_path, cfg = small_config(tmp_path)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
+        header = experiments.TABLES["hops"][1]
+        renamed = header.replace("cqr_hops_mean", "cqr_hops_avg")
+        table = self._edit_hops_line(cfg["output_dir"], 2, lambda line: renamed)
+        assert cli.main(["report", "--out", cfg["output_dir"]]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: {table} line 2 has header {renamed!r}, expected {header!r}\n"
+        )
+
+    def test_report_names_the_cell_that_is_not_a_number(self, tmp_path, capsys):
+        cfg_path, cfg = small_config(tmp_path)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
+        col = experiments.TABLES["hops"][1].split(",").index("cqr_hops_mean")
+
+        def edit(line):
+            cells = line.split(",")
+            assert cells[col] != ""
+            cells[col] = "abc"
+            return ",".join(cells)
+
+        table = self._edit_hops_line(cfg["output_dir"], 4, edit)
+        assert cli.main(["report", "--out", cfg["output_dir"]]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: {table} line 4, column 'cqr_hops_mean': 'abc' is not a number\n"
+        )
+
+    def test_svg_text_from_the_tables_is_escaped(self, tmp_path):
+        # every figure puts k into a legend name or a group label
+        cfg_path, cfg = small_config(tmp_path)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
+        out = cfg["output_dir"]
+        for name in experiments.TABLES:
+            table = os.path.join(out, f"{name}.csv")
+            lines = open(table).read().splitlines()
+            for i in range(2, len(lines)):
+                cells = lines[i].split(",")
+                cells[1] = "a<b&c>"
+                lines[i] = ",".join(cells)
+            with open(table, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        assert cli.main(["report", "--out", out]) == cli.EXIT_OK
+        for f in REPORT_FILES[4:]:
+            root = ElementTree.parse(os.path.join(out, f)).getroot()
+            assert any("k=a<b&c>" in (node.text or "") for node in root.iter()), f
+        for svg in (
+            svgplot.line_chart({"s<1>": [(1.0, 2.0)]}, "t&i<t>le", "x<", "y&"),
+            svgplot.grouped_bars(["g&<>"], {"s<1>": [2.0]}, "t&i<t>le", "x<", "y&"),
+        ):
+            texts = [node.text for node in ElementTree.fromstring(svg).iter()]
+            assert {"t&i<t>le", "x<", "y&", "s<1>"} <= set(texts)
+
+    def test_rerun_into_the_same_directory_leaves_no_stale_bytes(self, tmp_path):
+        # the larger run writes longer files, so a stale tail would show
+        for side in ("big", "small", "fresh"):
+            (tmp_path / side).mkdir()
+        big_path, big = small_config(
+            tmp_path / "big", repetitions=3, request_volumes=[4, 6, 8],
+            timing_grid=[{"lam": lam, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1} for lam in (10, 20)],
+            output_dir=str(tmp_path / "shared"),
+        )
+        small_path, _ = small_config(tmp_path / "small", output_dir=str(tmp_path / "shared"))
+        fresh_path, _ = small_config(tmp_path / "fresh", output_dir=str(tmp_path / "fresh_out"))
+        assert cli.main(["run", "--config", big_path]) == cli.EXIT_OK
+        big_sizes = {f: os.path.getsize(tmp_path / "shared" / f) for f in REPORT_FILES}
+        assert cli.main(["run", "--config", small_path]) == cli.EXIT_OK
+        assert cli.main(["run", "--config", fresh_path]) == cli.EXIT_OK
+        for f in REPORT_FILES:
+            fresh = (tmp_path / "fresh_out" / f).read_bytes()
+            assert len(fresh) < big_sizes[f], f
+            assert (tmp_path / "shared" / f).read_bytes() == fresh, f
+
+    @pytest.mark.parametrize("blocked", ["hops.csv", "hops.svg"])
+    def test_unwritable_report_path_is_io_error(self, tmp_path, capsys, blocked):
+        cfg_path, cfg = small_config(tmp_path)
+        os.makedirs(os.path.join(cfg["output_dir"], blocked))
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("I/O error: ")
+
+
+def _whole_mean_ints(draw_xs_and_mean):
+    """Ints with one value appended so that their mean is the drawn int."""
+    xs, m = draw_xs_and_mean
+    return xs + [(len(xs) + 1) * m - sum(xs)]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# 1 - 1/h for a mean hop count h = hops / requests of at least two hops
+_ONE_MINUS_INV_H = st.integers(1, 300).flatmap(
+    lambda n: st.integers(2 * n, 8 * n).map(lambda hops: 1 - 1 / (hops / n))
+)
+MEAN_INPUTS = {
+    "ints": st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=12),
+    "ints_whole_mean": st.tuples(
+        st.lists(st.integers(-1000, 1000), max_size=11), st.integers(-1000, 1000)
+    ).map(_whole_mean_ints),
+    "floats": st.lists(_FINITE, min_size=1, max_size=12),
+    "mixed": st.lists(st.one_of(st.integers(-(10**6), 10**6), _FINITE), min_size=1, max_size=12),
+    "one_minus_inv_h": st.lists(_ONE_MINUS_INV_H, min_size=1, max_size=12),
+}
+
+
+class TestMean:
+    @pytest.mark.parametrize("kind", sorted(MEAN_INPUTS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mean_equals_the_rounded_statistics_mean(self, kind, data):
+        xs = data.draw(MEAN_INPUTS[kind])
+        got, want = experiments._mean(xs), round(mean(xs), 6)
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)
+
+    def test_mean_of_no_values_is_blank(self):
+        assert experiments._mean(iter(())) == ""
 
 
 class TestUsageErrors:
