@@ -8,6 +8,7 @@ case boundaries are sharp for integer or rational inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -54,12 +55,14 @@ class TimingParams:
                 raise ValueError(f"cycle time {prep} + {route} must be positive")
 
 
+@lru_cache(maxsize=1024)
 def mec_cycles(t: TimingParams) -> int:
     """Service cycles per window under proactive complementation routing.
 
     Zero when the window cannot even host the routing stage; one when it
     hosts routing but not a full re-preparation; otherwise the number of
-    cycles whose re-preparation deadline falls inside the window.
+    cycles whose re-preparation deadline falls inside the window.  The
+    count depends on ``t`` alone, so it is memoised per timing point.
     """
     lam, tp, tr = _frac(t.lam), _frac(t.tpm), _frac(t.trm)
     if lam < tr:
@@ -69,8 +72,10 @@ def mec_cycles(t: TimingParams) -> int:
     return int((lam - tp) // (tp + tr)) + 1
 
 
+@lru_cache(maxsize=1024)
 def cqr_cycles(t: TimingParams) -> int:
-    """Service cycles per window when preparation starts at request arrival."""
+    """Service cycles per window when preparation starts at request arrival,
+    memoised per timing point like :func:`mec_cycles`."""
     lam, tp, tr = _frac(t.lam), _frac(t.tpb), _frac(t.trb)
     if lam < tp + tr:
         return 0

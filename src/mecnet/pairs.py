@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .graph import Graph, bits
 from .qnet import ControlledInterQNet, InterQNet, complement_inter_qnet
 
@@ -126,28 +128,28 @@ def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
     """Compatibility matrix of ``edges`` as one bitmask row per edge.
 
     Bit ``j`` of row ``i`` is set iff ``edges[i]`` and ``edges[j]`` are
-    compatible (never for ``j == i``).  Each vertex maps to the mask of the
-    edges that touch it, and ``near[v]`` to the edges touching ``v`` or one
-    of its neighbors.  An edge ``(a, b)`` conflicts with every edge touching
-    its endpoints or their neighbors, that is with ``near[a] | near[b]``.
-    The callers check that every entry of ``edges`` is an edge of ``g``.
+    compatible (never for ``j == i``).  Each edge's reach, its endpoints and
+    their neighbors, is one row of an m×n bit matrix; its transpose maps
+    each vertex ``v`` to ``near[v]``, the mask of the edges whose reach
+    holds ``v``.  An edge ``(a, b)`` conflicts with every edge whose reach
+    holds ``a`` or ``b``, that is with ``near[a] | near[b]``.  The callers
+    check that every entry of ``edges`` is an edge of ``g``.
     """
-    adj = g.adjacency
-    touching = [0] * g.vertex_count
-    touched = 0
-    for i, (a, b) in enumerate(edges):
-        touching[a] |= 1 << i
-        touching[b] |= 1 << i
-        touched |= (1 << a) | (1 << b)
-    near = []
-    for v, t in enumerate(touching):
-        us = adj[v] & touched if t else 0
-        while us:
-            low = us & -us
-            us ^= low
-            t |= touching[low.bit_length() - 1]
-        near.append(t)
-    full = (1 << len(edges)) - 1
+    m = len(edges)
+    if not m:
+        return []
+    adj, n = g.adjacency, g.vertex_count
+    width = (n + 7) // 8
+    reach = b"".join(
+        ((1 << a) | (1 << b) | adj[a] | adj[b]).to_bytes(width, "little") for a, b in edges
+    )
+    grid = np.unpackbits(
+        np.frombuffer(reach, np.uint8).reshape(m, width), axis=1, count=n, bitorder="little"
+    )
+    cols = np.packbits(grid.T, axis=1, bitorder="little").tobytes()
+    step = (m + 7) // 8
+    near = [int.from_bytes(cols[i : i + step], "little") for i in range(0, n * step, step)]
+    full = (1 << m) - 1
     return [full & ~(near[a] | near[b]) for a, b in edges]
 
 

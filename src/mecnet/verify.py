@@ -145,16 +145,19 @@ def suite_measurement_oracle(seed: int = 77, max_vertices: int = ORACLE_MAX_QUBI
 
 def suite_pairable_bruteforce(trials: int = 10000, seed: int = 5150) -> SuiteResult:
     """The scheduler's compatibility rows, looked up on :mod:`mecnet.pairs` at
-    each call, versus ``compatible`` bit by bit, with an empty diagonal."""
+    each call, versus ``compatible`` bit by bit, with an empty diagonal.
+
+    Graphs of 4 to 24 vertices and batches of 1 to 16 edges cross the byte
+    boundaries of the rows' bit-matrix transpose on both axes."""
     res = SuiteResult("pairable-vs-bruteforce")
     rnd = random.Random(seed)
     for _ in range(trials):
-        n = rnd.randint(4, 12)
+        n = rnd.randint(4, 24)
         edges = [e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.35]
         if not edges:
             continue
         g = Graph(n, edges)
-        sub = rnd.sample(edges, k=min(len(edges), rnd.randint(1, 8)))
+        sub = rnd.sample(edges, k=min(len(edges), rnd.randint(1, 16)))
         want = [
             sum(1 << j for j, f in enumerate(sub) if f != e and pairs.compatible(g, e, f))
             for e in sub

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from mecnet.cqr import CqrPath, cqr_batch, route_cqr
 from mecnet.experiments import derive_seed, even_sizes
 from mecnet.graph import Graph, bits
-from mecnet.netgen import GenConfig, generate_inter_qnet
-from mecnet.qnet import InterQNet, QNetPartition, build_controlled
+from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
+from mecnet.qnet import InterQNet, QNetPartition, build_controlled, complement_inter_qnet
 from mecnet.verify import random_inter_qnet
 
 
@@ -223,3 +223,42 @@ class TestCqrBatch:
             reqs = rnd.sample(remote, k=min(5, len(remote)))
             paths, _, chi = cqr_batch(cg, reqs)
             assert chi == sum(p.hops - 1 for p in paths)
+
+
+class TestHopRule:
+    """A remote request routes in two hops through a common neighbour, or
+    else in three through the control clique: its hop count is
+    ``2 + (N(s) & N(d) == 0)``, whichever of the data or the controlled
+    network gives the neighbourhoods."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(controlled_networks())
+    def test_remote_hops_are_two_plus_no_common_neighbour(self, cg):
+        # k = 3 is drawn too, whose padding control touches no data vertex
+        data, adj = cg.data.graph.adjacency, cg.graph.adjacency
+        m = cg.partition.membership
+        remote = [
+            (s, d)
+            for s, d in itertools.permutations(range(cg.data_count), 2)
+            if m[s] != m[d] and not data[s] >> d & 1
+        ]
+        hops, _, _ = cqr_batch(cg, remote)
+        for (s, d), path in zip(remote, hops):
+            assert path.hops == 2 + (adj[s] & adj[d] == 0) == 2 + (data[s] & data[d] == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(1, 25), min_size=2, max_size=2),
+        st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]),
+        st.integers(0, 2**32),
+        st.integers(0, 2**32),
+    )
+    def test_two_domains_always_take_three_hops(self, sizes, p, gen_seed, req_seed):
+        # a common neighbour of s in QNet 1 and d in QNet 2 would lie in a third
+        iq = generate_inter_qnet(GenConfig(2, sizes, p, gen_seed))
+        pool = complement_inter_qnet(iq).graph.edges()
+        if not pool:
+            return
+        rs = sample_requests(iq, min(len(pool), 50), req_seed, pool=pool)
+        _, h_bar, chi = cqr_batch(build_controlled(iq), rs)
+        assert h_bar == 3.0 and chi == 2 * len(rs)

@@ -74,6 +74,30 @@ def reference_candidates(g, targets):
     return out
 
 
+def reference_compat_rows(g, edges):
+    """Compatibility rows as first written: each vertex maps to the mask of
+    the edges touching it, ``near[v]`` ORs that mask over ``v`` and its
+    neighbours one set bit at a time, and an edge ``(a, b)`` conflicts with
+    ``near[a] | near[b]``."""
+    adj = g.adjacency
+    touching = [0] * g.vertex_count
+    touched = 0
+    for i, (a, b) in enumerate(edges):
+        touching[a] |= 1 << i
+        touching[b] |= 1 << i
+        touched |= (1 << a) | (1 << b)
+    near = []
+    for v, t in enumerate(touching):
+        us = adj[v] & touched if t else 0
+        while us:
+            low = us & -us
+            us ^= low
+            t |= touching[low.bit_length() - 1]
+        near.append(t)
+    full = (1 << len(edges)) - 1
+    return [full & ~(near[a] | near[b]) for a, b in edges]
+
+
 def reference_dynamic_parallel_pairs(cg, requests):
     """The greedy scheduler as first written: candidate lists over the whole
     complement edge set, rebuilt at every group start."""
@@ -280,6 +304,75 @@ class TestCheckParallelPairable:
             g = Graph(n, edges)
             sub = rnd.sample(edges, k=min(len(edges), rnd.randint(1, 8)))
             assert rows_pairable(g, sub) == brute_force_pairable(g, sub)
+
+
+# sizes on both sides of a byte of the transpose, and past one 64-bit word
+BYTE_SIZES = [1, 7, 8, 9, 15, 16, 17, 63, 64, 65]
+
+
+@st.composite
+def wide_graph_and_batch(draw):
+    """A graph of up to 80 vertices, some slots dead, and a batch of up to 40
+    of its edges in drawn order, the sizes biased to byte boundaries."""
+    n = draw(st.one_of(st.sampled_from([v for v in BYTE_SIZES if v > 1]), st.integers(2, 80)))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < density])
+    if draw(st.booleans()):
+        g = g.keep(rnd.getrandbits(n))
+    m = draw(st.one_of(st.sampled_from(BYTE_SIZES[:7]), st.integers(0, 40)))
+    edges = g.edges()
+    return g, rnd.sample(edges, min(m, len(edges)))
+
+
+class TestCompatRows:
+    """The bit-matrix transpose behind ``_compat_rows`` against the
+    per-vertex walk it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_graph_and_batch())
+    def test_equal_to_the_vertex_walk(self, case):
+        g, edges = case
+        assert _compat_rows(g, edges) == reference_compat_rows(g, edges)
+
+    @pytest.mark.parametrize("n", [v for v in BYTE_SIZES if v > 1] + [72, 129])
+    @pytest.mark.parametrize("m", BYTE_SIZES[:7])
+    def test_equal_at_byte_boundaries(self, n, m):
+        rnd = random.Random(n * 1000 + m)
+        density = 0.9 if n < 12 else 0.3
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < density])
+        edges = g.edges()
+        assert len(edges) >= m
+        batch = rnd.sample(edges, m)
+        rows = _compat_rows(g, batch)
+        assert rows == reference_compat_rows(g, batch)
+        assert len(rows) == m and all(row >> m == 0 for row in rows)
+
+    @pytest.mark.parametrize("n", [2, 9, 65])
+    def test_empty_and_single_batches(self, n):
+        g = Graph(n, [(0, n - 1)])
+        assert _compat_rows(g, []) == []
+        assert _compat_rows(g, [(0, n - 1)]) == [0]
+
+    @pytest.mark.parametrize("k", [4, 10])
+    @pytest.mark.parametrize("p", [0.2, 0.8])
+    def test_equal_on_eval_batches(self, k, p):
+        for rep in range(3):
+            iq = generate_inter_qnet(GenConfig(k, even_sizes(50, k), p, derive_seed(5, k, int(p * 10), rep)))
+            g = complement_inter_qnet(iq).graph
+            eligible = g.edge_count
+            for vol in (50, 100, 150, 200):
+                rs = sample_requests(iq, min(vol, eligible), derive_seed(6, k, vol, rep))
+                edges = sorted(rs.requests)
+                assert _compat_rows(g, edges) == reference_compat_rows(g, edges)
+
+    @pytest.mark.parametrize("n", [400, 800])
+    @pytest.mark.parametrize("p", [0.2, 0.8])
+    def test_equal_at_scale(self, n, p):
+        iq = generate_inter_qnet(GenConfig(4, even_sizes(n, 4), p, derive_seed(7, n, int(p * 10))))
+        g = complement_inter_qnet(iq).graph
+        edges = sorted(sample_requests(iq, 4 * n, derive_seed(8, n)).requests)
+        assert _compat_rows(g, edges) == reference_compat_rows(g, edges)
 
 
 def plane_counts(planes, m):
