@@ -7,7 +7,8 @@ case boundaries are sharp for integer or rational inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence, Union
@@ -45,6 +46,10 @@ class TimingParams:
     trb: Num
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            x = getattr(self, f.name)
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"{f.name} must be finite, got {x}")
         if _frac(self.lam) <= 0:
             raise ValueError("lam must be positive")
         for name in ("tpm", "trm", "tpb", "trb"):

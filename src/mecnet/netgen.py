@@ -3,8 +3,8 @@
 Connectivity first, density second: a uniformly random spanning tree over
 the cross-domain candidate pairs is laid down (Wilson's loop-erased
 random walk on the complete multipartite graph), then every remaining
-cross-domain pair is added independently with probability p.  Everything
-is deterministic given the seed.
+cross-domain pair is added independently with probability p, one draw per
+pair in lexicographic order.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -48,10 +48,7 @@ class GenConfig:
 
 
 def _membership(cfg: GenConfig) -> tuple[int, ...]:
-    out = []
-    for a, s in enumerate(cfg.sizes, start=1):
-        out.extend([a] * s)
-    return tuple(out)
+    return tuple(a for a, s in enumerate(cfg.sizes, start=1) for _ in range(s))
 
 
 def _uniform_spanning_tree(
@@ -91,17 +88,20 @@ def _uniform_spanning_tree(
 
 def generate_inter_qnet(cfg: GenConfig) -> InterQNet:
     """Connected cross-domain graph: random spanning tree plus Bernoulli(p)
-    on every remaining cross-domain pair, in canonical pair order."""
+    on every remaining cross-domain pair, built as one n×n boolean matrix."""
     rng = np.random.default_rng(cfg.rng_seed)
     membership = _membership(cfg)
     n = cfg.node_count
-    part = QNetPartition(cfg.k, membership)
-    tree = InterQNet(Graph(n, _uniform_spanning_tree(membership, rng)), part)
-    # the cross-domain pairs not in the tree, in lexicographic order
-    candidates = complement_inter_qnet(tree).graph.edges()
-    draws = rng.random(len(candidates))
-    edges = tree.graph.edges() + [e for e, x in zip(candidates, draws) if x < cfg.p]
-    iq = InterQNet(Graph(n, edges), part)
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in _uniform_spanning_tree(membership, rng):
+        adj[u, v] = adj[v, u] = True
+    qnet = np.array(membership)
+    candidates = np.triu(qnet[:, None] != qnet[None, :], 1) & ~adj
+    # a mask assignment fills cells row-major: pairs u < v, lexicographically
+    adj[candidates] = rng.random(np.count_nonzero(candidates)) < cfg.p
+    rows = np.packbits(adj | adj.T, axis=1, bitorder="little")
+    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+    iq = InterQNet(Graph._from_parts(n, masks, (1 << n) - 1), QNetPartition(cfg.k, membership))
     if not iq.connected:
         raise RuntimeError("spanning-tree construction must yield a connected graph")
     return iq

@@ -4,7 +4,9 @@
 breadth-first search below is the reference it is checked against.
 """
 
+import dataclasses
 import itertools
+import os
 import random
 from types import SimpleNamespace
 
@@ -13,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecnet.cqr import CqrPath, cqr_batch, route_cqr
-from mecnet.experiments import derive_seed, even_sizes
+from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes, run_experiment
 from mecnet.graph import Graph, bits
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
 from mecnet.qnet import InterQNet, QNetPartition, build_controlled, complement_inter_qnet
 from mecnet.verify import random_inter_qnet
+
+EVAL_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "eval.json")
 
 
 def _cg(edges, k, membership):
@@ -262,3 +266,27 @@ class TestHopRule:
         rs = sample_requests(iq, min(len(pool), 50), req_seed, pool=pool)
         _, h_bar, chi = cqr_batch(build_controlled(iq), rs)
         assert h_bar == 3.0 and chi == 2 * len(rs)
+
+    def test_mean_field_hbar_on_the_eval_grid(self):
+        # Mean field: fold the spanning tree into one edge probability
+        # p_eff = p + (1 - p)(n - 1)/|cross pairs|.  A request between QNets
+        # A and B has no common neighbour, so takes three hops, with chance
+        # q = (1 - p_eff^2)^(n - |A| - |B|), and h_bar = 2 + q.
+        cfg = ExperimentConfig.from_json(EVAL_CONFIG)
+        cfg = dataclasses.replace(cfg, repetitions=20, jobs=1)
+        measured = {}
+        for res in run_experiment(cfg):
+            for v in res.volumes:
+                if v.h_bar is not None:
+                    measured.setdefault((res.k, res.p, v.volume), []).append(v.h_bar)
+        assert len(measured) == 32
+        for (k, p, volume), h_bars in measured.items():
+            sizes, n = even_sizes(cfg.nodes, k), cfg.nodes
+            between = [(a * b, n - a - b) for a, b in itertools.combinations(sizes, 2)]
+            cross = sum(w for w, _ in between)
+            p_eff = p + (1 - p) * (n - 1) / cross
+            q = sum(w * (1 - p_eff**2) ** rest for w, rest in between) / cross
+            # 20 networks leave a standard error of at most 0.018 hops on a
+            # row (k=4, p=0.2, volume 50); 0.05 is about three of those, and
+            # a quarter of the 0.2-hop spread between the p=0.2 and p=0.8 rows
+            assert abs(sum(h_bars) / len(h_bars) - (2 + q)) < 0.05, (k, p, volume)

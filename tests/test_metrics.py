@@ -1,5 +1,6 @@
 """Throughput closed forms, footprint identities, and the block walkers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -31,6 +32,13 @@ class TestTimingParams:
             TimingParams(5, 1, 1, 0, 0)
         t = TimingParams(5, 0, 1, 0, 1)  # one zero term alone is a valid cycle
         assert mec_cycles(t) == walk_mec_window(t) == 6
+
+    @pytest.mark.parametrize("name", ["lam", "tpm", "trm", "tpb", "trb"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, name, bad):
+        point = {"lam": 5, "tpm": 1, "trm": 1, "tpb": 1, "trb": 1, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+            TimingParams(**point)
 
 
 class TestThroughputMec:

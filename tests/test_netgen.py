@@ -11,14 +11,32 @@ import numpy as np
 import pytest
 
 import mecnet
+import mecnet.netgen as netgen
 from mecnet.experiments import derive_seed, even_sizes
+from mecnet.graph import Graph
 from mecnet.netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
-from mecnet.qnet import complement_inter_qnet, instance_to_text
+from mecnet.qnet import InterQNet, QNetPartition, complement_inter_qnet, instance_to_text
 
 
 def cross_pair_count(sizes):
     n = sum(sizes)
     return (n * (n - 1) - sum(s * (s - 1) for s in sizes)) // 2
+
+
+def edge_list_generate(cfg):
+    """The generator as it was built from edge lists, which produced every
+    committed report: the tree as a validated network, its cross-domain
+    complement's edges as the candidates, one draw each, and a second
+    network built edge by edge."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    membership = netgen._membership(cfg)
+    n = cfg.node_count
+    part = QNetPartition(cfg.k, membership)
+    tree = InterQNet(Graph(n, netgen._uniform_spanning_tree(membership, rng)), part)
+    candidates = complement_inter_qnet(tree).graph.edges()
+    draws = rng.random(len(candidates))
+    edges = tree.graph.edges() + [e for e, x in zip(candidates, draws) if x < cfg.p]
+    return InterQNet(Graph(n, edges), part)
 
 
 class TestGenConfig:
@@ -83,6 +101,56 @@ class TestGenerate:
         expect = (n - 1) + extra * p
         sigma = math.sqrt(extra * p * (1 - p))
         assert abs(np.mean(counts) - expect) < 3 * sigma / math.sqrt(len(counts)) + 0.5
+
+
+class TestSameGraphsAsEdgeLists:
+    """The matrix build against :func:`edge_list_generate`: same draws, same
+    graph, same partition."""
+
+    def check(self, cfg):
+        got = generate_inter_qnet(cfg)
+        assert got == edge_list_generate(cfg)
+        got.graph.check()
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 10])
+    @pytest.mark.parametrize("p", [0.2, 0.8])
+    def test_eval_cells(self, k, p):
+        # the seeds of configs/eval.json's first repetitions
+        for rep in range(4):
+            self.check(GenConfig(k, even_sizes(50, k), p, derive_seed(1, k, int(p * 1_000_000), rep)))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1.0])
+    def test_few_qnets_and_extreme_p(self, k, p):
+        for seed in range(5):
+            self.check(GenConfig(k, even_sizes(17, k), p, seed))
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 2, 1), (3, 1, 9, 2, 7)])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_small_and_uneven_sizes(self, sizes, p):
+        for seed in range(5):
+            self.check(GenConfig(len(sizes), sizes, p, seed))
+
+    @pytest.mark.parametrize("n, k", [(400, 4), (800, 8)])
+    def test_large_dense(self, n, k):
+        self.check(GenConfig(k, even_sizes(n, k), 0.8, derive_seed(n, k)))
+
+    def test_one_network_and_no_edge_lists(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return InterQNet(*args)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the generator builds no edge list")
+
+        monkeypatch.setattr(netgen, "InterQNet", counted)
+        monkeypatch.setattr(netgen, "complement_inter_qnet", refused)
+        monkeypatch.setattr(Graph, "__init__", refused)
+        monkeypatch.setattr(Graph, "edges", refused)
+        iq = generate_inter_qnet(GenConfig(4, (5, 5, 5, 5), 0.4, 3))
+        assert len(built) == 1 and iq.connected
 
 
 class TestSampleRequests:
