@@ -84,9 +84,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         """Raises one ValueError that names every failed check."""
         failed = []
+        if self.seed < 0:
+            failed.append(f"seed must be non-negative, got {self.seed}")
         if self.repetitions < 1:
             failed.append("repetitions must be at least 1")
-        if not (self.qnet_counts or self.instance_files):
+        if not ((self.qnet_counts and self.densities) or self.instance_files):
             failed.append("no experiment selected")
         if not self.request_volumes or not self.timing_grid:
             failed.append("need at least one request volume and timing point")
@@ -343,7 +345,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[InstanceResult]:
             for rep in range(cfg.repetitions)
         ]
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # a pool starts all its workers at the first submit, so it gets no
+        # more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
             return list(pool.map(task, tasks))
     return [task(t) for t in tasks]
 

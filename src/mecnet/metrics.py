@@ -46,9 +46,14 @@ class TimingParams:
     trb: Num
 
     def __post_init__(self) -> None:
+        # the reports write each field as a float, so it must fit one
         for f in fields(self):
             x = getattr(self, f.name)
-            if isinstance(x, float) and not math.isfinite(x):
+            try:
+                finite = math.isfinite(x)
+            except OverflowError:
+                raise ValueError(f"{f.name} is too large for a float") from None
+            if not finite:
                 raise ValueError(f"{f.name} must be finite, got {x}")
         if _frac(self.lam) <= 0:
             raise ValueError("lam must be positive")

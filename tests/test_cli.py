@@ -246,6 +246,28 @@ class TestGenerateAndRunFromFiles:
         run_experiment(ExperimentConfig(request_volumes=(3,), instance_files=tuple(files), jobs=1))
         assert seen == []
 
+    def test_pool_is_no_larger_than_the_work(self, tmp_path, monkeypatch):
+        # a pool forks all its workers at the first submit, so it is sized
+        # to the task count; the stand-in runs at most two real workers
+        files = self._two_files(tmp_path)
+        real = experiments.ProcessPoolExecutor
+        seen = []
+
+        def capped_pool(max_workers):
+            seen.append(max_workers)
+            return real(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", capped_pool)
+        one_cell = dict(nodes=18, qnet_counts=(3,), densities=(0.2,), repetitions=1)
+        for over, tasks in [
+            (dict(instance_files=tuple(files[:1]), jobs=16), 1),
+            (dict(instance_files=tuple(files), jobs=16), 2),
+            (dict(one_cell, jobs=16), 1),
+            (dict(one_cell, repetitions=3, jobs=2), 3),
+        ]:
+            assert len(run_experiment(ExperimentConfig(request_volumes=(3,), **over))) == tasks
+        assert seen == [1, 2, 1, 2]
+
     def test_worker_mismatch_on_an_instance_file_dumps_it(self, tmp_path, monkeypatch):
         files = self._two_files(tmp_path)
 
@@ -692,8 +714,12 @@ class TestUsageErrors:
                 {"nodes": 3, "qnet_counts": [4], "densities": [0.8]},
                 "grid cell nodes=3, qnet_counts[0]=4, densities[0]=0.8: QNet sizes must be positive",
             ),
+            # numpy's seeding would refuse it at the first instance, naming no key
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+            # an empty grid would run nothing and write header-only tables
+            ({"densities": []}, "no experiment selected"),
         ],
-        ids=["density", "volume", "one_qnet", "no_qnet", "nodes"],
+        ids=["density", "volume", "one_qnet", "no_qnet", "nodes", "negative_seed", "no_density"],
     )
     def test_bad_grid_value_refused_when_the_config_is_read(
         self, tmp_path, capsys, monkeypatch, over, named, jobs
@@ -730,8 +756,10 @@ class TestUsageErrors:
             # JSON's Infinity and NaN are floats that no exact rational holds
             ({"lam": math.inf}, "lam must be finite, got inf"),
             ({"trm": math.nan}, "trm must be finite, got nan"),
+            # a JSON integer is exact, but the reports write it as a float
+            ({"lam": 10**400}, "lam is too large for a float"),
         ],
-        ids=["tpm-trm", "tpb-trb", "lam-inf", "trm-nan"],
+        ids=["tpm-trm", "tpb-trb", "lam-inf", "trm-nan", "lam-huge"],
     )
     def test_bad_timing_value_is_usage_error(self, tmp_path, capsys, over, message):
         timing = {"lam": 10, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1, **over}
@@ -899,13 +927,19 @@ class TestPipelineMismatchPath:
         assert cli.main(["run", "--config", replay_cfg]) == cli.EXIT_OK
 
     def test_parallel_pair_violation_dumps_instance(self, tmp_path, monkeypatch, capsys):
-        # every request declared compatible: the scheduler's own check of
-        # the resulting single group must fail
-        monkeypatch.setattr(pairs, "_compat_rows", all_compatible_rows)
-        cfg_path, cfg = small_config(tmp_path, repetitions=1, densities=[0.2])
-        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_VERIFY
-        assert os.path.exists(os.path.join(cfg["output_dir"], "mismatch_instance.txt"))
-        assert "parallel-pair violation: group member" in capsys.readouterr().err
+        # rows that call every request compatible, or keep only the conflicts
+        # of each request's lower endpoint, put conflicting requests in one
+        # round, and the scheduler's own check of the round must fail; the
+        # small config's volumes 4 and 6 never merge a conflicting pair
+        # under the one-sided fault, so that case runs 10 and 20
+        for fault, volumes in [(all_compatible_rows, [4, 6]), (near_a_only_rows, [10, 20])]:
+            monkeypatch.setattr(pairs, "_compat_rows", fault)
+            case = tmp_path / fault.__name__
+            case.mkdir()
+            cfg_path, cfg = small_config(case, repetitions=1, densities=[0.2], request_volumes=volumes)
+            assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_VERIFY
+            assert os.path.exists(os.path.join(cfg["output_dir"], "mismatch_instance.txt"))
+            assert "parallel-pair violation: group member" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

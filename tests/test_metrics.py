@@ -40,6 +40,14 @@ class TestTimingParams:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
             TimingParams(**point)
 
+    @pytest.mark.parametrize("name", ["lam", "tpm", "trm", "tpb", "trb"])
+    @pytest.mark.parametrize("huge", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+    def test_value_too_large_for_a_float_rejected(self, name, huge):
+        # exact, but the reports write each field as a float
+        point = {"lam": 5, "tpm": 1, "trm": 1, "tpb": 1, "trb": 1, name: huge}
+        with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
+            TimingParams(**point)
+
 
 class TestThroughputMec:
     def test_worked_example(self):

@@ -57,7 +57,7 @@ def candidate_pairable(g, edges):
     """The paper's formulation: each edge's candidate list over the whole
     edge set holds every other member."""
     edge_set = {canonical_edge(*e) for e in edges}
-    cl = candidate_lists(g, edge_set)
+    cl = reference_candidates(g, edge_set)
     return all(edge_set - {e} <= cl[e] for e in edge_set)
 
 
@@ -99,16 +99,18 @@ def reference_compat_rows(g, edges):
 
 
 def reference_dynamic_parallel_pairs(cg, requests):
-    """The greedy scheduler as first written: candidate lists over the whole
-    complement edge set, rebuilt at every group start."""
+    """The greedy scheduler as first written, on candidate lists over the
+    whole complement edge set (each one a function of the graph alone, so
+    it is scanned once per request), restricted to the remaining requests
+    at every group start."""
     def pick(pool, cand_in_r):
         return max(sorted(pool), key=lambda e: len(cand_in_r[e]))
 
     cgraph = complement_inter_qnet(cg.data).graph
     remaining = [canonical_edge(*e) for e in requests]
+    cl = reference_candidates(cgraph, remaining)
     groups = []
     while remaining:
-        cl = candidate_lists(cgraph, remaining)
         rset = set(remaining)
         cand_in_r = {e: set(cl[e]) & rset for e in remaining}
         seed = pick(remaining, cand_in_r)
@@ -173,6 +175,18 @@ def graph_with_dead_slots(draw):
     if g.edge_count == 0:
         g = Graph(n, edges)
     return g
+
+
+@st.composite
+def graph_and_partition(draw):
+    """A graph with dead slots, a batch of its edges and a partition of the
+    batch into groups in drawn order; the graphs are small, so members of a
+    group often share an endpoint or neighbour one another."""
+    g = draw(graph_with_dead_slots())
+    batch = draw(st.lists(st.sampled_from(g.edges()), min_size=1, max_size=10, unique=True))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(batch), max_size=len(batch)))
+    groups = [frozenset(e for e, j in zip(batch, labels) if j == label) for label in set(labels)]
+    return g, batch, tuple(draw(st.permutations(groups)))
 
 
 @st.composite
@@ -640,6 +654,29 @@ class TestDynamicParallelPairs:
             return
         with pytest.raises(ParallelPairViolation) as info:
             _assert_table_valid(g, table, sub)
+        e, extra = bad[0]
+        assert str(info.value) == f"group member {e} conflicts with {extra}"
+        assert info.value.extra_edges == tuple(extra)
+
+    @settings(max_examples=500, deadline=None)
+    @given(graph_and_partition())
+    def test_check_agrees_with_per_edge_candidates_on_partitions(self, case):
+        # the first member, in table order and sorted within its group,
+        # whose candidate list misses another member of its group
+        g, batch, groups = case
+        want = reference_candidates(g, batch)
+        bad = [
+            (e, extra)
+            for grp in groups if len(grp) > 1
+            for e in sorted(grp)
+            if (extra := sorted(grp - {e} - want[e]))
+        ]
+        table = ParallelPairTable(groups)
+        if not bad:
+            _assert_table_valid(g, table, batch)
+            return
+        with pytest.raises(ParallelPairViolation) as info:
+            _assert_table_valid(g, table, batch)
         e, extra = bad[0]
         assert str(info.value) == f"group member {e} conflicts with {extra}"
         assert info.value.extra_edges == tuple(extra)
