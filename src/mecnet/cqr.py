@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .qnet import ControlledInterQNet
 
-__all__ = ["CqrPath", "route_cqr", "cqr_batch"]
+__all__ = ["CqrPath", "cqr_batch"]
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,10 @@ def _low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def route_cqr(cg: ControlledInterQNet, req: tuple[int, int]) -> CqrPath:
-    """Unit-weight shortest path for one request, deterministic tie-break.
+def _route(adj: Sequence[int], data_count: int, s: int, d: int) -> CqrPath:
+    """Unit-weight shortest path for request ``(s, d)`` on the neighbor
+    masks ``adj`` of the controlled graph, whose controls are the ids from
+    ``data_count`` on; deterministic tie-break.
 
     Among shortest paths the lexicographically smallest vertex sequence is
     chosen.  In a controlled network every pair is at most three hops
@@ -46,13 +48,6 @@ def route_cqr(cg: ControlledInterQNet, req: tuple[int, int]) -> CqrPath:
     ``N(s) & N(d)``; else three via the first ``v`` of ``N(s)`` whose
     ``N(v)`` meets ``N(d)``, then the lowest vertex of ``N(v) & N(d)``.
     """
-    s, d = req
-    return _route(cg.graph.adjacency, cg.partition.data_count, s, d)
-
-
-def _route(adj: Sequence[int], data_count: int, s: int, d: int) -> CqrPath:
-    """:func:`route_cqr` on the neighbor masks ``adj`` of the controlled
-    graph, whose controls are the ids from ``data_count`` on."""
     if s == d:
         raise ValueError("source equals destination")
     n = len(adj)

@@ -293,7 +293,10 @@ def _run_task(args: tuple) -> InstanceResult:
 def _run_file(args: tuple) -> InstanceResult:
     cfg_seed, i, path, volumes = args
     with open(path, encoding="utf-8") as fh:
-        iq = instance_from_text(fh.read())
+        try:
+            iq = instance_from_text(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return run_instance(iq, volumes, derive_seed(cfg_seed, i, 17), -1.0, i)
 
 

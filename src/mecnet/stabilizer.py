@@ -32,7 +32,6 @@ __all__ = [
     "graph_state",
     "measure_pauli",
     "outcome_deterministic",
-    "restrict_to",
     "graph_form",
     "equal_up_to_local_clifford",
 ]
@@ -184,7 +183,7 @@ def measure_pauli(
     return t, outcome
 
 
-# -- restriction to a subsystem ----------------------------------------------
+# -- kept qubits --------------------------------------------------------------
 
 
 def _qubit_mask(n: int, qubits: Iterable[int]) -> int:
@@ -215,47 +214,6 @@ def _compress(mask_bits: int, runs: Sequence[tuple[int, int, int]]) -> int:
     for src, dst, width in runs:
         out |= (mask_bits >> src & width) << dst
     return out
-
-
-def restrict_to(t: StabilizerTableau, keep: Iterable[int]) -> Optional[StabilizerTableau]:
-    """Stabilizer subgroup supported on ``keep``, repacked to len(keep) qubits.
-
-    Returns None when the kept subsystem is not in a pure (product) state,
-    i.e. when fewer than len(keep) independent generators act trivially on
-    the discarded qubits.  A kept or acted-on qubit outside ``range(t.n)``
-    raises ValueError.
-    """
-    keep_mask = _qubit_mask(t.n, keep)
-    outside = ((1 << t.n) - 1) & ~keep_mask
-    rows = list(t.rows)
-    # Eliminate x then z support on each discarded qubit; rows without
-    # support there are never pivots and are never changed.  Only these
-    # rows can act beyond the n qubits, which lie outside ``keep_mask`` too.
-    touching = [i for i, (x, z, _) in enumerate(rows) if (x | z) & ~keep_mask]
-    for i in touching:
-        if (rows[i][0] | rows[i][1]) >> t.n:
-            raise ValueError(f"generator {i} acts outside {t.n} qubits")
-    used = 0
-    for q in bits(outside):
-        bit = 1 << q
-        for part in (0, 1):
-            pivot = next((i for i in touching if rows[i][part] & bit and not used >> i & 1), None)
-            if pivot is None:
-                continue
-            used |= 1 << pivot
-            prow = rows[pivot]
-            for i in touching:
-                if rows[i][part] & bit and i != pivot:
-                    rows[i] = _row_mul(rows[i], prow)
-    m = keep_mask.bit_count()
-    kept_rows = [r for r in rows if not (r[0] | r[1]) & outside]
-    if len(kept_rows) != m:
-        return None
-    # A prefix, such as every qubit when there is no mask, needs no repack.
-    if keep_mask != (1 << m) - 1:
-        runs = _runs(list(bits(keep_mask)))
-        kept_rows = [(_compress(x, runs), _compress(z, runs), p) for x, z, p in kept_rows]
-    return StabilizerTableau(m, tuple(kept_rows))
 
 
 # -- graph form and local-Clifford equivalence --------------------------------
@@ -289,9 +247,12 @@ def _symmetric(adj: Sequence[int]) -> bool:
 def graph_form(t: StabilizerTableau) -> tuple[int, ...]:
     """Adjacency masks of a graph state locally Clifford-equivalent to ``t``.
 
-    Signs are irrelevant here and are dropped.
+    Signs are irrelevant here and are dropped.  A tableau without ``t.n``
+    generators, or with no graph form, raises ValueError.
     """
     m = t.n
+    if len(t.rows) != m:
+        raise ValueError(f"expected {m} generators, got {len(t.rows)}")
     full = (1 << m) - 1
     # Pack each row as x << m | z, so that the top-bit pivots of the rows
     # with an X part fall in the X block, at m + column.
@@ -410,34 +371,6 @@ def _component_lc_match(ga: Sequence[int], gb: Sequence[int], comp: int) -> bool
     return False
 
 
-def _kept_part(
-    t: StabilizerTableau, keep: Sequence[int], keep_mask: int
-) -> Optional[StabilizerTableau | tuple[int, ...]]:
-    """The part of ``t`` on the sorted qubits ``keep``, or None when it is
-    mixed.
-
-    An operand whose X block is the identity, such as every graph state,
-    is read directly.  Its generator i is X_i Z^z_i up to phase, so a
-    product is supported on the kept set only if its generators are kept,
-    and the kept part is pure iff no kept z_i leaves the kept set (no edge
-    leaves it).  Its graph form is then the kept Z block, compressed, with
-    the diagonal (a phase gate per qubit) cleared; that adjacency is
-    returned before its symmetry check.  Any other tableau is restricted.
-    """
-    n = t.n
-    rows = t.rows
-    if len(rows) != n or any(x != 1 << i or z >> n for i, (x, z, _) in enumerate(rows)):
-        return restrict_to(t, keep)
-    outside = ((1 << n) - 1) & ~keep_mask
-    zs = [rows[q][1] for q in keep]
-    if any(z & outside for z in zs):
-        return None
-    if keep_mask != (1 << len(keep)) - 1:
-        runs = _runs(keep)
-        zs = [_compress(z, runs) for z in zs]
-    return tuple(z & ~(1 << i) for i, z in enumerate(zs))
-
-
 def equal_up_to_local_clifford(
     a: StabilizerTableau,
     b: StabilizerTableau,
@@ -448,7 +381,8 @@ def equal_up_to_local_clifford(
 
     Qubits outside the mask must be disentangled from it in both states
     (they are discarded before comparison); otherwise False is returned.
-    A mask qubit outside ``range(a.n)`` raises ValueError.
+    A mask qubit outside ``range(a.n)``, or an operand that
+    :func:`graph_form` refuses, raises ValueError.
     """
     if a.n != b.n:
         raise ValueError("tableaux must have the same qubit count")
@@ -456,19 +390,23 @@ def equal_up_to_local_clifford(
     if not keep:
         return True
     keep_mask = _qubit_mask(a.n, keep)
-    parts = [_kept_part(t, keep, keep_mask) for t in (a, b)]
-    if parts[0] is None or parts[1] is None:
+    forms = [graph_form(a), graph_form(b)]
+    # Single-qubit Cliffords keep the support of every Pauli, so they carry
+    # the subgroup supported on the kept qubits onto that of the graph form.
+    # There it is whole, and the kept part pure, iff no edge leaves the kept
+    # set; the kept part is then the graph state of the induced subgraph.
+    if any(form[q] & ~keep_mask for form in forms for q in keep):
         return False
-    for i, part in enumerate(parts):
-        if isinstance(part, StabilizerTableau):
-            parts[i] = graph_form(part)
-        elif not _symmetric(part):
-            raise ValueError("graph adjacency must be symmetric")
-    ga, gb = parts
+    m = len(keep)
+    if keep_mask == (1 << m) - 1:
+        ga, gb = (form[:m] for form in forms)
+    else:
+        runs = _runs(keep)
+        ga, gb = (tuple(_compress(form[q], runs) for q in keep) for form in forms)
     # Equal graph forms need no component split (most oracle checks).
     if ga == gb:
         return True
-    full = (1 << len(ga)) - 1
+    full = (1 << m) - 1
     comps = components(ga, full)
     if comps != components(gb, full):
         return False

@@ -7,7 +7,7 @@ string, deterministic for identical input.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = ["line_chart", "grouped_bars"]
 
@@ -34,7 +34,10 @@ def _scale(vals: Sequence[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _axes(title: str, xlabel: str, ylabel: str, xlo, xhi, ylo, yhi, xticks=True) -> list[str]:
+def _axes(
+    title: str, xlabel: str, ylabel: str, xlo, xhi, ylo, yhi, xticks=True
+) -> tuple[list[str], Callable[[float], float], Callable[[float], float]]:
+    """The frame, title, labels and grid, and the data-to-pixel maps."""
     px = lambda x: _ML + (x - xlo) / (xhi - xlo) * (_W - _ML - _MR)
     py = lambda y: _H - _MB - (y - ylo) / (yhi - ylo) * (_H - _MT - _MB)
     out = [
@@ -62,17 +65,21 @@ def _axes(title: str, xlabel: str, ylabel: str, xlo, xhi, ylo, yhi, xticks=True)
             f'<line x1="{_ML}" y1="{py(yv):.1f}" x2="{_W-_MR}" y2="{py(yv):.1f}" '
             f'stroke="#dddddd"/>'
         )
-    return out
+    return out, px, py
 
 
-def _legend(names: Sequence[str]) -> list[str]:
-    out = []
+def _svg(parts: list[str], names: Sequence[str]) -> str:
+    """The chart ``parts`` with a legend of the series ``names``, as one document."""
     for i, name in enumerate(names):
         y = _MT + 8 + 16 * i
         color = _COLORS[i % len(_COLORS)]
-        out.append(f'<rect x="{_W-_MR-150}" y="{y-9}" width="12" height="12" fill="{color}"/>')
-        out.append(f'<text x="{_W-_MR-132}" y="{y+2}" font-size="12">{_text(name)}</text>')
-    return out
+        parts.append(f'<rect x="{_W-_MR-150}" y="{y-9}" width="12" height="12" fill="{color}"/>')
+        parts.append(f'<text x="{_W-_MR-132}" y="{y+2}" font-size="12">{_text(name)}</text>')
+    body = "\n".join(parts)
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">\n'
+        f"{body}\n</svg>\n"
+    )
 
 
 def line_chart(
@@ -87,9 +94,7 @@ def line_chart(
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     xlo, xhi = _scale(xs)
     ylo, yhi = _scale(ys)
-    px = lambda x: _ML + (x - xlo) / (xhi - xlo) * (_W - _ML - _MR)
-    py = lambda y: _H - _MB - (y - ylo) / (yhi - ylo) * (_H - _MT - _MB)
-    parts = _axes(title, xlabel, ylabel, xlo, xhi, ylo, yhi)
+    parts, px, py = _axes(title, xlabel, ylabel, xlo, xhi, ylo, yhi)
     for i, (name, pts) in enumerate(series.items()):
         color = _COLORS[i % len(_COLORS)]
         pts = sorted(pts)
@@ -99,12 +104,7 @@ def line_chart(
         )
         for x, y in pts:
             parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="3" fill="{color}"/>')
-    parts.extend(_legend(list(series)))
-    body = "\n".join(parts)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">\n'
-        f"{body}\n</svg>\n"
-    )
+    return _svg(parts, list(series))
 
 
 def grouped_bars(
@@ -116,8 +116,7 @@ def grouped_bars(
 ) -> str:
     ys = [v for vals in series.values() for v in vals]
     ylo, yhi = 0.0, (max(ys) if ys else 1.0) * 1.1 or 1.0
-    py = lambda y: _H - _MB - (y - ylo) / (yhi - ylo) * (_H - _MT - _MB)
-    parts = _axes(title, xlabel, ylabel, -0.5, len(groups) - 0.5, ylo, yhi, xticks=False)
+    parts, _, py = _axes(title, xlabel, ylabel, -0.5, len(groups) - 0.5, ylo, yhi, xticks=False)
     nseries = max(len(series), 1)
     span = (_W - _ML - _MR) / max(len(groups), 1)
     barw = span * 0.7 / nseries
@@ -134,9 +133,4 @@ def grouped_bars(
         parts.append(
             f'<text x="{x:.1f}" y="{_H-_MB+18}" text-anchor="middle" font-size="11">{_text(label)}</text>'
         )
-    parts.extend(_legend(list(series)))
-    body = "\n".join(parts)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">\n'
-        f"{body}\n</svg>\n"
-    )
+    return _svg(parts, list(series))

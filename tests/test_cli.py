@@ -37,7 +37,7 @@ from mecnet.experiments import (
 from mecnet.graph import Graph
 from mecnet.metrics import TimingParams, arqf_cqr, arqf_mec, throughput_cqr, throughput_mec
 from mecnet.netgen import GenConfig, generate_inter_qnet
-from mecnet.qnet import instance_from_text
+from mecnet.qnet import instance_from_text, instance_to_text
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "openflights")
 
@@ -318,7 +318,17 @@ class TestGenerateAndRunFromFiles:
         cfg_path, _ = small_config(tmp_path, instance_files=[str(inst)])
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert err == "usage error: malformed line: 'qnet: 0,1'\n"
+        assert err == f"usage error: {inst}: malformed line: 'qnet: 0,1'\n"
+
+    def test_malformed_second_instance_file_is_named(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text(instance_to_text(generate_inter_qnet(GenConfig(3, [4, 4, 4], 0.5, 1))))
+        bad.write_text("n=2\n0 1\nqnet: 0,1\n")
+        cfg_path, _ = small_config(tmp_path, instance_files=[str(good), str(bad)])
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: {bad}: malformed line: 'qnet: 0,1'\n"
+        assert not os.path.exists(tmp_path / "out")
 
     def test_controlled_file_with_a_foreign_control_layer_is_usage_error(self, tmp_path, capsys):
         # an instance file holds the data network only; a control line is
@@ -328,7 +338,7 @@ class TestGenerateAndRunFromFiles:
         cfg_path, _ = small_config(tmp_path, instance_files=[str(inst)])
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert err == "usage error: malformed line: 'control: 3,2'\n"
+        assert err == f"usage error: {inst}: malformed line: 'control: 3,2'\n"
         assert not os.path.exists(tmp_path / "out")
 
     def test_metadata_contents(self, tmp_path):

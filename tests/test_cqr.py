@@ -1,6 +1,6 @@
 """Shortest-path baseline: hop model, tie-breaking, batch statistics.
 
-``route_cqr`` reads routes off neighbor masks in closed form; the
+``cqr_batch`` reads routes off neighbor masks in closed form; the
 breadth-first search below is the reference it is checked against.
 """
 
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecnet.cqr import CqrPath, cqr_batch, route_cqr
+from mecnet.cqr import CqrPath, cqr_batch
 from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes, run_experiment
 from mecnet.graph import Graph, bits
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
@@ -27,6 +27,11 @@ EVAL_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "eva
 def _cg(edges, k, membership):
     iq = InterQNet(Graph(len(membership), edges), QNetPartition(k, membership))
     return build_controlled(iq)
+
+
+def route_one(cg, req):
+    """The route of ``req`` served alone."""
+    return cqr_batch(cg, [req])[0][0]
 
 
 def bfs_dist(g, src):
@@ -89,14 +94,14 @@ class TestRouteCqr:
     def test_two_hops_via_mediator(self):
         # 0 and 3 share the mediator 4 in a third domain
         cg = _cg([(0, 4), (3, 4), (0, 3)][:2] + [(1, 3)], 3, (1, 1, 2, 2, 3))
-        path = route_cqr(cg, (0, 3))
+        path = route_one(cg, (0, 3))
         assert path.hops == 2 and path.intermediates == (4,) and not path.via_control
 
     def test_three_hops_via_controls(self):
         # 0 and 3 touch nothing but their own controls, so the only route
         # is source control to destination control
         cg = _cg([(1, 2)], 2, (1, 1, 2, 2))
-        path = route_cqr(cg, (0, 3))
+        path = route_one(cg, (0, 3))
         assert path.hops == 3
         assert path.via_control
         assert path.intermediates == tuple(cg.partition.control_nodes)
@@ -104,18 +109,18 @@ class TestRouteCqr:
     def test_three_hops_mixed_intermediates_allowed(self):
         # a data vertex may appear inside a 3-hop route when it ties
         cg = _cg([(0, 3), (1, 2)], 2, (1, 1, 2, 2))
-        path = route_cqr(cg, (0, 2))
+        path = route_one(cg, (0, 2))
         assert path.hops == 3 and path.via_control
 
     def test_adjacent_pair_is_one_hop(self):
         cg = _cg([(0, 3), (1, 2)], 2, (1, 1, 2, 2))
-        path = route_cqr(cg, (0, 3))
+        path = route_one(cg, (0, 3))
         assert path.hops == 1 and path.intermediates == ()
 
     def test_lexicographic_tie_break(self):
         # mediators 2 and 3 both work for (0, 5); the smaller one wins
         cg = _cg([(0, 2), (0, 3), (2, 5), (3, 5)], 3, (1, 1, 2, 2, 3, 3))
-        assert route_cqr(cg, (0, 5)).intermediates == (2,)
+        assert route_one(cg, (0, 5)).intermediates == (2,)
 
     def test_remote_hops_bounded(self):
         rnd = random.Random(40)
@@ -130,7 +135,7 @@ class TestRouteCqr:
                 if m[u] != m[v] and not iq.graph.has_edge(u, v)
             ]
             for req in remote:
-                assert 2 <= route_cqr(cg, req).hops <= 3
+                assert 2 <= route_one(cg, req).hops <= 3
 
 
     def test_unreachable_pair_raises(self):
@@ -139,13 +144,13 @@ class TestRouteCqr:
             graph=Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
             partition=SimpleNamespace(data_count=5),  # no controls
         )
-        assert route_cqr(net, (0, 3)).intermediates == (1, 2)
+        assert route_one(net, (0, 3)).intermediates == (1, 2)
         with pytest.raises(ValueError, match="at most three hops"):
-            route_cqr(net, (0, 4))
+            route_one(net, (0, 4))
 
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):
-            route_cqr(_cg([(0, 3)], 2, (1, 1, 2, 2)), (1, 1))
+            route_one(_cg([(0, 3)], 2, (1, 1, 2, 2)), (1, 1))
 
     def test_out_of_range_ids_rejected(self):
         # the last vertex (a control) neighbors 3, so a negative id that
@@ -155,7 +160,7 @@ class TestRouteCqr:
         assert cg.graph.has_edge(n - 1, 3)
         for bad, name in [((-1, 3), -1), ((0, n), n)]:
             with pytest.raises(ValueError, match=rf"^invalid vertex id {name}$"):
-                route_cqr(cg, bad)
+                route_one(cg, bad)
             with pytest.raises(ValueError, match=rf"^invalid vertex id {name}$"):
                 cqr_batch(cg, [(0, 3), bad])
 
@@ -163,7 +168,7 @@ class TestRouteCqr:
     @given(controlled_networks())
     def test_matches_bfs_reference(self, cg):
         for req in itertools.permutations(range(cg.graph.vertex_count), 2):
-            assert route_cqr(cg, req) == reference_route(cg, req)
+            assert route_one(cg, req) == reference_route(cg, req)
 
     @pytest.mark.parametrize("k", [4, 10])
     @pytest.mark.parametrize("p", [0.2, 0.8])
@@ -176,7 +181,7 @@ class TestRouteCqr:
                 dist = bfs_dist(cg.graph, d)
                 for s in range(50):
                     if s != d:
-                        assert route_cqr(cg, (s, d)) == reference_route(cg, (s, d), dist)
+                        assert route_one(cg, (s, d)) == reference_route(cg, (s, d), dist)
 
 
 class TestCqrPath:
@@ -198,13 +203,13 @@ class TestCqrBatch:
 
     @settings(max_examples=150, deadline=None)
     @given(controlled_networks())
-    def test_agrees_with_route_cqr_and_bfs_reference(self, cg):
+    def test_agrees_with_one_request_batches_and_bfs_reference(self, cg):
         n = cg.graph.vertex_count
         reqs = list(itertools.permutations(range(n), 2))
         dists = [bfs_dist(cg.graph, d) for d in range(n)]
         want = [reference_route(cg, (s, d), dists[d]) for s, d in reqs]
         paths, h_bar, chi = cqr_batch(cg, reqs)
-        assert paths == [route_cqr(cg, r) for r in reqs] == want
+        assert paths == [route_one(cg, r) for r in reqs] == want
         assert h_bar == sum(p.hops for p in want) / len(want)
         assert chi == sum(len(p.intermediates) for p in want)
         controls = cg.partition.control_nodes

@@ -23,7 +23,7 @@ UNUSED_EXPORTS_ALLOWED = {
     "timeline.py": {"LongRunResult": "return type of simulate_mec_long_run"},
     "verify.py": {"SuiteResult": "return type of every suite in ALL_SUITES"},
     "stabilizer.py": {
-        "StabilizerTableau": "return type of graph_state, measure_pauli and restrict_to",
+        "StabilizerTableau": "return type of graph_state and measure_pauli",
         "outcome_deterministic": "tells a caller whether measure_pauli needs forced_outcome",
     },
 }

@@ -1,4 +1,4 @@
-"""Stabilizer tableau oracle: graph states, measurements, restriction,
+"""Stabilizer tableau oracle: graph states, measurements, kept parts,
 local-Clifford equivalence."""
 
 import itertools
@@ -19,10 +19,8 @@ from mecnet.stabilizer import (
     StabilizerTableau,
     _compress,
     _gf2_rank,
-    _kept_part,
     _kernel,
     _lc_columns,
-    _qubit_mask,
     _row_mul,
     _runs,
     _symmetric,
@@ -31,7 +29,6 @@ from mecnet.stabilizer import (
     graph_state,
     measure_pauli,
     outcome_deterministic,
-    restrict_to,
 )
 
 
@@ -79,7 +76,7 @@ class TestMeasurePauli:
             post, outcome = measure_pauli(t, 0, "Z", forced_outcome=forced)
             assert outcome == forced
             post.check()
-            survivor = restrict_to(post, [1])
+            survivor = ref_restrict_to(post, [1])
             assert survivor.rows == ((1, 0, 0 if forced == 1 else 2),)
 
     def test_random_outcome_without_forced_branch_rejected(self):
@@ -158,14 +155,16 @@ class TestTableauCheck:
 
 
 class TestRestrict:
+    """The reference restriction, which the equivalence check is held to."""
+
     def test_product_state_splits(self):
         t = graph_state(Graph(3, [(0, 1)]))
-        sub = restrict_to(t, [0, 1])
+        sub = ref_restrict_to(t, [0, 1])
         assert sub.rows == ((1, 2, 0), (2, 1, 0))
 
     def test_entangled_cut_returns_none(self):
         t = graph_state(Graph(2, [(0, 1)]))
-        assert restrict_to(t, [0]) is None
+        assert ref_restrict_to(t, [0]) is None
 
 
 class TestGraphForm:
@@ -735,22 +734,24 @@ class TestBitsetInternalsAgainstReferences:
     @settings(max_examples=150, deadline=None)
     @given(graphs(), st.data())
     def test_restrict_and_graph_form_match_reference(self, g, data):
+        # The check finds a state equal to itself on keep iff its kept part
+        # is pure, which is when ref_restrict_to returns a tableau.
         n = g.vertex_count
         post = graph_state(g)
         for v in data.draw(st.sets(st.integers(0, n - 1), max_size=3)):
             basis = data.draw(st.sampled_from("XZ"))
             post, _ = measure_pauli(post, v, basis, forced_outcome=data.draw(st.sampled_from((1, -1))))
         keep = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
-        got = restrict_to(post, keep)
-        assert got == ref_restrict_to(post, keep)
-        if got is not None:
+        kept = ref_restrict_to(post, keep)
+        assert equal_up_to_local_clifford(post, post, keep) == (kept is not None)
+        if kept is not None:
             # a different Hadamard set may give another graph of the same orbit
-            form = graph_form(got)
-            m = got.n
+            form = graph_form(kept)
+            m = kept.n
             same_orbit = graph_state(Graph(m, [(i, j) for i in range(m) for j in bits(form[i]) if i < j]))
-            assert ref_equal_up_to_local_clifford(got, same_orbit)
-            if all(x == 1 << i for i, (x, _, _) in enumerate(got.rows)):
-                assert form == ref_graph_form(got)
+            assert ref_equal_up_to_local_clifford(kept, same_orbit)
+            if all(x == 1 << i for i, (x, _, _) in enumerate(kept.rows)):
+                assert form == ref_graph_form(kept)
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(min_n=1, max_n=10), st.data())
@@ -789,44 +790,54 @@ class TestBitsetInternalsAgainstReferences:
 
 
 class TestGraphStateOperandsReadDirectly:
-    """An operand whose X block is the identity skips the restriction and
-    the graph-form elimination; both must give what they would have."""
+    """Each operand is reduced once, to its full-width graph form; its kept
+    part is pure iff no edge of that form leaves the kept set."""
 
     @settings(max_examples=300, deadline=None)
     @given(x_identity_tableaux(), st.data())
     def test_direct_read_equals_restricted_graph_form(self, t, data):
-        keep = sorted(data.draw(st.sets(st.integers(0, t.n - 1), min_size=1)))
-        got = _kept_part(t, keep, _qubit_mask(t.n, keep))
-        restricted = restrict_to(t, keep)
-        if restricted is None:
-            assert got is None
-        else:
-            assert isinstance(got, tuple) and got == graph_form(restricted)
-        # the other operand of a check goes through the restriction as before
-        post, _ = measure_pauli(t, keep[0], "Z", forced_outcome=1)
-        assert _kept_part(post, keep, _qubit_mask(t.n, keep)) == restrict_to(post, keep)
-        assert equal_up_to_local_clifford(post, t, keep) == ref_equal_up_to_local_clifford(post, t, keep)
+        # Keep sets are drawn freely, so either operand's kept part may be
+        # mixed; the other operand is t after up to three X or Z measurements.
+        # The reference restricts each operand before taking its graph form.
+        n = t.n
+        post = t
+        for v in data.draw(st.sets(st.integers(0, n - 1), max_size=3)):
+            basis = data.draw(st.sampled_from("XZ"))
+            post, _ = measure_pauli(post, v, basis, forced_outcome=data.draw(st.sampled_from((1, -1))))
+        keep = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        for a, b in ((t, post), (post, t), (t, t)):
+            assert _verdict(equal_up_to_local_clifford, a, b, keep) == _verdict(
+                ref_equal_up_to_local_clifford, a, b, keep
+            )
+        kept = ref_restrict_to(t, keep)
+        if kept is not None and all(x == 1 << i for i, (x, _, _) in enumerate(kept.rows)):
+            assert graph_form(kept) == ref_graph_form(kept)
 
     def test_mixed_kept_part_is_none(self):
-        # the edge (1, 2) leaves the kept set {0, 1}; (0, 1) does not
-        t = graph_state(Graph(3, [(0, 1), (1, 2)]))
-        assert _kept_part(t, [0, 1], 0b011) is None and restrict_to(t, [0, 1]) is None
-        assert _kept_part(t, [0, 2], 0b101) is None and restrict_to(t, [0, 2]) is None
-        assert _kept_part(t, [0, 1, 2], 0b111) == (0b010, 0b101, 0b010)
+        # The edge (1, 2) leaves the kept sets {0, 1} and {0, 2}.  Without
+        # it the graph induces the same edge on {0, 1} and its kept part is
+        # pure, so checking one operand's purity is not enough.
+        mixed = graph_state(Graph(3, [(0, 1), (1, 2)]))
+        pure = graph_state(Graph(3, [(0, 1)]))
+        for keep in ([0, 1], [0, 2]):
+            assert ref_restrict_to(mixed, keep) is None
+            assert not equal_up_to_local_clifford(mixed, mixed, keep)
+        for a, b in ((pure, mixed), (mixed, pure)):
+            assert not equal_up_to_local_clifford(a, b, [0, 1])
+            assert not ref_equal_up_to_local_clifford(a, b, [0, 1])
+        assert equal_up_to_local_clifford(pure, pure, [0, 1])
+        assert equal_up_to_local_clifford(mixed, mixed, [0, 1, 2])
 
     def test_asymmetric_z_block_raises_after_both_restrictions(self):
-        # X0 Z1 and X1 anticommute: no graph form exists.  A mixed other
-        # operand still decides first, as it does through restrict_to.
+        # X0 Z1 and X1 anticommute: no graph form exists.  Both operands are
+        # reduced before their kept parts are compared, so the tableau
+        # raises whatever the other operand is, a mixed one included.
         bad = StabilizerTableau(3, ((1, 2, 0), (2, 0, 0), (4, 0, 0)))
-        for mask in (None, [0, 1]):
-            with pytest.raises(ValueError, match="^graph adjacency must be symmetric$"):
-                equal_up_to_local_clifford(bad, graph_state(Graph(3)), mask)
-            with pytest.raises(ValueError, match="^graph adjacency must be symmetric$"):
-                equal_up_to_local_clifford(graph_state(Graph(3)), bad, mask)
-        mixed = graph_state(Graph(3, [(1, 2)]))
-        assert not equal_up_to_local_clifford(bad, mixed, [0, 1])
-        assert not equal_up_to_local_clifford(mixed, bad, [0, 1])
-        assert not ref_equal_up_to_local_clifford(bad, mixed, [0, 1])
+        for other in (graph_state(Graph(3)), graph_state(Graph(3, [(1, 2)]))):
+            for mask in (None, [0, 1]):
+                for a, b in ((bad, other), (other, bad)):
+                    with pytest.raises(ValueError, match="^graph adjacency must be symmetric$"):
+                        equal_up_to_local_clifford(a, b, mask)
 
     @pytest.mark.parametrize("mask, message", [([0, 5], "invalid qubit 5"), ([7, 1, -1], "invalid qubit -1")])
     def test_mask_qubit_out_of_range(self, mask, message):
@@ -846,7 +857,7 @@ class TestBadInputFailsLoudly:
     def test_negative_keep_qubit(self):
         t = graph_state(Graph(3, [(0, 1), (1, 2)]))
         with pytest.raises(ValueError, match="invalid qubit -1"):
-            restrict_to(t, [-1, 0, 1, 2])
+            equal_up_to_local_clifford(t, t, [-1, 0, 1, 2])
 
     @pytest.mark.parametrize("forced", [0, 2, -2, 0.5, "1"])
     def test_forced_outcome_must_be_plus_or_minus_one(self, forced):
@@ -860,6 +871,17 @@ class TestBadInputFailsLoudly:
         # X0 Z1 and X1 anticommute, so no graph form exists
         with pytest.raises(ValueError, match="graph adjacency must be symmetric"):
             graph_form(StabilizerTableau(2, ((1, 2, 0), (2, 0, 0))))
+
+    @pytest.mark.parametrize("rows", [((1, 0, 0),), ((1, 0, 0), (2, 0, 0), (1, 0, 0))], ids=["short", "long"])
+    def test_wrong_generator_count_raises(self, rows):
+        # one generator short is a mixed state, one over is no tableau at all
+        t, good = StabilizerTableau(2, rows), graph_state(Graph(2))
+        message = f"^expected 2 generators, got {len(rows)}$"
+        with pytest.raises(ValueError, match=message):
+            graph_form(t)
+        for a, b in ((t, good), (good, t)):
+            with pytest.raises(ValueError, match=message):
+                equal_up_to_local_clifford(a, b)
 
     def test_graph_form_rejects_generator_outside(self):
         with pytest.raises(ValueError, match="generator 1 acts outside 2 qubits"):
@@ -876,7 +898,7 @@ class TestBadInputFailsLoudly:
         t = StabilizerTableau(3, rows)
         message = f"^generator {bad} acts outside 3 qubits$"
         with pytest.raises(ValueError, match=message):
-            restrict_to(t, range(3) if mask is None else mask)
+            graph_form(t)
         good = graph_state(Graph(3, [(0, 1)]))
         for a, b in ((t, t), (t, good), (good, t)):
             with pytest.raises(ValueError, match=message):
@@ -885,11 +907,11 @@ class TestBadInputFailsLoudly:
     def test_invalid_qubits_raise_under_optimize(self):
         script = "\n".join([
             "from mecnet.graph import Graph",
-            "from mecnet.stabilizer import equal_up_to_local_clifford, graph_state, measure_pauli, restrict_to",
+            "from mecnet.stabilizer import StabilizerTableau, equal_up_to_local_clifford, graph_form, graph_state, measure_pauli",
             "t = graph_state(Graph(3, [(0, 1), (1, 2)]))",
             "print('debug', __debug__)",
             "for call in (lambda: equal_up_to_local_clifford(t, t, [0, 5]),",
-            "             lambda: restrict_to(t, [-1, 0, 1, 2]),",
+            "             lambda: graph_form(StabilizerTableau(2, ((1, 0, 0), (4, 0, 0)))),",
             "             lambda: measure_pauli(t, 0, 'Z', forced_outcome=0)):",
             "    try:",
             "        call()",
@@ -905,6 +927,6 @@ class TestBadInputFailsLoudly:
         assert proc.stdout.splitlines() == [
             "debug False",
             "raised invalid qubit 5",
-            "raised invalid qubit -1",
+            "raised generator 1 acts outside 2 qubits",
             "raised forced outcome must be +1 or -1, got 0",
         ]
