@@ -58,7 +58,7 @@ def build_parser() -> _Parser:
     i = sub.add_parser("ingest", help="build an instance from OpenFlights data")
     i.add_argument("--airports", required=True)
     i.add_argument("--routes", required=True)
-    i.add_argument("--countries", nargs="*", default=None)
+    i.add_argument("--countries", nargs="+", default=None)
     i.add_argument("--sample", type=int, default=None, help="edge subsample size")
     i.add_argument("--seed", type=int, default=None, help="subsample seed (default 0)")
     i.add_argument("--out", default=None)

@@ -88,6 +88,8 @@ class ExperimentConfig:
             failed.append(f"seed must be non-negative, got {self.seed}")
         if self.repetitions < 1:
             failed.append("repetitions must be at least 1")
+        if not self.output_dir:
+            failed.append("output_dir must name a directory, got ''")
         if not ((self.qnet_counts and self.densities) or self.instance_files):
             failed.append("no experiment selected")
         if not self.request_volumes or not self.timing_grid:

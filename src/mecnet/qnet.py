@@ -252,33 +252,35 @@ def instance_from_text(text: str) -> InterQNet:
 
     The ``qnet`` lines are read here and every other line by
     :func:`graph_from_edgelist`, so the ``n=`` header must come before the
-    edges.  A malformed line raises ValueError naming it.
+    edges; each of the ``n`` vertices must be in exactly one QNet.  A
+    malformed line raises ValueError naming it.
     """
-    graph_lines = []
-    qnet_ids: set[int] = set()
-    qnet_of: dict[int, int] = {}
+    graph_lines, qnet_lines = [], []
     for raw in text.splitlines():
         line = raw.strip()
-        head, sep, body = line.partition(":")
-        words = head.split()
-        if words[:1] == ["qnet"]:
-            (a,) = _int_fields(line, words[1:], 1)
-            if not sep or a in qnet_ids:
-                raise ValueError(f"malformed line: {line!r}")
-            qnet_ids.add(a)
-            for v in _int_fields(line, body.split(",")):
-                if v in qnet_of:
-                    raise ValueError(
-                        f"malformed line: {line!r}: vertex {v} is already in QNet {qnet_of[v]}"
-                    )
-                qnet_of[v] = a
-        else:
-            graph_lines.append(line)
+        is_qnet = line.partition(":")[0].split()[:1] == ["qnet"]
+        (qnet_lines if is_qnet else graph_lines).append(line)
     g = graph_from_edgelist("\n".join(graph_lines))
-    d = len(qnet_of)
-    missing = [v for v in range(d) if v not in qnet_of]
+    n = g.vertex_count
+    qnet_ids: set[int] = set()
+    qnet_of: dict[int, int] = {}
+    for line in qnet_lines:
+        head, sep, body = line.partition(":")
+        (a,) = _int_fields(line, head.split()[1:], 1)
+        if not sep or a in qnet_ids:
+            raise ValueError(f"malformed line: {line!r}")
+        qnet_ids.add(a)
+        for v in _int_fields(line, body.split(",")):
+            if not 0 <= v < n:
+                raise ValueError(f"malformed line: {line!r}: vertex {v} is not a data vertex (n={n})")
+            if v in qnet_of:
+                raise ValueError(
+                    f"malformed line: {line!r}: vertex {v} is already in QNet {qnet_of[v]}"
+                )
+            qnet_of[v] = a
+    missing = [v for v in range(n) if v not in qnet_of]
     if missing:
         raise ValueError(f"malformed instance: data vertex {missing[0]} is in no QNet")
     # QNetPartition rejects QNet ids outside 1..k and empty QNets
     k = max(qnet_ids, default=0)
-    return InterQNet(g, QNetPartition(k, tuple(qnet_of[v] for v in range(d))))
+    return InterQNet(g, QNetPartition(k, tuple(qnet_of[v] for v in range(n))))

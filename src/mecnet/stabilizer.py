@@ -196,26 +196,6 @@ def _qubit_mask(n: int, qubits: Iterable[int]) -> int:
     return mask
 
 
-def _runs(positions: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Maximal runs of consecutive ``positions`` as (source bit, target bit,
-    width mask): position ``positions[i]`` goes to bit ``i``."""
-    runs = []
-    start = 0
-    for i in range(1, len(positions) + 1):
-        if i == len(positions) or positions[i] != positions[i - 1] + 1:
-            runs.append((positions[start], start, (1 << (i - start)) - 1))
-            start = i
-    return runs
-
-
-def _compress(mask_bits: int, runs: Sequence[tuple[int, int, int]]) -> int:
-    """Gather the bits of ``mask_bits`` with one shift-and-mask per run."""
-    out = 0
-    for src, dst, width in runs:
-        out |= (mask_bits >> src & width) << dst
-    return out
-
-
 # -- graph form and local-Clifford equivalence --------------------------------
 
 
@@ -306,32 +286,35 @@ def _kernel(columns: Sequence[int]) -> list[int]:
     return [row for top, row in pivots.items() if top < w]
 
 
-def _lc_columns(ra: Sequence[int], rb: Sequence[int]) -> list[int]:
+def _lc_columns(ga: Sequence[int], gb: Sequence[int], comp: int) -> list[int]:
     """Coefficient columns of the local-Clifford system between two
-    symmetric adjacencies on ``m`` vertices, unknowns (c | a | b | d).
+    symmetric adjacencies on ``n`` vertices, over a connected component
+    ``comp`` of both: unknowns (c | a | b | d), one per vertex of ``comp``
+    in ascending order.
 
-    Per-qubit blocks [[a, b], [c, d]] map ``ra``'s graph state onto
-    ``rb``'s exactly when, for every entry (i, j),
+    Per-qubit blocks [[a, b], [c, d]] map ``ga``'s graph state onto
+    ``gb``'s on ``comp`` exactly when, for every entry (i, j),
 
         a_i*GB_ij + b_i*[i==j] + sum_l c_l*GA_il*GB_lj + d_j*GA_ij = 0
 
     (Van den Nest, Dehaene & De Moor, PRA 70, 034302, 2004).  Equation
-    (i, j) is bit i*m + j of each column.  ``spread`` holds GA_il at bit
-    i*m: by symmetry that is column l of ``ra`` packed m bits apart, one
-    shift-and-mask, and times ``rb[l]`` (m bits) it lays row GB_l at each
-    of those places with no carries.
+    (i, j) is bit i*n + j of each column; no row of ``comp`` has a bit
+    outside it, so equations outside ``comp`` have no term.  ``spread``
+    holds GA_il at bit i*n: by symmetry that is column l of the rows of
+    ``comp`` packed n bits apart, one shift-and-mask, and times ``gb[l]``
+    (n bits) it lays row GB_l at each of those places with no carries.
     """
-    m = len(ra)
+    n = len(ga)
     packed = 0
-    for i, row in enumerate(ra):
-        packed |= row << (i * m)
-    ones = ((1 << m * m) - 1) // ((1 << m) - 1)
+    for i in bits(comp):
+        packed |= ga[i] << (i * n)
+    ones = ((1 << n * n) - 1) // ((1 << n) - 1)
     c, a, b, d = [], [], [], []
-    for l, bl in enumerate(rb):
+    for l in bits(comp):
         spread = packed >> l & ones
-        c.append(spread * bl)
-        a.append(bl << (l * m))
-        b.append(1 << (l * m + l))
+        c.append(spread * gb[l])
+        a.append(gb[l] << (l * n))
+        b.append(1 << (l * n + l))
         d.append(spread << l)
     return c + a + b + d
 
@@ -342,17 +325,10 @@ _LC_SEARCH_CAP = 1 << 20
 def _component_lc_match(ga: Sequence[int], gb: Sequence[int], comp: int) -> bool:
     """Per-qubit symplectic map existence between two graph adjacencies,
     restricted to the connected component with vertex mask ``comp``."""
-    if comp == (1 << len(ga)) - 1:
-        ra, rb = ga, gb
-    else:
-        verts = list(bits(comp))
-        runs = _runs(verts)
-        ra = tuple(_compress(ga[v], runs) for v in verts)
-        rb = tuple(_compress(gb[v], runs) for v in verts)
-    if ra == rb:
+    if all(ga[v] == gb[v] for v in bits(comp)):
         return True
-    m = len(ra)
-    basis = _kernel(_lc_columns(ra, rb))
+    m = comp.bit_count()
+    basis = _kernel(_lc_columns(ga, gb, comp))
     if not basis:
         return False
     if 1 << len(basis) > _LC_SEARCH_CAP:
@@ -390,25 +366,18 @@ def equal_up_to_local_clifford(
     if not keep:
         return True
     keep_mask = _qubit_mask(a.n, keep)
-    forms = [graph_form(a), graph_form(b)]
+    ga, gb = graph_form(a), graph_form(b)
     # Single-qubit Cliffords keep the support of every Pauli, so they carry
     # the subgroup supported on the kept qubits onto that of the graph form.
     # There it is whole, and the kept part pure, iff no edge leaves the kept
     # set; the kept part is then the graph state of the induced subgraph.
-    if any(form[q] & ~keep_mask for form in forms for q in keep):
+    if any((ga[q] | gb[q]) & ~keep_mask for q in keep):
         return False
-    m = len(keep)
-    if keep_mask == (1 << m) - 1:
-        ga, gb = (form[:m] for form in forms)
-    else:
-        runs = _runs(keep)
-        ga, gb = (tuple(_compress(form[q], runs) for q in keep) for form in forms)
     # Equal graph forms need no component split (most oracle checks).
-    if ga == gb:
+    if all(ga[q] == gb[q] for q in keep):
         return True
-    full = (1 << m) - 1
-    comps = components(ga, full)
-    if comps != components(gb, full):
+    comps = components(ga, keep_mask)
+    if comps != components(gb, keep_mask):
         return False
     # single-qubit components are always locally related
     return all(c & (c - 1) == 0 or _component_lc_match(ga, gb, c) for c in comps)

@@ -465,6 +465,15 @@ class TestIngestCommand:
         )
         assert rc == cli.EXIT_IO
 
+    def test_countries_without_names_is_usage_error(self, tmp_path, capsys):
+        # an empty list would read as no filter and ingest every country
+        rc = cli.main(["ingest", "--airports", os.path.join(FIXTURES, "airports.dat"),
+                       "--routes", os.path.join(FIXTURES, "routes.dat"),
+                       "--countries", "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_USAGE
+        assert "--countries: expected at least one argument" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
 
 REPORT_FILES = (
     "arqf.csv", "hops.csv", "parallelism.csv", "throughput.csv",
@@ -728,8 +737,13 @@ class TestUsageErrors:
             ({"seed": -1}, "seed must be non-negative, got -1"),
             # an empty grid would run nothing and write header-only tables
             ({"densities": []}, "no experiment selected"),
+            # write_reports would fail on it after every instance had run
+            ({"output_dir": ""}, "output_dir must name a directory, got ''"),
         ],
-        ids=["density", "volume", "one_qnet", "no_qnet", "nodes", "negative_seed", "no_density"],
+        ids=[
+            "density", "volume", "one_qnet", "no_qnet", "nodes", "negative_seed", "no_density",
+            "empty_output_dir",
+        ],
     )
     def test_bad_grid_value_refused_when_the_config_is_read(
         self, tmp_path, capsys, monkeypatch, over, named, jobs
@@ -877,12 +891,17 @@ class TestUsageErrors:
         cfg = ExperimentConfig.from_json(os.path.join(root, "configs", "eval.json"))
         assert cfg.repetitions == 1000 and len(cfg.timing_grid) == 3
 
-    def test_env_var_output_dir(self, tmp_path, monkeypatch):
+    def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MECNET_OUT", str(tmp_path / "envout"))
         cfg_path, cfg = small_config(tmp_path)
         # flag absent: env var wins over the config file value
         cli.main(["run", "--config", cfg_path, "--reps", "1"])
         assert os.path.exists(tmp_path / "envout" / "hops.csv")
+        # an empty one is refused before any instance runs, as in a config
+        monkeypatch.setenv("MECNET_OUT", "")
+        monkeypatch.setattr(experiments, "run_instance", lambda *a: pytest.fail("an instance ran"))
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
+        assert "usage error: output_dir must name a directory, got ''" in capsys.readouterr().err
 
 
 class TestPipelineMismatchPath:

@@ -389,6 +389,18 @@ class TestInstanceFiles:
     def test_vertex_in_no_qnet(self):
         with pytest.raises(ValueError, match="data vertex 1 is in no QNet"):
             instance_from_text("n=3\n0 2\nqnet 1: 0\nqnet 2: 2\n")
+        # the top vertex of the header, in no edge and no QNet line
+        with pytest.raises(ValueError, match="^malformed instance: data vertex 2 is in no QNet$"):
+            instance_from_text("n=3\n0 1\nqnet 1: 0\nqnet 2: 1\n")
+
+    @pytest.mark.parametrize(
+        "n, bad, v",
+        [(3, "qnet 2: 1,7", 7), (2, "qnet 2: -1,1", -1), (2, "qnet 2: 1,2", 2)],
+    )
+    def test_member_outside_the_header_is_named(self, n, bad, v):
+        text = f"n={n}\n0 1\nqnet 1: 0\n{bad}\n"
+        with pytest.raises(ValueError, match=f"^malformed line: '{bad}': vertex {v} is not a data vertex \\(n={n}\\)$"):
+            instance_from_text(text)
 
     def test_header_must_come_before_the_edges(self):
         with pytest.raises(ValueError, match="header before '0 1'"):

@@ -1,6 +1,7 @@
 """Rules on the library's source, checked on each module's syntax tree."""
 
 import ast
+import functools
 import pathlib
 import re
 
@@ -33,19 +34,22 @@ def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def bound_names(node):
+    """Names a top-level statement binds: a def's or class's name, imported
+    names and assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def defined_names(module):
-    """Names bound at the top level of a module: defs, classes, imports and
-    assignment targets."""
-    names = set()
-    for node in module.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-    return names
+    """Names bound at the top level of a module."""
+    return {name for node in module.body for name in bound_names(node)}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -196,3 +200,45 @@ def test_allowlist_holds_only_exports():
         if name not in exports.get(module, set())
     )
     assert not stale, f"allowlisted names that are not exported: {stale}"
+
+
+def private_definitions():
+    """(module, name, line) of each underscore-named top-level function,
+    class and constant of the library; dunder names are exempt."""
+    return [
+        (path, name, node.lineno)
+        for path in MODULES
+        for node in parse(path).body
+        if not isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in bound_names(node)
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+@functools.cache
+def references_by_statement(path):
+    """(line, names) of each top-level statement of a module: the names and
+    attributes in it."""
+    return [
+        (
+            top.lineno,
+            {n.id if isinstance(n, ast.Name) else n.attr
+             for n in ast.walk(top) if isinstance(n, (ast.Name, ast.Attribute))},
+        )
+        for top in parse(path).body
+    ]
+
+
+@pytest.mark.parametrize(
+    "path, name, line",
+    [pytest.param(*d, id=f"{d[0].name}:{d[1]}") for d in private_definitions()],
+)
+def test_private_names_are_used_by_the_library(path, name, line):
+    # a private helper that only its tests call is dead code
+    used = any(
+        name in names
+        for p in MODULES
+        for top_line, names in references_by_statement(p)
+        if not (p == path and top_line == line)
+    )
+    assert used, f"{path.name}:{line}: {name} is used by no library code"

@@ -17,12 +17,10 @@ from mecnet.stabilizer import (
     _LC_SEARCH_CAP,
     ORACLE_MAX_QUBITS,
     StabilizerTableau,
-    _compress,
     _gf2_rank,
     _kernel,
     _lc_columns,
     _row_mul,
-    _runs,
     _symmetric,
     equal_up_to_local_clifford,
     graph_form,
@@ -640,22 +638,6 @@ class TestBitsetInternalsAgainstReferences:
     def test_gf2_rank(self, vectors):
         assert _gf2_rank(vectors) == ref_gf2_rank(vectors)
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(0, 2**40 - 1),
-        st.lists(st.integers(0, 39), max_size=24).flatmap(
-            lambda ps: st.sampled_from([ps, sorted(ps), sorted(set(ps)), ps[::-1]])
-        ),
-    )
-    def test_compress_runs(self, mask_bits, positions):
-        # unsorted, duplicated and non-contiguous positions alike
-        assert _compress(mask_bits, _runs(positions)) == ref_compress(mask_bits, positions)
-
-    def test_runs_are_maximal(self):
-        assert _runs([]) == []
-        assert _runs([0, 1, 2, 5, 6, 9]) == [(0, 0, 0b111), (5, 3, 0b11), (9, 5, 0b1)]
-        assert _runs([3, 3, 2]) == [(3, 0, 1), (3, 1, 1), (2, 2, 1)]
-
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda m: st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m)))
     def test_symmetric(self, adj):
@@ -781,12 +763,58 @@ class TestBitsetInternalsAgainstReferences:
             h = Graph(g.vertex_count, set(h.edges()) ^ {(u, v)})
         ra, rb = g.adjacency, h.adjacency
         m, lo = len(ra), (1 << len(ra)) - 1
-        got = _kernel(_lc_columns(ra, rb))
+        got = _kernel(_lc_columns(ra, rb, lo))
         want = ref_nullspace(ref_lc_equations(ra, rb), 4 * m)
         assert len(got) == len(want)
-        # the library orders the unknowns (c | a | b | d), the reference (a | b | c | d)
-        relabelled = [v >> m & (lo | lo << m) | (v & lo) << 2 * m | v & lo << 3 * m for v in got]
-        assert _span(relabelled) == _span(want)
+        assert _span(_reference_unknown_order(got, m)) == _span(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=8), st.data())
+    def test_lc_system_on_a_strict_component_matches_relabelled_rows(self, g, data):
+        # The component sits at scattered places among n qubits, beside a
+        # second component that differs between the operands; the system
+        # over the full-width masks has the null space of the relabelled one.
+        k = g.vertex_count
+        g = Graph(k, set(g.edges()) | {(i, i + 1) for i in range(k - 1)})
+        h = g
+        for v in data.draw(st.lists(st.integers(0, k - 1), max_size=8)):
+            h = h.local_complement(v)
+        if data.draw(st.booleans()):
+            u, v = data.draw(st.sampled_from(list(itertools.combinations(range(k), 2))))
+            flipped = Graph(k, set(h.edges()) ^ {(u, v)})
+            if len(ref_components(flipped.adjacency)) == 1:
+                h = flipped
+        n = data.draw(st.integers(k + 2, ORACLE_MAX_QUBITS))
+        verts = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))
+        rest = [q for q in range(n) if q not in verts]
+        comp = sum(1 << v for v in verts)
+
+        def embed(small, other):
+            adj = [0] * n
+            for i, v in enumerate(verts):
+                adj[v] = sum(1 << verts[j] for j in bits(small[i]))
+            adj[rest[0]] = adj[rest[1]] = 1 << rest[0] | 1 << rest[1]
+            for u, v in other:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            return adj
+
+        pairs = list(itertools.combinations(rest, 2))
+        ga = embed(g.adjacency, data.draw(st.sets(st.sampled_from(pairs))))
+        gb = embed(h.adjacency, data.draw(st.sets(st.sampled_from(pairs))))
+        got = _kernel(_lc_columns(ga, gb, comp))
+        ra = [ref_compress(ga[v], verts) for v in verts]
+        rb = [ref_compress(gb[v], verts) for v in verts]
+        want = ref_nullspace(ref_lc_equations(ra, rb), 4 * k)
+        assert len(got) == len(want)
+        assert _span(_reference_unknown_order(got, k)) == _span(want)
+
+
+def _reference_unknown_order(vectors, m):
+    """The library orders the unknowns (c | a | b | d), the reference
+    (a | b | c | d)."""
+    lo = (1 << m) - 1
+    return [v >> m & (lo | lo << m) | (v & lo) << 2 * m | v & lo << 3 * m for v in vectors]
 
 
 class TestGraphStateOperandsReadDirectly:
