@@ -38,9 +38,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_out(flag_value, config_value: str = "out") -> str:
-    """Precedence: --out flag, then MECNET_OUT, then the config file value."""
+    """Precedence: --out flag, then MECNET_OUT (refused if empty), then the config value."""
     if flag_value:
         return flag_value
+    if os.environ.get("MECNET_OUT") == "":
+        raise ValueError("MECNET_OUT is set but empty; name a directory or unset it")
     return os.environ.get("MECNET_OUT", config_value)
 
 
@@ -97,11 +99,11 @@ def cmd_generate(args) -> int:
 def cmd_ingest(args) -> int:
     if args.sample is None and args.seed is not None:
         raise ValueError("--seed only seeds the --sample subsample; give --sample too")
+    out_dir = _resolve_out(args.out)
     parsed = parse_openflights(args.airports, args.routes)
     countries = set(args.countries) if args.countries else None
     sub = (args.sample, args.seed or 0) if args.sample is not None else None
     iq, meta = build_real_instance(parsed, countries, sub)
-    out_dir = _resolve_out(args.out)
     os.makedirs(out_dir, exist_ok=True)
     inst = os.path.join(out_dir, "real_instance.txt")
     with open(inst, "w", encoding="utf-8") as fh:

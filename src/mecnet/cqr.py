@@ -9,27 +9,31 @@ off neighbor masks in closed form; no search is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .qnet import ControlledInterQNet
 
 __all__ = ["CqrPath", "cqr_batch"]
 
 
-@dataclass(frozen=True)
-class CqrPath:
+class _CqrFields(NamedTuple):
     request: tuple[int, int]
     hops: int
     intermediates: tuple[int, ...]
     via_control: bool
 
-    def __post_init__(self) -> None:
-        if self.hops != len(self.intermediates) + 1:
-            raise ValueError(
-                f"{self.hops} hops need {self.hops - 1} intermediates, "
-                f"got {len(self.intermediates)}"
-            )
+
+class CqrPath(_CqrFields):
+    """A route as a tuple record, its hop count checked however it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, request, hops, intermediates, via_control):
+        if hops != len(intermediates) + 1:
+            raise ValueError(f"{hops} hops need {hops - 1} intermediates, got {len(intermediates)}")
+        return tuple.__new__(cls, (request, hops, intermediates, via_control))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
 
 def _low(mask: int) -> int:
@@ -69,12 +73,7 @@ def _route(adj: Sequence[int], data_count: int, s: int, d: int) -> CqrPath:
                 break
         else:
             raise ValueError(f"request {(s, d)} has no route of at most three hops")
-    return CqrPath(
-        request=(s, d),
-        hops=len(inter) + 1,
-        intermediates=inter,
-        via_control=max(inter, default=-1) >= data_count,
-    )
+    return CqrPath((s, d), len(inter) + 1, inter, max(inter, default=-1) >= data_count)
 
 
 def cqr_batch(

@@ -131,4 +131,4 @@ def sample_requests(
     rng = np.random.default_rng(rng_seed)
     chosen = rng.choice(len(pool), size=count, replace=False)
     # complement edges drawn without replacement need no intake check
-    return RequestSet(tuple(pool[i] for i in chosen))
+    return RequestSet(tuple([pool[i] for i in chosen.tolist()]))

@@ -158,19 +158,15 @@ def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
 
 def _count_planes(rows: Sequence[int]) -> list[int]:
     """Bit-sliced partner counts: bit ``i`` of ``planes[b]`` is bit ``b`` of
-    ``rows[i].bit_count()``, since the rows are symmetric and each is added
-    in with a ripple carry (a plane appended on overflow).  The scheduler
-    keeps each remaining count at ``(rows[i] & remaining).bit_count()``.
+    ``rows[i].bit_count()``, one plane per bit of the highest count, read
+    off the row popcounts (symmetry is not needed here; ``_decrement`` needs
+    it).  The scheduler keeps each remaining count at
+    ``(rows[i] & remaining).bit_count()``.
     """
-    planes: list[int] = []
-    for carry in rows:
-        for b, p in enumerate(planes):
-            if not carry:
-                break
-            planes[b], carry = p ^ carry, p & carry
-        if carry:
-            planes.append(carry)
-    return planes
+    counts = np.array([row.bit_count() for row in rows], dtype=np.int64)
+    sliced = counts >> np.arange(int(counts.max(initial=0)).bit_length())[:, None] & 1
+    packed = np.packbits(sliced, axis=1, bitorder="little")
+    return [int.from_bytes(plane.tobytes(), "little") for plane in packed]
 
 
 def _decrement(planes: list[int], mask: int) -> None:
@@ -230,7 +226,8 @@ def dynamic_parallel_pairs(
     remaining = (1 << len(edges)) - 1
     while remaining:
         group = _argmax(planes, remaining)
-        shared = rows[group.bit_length() - 1] & remaining
+        members = [group.bit_length() - 1]
+        shared = rows[members[0]] & remaining
         if not shared:
             # the highest count is 0: every remaining request is alone
             groups.extend(frozenset((edges[i],)) for i in bits(remaining))
@@ -239,11 +236,12 @@ def dynamic_parallel_pairs(
         while shared:
             pick = _argmax(planes, shared)
             group |= pick
-            shared &= rows[pick.bit_length() - 1]
+            members.append(pick.bit_length() - 1)
+            shared &= rows[members[-1]]
         remaining ^= group
-        for i in bits(group):
+        for i in members:
             _decrement(planes, rows[i] & remaining)
-        groups.append(frozenset(edges[i] for i in bits(group)))
+        groups.append(frozenset([edges[i] for i in members]))
     table = ParallelPairTable(tuple(groups))
     _assert_table_valid(cgraph, table, requests)
     return table

@@ -474,6 +474,17 @@ class TestIngestCommand:
         assert "--countries: expected at least one argument" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    def test_empty_mecnet_out_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # refused before the data files are parsed, as for run and generate
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MECNET_OUT", "")
+        monkeypatch.setattr(cli, "parse_openflights", lambda *a: pytest.fail("parsed the data"))
+        rc = cli.main(["ingest", "--airports", os.path.join(FIXTURES, "airports.dat"),
+                       "--routes", os.path.join(FIXTURES, "routes.dat")])
+        assert rc == cli.EXIT_USAGE
+        assert "usage error: MECNET_OUT is set but empty" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 REPORT_FILES = (
     "arqf.csv", "hops.csv", "parallelism.csv", "throughput.csv",
@@ -546,6 +557,17 @@ class TestReportCommand:
             os.remove(os.path.join(out, f"{name}.svg"))
         assert cli.main(["report", "--out", out]) == cli.EXIT_OK
         assert os.path.exists(os.path.join(out, "hops.svg"))
+
+    def test_empty_mecnet_out_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # the tables in the working directory are not read in its place
+        cfg_path, cfg = small_config(tmp_path)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
+        monkeypatch.chdir(cfg["output_dir"])
+        monkeypatch.setenv("MECNET_OUT", "")
+        monkeypatch.setattr(cli, "render_figures", lambda *a: pytest.fail("rendered figures"))
+        capsys.readouterr()
+        assert cli.main(["report"]) == cli.EXIT_USAGE
+        assert "usage error: MECNET_OUT is set but empty" in capsys.readouterr().err
 
     def test_report_refuses_a_table_with_another_schema_tag(self, tmp_path, capsys):
         cfg_path, cfg = small_config(tmp_path)
@@ -897,11 +919,11 @@ class TestUsageErrors:
         # flag absent: env var wins over the config file value
         cli.main(["run", "--config", cfg_path, "--reps", "1"])
         assert os.path.exists(tmp_path / "envout" / "hops.csv")
-        # an empty one is refused before any instance runs, as in a config
+        # an empty one is refused, by name, before any instance runs
         monkeypatch.setenv("MECNET_OUT", "")
         monkeypatch.setattr(experiments, "run_instance", lambda *a: pytest.fail("an instance ran"))
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
-        assert "usage error: output_dir must name a directory, got ''" in capsys.readouterr().err
+        assert "usage error: MECNET_OUT is set but empty" in capsys.readouterr().err
 
 
 class TestPipelineMismatchPath:

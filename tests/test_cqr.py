@@ -7,6 +7,7 @@ breadth-first search below is the reference it is checked against.
 import dataclasses
 import itertools
 import os
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -189,6 +190,34 @@ class TestCqrPath:
         with pytest.raises(ValueError, match="3 hops need 2 intermediates, got 1"):
             CqrPath((0, 1), 3, (5,), False)
 
+    def test_keyword_construction_validates_alike(self):
+        path = CqrPath(request=(0, 1), hops=2, intermediates=(5,), via_control=False)
+        assert path == CqrPath((0, 1), 2, (5,), False)
+        with pytest.raises(ValueError, match="^3 hops need 2 intermediates, got 1$"):
+            CqrPath(request=(0, 1), hops=3, intermediates=(5,), via_control=False)
+
+    def test_make_and_replace_validate(self):
+        path = CqrPath((0, 1), 2, (5,), False)
+        assert CqrPath._make([(0, 1), 2, (5,), False]) == path
+        assert type(path._replace(via_control=True)) is CqrPath
+        with pytest.raises(ValueError, match="^3 hops need 2 intermediates, got 1$"):
+            CqrPath._make([(0, 1), 3, (5,), False])
+        with pytest.raises(ValueError, match="^1 hops need 0 intermediates, got 1$"):
+            path._replace(hops=1)
+
+    def test_fields_cannot_be_assigned(self):
+        path = CqrPath((0, 1), 2, (5,), False)
+        with pytest.raises(AttributeError):
+            path.hops = 1
+        with pytest.raises(AttributeError):
+            path.note = "x"
+        assert path == ((0, 1), 2, (5,), False)
+
+    def test_pickle_round_trip(self):
+        path = route_one(_cg([(1, 2)], 2, (1, 1, 2, 2)), (0, 3))
+        back = pickle.loads(pickle.dumps(path))
+        assert back == path and type(back) is CqrPath and back.via_control
+
 
 class TestCqrBatch:
     def test_all_two_hop(self):
@@ -210,6 +239,8 @@ class TestCqrBatch:
         want = [reference_route(cg, (s, d), dists[d]) for s, d in reqs]
         paths, h_bar, chi = cqr_batch(cg, reqs)
         assert paths == [route_one(cg, r) for r in reqs] == want
+        # records compare as tuples, so check that each is a CqrPath
+        assert all(type(p) is CqrPath for p in paths)
         assert h_bar == sum(p.hops for p in want) / len(want)
         assert chi == sum(len(p.intermediates) for p in want)
         controls = cg.partition.control_nodes

@@ -394,6 +394,21 @@ def plane_counts(planes, m):
     return [sum((p >> i & 1) << b for b, p in enumerate(planes)) for i in range(m)]
 
 
+def ripple_count_planes(rows):
+    """The partner counts' bit planes built by adding the rows with a ripple
+    carry, a plane appended on overflow: bit ``i`` of the planes sums column
+    ``i``, which is the count of row ``i`` when the rows are symmetric."""
+    planes = []
+    for carry in rows:
+        for b, p in enumerate(planes):
+            if not carry:
+                break
+            planes[b], carry = p ^ carry, p & carry
+        if carry:
+            planes.append(carry)
+    return planes
+
+
 def recounted_greedy(rows):
     """The scheduler's greedy as group masks over the compatibility rows,
     every partner count recomputed from the rows at each group start."""
@@ -416,9 +431,9 @@ def recounted_greedy(rows):
 
 
 @st.composite
-def symmetric_rows(draw):
+def symmetric_rows(draw, sizes=st.integers(0, 40)):
     """Rows of a random symmetric bit matrix with a zero diagonal."""
-    m = draw(st.integers(0, 40))
+    m = draw(sizes)
     density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
     rnd = random.Random(draw(st.integers(0, 2**32)))
     rows = [0] * m
@@ -471,12 +486,28 @@ class TestCountPlanes:
     @settings(max_examples=200, deadline=None)
     @given(controlled_batches())
     def test_compat_rows_are_symmetric(self, case):
-        # the planes sum columns, which give the partner counts only because
-        # the rows are symmetric
+        # a group leaving the batch decrements the counts of its members'
+        # partners read along its rows, which are their columns only
+        # because the rows are symmetric
         iq, _, picks = case
         rows = _compat_rows(complement_inter_qnet(iq).graph, sorted(picks))
         for i, j in itertools.combinations(range(len(rows)), 2):
             assert rows[i] >> j & 1 == rows[j] >> i & 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_rows(st.sampled_from([0, 1, 7, 8, 9, 200, 300])))
+    def test_equal_to_the_ripple_carry_on_symmetric_rows(self, rows):
+        # byte boundaries of m, all-zero rows (density 0) and, at m = 300,
+        # counts past 255
+        assert _count_planes(rows) == ripple_count_planes(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**70 - 1), max_size=70))
+    def test_planes_hold_row_popcounts_without_symmetry(self, rows):
+        counts = [row.bit_count() for row in rows]
+        planes = _count_planes(rows)
+        assert len(planes) == max(counts, default=0).bit_length()
+        assert plane_counts(planes, len(rows)) == counts
 
     def test_empty_batch(self):
         assert _count_planes([]) == []
@@ -492,8 +523,9 @@ class TestCountPlanes:
         table = dynamic_parallel_pairs(build_controlled(iq), requests[::-1])
         assert table.groups == tuple(frozenset((e,)) for e in requests)
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 9, 17])
+    @pytest.mark.parametrize("m", [2, 3, 5, 9, 17, 300])
     def test_counts_at_powers_of_two_append_a_plane(self, m):
+        # m = 300 takes the counts past 255
         # all pairs compatible: every count is m - 1
         full = (1 << m) - 1
         planes = _count_planes([full ^ 1 << i for i in range(m)])
