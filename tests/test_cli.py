@@ -1,7 +1,9 @@
 """CLI and experiment pipeline: subcommands, exit codes, reproducibility,
 fault injection."""
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -12,9 +14,12 @@ from pathlib import Path
 from statistics import mean
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cqr import EVAL_CONFIG, bfs_dist
+from test_pairs import reference_dynamic_parallel_pairs
 
 import mecnet
 import mecnet.cli as cli
@@ -37,7 +42,7 @@ from mecnet.experiments import (
 from mecnet.graph import Graph
 from mecnet.metrics import TimingParams, arqf_cqr, arqf_mec, throughput_cqr, throughput_mec
 from mecnet.netgen import GenConfig, generate_inter_qnet
-from mecnet.qnet import instance_from_text, instance_to_text
+from mecnet.qnet import build_controlled, instance_from_text, instance_to_text
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "openflights")
 
@@ -178,6 +183,67 @@ class TestRunInstance:
                     assert v.r_bar * v.rho == pytest.approx(n)
                     checked += 1
         assert checked > 0
+
+
+def reference_volumes(iq, volumes, request_seed):
+    """``(skipped, rho, chi)`` of each volume, recomputed from the test
+    references: the pool is the complement's edge set in lexicographic
+    order, volume ``vi`` draws from it without replacement with seed
+    ``derive_seed(request_seed, vi)``, ρ is the round count of the
+    whole-edge-set scheduler and χ sums each request's distance less one
+    on the controlled graph."""
+    m, g = iq.partition.membership, iq.graph
+    pool = [
+        (u, v)
+        for u, v in itertools.combinations(range(len(m)), 2)
+        if m[u] != m[v] and not g.has_edge(u, v)
+    ]
+    cg = build_controlled(iq)
+    out = []
+    for vi, vol in enumerate(volumes):
+        if vol > len(pool):
+            out.append((True, 0, 0))
+            continue
+        rng = np.random.default_rng(derive_seed(request_seed, vi))
+        requests = [pool[i] for i in rng.choice(len(pool), size=vol, replace=False)]
+        rho = len(reference_dynamic_parallel_pairs(cg, requests))
+        chi = sum(bfs_dist(cg.graph, d)[s] - 1 for s, d in requests)
+        out.append((False, rho, chi))
+    return out
+
+
+class TestRunMatchesTheReferences:
+    """``run_experiment`` end to end against :func:`reference_volumes`, so
+    that a rewrite of a handover between stages (the pool a batch is drawn
+    from, the seed a volume gets, the graph a batch is scheduled or routed
+    on) shows even when every stage's own tests pass."""
+
+    @staticmethod
+    def check(cfg):
+        results = run_experiment(cfg)
+        cells = list(itertools.product(cfg.qnet_counts, cfg.densities, range(cfg.repetitions)))
+        assert [(r.k, r.p, r.rep) for r in results] == cells
+        for (k, p, rep), res in zip(cells, results):
+            # the pipeline's seeds, restated
+            gen_seed = derive_seed(cfg.seed, k, int(p * 1_000_000), rep)
+            req_seed = derive_seed(cfg.seed, k, int(p * 1_000_000), rep, 17)
+            iq = generate_inter_qnet(GenConfig(k, even_sizes(cfg.nodes, k), p, gen_seed))
+            got = [(v.skipped, v.rho, v.chi) for v in res.volumes]
+            assert got == reference_volumes(iq, cfg.request_volumes, req_seed), (k, p, rep)
+        return [v for r in results for v in r.volumes]
+
+    def test_every_eval_cell(self):
+        cfg = dataclasses.replace(ExperimentConfig.from_json(EVAL_CONFIG), repetitions=1, jobs=1)
+        assert not any(v.skipped for v in self.check(cfg))
+
+    def test_odd_k_and_a_volume_past_the_pool(self):
+        cfg = ExperimentConfig(
+            seed=3, repetitions=2, nodes=15, qnet_counts=(3, 5), densities=(0.2, 0.8),
+            request_volumes=(0, 6, 25, 200),
+        )
+        volumes = self.check(cfg)
+        assert {v.volume for v in volumes if v.skipped} == {25, 200}
+        assert {v.volume for v in volumes if not v.skipped} == {0, 6, 25}
 
 
 class TestGenerateAndRunFromFiles:
