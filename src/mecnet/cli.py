@@ -38,7 +38,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_out(flag_value, config_value: str = "out") -> str:
-    """Precedence: --out flag, then MECNET_OUT (refused if empty), then the config value."""
+    """Precedence: --out flag, then MECNET_OUT, then the config value; an
+    empty --out or MECNET_OUT is refused by name."""
+    if flag_value == "":
+        raise ValueError("--out is empty; name a directory or leave the flag out")
     if flag_value:
         return flag_value
     if os.environ.get("MECNET_OUT") == "":

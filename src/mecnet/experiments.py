@@ -4,9 +4,9 @@ Per instance, the pipeline builds the controlled network, checks that the
 measurement sequence reproduces the combinatorial complement (aborting
 with a serialized counterexample if not), partitions each request batch
 into rounds, routes the same batch with the shortest-path baseline, and
-records one result per request volume: ρ, r̄, h̄, χ and the footprints.
-None of these depend on timing; the reports apply the timing grid once,
-computing each grid point's throughput pair from the volume results.
+records what it measured per request volume: whether it was skipped, ρ and
+χ.  The reports derive r̄, h̄, the footprints and each timing point's
+throughput pair from those, the volume and the instance's partition, once.
 Each round is checked once, by the scheduler's conflict-free check on the
 complement, which equals the measured graph.  Aggregates are
 deterministic for a fixed config and seed.
@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from statistics import pstdev
-from typing import Any, Optional, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -205,15 +206,12 @@ def even_sizes(nodes: int, k: int) -> tuple[int, ...]:
 
 @dataclass
 class VolumeResult:
+    """What one request batch measured; its request count |R| is ``volume``."""
+
     volume: int
     skipped: bool = False
     rho: int = 0
-    r_bar: float = 0.0
-    h_bar: Optional[float] = None
     chi: int = 0
-    q_cqr: int = 0
-    q_pro: int = 0
-    q_ond: int = 0
 
 
 @dataclass
@@ -221,6 +219,8 @@ class InstanceResult:
     k: int
     p: float
     rep: int
+    k_prime: int
+    sizes: tuple[int, ...]
     volumes: list[VolumeResult] = field(default_factory=list)
 
 
@@ -244,8 +244,8 @@ def run_instance(
     # one every batch is sampled from and scheduled on, so the scheduler's
     # round check stands for extraction on the measured graph
     pool = oracle.graph.edges()
-    out = InstanceResult(k=iq.partition.k, p=p, rep=rep)
     part = iq.partition
+    out = InstanceResult(part.k, p, rep, part.k_prime, tuple(part.sizes()))
     for vi, vol in enumerate(volumes):
         vr = VolumeResult(volume=vol)
         try:
@@ -260,23 +260,21 @@ def run_instance(
             raise PipelineMismatch(
                 f"parallel-pair violation: {exc}", instance_to_text(iq)
             ) from exc
-        paths, h_bar, chi = cqr_batch(cg, rs.requests)
+        paths, _, chi = cqr_batch(cg, rs.requests)
         adjacent = [p_.request for p_ in paths if p_.hops < 2]
         if adjacent:
             raise PipelineMismatch(
                 f"requests {adjacent} route in one hop; remote requests start non-adjacent",
                 instance_to_text(iq),
             )
-        n = len(rs.requests)
-        vr.rho = table.rho
-        vr.r_bar = n / table.rho if table.rho else 0.0
-        vr.h_bar = h_bar
-        vr.chi = chi
-        vr.q_cqr = arqf_cqr(n, chi)
-        vr.q_pro = arqf_mec(table.rho, part.k_prime, part.sizes(), n, "proactive")
-        vr.q_ond = arqf_mec(table.rho, part.k_prime, part.sizes(), n, "on_demand")
+        vr.rho, vr.chi = table.rho, chi
         out.volumes.append(vr)
     return out
+
+
+def _grid(cfg: ExperimentConfig) -> Iterator[tuple[int, float, int]]:
+    """The grid cells ``(k, p, rep)`` in the order they are generated and run."""
+    return itertools.product(cfg.qnet_counts, cfg.densities, range(cfg.repetitions))
 
 
 def _generated(cfg_seed: int, nodes: int, k: int, p: float, rep: int) -> tuple[int, InterQNet]:
@@ -307,29 +305,27 @@ def generate_instances(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     meta_lines = []
-    for k in cfg.qnet_counts:
-        for p in cfg.densities:
-            for rep in range(cfg.repetitions):
-                gen_seed, iq = _generated(cfg.seed, cfg.nodes, k, p, rep)
-                name = f"k{k}_p{p:g}_r{rep}.txt"
-                path = os.path.join(out_dir, name)
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(instance_to_text(iq))
-                paths.append(path)
-                meta_lines.append(
-                    json.dumps(
-                        {
-                            "file": name,
-                            "k": k,
-                            "p": p,
-                            "rep": rep,
-                            "seed": gen_seed,
-                            "nodes": iq.graph.vertex_count,
-                            "edges": iq.graph.edge_count,
-                        },
-                        sort_keys=True,
-                    )
-                )
+    for k, p, rep in _grid(cfg):
+        gen_seed, iq = _generated(cfg.seed, cfg.nodes, k, p, rep)
+        name = f"k{k}_p{p:g}_r{rep}.txt"
+        path = os.path.join(out_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(instance_to_text(iq))
+        paths.append(path)
+        meta_lines.append(
+            json.dumps(
+                {
+                    "file": name,
+                    "k": k,
+                    "p": p,
+                    "rep": rep,
+                    "seed": gen_seed,
+                    "nodes": iq.graph.vertex_count,
+                    "edges": iq.graph.edge_count,
+                },
+                sort_keys=True,
+            )
+        )
     with open(os.path.join(out_dir, "metadata.jsonl"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(meta_lines) + "\n")
     return paths
@@ -343,12 +339,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[InstanceResult]:
         tasks = [(cfg.seed, i, path, cfg.request_volumes) for i, path in enumerate(cfg.instance_files)]
     else:
         task = _run_task
-        tasks = [
-            (cfg.seed, cfg.nodes, k, p, rep, cfg.request_volumes)
-            for k in cfg.qnet_counts
-            for p in cfg.densities
-            for rep in range(cfg.repetitions)
-        ]
+        tasks = [(cfg.seed, cfg.nodes, k, p, rep, cfg.request_volumes) for k, p, rep in _grid(cfg)]
     if cfg.jobs > 1:
         # a pool starts all its workers at the first submit, so it gets no
         # more than there are tasks
@@ -400,16 +391,20 @@ def write_reports(
 ) -> dict[str, str]:
     """Aggregate across repetitions and write the CSV tables; returns paths.
 
-    Each cell of ``throughput.csv`` has one row per point of ``timing_grid``,
-    in grid order: ``fm`` is the mean of each volume result's own f_M (the
-    per-result product, not one taken from the mean r̄), and ``fb`` depends
-    on the grid point alone."""
+    This is the one place the measured facts become the paper's figures.
+    Per volume result, with |R| its volume: r̄ = |R|/ρ (0.0 when ρ = 0),
+    h̄ = (|R| + χ)/|R| (none when |R| = 0), the footprints through
+    ``arqf_cqr`` and ``arqf_mec`` of the instance's k′ and QNet sizes, and
+    f_M from r̄.  Each cell of ``throughput.csv`` has one row per point of
+    ``timing_grid``, in grid order: ``fm`` is the mean of each volume
+    result's own f_M (the per-result product, not one taken from the mean
+    r̄), and ``fb`` depends on the grid point alone."""
     os.makedirs(out_dir, exist_ok=True)
-    cells: dict[tuple, list[VolumeResult]] = {}
+    cells: dict[tuple, list[tuple[InstanceResult, VolumeResult]]] = {}
     for r in results:
         for v in r.volumes:
             if not v.skipped:
-                cells.setdefault((r.p, r.k, v.volume), []).append(v)
+                cells.setdefault((r.p, r.k, v.volume), []).append((r, v))
 
     # the timing columns and fb depend on the grid point alone
     points = [
@@ -417,20 +412,22 @@ def write_reports(
         for t in timing_grid
     ]
     rows: dict[str, list[list]] = {name: [] for name in TABLES}
-    for (p, k, vol), vs in sorted(cells.items()):
-        hbars = [v.h_bar for v in vs if v.h_bar is not None]
-        r_bars, rhos = [v.r_bar for v in vs], [v.rho for v in vs]
+    for (p, k, n), rvs in sorted(cells.items()):
+        rhos = [v.rho for _, v in rvs]
+        r_bars = [n / rho if rho else 0.0 for rho in rhos]
+        hbars = [(n + v.chi) / n for _, v in rvs] if n else []
+        q_cqr = [arqf_cqr(n, v.chi) for _, v in rvs]
+        q_pro = [arqf_mec(v.rho, r.k_prime, r.sizes, n, "proactive") for r, v in rvs]
+        q_ond = [arqf_mec(v.rho, r.k_prime, r.sizes, n, "on_demand") for r, v in rvs]
         r_bar = _mean(r_bars)
-        cell = [p, k, vol, len(vs)]
-        hop_reduction = _mean(1 - 1 / h for h in hbars)
-        rows["hops"].append(cell + [1.0, _mean(hbars), _std(hbars), hop_reduction])
+        cell = [p, k, n, len(rvs)]
+        rows["hops"].append(cell + [1.0, _mean(hbars), _std(hbars), _mean(1 - 1 / h for h in hbars)])
         rows["parallelism"].append(cell + [r_bar, _std(r_bars), _mean(rhos), _std(rhos)])
-        qs = [_mean(getattr(v, q) for v in vs) for q in ("q_cqr", "q_pro", "q_ond")]
-        ond_le = _mean(1.0 if v.q_ond <= v.q_cqr else 0.0 for v in vs)
-        rows["arqf"].append(cell + qs + [ond_le])
+        ond_le = _mean(1.0 if o <= c else 0.0 for o, c in zip(q_ond, q_cqr))
+        rows["arqf"].append(cell + [_mean(q_cqr), _mean(q_pro), _mean(q_ond), ond_le])
         for t, timing, fb in points:
-            fm = _mean(throughput_mec(t, v.r_bar) for v in vs)
-            rows["throughput"].append([p, k, vol, *timing, r_bar, fm, fb])
+            fm = _mean(throughput_mec(t, rb) for rb in r_bars)
+            rows["throughput"].append([p, k, n, *timing, r_bar, fm, fb])
 
     paths = {}
     for name, (tag, header) in TABLES.items():

@@ -27,7 +27,7 @@ import mecnet.experiments as experiments
 import mecnet.pairs as pairs
 import mecnet.svgplot as svgplot
 import mecnet.verify as verify
-from mecnet.cqr import CqrPath
+from mecnet.cqr import CqrPath, cqr_batch
 from mecnet.experiments import (
     ExperimentConfig,
     PipelineMismatch,
@@ -40,9 +40,9 @@ from mecnet.experiments import (
     write_reports,
 )
 from mecnet.graph import Graph
-from mecnet.metrics import TimingParams, arqf_cqr, arqf_mec, throughput_cqr, throughput_mec
-from mecnet.netgen import GenConfig, generate_inter_qnet
-from mecnet.qnet import build_controlled, instance_from_text, instance_to_text
+from mecnet.metrics import TimingParams, throughput_cqr, throughput_mec
+from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
+from mecnet.qnet import build_controlled, complement_inter_qnet, instance_from_text, instance_to_text
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "openflights")
 
@@ -150,7 +150,8 @@ class TestRunCommand:
                     float(t[name]) for name in ("lam", "tpm", "trm", "tpb", "trb")
                 ]
                 assert r["r_bar"] == r_bar[cell]
-                fm = round(mean(throughput_mec(timing, v.r_bar) for v in results[cell]), 6)
+                n = int(cell[2])
+                fm = round(mean(throughput_mec(timing, n / v.rho) for v in results[cell]), 6)
                 assert float(r["fm"]) == fm
                 assert float(r["fb"]) == round(throughput_cqr(timing), 6)
 
@@ -163,26 +164,40 @@ class TestRunCommand:
 
 
 class TestRunInstance:
-    def test_volume_results_hold_the_closed_forms(self):
-        checked = 0
+    def test_volume_results_hold_the_closed_forms(self, tmp_path):
+        # k = 3 is odd, so its k′ = 4 control vertices differ from k, and a
+        # footprint taken with k in place of k′ shows in the reports
+        results, cells = [], {}
         for p in (0.2, 0.8):
             for rep in range(3):
                 iq = generate_inter_qnet(GenConfig(3, even_sizes(18, 3), p, derive_seed(5, rep)))
-                part = iq.partition
                 res = run_instance(iq, (4, 6, 500), derive_seed(6, rep), p, rep)
-                assert (res.k, res.p, res.rep) == (3, p, rep)
+                assert (res.k, res.p, res.rep, res.k_prime, res.sizes) == (3, p, rep, 4, (6, 6, 6))
                 assert [v.volume for v in res.volumes] == [4, 6, 500]
                 assert res.volumes[-1].skipped
-                for v in res.volumes:
-                    if v.skipped:
-                        continue
-                    n = v.volume
-                    assert v.q_cqr == arqf_cqr(n, v.chi)
-                    assert v.q_pro == arqf_mec(v.rho, part.k_prime, part.sizes(), n, "proactive")
-                    assert v.q_ond == arqf_mec(v.rho, part.k_prime, part.sizes(), n, "on_demand")
-                    assert v.r_bar * v.rho == pytest.approx(n)
-                    checked += 1
-        assert checked > 0
+                results.append(res)
+                pool = complement_inter_qnet(iq).graph.edges()
+                for vi, v in enumerate(res.volumes[:2]):
+                    # h̄ = (|R| + χ)/|R| is the baseline's own mean hop count
+                    rs = sample_requests(iq, v.volume, derive_seed(derive_seed(6, rep), vi), pool=pool)
+                    assert cqr_batch(build_controlled(iq), rs.requests)[1] == (v.volume + v.chi) / v.volume
+                    cells.setdefault((str(p), str(v.volume)), []).append(v)
+        write_reports(results, str(tmp_path), [TimingParams(10, 3, 1, 4, 1)])
+        rows = {}
+        for name in ("hops", "parallelism", "arqf"):
+            for r in read_table(tmp_path / f"{name}.csv"):
+                rows.setdefault((r["p"], r["volume"]), {}).update(r)
+        assert set(rows) == set(cells) and len(cells) == 4
+        for (p, volume), vs in cells.items():
+            n = int(volume)
+            want = {
+                "cqr_hops_mean": mean((n + v.chi) / n for v in vs),
+                "r_bar_mean": mean(n / v.rho for v in vs),
+                "q_cqr_mean": mean(2 * n + 2 * v.chi for v in vs),
+                "q_mec_pro_mean": mean(v.rho * (4 + 18) for v in vs),
+                "q_mec_ond_mean": mean(2 * n + v.rho * 4 for v in vs),
+            }
+            assert {col: float(rows[p, volume][col]) for col in want} == pytest.approx(want, abs=1e-6)
 
 
 def reference_volumes(iq, volumes, request_seed):
@@ -364,7 +379,8 @@ class TestGenerateAndRunFromFiles:
 
         def capture(iq, volumes, request_seed, p, rep):
             built[iq.partition.k, p, rep] = iq
-            return experiments.InstanceResult(k=iq.partition.k, p=p, rep=rep)
+            part = iq.partition
+            return experiments.InstanceResult(part.k, p, rep, part.k_prime, tuple(part.sizes()))
 
         monkeypatch.setattr(experiments, "run_instance", capture)
         run_experiment(ExperimentConfig.from_json(cfg_path))
@@ -990,6 +1006,27 @@ class TestUsageErrors:
         monkeypatch.setattr(experiments, "run_instance", lambda *a: pytest.fail("an instance ran"))
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
         assert "usage error: MECNET_OUT is set but empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["generate"], "generate_instances"),
+            (["ingest", "--airports", os.path.join(FIXTURES, "airports.dat"),
+              "--routes", os.path.join(FIXTURES, "routes.dat")], "parse_openflights"),
+            (["run"], "run_experiment"),
+            (["report"], "render_figures"),
+        ],
+        ids=["generate", "ingest", "run", "report"],
+    )
+    def test_empty_out_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, work):
+        # not read as an absent flag: nothing runs, and nothing is written
+        # to MECNET_OUT or the default directory in its place
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MECNET_OUT", str(tmp_path / "envout"))
+        monkeypatch.setattr(cli, work, lambda *a, **kw: pytest.fail(f"{work} ran"))
+        assert cli.main([*argv, "--out", ""]) == cli.EXIT_USAGE
+        assert "usage error: --out is empty" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestPipelineMismatchPath:

@@ -313,8 +313,9 @@ class TestHopRule:
         measured = {}
         for res in run_experiment(cfg):
             for v in res.volumes:
-                if v.h_bar is not None:
-                    measured.setdefault((res.k, res.p, v.volume), []).append(v.h_bar)
+                if not v.skipped and v.volume:
+                    h_bar = (v.volume + v.chi) / v.volume
+                    measured.setdefault((res.k, res.p, v.volume), []).append(h_bar)
         assert len(measured) == 32
         for (k, p, volume), h_bars in measured.items():
             sizes, n = even_sizes(cfg.nodes, k), cfg.nodes

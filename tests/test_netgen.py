@@ -1,11 +1,15 @@
 """Synthetic generator: structure, density, determinism, request sampling."""
 
 import hashlib
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -151,6 +155,62 @@ class TestSameGraphsAsEdgeLists:
         monkeypatch.setattr(Graph, "edges", refused)
         iq = generate_inter_qnet(GenConfig(4, (5, 5, 5, 5), 0.4, 3))
         assert len(built) == 1 and iq.connected
+
+
+def spanning_tree_count(membership):
+    """Kirchhoff's matrix-tree theorem on the complete multipartite graph of
+    these QNet labels: the determinant of its Laplacian with the first row
+    and column removed, by exact elimination (the matrix is positive
+    definite, so no pivot is zero)."""
+    n = len(membership)
+    lap = [
+        [
+            Fraction(sum(membership[w] != membership[u] for w in range(n)) if u == v
+                     else -(membership[u] != membership[v]))
+            for v in range(1, n)
+        ]
+        for u in range(1, n)
+    ]
+    det = Fraction(1)
+    for c in range(n - 1):
+        det *= lap[c][c]
+        for r in range(c + 1, n - 1):
+            f = lap[r][c] / lap[c][c]
+            lap[r] = [a - f * b for a, b in zip(lap[r], lap[c])]
+    return int(det)
+
+
+def chi_square_quantile(df, q):
+    """The ``q`` quantile of the chi-square distribution with ``df`` degrees
+    of freedom, by the Wilson–Hilferty cube-root normal approximation."""
+    z = NormalDist().inv_cdf(q)
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+class TestUniformSpanningTree:
+    @pytest.mark.parametrize(
+        "membership, trees",
+        [((1, 2, 2, 3, 3), 45), ((1, 2, 3, 4, 4, 4), 324), ((1, 1, 2, 2, 3, 3), 384)],
+    )
+    def test_every_tree_equally_likely(self, membership, trees):
+        # the closed form n^(k-2) * prod (n - n_i)^(n_i - 1) agrees
+        assert spanning_tree_count(membership) == trees
+        per_tree = 30
+        rng = np.random.default_rng(derive_seed(len(membership), trees))
+        counts = Counter()
+        for _ in range(per_tree * trees):
+            edges = netgen._uniform_spanning_tree(membership, rng)
+            tree = frozenset(tuple(sorted(e)) for e in edges)
+            assert len(tree) == len(membership) - 1
+            assert all(membership[u] != membership[v] for u, v in tree)
+            g = Graph(len(membership), sorted(tree))
+            assert InterQNet(g, QNetPartition(max(membership), membership)).connected
+            counts[tree] += 1
+        assert len(counts) <= trees
+        # each tree is expected per_tree times; a tree never drawn counts too
+        stat = sum((c - per_tree) ** 2 for c in counts.values()) / per_tree
+        stat += (trees - len(counts)) * per_tree
+        assert stat < chi_square_quantile(trees - 1, 0.999), (stat, trees)
 
 
 class TestSampleRequests:

@@ -242,3 +242,50 @@ def test_private_names_are_used_by_the_library(path, name, line):
         if not (p == path and top_line == line)
     )
     assert used, f"{path.name}:{line}: {name} is used by no library code"
+
+
+# The closed forms of the paper's figures, applied to the measured facts in
+# one layer only
+CLOSED_FORMS = {"arqf_cqr", "arqf_mec", "throughput_mec", "throughput_cqr"}
+CLOSED_FORMS_APPLIED_IN = ("experiments", "write_reports")
+
+
+def closed_form_calls(module):
+    """(top-level name, line, closed form) of each call to a closed form,
+    by name or as an attribute, with the top-level statement it sits in."""
+    found = []
+    for top in module.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in CLOSED_FORMS:
+                    found.append((getattr(top, "name", None), node.lineno, name))
+    return found
+
+
+def test_closed_forms_are_applied_in_write_reports_only():
+    calls = [(path.stem, *call) for path in MODULES for call in closed_form_calls(parse(path))]
+    stray = [call for call in calls if call[:2] != CLOSED_FORMS_APPLIED_IN]
+    assert not stray, f"closed forms applied outside experiments.write_reports: {stray}"
+    assert {call[3] for call in calls} == CLOSED_FORMS
+
+
+def test_closed_form_rule_flags_each_form():
+    source = "\n".join([
+        "from .metrics import arqf_cqr",
+        "def run_instance(n, chi):",
+        "    return arqf_cqr(n, chi)",
+        "class Record:",
+        "    def build(self, t):",
+        "        return metrics.throughput_mec(t, 1.0)",
+        "FOOTPRINT = arqf_mec(1, 4, (3, 3), 2, 'proactive')",
+        "def write_reports(t):",
+        "    return throughput_cqr(t)",
+    ])
+    assert closed_form_calls(ast.parse(source)) == [
+        ("run_instance", 3, "arqf_cqr"),
+        ("Record", 6, "throughput_mec"),
+        (None, 7, "arqf_mec"),
+        ("write_reports", 9, "throughput_cqr"),
+    ]
