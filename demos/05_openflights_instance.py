@@ -33,5 +33,6 @@ switched, _ = mec_complementation(cg)
 assert switched.graph == complement_inter_qnet(iq).graph
 
 requests = sample_requests(iq, 6, rng_seed=1)
-paths, h_bar, chi = cqr_batch(cg, requests.requests)
+paths, chi = cqr_batch(cg, requests.requests)
+h_bar = (len(paths) + chi) / len(paths)  # each route has one more hop than intermediates
 print(f"6 sampled requests: baseline mean hops {h_bar:.2f}, after complementation 1.00")

@@ -9,7 +9,7 @@ off neighbor masks in closed form; no search is needed.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .qnet import ControlledInterQNet
 
@@ -79,16 +79,14 @@ def _route(adj: Sequence[int], data_count: int, s: int, d: int) -> CqrPath:
 def cqr_batch(
     cg: ControlledInterQNet,
     requests: Iterable[tuple[int, int]],
-) -> tuple[list[CqrPath], Optional[float], int]:
+) -> tuple[list[CqrPath], int]:
     """Route every request independently (time-multiplexed service).
 
-    Returns the paths, the mean hop count (None for an empty batch) and the
-    total intermediate count ``chi``; the batch's routing-qubit footprint
-    follows from it as ``metrics.arqf_cqr(len(requests), chi)``.
+    Returns the paths and their total intermediate count ``chi``, from which
+    the mean hop count ``(len(requests) + chi) / len(requests)`` (each path
+    has one more hop than intermediates) and ``metrics.arqf_cqr`` follow.
     """
     adj, data_count = cg.graph.adjacency, cg.partition.data_count
     paths = [_route(adj, data_count, s, d) for s, d in requests]
-    chi = sum(len(p.intermediates) for p in paths)
-    h_bar = sum(p.hops for p in paths) / len(paths) if paths else None
-    return paths, h_bar, chi
+    return paths, sum(len(p.intermediates) for p in paths)
 

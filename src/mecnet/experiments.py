@@ -228,39 +228,34 @@ def run_instance(
     iq: InterQNet, volumes: Sequence[int], request_seed: int, p: float, rep: int
 ) -> InstanceResult:
     cg = build_controlled(iq)
-    oracle = complement_inter_qnet(iq)
     try:
         measured, _ = mec_complementation(cg)
     except ValueError as exc:
         raise PipelineMismatch(
             f"measurement sequence failed: {exc}", instance_to_text(iq)
         ) from exc
-    if measured.graph != oracle.graph:
+    if measured.graph != complement_inter_qnet(iq).graph:
         raise PipelineMismatch(
             "complementation mismatch against the edge-set oracle",
             instance_to_text(iq),
         )
-    # the complement just checked against the measured graph is also the
-    # one every batch is sampled from and scheduled on, so the scheduler's
-    # round check stands for extraction on the measured graph
-    pool = oracle.graph.edges()
     part = iq.partition
     out = InstanceResult(part.k, p, rep, part.k_prime, tuple(part.sizes()))
     for vi, vol in enumerate(volumes):
         vr = VolumeResult(volume=vol)
         try:
-            rs = sample_requests(iq, vol, derive_seed(request_seed, vi), pool=pool)
+            rs = sample_requests(iq, vol, derive_seed(request_seed, vi))
         except InsufficientPairsError:
             vr.skipped = True
             out.volumes.append(vr)
             continue
         try:
-            table = dynamic_parallel_pairs(cg, rs, complement=oracle)
+            table = dynamic_parallel_pairs(cg, rs)
         except ParallelPairViolation as exc:
             raise PipelineMismatch(
                 f"parallel-pair violation: {exc}", instance_to_text(iq)
             ) from exc
-        paths, _, chi = cqr_batch(cg, rs.requests)
+        paths, chi = cqr_batch(cg, rs.requests)
         adjacent = [p_.request for p_ in paths if p_.hops < 2]
         if adjacent:
             raise PipelineMismatch(

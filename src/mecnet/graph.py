@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
+import numpy as np
+
 __all__ = [
     "Graph",
     "MeasurementRecord",
@@ -32,6 +34,24 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def masks_to_matrix(masks: Sequence[int], n: int) -> np.ndarray:
+    """The ``len(masks)``×``n`` boolean matrix whose cell ``[i, j]`` is bit
+    ``j`` of ``masks[i]`` (little-endian).  Every mask must be below
+    ``2**n``, rounded up to whole bytes."""
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    grid = np.frombuffer(raw, np.uint8).reshape(len(masks), width)
+    return np.unpackbits(grid, axis=1, count=n, bitorder="little").view(bool)
+
+
+def matrix_to_masks(matrix: np.ndarray) -> list[int]:
+    """One mask per row of a 2-d boolean or 0/1 matrix, bit ``j`` set iff
+    column ``j`` is nonzero; the inverse of :func:`masks_to_matrix`."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    step, raw = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(raw[i * step : (i + 1) * step], "little") for i in range(len(packed))]
 
 
 def components(adj: Sequence[int], mask: int) -> list[int]:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, matrix_to_masks
 from .pairs import RequestSet
 from .qnet import InterQNet, QNetPartition, complement_inter_qnet
 
@@ -99,36 +99,26 @@ def generate_inter_qnet(cfg: GenConfig) -> InterQNet:
     candidates = np.triu(qnet[:, None] != qnet[None, :], 1) & ~adj
     # a mask assignment fills cells row-major: pairs u < v, lexicographically
     adj[candidates] = rng.random(np.count_nonzero(candidates)) < cfg.p
-    rows = np.packbits(adj | adj.T, axis=1, bitorder="little")
-    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+    masks = tuple(matrix_to_masks(adj | adj.T))
     iq = InterQNet(Graph._from_parts(n, masks, (1 << n) - 1), QNetPartition(cfg.k, membership))
     if not iq.connected:
         raise RuntimeError("spanning-tree construction must yield a connected graph")
     return iq
 
 
-def sample_requests(
-    iq: InterQNet,
-    count: int,
-    rng_seed: int,
-    pool: Optional[Sequence[tuple[int, int]]] = None,
-) -> RequestSet:
+def sample_requests(iq: InterQNet, count: int, rng_seed: int) -> RequestSet:
     """Uniform sample, without replacement, of cross-domain non-adjacent pairs.
 
-    Those pairs are the edges of the cross-domain complement, drawn from in
-    lexicographic order.  A caller that samples several batches from one
-    network passes that edge list, ``complement_inter_qnet(iq).graph.edges()``,
-    as ``pool`` so that it is built once.
+    Those pairs are the ``edge_arrays`` of ``complement_inter_qnet(iq)``, in
+    lexicographic order, kept on the complement for every batch of ``iq``.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    if pool is None:
-        pool = complement_inter_qnet(iq).graph.edges()
-    if count > len(pool):
+    us, vs = complement_inter_qnet(iq).edge_arrays
+    if count > len(us):
         raise InsufficientPairsError(
-            f"asked for {count} requests, only {len(pool)} eligible pairs exist"
+            f"asked for {count} requests, only {len(us)} eligible pairs exist"
         )
-    rng = np.random.default_rng(rng_seed)
-    chosen = rng.choice(len(pool), size=count, replace=False)
+    chosen = np.random.default_rng(rng_seed).choice(len(us), size=count, replace=False)
     # complement edges drawn without replacement need no intake check
-    return RequestSet(tuple([pool[i] for i in chosen.tolist()]))
+    return RequestSet(tuple(zip(us[chosen].tolist(), vs[chosen].tolist())))

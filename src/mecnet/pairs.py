@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, bits
-from .qnet import ControlledInterQNet, InterQNet, complement_inter_qnet
+from .graph import Graph, bits, masks_to_matrix, matrix_to_masks
+from .qnet import ControlledInterQNet, complement_inter_qnet
 
 __all__ = [
     "RequestError",
@@ -57,14 +57,13 @@ class ParallelPairViolation(RuntimeError):
 @dataclass(frozen=True)
 class RequestSet:
     """Batch of source-destination pairs, as ``sample_requests`` draws them
-    without replacement from the edge list of the cross-domain complement:
-    canonical, distinct, inter-domain and non-adjacent in the original
-    network.
+    without replacement from the network's own cross-domain complement:
+    canonical, distinct, inter-domain and non-adjacent in the network.
 
     The constructor checks nothing.  :func:`dynamic_parallel_pairs` is the
-    one intake check for requests from anywhere: a pair that is not a
-    complement edge (inside one QNet, or already adjacent) raises
-    RequestNotInComplement, and a duplicate raises RequestError.
+    one intake check, against the complement of the network it schedules
+    on: a pair that is not a complement edge (inside one QNet, or already
+    adjacent) raises RequestNotInComplement, a duplicate RequestError.
     """
 
     requests: tuple[Edge, ...]
@@ -135,21 +134,10 @@ def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
     holds ``a`` or ``b``, that is with ``near[a] | near[b]``.  The callers
     check that every entry of ``edges`` is an edge of ``g``.
     """
-    m = len(edges)
-    if not m:
-        return []
-    adj, n = g.adjacency, g.vertex_count
-    width = (n + 7) // 8
-    reach = b"".join(
-        ((1 << a) | (1 << b) | adj[a] | adj[b]).to_bytes(width, "little") for a, b in edges
-    )
-    grid = np.unpackbits(
-        np.frombuffer(reach, np.uint8).reshape(m, width), axis=1, count=n, bitorder="little"
-    )
-    cols = np.packbits(grid.T, axis=1, bitorder="little").tobytes()
-    step = (m + 7) // 8
-    near = [int.from_bytes(cols[i : i + step], "little") for i in range(0, n * step, step)]
-    full = (1 << m) - 1
+    adj = g.adjacency
+    reach = [(1 << a) | (1 << b) | adj[a] | adj[b] for a, b in edges]
+    near = matrix_to_masks(masks_to_matrix(reach, g.vertex_count).T)
+    full = (1 << len(edges)) - 1
     return [full & ~(near[a] | near[b]) for a, b in edges]
 
 
@@ -165,8 +153,7 @@ def _count_planes(rows: Sequence[int]) -> list[int]:
     """
     counts = np.array([row.bit_count() for row in rows], dtype=np.int64)
     sliced = counts >> np.arange(int(counts.max(initial=0)).bit_length())[:, None] & 1
-    packed = np.packbits(sliced, axis=1, bitorder="little")
-    return [int.from_bytes(plane.tobytes(), "little") for plane in packed]
+    return matrix_to_masks(sliced)
 
 
 def _decrement(planes: list[int], mask: int) -> None:
@@ -185,17 +172,12 @@ def _argmax(planes: Sequence[int], s: int) -> int:
     return s & -s
 
 
-def dynamic_parallel_pairs(
-    cg: ControlledInterQNet,
-    r: "RequestSet | Iterable[Edge]",
-    complement: Optional[InterQNet] = None,
-) -> ParallelPairTable:
+def dynamic_parallel_pairs(cg: ControlledInterQNet, r: Iterable[Edge]) -> ParallelPairTable:
     """Partition the request batch into parallel-pairable groups.
 
     The batch is interpreted on the cross-domain complement of the
-    controlled network; a caller that already holds it (as
-    ``complement_inter_qnet(cg.data)``) passes it as ``complement`` so
-    that it is not rebuilt.  Each group is the paper's greedy: it starts
+    controlled network, ``complement_inter_qnet(cg.data)``, which the data
+    network keeps once built.  Each group is the paper's greedy: it starts
     from the remaining request with the most compatible partners among the
     remaining ones and grows by the shared candidate with the most at group
     start, the lowest index on ties, intersecting the shared candidate set
@@ -206,9 +188,7 @@ def dynamic_parallel_pairs(
     Each request is checked here, once, to be a complement edge, and the
     result against the whole-edge-set candidate lists.
     """
-    if complement is None:
-        complement = complement_inter_qnet(cg.data)
-    cgraph = complement.graph
+    cgraph = complement_inter_qnet(cg.data).graph
     adj, n = cgraph.adjacency, cgraph.vertex_count
     requests = [(u, v) if u < v else (v, u) for u, v in r]
     for a, b in requests:

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
+import numpy as np
+
 from .graph import Graph, MeasurementRecord, bits, graph_from_edgelist, graph_to_edgelist, z_record
-from .graph import _int_fields
+from .graph import _int_fields, masks_to_matrix
 
 __all__ = [
     "QNetPartition",
@@ -123,6 +125,23 @@ class InterQNet:
         """Whether the network is interactive (one connected component)."""
         return self.graph.connected()
 
+    @cached_property
+    def _complement(self) -> "InterQNet":
+        part = self.partition
+        qmasks = part.qnet_masks()
+        full = (1 << part.data_count) - 1
+        adj = tuple(full & ~qmasks[a] & ~m for m, a in zip(self.graph.adjacency, part.membership))
+        return InterQNet(Graph._from_parts(part.data_count, adj, full), part)
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges ``(u, v)``, ``u < v``, as two index arrays in ``Graph.edges()``
+        order; on a complement, the pool ``sample_requests`` draws from."""
+        g = self.graph
+        us, vs = np.nonzero(np.triu(masks_to_matrix(g.adjacency, g.vertex_count), 1))
+        us.flags.writeable = vs.flags.writeable = False  # shared by every caller
+        return us, vs
+
 
 @dataclass(frozen=True)
 class ControlledInterQNet:
@@ -160,15 +179,9 @@ def build_controlled(iq: InterQNet) -> ControlledInterQNet:
 
 
 def complement_inter_qnet(iq: InterQNet) -> InterQNet:
-    """Cross-domain complement: keep exactly the absent cross-QNet pairs."""
-    part = iq.partition
-    qmasks = part.qnet_masks()
-    full = (1 << part.data_count) - 1
-    adj = tuple(
-        full & ~qmasks[a] & ~m
-        for m, a in zip(iq.graph.adjacency, part.membership)
-    )
-    return InterQNet(Graph._from_parts(part.data_count, adj, full), part)
+    """Cross-domain complement: keep exactly the absent cross-QNet pairs.
+    It is built once per network and kept on ``iq``."""
+    return iq._complement
 
 
 def mec_complementation(cg: ControlledInterQNet) -> tuple[InterQNet, list[MeasurementRecord]]:

@@ -82,7 +82,7 @@ def sweep():
                         g, _ = extract_epr(measured, group)
                         assert sorted(g.edges()) == sorted(group)
                         extractions += 1
-                    paths, h_bar, chi = cqr_batch(cg, rs.requests)
+                    paths, chi = cqr_batch(cg, rs.requests)
                     rows.append(
                         {
                             "k": k,
@@ -91,7 +91,7 @@ def sweep():
                             "n_requests": len(rs.requests),
                             "rho": table.rho,
                             "groups": extractions,
-                            "h_bar": h_bar,
+                            "h_bar": sum(p.hops for p in paths) / len(paths),
                             "chi": chi,
                             "k_prime": cg.partition.k_prime,
                             "sizes": cg.partition.sizes(),
@@ -318,8 +318,8 @@ def test_criterion_8_hop_count_reproduction():
                 # after complementation every requested pair is adjacent
                 measured, _ = mec_complementation(cg)
                 assert all(measured.graph.has_edge(s, d) for s, d in rs.requests)
-                _, h_bar, _ = cqr_batch(cg, rs.requests)
-                hbars.append(h_bar)
+                paths, _ = cqr_batch(cg, rs.requests)
+                hbars.append(sum(p.hops for p in paths) / len(paths))
             mean_h = sum(hbars) / len(hbars)
             assert len(hbars) >= 900
             assert 2.0 - 0.3 <= mean_h <= 2.5 + 0.3, f"p={p}: mean hops {mean_h:.3f}"

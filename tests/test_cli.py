@@ -42,7 +42,7 @@ from mecnet.experiments import (
 from mecnet.graph import Graph
 from mecnet.metrics import TimingParams, throughput_cqr, throughput_mec
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
-from mecnet.qnet import build_controlled, complement_inter_qnet, instance_from_text, instance_to_text
+from mecnet.qnet import build_controlled, instance_from_text, instance_to_text
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "openflights")
 
@@ -176,11 +176,11 @@ class TestRunInstance:
                 assert [v.volume for v in res.volumes] == [4, 6, 500]
                 assert res.volumes[-1].skipped
                 results.append(res)
-                pool = complement_inter_qnet(iq).graph.edges()
                 for vi, v in enumerate(res.volumes[:2]):
                     # h̄ = (|R| + χ)/|R| is the baseline's own mean hop count
-                    rs = sample_requests(iq, v.volume, derive_seed(derive_seed(6, rep), vi), pool=pool)
-                    assert cqr_batch(build_controlled(iq), rs.requests)[1] == (v.volume + v.chi) / v.volume
+                    rs = sample_requests(iq, v.volume, derive_seed(derive_seed(6, rep), vi))
+                    paths = cqr_batch(build_controlled(iq), rs.requests)[0]
+                    assert sum(p.hops for p in paths) / len(paths) == (v.volume + v.chi) / v.volume
                     cells.setdefault((str(p), str(v.volume)), []).append(v)
         write_reports(results, str(tmp_path), [TimingParams(10, 3, 1, 4, 1)])
         rows = {}
@@ -1043,9 +1043,9 @@ class TestPipelineMismatchPath:
 
     def test_one_hop_baseline_route_dumps_instance(self, tmp_path, monkeypatch):
         def one_hop_first(cg, requests):
-            paths, h_bar, chi = original(cg, requests)
+            paths, chi = original(cg, requests)
             paths[0] = CqrPath(paths[0].request, 1, (), False)
-            return paths, h_bar, chi
+            return paths, chi
 
         original = experiments.cqr_batch
         monkeypatch.setattr(experiments, "cqr_batch", one_hop_first)

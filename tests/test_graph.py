@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import networkx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,8 @@ from mecnet.graph import (
     components,
     graph_from_edgelist,
     graph_to_edgelist,
+    masks_to_matrix,
+    matrix_to_masks,
 )
 
 
@@ -198,6 +201,48 @@ class TestAdjacency:
         assert g.adjacency == tuple(g.neighbor_mask(v) for v in range(n))
         pairs = itertools.combinations(range(n), 2)
         assert g.edges() == [(u, v) for u, v in pairs if g.has_edge(u, v)]
+
+
+@st.composite
+def masks_of_width(draw):
+    """A width ``n`` (around the byte and word edges) and up to 12 masks
+    below ``2**n``, some with bit ``n - 1`` set."""
+    n = draw(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 200, 800]))
+    count = draw(st.integers(0, 12))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count))
+    tops = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    top = 1 << n - 1 if n else 0
+    return n, [m | top if t else m for m, t in zip(masks, tops)]
+
+
+class TestMaskMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(masks_of_width())
+    def test_round_trip(self, case):
+        n, masks = case
+        matrix = masks_to_matrix(masks, n)
+        assert matrix.shape == (len(masks), n) and matrix.dtype == bool
+        assert matrix_to_masks(matrix) == masks
+        # a 0/1 integer matrix packs the same way
+        assert matrix_to_masks(matrix.astype(np.int64)) == masks
+
+    @settings(max_examples=100, deadline=None)
+    @given(masks_of_width())
+    def test_bit_j_of_mask_i_is_cell_i_j(self, case):
+        n, masks = case
+        matrix = masks_to_matrix(masks, n)
+        assert matrix.tolist() == [[bool(m >> j & 1) for j in range(n)] for m in masks]
+
+    def test_top_bit_is_the_last_column(self):
+        for n in (1, 7, 8, 9, 63, 64, 65, 200, 800):
+            matrix = masks_to_matrix([1 << n - 1, 1], n)
+            assert matrix[0].nonzero()[0].tolist() == [n - 1]
+            assert matrix[1].nonzero()[0].tolist() == [0]
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 64])
+    def test_no_rows(self, n):
+        assert matrix_to_masks(np.zeros((0, n), dtype=bool)) == []
+        assert masks_to_matrix([], n).shape == (0, n)
 
 
 class TestComponents:

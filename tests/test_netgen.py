@@ -16,10 +16,12 @@ import pytest
 
 import mecnet
 import mecnet.netgen as netgen
-from mecnet.experiments import derive_seed, even_sizes
+from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes
 from mecnet.graph import Graph
 from mecnet.netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
 from mecnet.qnet import InterQNet, QNetPartition, complement_inter_qnet, instance_to_text
+
+EVAL_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "eval.json")
 
 
 def cross_pair_count(sizes):
@@ -213,11 +215,34 @@ class TestUniformSpanningTree:
         assert stat < chi_square_quantile(trees - 1, 0.999), (stat, trees)
 
 
+def stored_pool(iq):
+    """The request pool the network's complement keeps, as a list of pairs."""
+    us, vs = complement_inter_qnet(iq).edge_arrays
+    return list(zip(us.tolist(), vs.tolist()))
+
+
 class TestSampleRequests:
     def test_complete_graph_has_no_pairs(self):
         iq = generate_inter_qnet(GenConfig(2, (3, 3), 1.0, 0))
         with pytest.raises(InsufficientPairsError):
             sample_requests(iq, 1, 0)
+
+    def test_pool_is_the_complement_edge_list_on_eval_cells(self):
+        cfg = ExperimentConfig.from_json(EVAL_CONFIG)
+        for k, p in itertools.product(cfg.qnet_counts, cfg.densities):
+            for rep in range(4):
+                seed = derive_seed(cfg.seed, k, int(p * 1_000_000), rep)
+                iq = generate_inter_qnet(GenConfig(k, even_sizes(cfg.nodes, k), p, seed))
+                pool = stored_pool(iq)
+                assert pool == complement_inter_qnet(iq).graph.edges() and pool, (k, p, rep)
+
+    def test_complete_multipartite_network_has_an_empty_pool(self):
+        iq = generate_inter_qnet(GenConfig(3, (3, 4, 2), 1.0, 5))
+        assert iq.graph.edge_count == 3 * 4 + 3 * 2 + 4 * 2
+        assert stored_pool(iq) == complement_inter_qnet(iq).graph.edges() == []
+        assert sample_requests(iq, 0, 7).requests == ()
+        with pytest.raises(InsufficientPairsError, match="only 0 eligible pairs"):
+            sample_requests(iq, 1, 7)
 
     def test_zero_count(self):
         iq = generate_inter_qnet(GenConfig(2, (3, 3), 0.0, 0))
@@ -264,8 +289,6 @@ class TestSampleRequests:
         got = sample_requests(iq, volume, derive_seed(seed, volume))
         assert got.requests == want
         assert hashlib.sha256(repr(got.requests).encode()).hexdigest()[:16] == digest
-        shared = sample_requests(iq, volume, derive_seed(seed, volume), pool=pool)
-        assert shared.requests == want
 
 
 def test_generator_invariant_raises_under_optimize():

@@ -658,11 +658,9 @@ class TestDynamicParallelPairs:
     @settings(max_examples=200, deadline=None)
     @given(controlled_batches())
     def test_matches_whole_edge_set_loop_on_random_networks(self, case):
-        iq, cg, picks = case
-        comp = complement_inter_qnet(iq)
+        _, cg, picks = case
         want = reference_dynamic_parallel_pairs(cg, picks)
         assert dynamic_parallel_pairs(cg, picks).groups == want
-        assert dynamic_parallel_pairs(cg, picks, complement=comp).groups == want
 
     @settings(max_examples=200, deadline=None)
     @given(tie_heavy_batches())
@@ -719,7 +717,7 @@ class TestDynamicParallelPairs:
         iq = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.2, derive_seed(1, 4, 2)))
         comp = complement_inter_qnet(iq)
         rs = sample_requests(iq, 200, derive_seed(2, 4, 200))
-        groups = dynamic_parallel_pairs(build_controlled(iq), rs, complement=comp).groups
+        groups = dynamic_parallel_pairs(build_controlled(iq), rs).groups
         singles = [min(grp) for grp in groups if len(grp) == 1]
         assert len(singles) > len(groups) // 2
         return comp.graph, rs.requests, groups, singles

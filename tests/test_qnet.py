@@ -3,13 +3,16 @@ EPR extraction, instance files."""
 
 import itertools
 import random
+from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecnet.experiments import derive_seed, even_sizes, run_instance
 from mecnet.graph import Graph
+from mecnet.netgen import GenConfig, generate_inter_qnet
 from mecnet.pairs import ParallelPairViolation, compatible
 from mecnet.qnet import (
     ControlledInterQNet,
@@ -182,6 +185,20 @@ class TestCrossDomainCheck:
             assert str(info.value) == want
 
 
+def counted_property(name, seen):
+    """``InterQNet``'s cached property ``name``, appending the network to
+    ``seen`` each time it is built."""
+    build = InterQNet.__dict__[name].func
+
+    def counted(self):
+        seen.append(self)
+        return build(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(InterQNet, name)
+    return prop
+
+
 class TestComplement:
     @settings(max_examples=300, deadline=None)
     @given(partitioned_graphs())
@@ -218,6 +235,23 @@ class TestComplement:
         iq = InterQNet(Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), QNetPartition(2, (1, 1, 2, 2)))
         comp = complement_inter_qnet(iq)
         assert comp.connected is False
+
+    def test_built_once_per_network(self):
+        iq = random_inter_qnet(3, [3, 3, 2], 0.4, random.Random(23))
+        comp = complement_inter_qnet(iq)
+        assert complement_inter_qnet(iq) is comp
+        assert complement_inter_qnet(build_controlled(iq).data) is comp
+        assert comp.edge_arrays is comp.edge_arrays
+        assert not any(a.flags.writeable for a in comp.edge_arrays)
+
+    def test_one_build_for_a_run_of_four_volumes(self, monkeypatch):
+        builds = {"_complement": [], "edge_arrays": []}
+        for name, seen in builds.items():
+            monkeypatch.setattr(InterQNet, name, counted_property(name, seen))
+        iq = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.2, derive_seed(1, 4, 200000, 0)))
+        res = run_instance(iq, (50, 100, 150, 200), derive_seed(2), 0.2, 0)
+        assert not any(v.skipped for v in res.volumes)
+        assert builds == {"_complement": [iq], "edge_arrays": [complement_inter_qnet(iq)]}
 
     def test_intra_domain_pairs_stay_absent(self):
         rnd = random.Random(22)

@@ -289,3 +289,55 @@ def test_closed_form_rule_flags_each_form():
         (None, 7, "arqf_mec"),
         ("write_reports", 9, "throughput_cqr"),
     ]
+
+
+# The byte-level conversion between masks and bit matrices, stated in one
+# module
+BIT_MATRIX_CONVERSIONS = {"packbits", "unpackbits", "from_bytes", "to_bytes"}
+BIT_MATRIX_MODULE = "graph.py"
+
+
+def bit_matrix_conversions(module):
+    """(line, name) of each use of a byte-level conversion, as a name, an
+    attribute (``np.packbits``, ``int.from_bytes``, ``m.to_bytes``) or an
+    imported name, in line order."""
+    found = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, a.name) for a in node.names if a.name in BIT_MATRIX_CONVERSIONS)
+            continue
+        else:
+            continue
+        if name in BIT_MATRIX_CONVERSIONS:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_bit_matrix_conversions_are_in_graph_only():
+    found = {path.name: bit_matrix_conversions(parse(path)) for path in MODULES}
+    stray = {name: uses for name, uses in found.items() if uses and name != BIT_MATRIX_MODULE}
+    assert not stray, f"mask/bit-matrix conversions outside {BIT_MATRIX_MODULE}: {stray}"
+    assert {name for _, name in found[BIT_MATRIX_MODULE]} == BIT_MATRIX_CONVERSIONS
+
+
+def test_bit_matrix_rule_flags_each_form():
+    source = "\n".join([
+        "import numpy as np",
+        "from numpy import unpackbits",
+        "rows = np.packbits(grid, axis=1, bitorder='little')",
+        "grid = unpackbits(rows)",
+        "mask = int.from_bytes(raw, 'little')",
+        "raw = (5).to_bytes(1, 'little')",
+        "grid = np.frombuffer(raw, np.uint8)",
+    ])
+    assert bit_matrix_conversions(ast.parse(source)) == [
+        (2, "unpackbits"),
+        (3, "packbits"),
+        (4, "unpackbits"),
+        (5, "from_bytes"),
+        (6, "to_bytes"),
+    ]
