@@ -110,7 +110,7 @@ def sample_requests(iq: InterQNet, count: int, rng_seed: int) -> RequestSet:
     """Uniform sample, without replacement, of cross-domain non-adjacent pairs.
 
     Those pairs are the ``edge_arrays`` of ``complement_inter_qnet(iq)``, in
-    lexicographic order, kept on the complement for every batch of ``iq``.
+    lexicographic order, built with the complement and kept for every batch.
     """
     if count < 0:
         raise ValueError("count must be non-negative")

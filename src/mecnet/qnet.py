@@ -131,7 +131,9 @@ class InterQNet:
         qmasks = part.qnet_masks()
         full = (1 << part.data_count) - 1
         adj = tuple(full & ~qmasks[a] & ~m for m, a in zip(self.graph.adjacency, part.membership))
-        return InterQNet(Graph._from_parts(part.data_count, adj, full), part)
+        comp = InterQNet(Graph._from_parts(part.data_count, adj, full), part)
+        comp.edge_arrays  # the request pool, built here rather than in a batch that draws from it
+        return comp
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +182,7 @@ def build_controlled(iq: InterQNet) -> ControlledInterQNet:
 
 def complement_inter_qnet(iq: InterQNet) -> InterQNet:
     """Cross-domain complement: keep exactly the absent cross-QNet pairs.
-    It is built once per network and kept on ``iq``."""
+    It is built once per network, with its ``edge_arrays``, and kept on ``iq``."""
     return iq._complement
 
 
