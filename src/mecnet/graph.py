@@ -4,15 +4,16 @@ Vertices are dense integer ids ``0..vertex_count-1``.  Adjacency is stored
 as one Python-int bitmask per vertex, so neighborhood algebra (complement,
 local complementation, compatibility tests) runs on machine words.
 
-Vertex deletion keeps ids stable: a deleted vertex keeps its slot but is
-masked out ("dead") and loses all incident edges.  All operations return
-new Graph values; instances are immutable from the caller's perspective.
+A graph is its adjacency.  Vertex deletion keeps ids stable: a deleted
+vertex keeps its slot as an isolated vertex, which is what the Z rule
+leaves and what the tableau oracle reads (a bare X generator).  All
+operations return new Graph values; instances are immutable from the
+caller's perspective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 import numpy as np
@@ -22,7 +23,6 @@ __all__ = [
     "MeasurementRecord",
     "bits",
     "components",
-    "z_record",
     "graph_to_edgelist",
     "graph_from_edgelist",
 ]
@@ -80,14 +80,13 @@ class MeasurementRecord:
     """Symbolic record of a single-qubit Pauli measurement on a graph state.
 
     The outcome-dependent local-Clifford byproduct is never applied to the
-    graph; it is only tagged here.  ``special_neighbor`` is the designated
-    neighbor used by the X-measurement rule and is absent for Z.
+    graph; the basis, the vertex and ``special_neighbor``, the designated
+    neighbor of the X-measurement rule (absent for Z), fix it.
     """
 
     vertex: int
     basis: Literal["X", "Z"]
     special_neighbor: Optional[int] = None
-    byproduct_tag: str = ""
 
     def __post_init__(self) -> None:
         if self.basis == "X" and self.special_neighbor is None:
@@ -96,20 +95,10 @@ class MeasurementRecord:
             raise ValueError("Z measurement takes no special neighbor")
 
 
-@lru_cache(maxsize=None)
-def z_record(v: int) -> MeasurementRecord:
-    """The record of a Z measurement of ``v``.
-
-    It does not depend on the outcome and is frozen, so one instance per
-    vertex id is shared by every caller.
-    """
-    return MeasurementRecord(v, "Z", None, byproduct_tag=f"U[z,{v}]")
-
-
 class Graph:
     """Immutable undirected simple graph over stable integer ids."""
 
-    __slots__ = ("vertex_count", "_adj", "_alive")
+    __slots__ = ("vertex_count", "_adj")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
@@ -124,14 +113,12 @@ class Graph:
             adj[v] |= 1 << u
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "_adj", tuple(adj))
-        object.__setattr__(self, "_alive", (1 << vertex_count) - 1)
 
     @classmethod
-    def _from_parts(cls, vertex_count: int, adj: tuple[int, ...], alive: int) -> "Graph":
+    def _from_parts(cls, vertex_count: int, adj: tuple[int, ...]) -> "Graph":
         g = cls.__new__(cls)
         object.__setattr__(g, "vertex_count", vertex_count)
         object.__setattr__(g, "_adj", adj)
-        object.__setattr__(g, "_alive", alive)
         return g
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -140,39 +127,19 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.vertex_count == other.vertex_count
-            and self._alive == other._alive
-            and self._adj == other._adj
-        )
+        return self._adj == other._adj  # one mask per slot, so the counts match too
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self._alive, self._adj))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count}, edges={self.edges()!r})"
 
     # -- queries ---------------------------------------------------------
 
-    def is_alive(self, v: int) -> bool:
-        self._check_vertex(v)
-        return bool(self._alive >> v & 1)
-
-    def vertices(self) -> list[int]:
-        """Ids of non-deleted vertices, ascending."""
-        return list(bits(self._alive))
-
-    @property
-    def alive_count(self) -> int:
-        return self._alive.bit_count()
-
-    @property
-    def alive_mask(self) -> int:
-        return self._alive
-
     @property
     def adjacency(self) -> tuple[int, ...]:
-        """The neighbor mask of every slot by id, 0 for a dead slot.  Unlike
+        """The neighbor mask of every slot by id, 0 for an isolated one.  Unlike
         :meth:`neighbor_mask` it checks no id: a negative one wraps around."""
         return self._adj
 
@@ -204,38 +171,33 @@ class Graph:
         return sum(a.bit_count() for a in self._adj) // 2
 
     def connected(self) -> bool:
-        """True iff the alive vertices form one connected component."""
-        return len(components(self._adj, self._alive)) <= 1
+        """True iff all slots form one connected component."""
+        return len(components(self._adj, (1 << self.vertex_count) - 1)) <= 1
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):
             raise ValueError(f"invalid vertex id {v}")
 
-    def _check_alive(self, v: int) -> None:
-        self._check_vertex(v)
-        if not self._alive >> v & 1:
-            raise ValueError(f"vertex {v} has been deleted")
-
     # -- rewrite rules -----------------------------------------------------
 
     def local_complement(self, v: int) -> "Graph":
         """Complement the induced subgraph on the open neighborhood of ``v``."""
-        self._check_alive(v)
+        self._check_vertex(v)
         nv = self._adj[v]
         adj = list(self._adj)
         for u in bits(nv):
             adj[u] ^= nv & ~(1 << u)
-        return Graph._from_parts(self.vertex_count, tuple(adj), self._alive)
+        return Graph._from_parts(self.vertex_count, tuple(adj))
 
     def delete_vertex(self, v: int) -> "Graph":
-        """Remove ``v`` and its incident edges; the slot stays, masked dead."""
-        self._check_alive(v)
+        """Remove ``v``'s incident edges; the slot stays, isolated."""
+        self._check_vertex(v)
         bit = 1 << v
         adj = list(self._adj)
         for u in bits(adj[v]):
             adj[u] &= ~bit
         adj[v] = 0
-        return Graph._from_parts(self.vertex_count, tuple(adj), self._alive & ~bit)
+        return Graph._from_parts(self.vertex_count, tuple(adj))
 
     def measure_x(self, v: int, k0: int) -> tuple["Graph", MeasurementRecord]:
         """Pauli-X measurement rule at the graph level.
@@ -245,47 +207,41 @@ class Graph:
         adjacent to ``v``.  The local-Clifford byproduct is recorded, not
         applied.
         """
-        self._check_alive(v)
-        self._check_alive(k0)
         if not self.has_edge(v, k0):
             raise ValueError(f"k0={k0} is not adjacent to measured vertex {v}")
         g = self.local_complement(k0).local_complement(v).delete_vertex(v)
         g = g.local_complement(k0)
-        rec = MeasurementRecord(v, "X", k0, byproduct_tag=f"U[x,{v};{k0}]")
-        return g, rec
+        return g, MeasurementRecord(v, "X", k0)
 
     def measure_z(self, v: int) -> tuple["Graph", MeasurementRecord]:
         """Pauli-Z measurement rule: vertex deletion."""
-        return self.delete_vertex(v), z_record(v)
+        return self.delete_vertex(v), MeasurementRecord(v, "Z")
 
     def keep(self, mask: int) -> "Graph":
-        """Induced subgraph on the alive vertices in ``mask``.
+        """Induced subgraph on the vertices in ``mask``.
 
-        Every other slot goes dead, which is what Z-measuring each alive
-        vertex outside ``mask`` leaves, in any order.
+        Every row outside ``mask`` is cleared, which is what Z-measuring each
+        vertex outside it leaves, in any order.
         """
-        alive = self._alive & mask
-        adj = [0] * self.vertex_count
-        for v in bits(alive):
-            adj[v] = self._adj[v] & alive
-        return Graph._from_parts(self.vertex_count, tuple(adj), alive)
+        adj = tuple(a & mask if mask >> v & 1 else 0 for v, a in enumerate(self._adj))
+        return Graph._from_parts(self.vertex_count, adj)
 
     # -- restriction -------------------------------------------------------
 
     def restrict(self, count: int) -> "Graph":
         """Subgraph on the id range ``0..count-1`` as a fresh graph.
 
-        Raises if an alive edge would cross the cut; intended for dropping
-        trailing slots that are dead or isolated (e.g. measured-out control
+        Raises if a dropped slot keeps an edge into the kept range; intended
+        for dropping trailing isolated slots (e.g. measured-out control
         vertices).
         """
         if not (0 <= count <= self.vertex_count):
             raise ValueError("restriction size out of range")
         low = (1 << count) - 1
-        for u in bits(self._alive & ~low):
-            if self._adj[u] & low:
+        for u, a in enumerate(self._adj[count:], count):
+            if a & low:
                 raise ValueError(f"edge from dropped vertex {u} crosses the cut")
-        return Graph._from_parts(count, self._adj[:count], self._alive & low)
+        return Graph._from_parts(count, self._adj[:count])
 
     # -- integrity ---------------------------------------------------------
 
@@ -295,18 +251,11 @@ class Graph:
         The checks raise explicitly, so ``python -O`` keeps them.
         """
         full = (1 << self.vertex_count) - 1
-        if self._alive & ~full:
-            raise AssertionError("alive mask has out-of-range bits")
-        for v in range(self.vertex_count):
-            a = self._adj[v]
+        for v, a in enumerate(self._adj):
             if a & ~full:
                 raise AssertionError(f"out-of-range bits at {v}")
             if a >> v & 1:
                 raise AssertionError(f"self-loop at {v}")
-            if a and not self._alive >> v & 1:
-                raise AssertionError(f"dead vertex {v} keeps edges")
-            if a & ~self._alive:
-                raise AssertionError(f"edge from {v} to dead vertex")
             for u in bits(a):
                 if not self._adj[u] >> v & 1:
                     raise AssertionError(f"asymmetric edge ({v},{u})")
@@ -317,10 +266,8 @@ class Graph:
 
 def graph_to_edgelist(g: Graph) -> str:
     """Serialize to the edge-list text format: header ``n=<count>``, then
-    one ``u v`` line per edge in sorted order.  Only fully-alive graphs are
-    representable."""
-    if g.alive_count != g.vertex_count:
-        raise ValueError("graphs with deleted vertices cannot be serialized")
+    one ``u v`` line per edge in sorted order.  Every graph is
+    representable: a deleted vertex is an isolated slot."""
     lines = [f"n={g.vertex_count}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"

@@ -100,7 +100,7 @@ def generate_inter_qnet(cfg: GenConfig) -> InterQNet:
     # a mask assignment fills cells row-major: pairs u < v, lexicographically
     adj[candidates] = rng.random(np.count_nonzero(candidates)) < cfg.p
     masks = tuple(matrix_to_masks(adj | adj.T))
-    iq = InterQNet(Graph._from_parts(n, masks, (1 << n) - 1), QNetPartition(cfg.k, membership))
+    iq = InterQNet(Graph._from_parts(n, masks), QNetPartition(cfg.k, membership))
     if not iq.connected:
         raise RuntimeError("spanning-tree construction must yield a connected graph")
     return iq

@@ -151,7 +151,7 @@ def build_real_instance(
     index = {n: i for i, n in enumerate(nodes)}
     raw = Graph(len(nodes), [(index[a], index[b]) for a, b in pairs])
 
-    comp_mask = max(components(raw.adjacency, raw.alive_mask), key=int.bit_count)
+    comp_mask = max(components(raw.adjacency, (1 << raw.vertex_count) - 1), key=int.bit_count)
     kept = [n for n in nodes if comp_mask >> index[n] & 1]
     kept_idx = {n: i for i, n in enumerate(kept)}
     countries = sorted({c for _, c in kept})

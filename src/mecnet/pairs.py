@@ -110,16 +110,17 @@ def parallel_pair_candidates(g: Graph, targets: Iterable[Edge]) -> dict[Edge, in
     An edge is compatible with the target ``t = (a, b)`` exactly when both
     its endpoints lie outside ``reach(t) = {a, b} | N(a) | N(b)``, so the
     candidate list of ``t``, every other edge of ``g`` compatible with it,
-    is the edge set of the subgraph induced on
-    ``free[t] = alive & ~reach(t)``.  Only that mask is returned.
+    is the edge set of the subgraph induced on ``free[t]``, every slot
+    outside ``reach(t)``.  Only that mask is returned.
     """
-    adj, n, alive = g.adjacency, g.vertex_count, g.alive_mask
+    adj, n = g.adjacency, g.vertex_count
+    full = (1 << n) - 1
     free: dict[Edge, int] = {}
     for t in targets:
         a, b = t = canonical_edge(*t)
         if not (a >= 0 and b < n and adj[a] >> b & 1):
             raise ValueError(f"target {t} is not an edge")
-        free[t] = alive & ~((1 << a) | (1 << b) | adj[a] | adj[b])
+        free[t] = full & ~((1 << a) | (1 << b) | adj[a] | adj[b])
     return free
 
 

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, MeasurementRecord, bits, graph_from_edgelist, graph_to_edgelist, z_record
+from .graph import Graph, MeasurementRecord, bits, graph_from_edgelist, graph_to_edgelist
 from .graph import _int_fields, masks_to_matrix
 
 __all__ = [
@@ -116,8 +116,6 @@ class InterQNet:
     def __post_init__(self) -> None:
         if self.graph.vertex_count != self.partition.data_count:
             raise ValueError("graph size does not match the partition")
-        if self.graph.alive_count != self.graph.vertex_count:
-            raise ValueError("InterQNet graphs must have no deleted vertices")
         _check_cross_domain(self.graph, self.partition)
 
     @property
@@ -131,7 +129,7 @@ class InterQNet:
         qmasks = part.qnet_masks()
         full = (1 << part.data_count) - 1
         adj = tuple(full & ~qmasks[a] & ~m for m, a in zip(self.graph.adjacency, part.membership))
-        comp = InterQNet(Graph._from_parts(part.data_count, adj, full), part)
+        comp = InterQNet(Graph._from_parts(part.data_count, adj), part)
         comp.edge_arrays  # the request pool, built here rather than in a batch that draws from it
         return comp
 
@@ -166,7 +164,7 @@ class ControlledInterQNet:
         members = part.qnet_masks()[1:] + [0] * (kp - part.k)
         adj = [m | 1 << (d + a - 1) for m, a in zip(g.adjacency, part.membership)]
         adj += [clique & ~(1 << c) | m for c, m in zip(part.control_nodes, members)]
-        graph = Graph._from_parts(d + kp, tuple(adj), (1 << (d + kp)) - 1)
+        graph = Graph._from_parts(d + kp, tuple(adj))
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "partition", part)
 
@@ -244,7 +242,8 @@ def extract_epr(
             "post-measurement graph is not the requested matching",
             extra_edges=tuple(sorted(extra)),
         )
-    return kept, [z_record(v) for v in bits(g.alive_mask & ~endpoints)]
+    others = ((1 << g.vertex_count) - 1) & ~endpoints
+    return kept, [MeasurementRecord(v, "Z") for v in bits(others)]
 
 
 # -- instance files ----------------------------------------------------------
@@ -284,6 +283,8 @@ def instance_from_text(text: str) -> InterQNet:
         (a,) = _int_fields(line, head.split()[1:], 1)
         if not sep or a in qnet_ids:
             raise ValueError(f"malformed line: {line!r}")
+        if a < 1:
+            raise ValueError(f"malformed line: {line!r}: QNet ids start at 1")
         qnet_ids.add(a)
         for v in _int_fields(line, body.split(",")):
             if not 0 <= v < n:
@@ -296,6 +297,6 @@ def instance_from_text(text: str) -> InterQNet:
     missing = [v for v in range(n) if v not in qnet_of]
     if missing:
         raise ValueError(f"malformed instance: data vertex {missing[0]} is in no QNet")
-    # QNetPartition rejects QNet ids outside 1..k and empty QNets
+    # QNetPartition rejects empty QNets, so the ids are exactly 1..k
     k = max(qnet_ids, default=0)
     return InterQNet(g, QNetPartition(k, tuple(qnet_of[v] for v in range(n))))

@@ -70,9 +70,6 @@ class StabilizerTableau:
     n: int
     rows: tuple[Row, ...]
 
-    def signs(self) -> tuple[int, ...]:
-        return tuple(_row_sign(r) for r in self.rows)
-
     def check(self) -> None:
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} generators, got {len(self.rows)}")
@@ -115,8 +112,9 @@ def _gf2_rank(vectors: Iterable[int]) -> int:
 def graph_state(g: Graph) -> StabilizerTableau:
     """Tableau of the graph state of ``g``: generator i is X_i Z_{N(i)}.
 
-    Deleted vertices keep their qubit slot in the |+> state (a bare X_i
-    generator), so measured-out graphs stay comparable at full width.
+    A deleted vertex is an isolated slot, so its qubit is in the |+> state
+    (a bare X_i generator) and measured-out graphs stay comparable at full
+    width.
     """
     if g.vertex_count > ORACLE_MAX_QUBITS:
         raise ValueError(f"oracle limit is {ORACLE_MAX_QUBITS} qubits")

@@ -79,6 +79,8 @@ def simulate_mec_long_run(t: TimingParams, windows: int = 4096) -> LongRunResult
     counts, as in :func:`mecnet.metrics.mec_cycles`, where a window with
     ``lam == trm`` still hosts the routing stage.
     """
+    if windows < 1:
+        raise ValueError(f"windows must be at least 1, got {windows}")
     lam, tp, tr = _frac(t.lam), _frac(t.tpm), _frac(t.trm)
     horizon = lam * windows
     ready = Fraction(0)  # proactively prepared before the first arrival

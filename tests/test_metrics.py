@@ -134,6 +134,13 @@ class TestWalkers:
         t = TimingParams(5, 4, 5, 1, 1)
         assert simulate_mec_long_run(t, windows=1).completions == mec_cycles(t) == 1
 
+    @pytest.mark.parametrize("windows", [0, -5])
+    def test_long_run_refuses_fewer_than_one_window(self, windows):
+        # no window gave a division by zero (0) or a negative count (-5)
+        t = TimingParams(5, 4, 2, 1, 1)
+        with pytest.raises(ValueError, match=f"^windows must be at least 1, got {windows}$"):
+            simulate_mec_long_run(t, windows=windows)
+
 
 class TestFootprints:
     def test_cqr_examples(self):

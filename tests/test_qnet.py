@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecnet.experiments import derive_seed, even_sizes, run_instance
-from mecnet.graph import Graph
+from mecnet.graph import Graph, MeasurementRecord
 from mecnet.netgen import GenConfig, generate_inter_qnet
 from mecnet.pairs import ParallelPairViolation, compatible
 from mecnet.qnet import (
@@ -313,8 +313,10 @@ class TestRestore:
 class TestExtractEpr:
     def test_single_edge(self):
         comp = complement_inter_qnet(butterfly())
-        g, _ = extract_epr(comp, [(0, 2)])
-        assert g.edges() == [(0, 2)] and g.vertices() == [0, 2]
+        g, recs = extract_epr(comp, [(0, 2)])
+        assert g.edges() == [(0, 2)]
+        # one Z record per non-endpoint, ascending
+        assert recs == [MeasurementRecord(v, "Z") for v in range(g.vertex_count) if v not in (0, 2)]
 
     def test_two_compatible_edges(self):
         comp = complement_inter_qnet(butterfly())
@@ -362,7 +364,7 @@ class TestExtractEpr:
                 if not any(v in e for e in group):
                     want, _ = want.measure_z(v)
             assert g == want
-            measured = [v for v in range(g.vertex_count) if not g.is_alive(v)]
+            measured = [v for v in range(g.vertex_count) if not any(v in e for e in group)]
             assert [(r.vertex, r.basis) for r in recs] == [(v, "Z") for v in measured]
 
     def test_checked_mode_rejects_upfront(self):
@@ -396,6 +398,11 @@ class TestInstanceFiles:
     def test_bad_qnet_ids(self):
         with pytest.raises(ValueError):
             instance_from_text("n=2\n0 1\nqnet 2: 0\nqnet 3: 1\n")
+
+    @pytest.mark.parametrize("bad", ["qnet 0: 0", "qnet -1: 0"])
+    def test_qnet_id_below_one_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"^malformed line: '{bad}': QNet ids start at 1$"):
+            instance_from_text(f"n=2\n0 1\n{bad}\nqnet 1: 1\n")
 
     @pytest.mark.parametrize(
         "bad",

@@ -202,6 +202,102 @@ def test_allowlist_holds_only_exports():
     assert not stale, f"allowlisted names that are not exported: {stale}"
 
 
+# Public methods and properties that no library code, demo or benchmark
+# names, each with the reason it stays public.
+UNUSED_METHODS_ALLOWED = {
+    "graph.py": {
+        "Graph.check": "the structural invariant check the tests run on every rule's output",
+    },
+    "stabilizer.py": {
+        "StabilizerTableau.check": "the generator invariant check the oracle tests run on each tableau",
+    },
+}
+
+
+def public_methods(module):
+    """(class, name, line) of each public method and property of a
+    top-level class; dunder and underscore names are exempt."""
+    return [
+        (cls.name, node.name, node.lineno)
+        for cls in module.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    ]
+
+
+def method_names(module):
+    """Names a module can call a method by: attributes, and the parts of
+    each string that is a dotted name (the benchmark's tracer names its
+    trace points ``graph.Graph.measure_x`` or ``mecnet.graph:Graph``)."""
+    names = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[A-Za-z_][\w.:]*", node.value):
+                names.update(re.split(r"[.:]", node.value))
+    return names
+
+
+def unused_methods(module, used):
+    return [(cls, name, line) for cls, name, line in public_methods(module) if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_methods_are_used(path):
+    # users: the library, the demos and the benchmark; a method that only
+    # tests call is dead code
+    users = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    used = set().union(*(method_names(parse(p)) for p in users))
+    allowed = UNUSED_METHODS_ALLOWED.get(path.name, {})
+    unused = [
+        f"{cls}.{name} (line {line})"
+        for cls, name, line in unused_methods(parse(path), used)
+        if f"{cls}.{name}" not in allowed
+    ]
+    assert not unused, f"{path.name}: public methods {unused} are named by no library code"
+
+
+def test_method_allowlist_holds_only_methods():
+    methods = {
+        path.name: {f"{cls}.{name}" for cls, name, _ in public_methods(parse(path))}
+        for path in MODULES
+    }
+    stale = sorted(
+        f"{module}:{name}"
+        for module, names in UNUSED_METHODS_ALLOWED.items()
+        for name in names
+        if name not in methods.get(module, set())
+    )
+    assert not stale, f"allowlisted names that are not public methods: {stale}"
+
+
+def test_method_rule_flags_each_form():
+    source = "\n".join([
+        "class Graph:",
+        "    def used(self): ...",
+        "    def planted(self): ...",
+        "    @property",
+        "    def planted_property(self): ...",
+        "    def _private(self): ...",
+        "    def __eq__(self, other): ...",
+        "    def traced(self): ...",
+        "def planted_function(): ...",
+        "class Empty: ...",
+    ])
+    user = "\n".join([
+        "g.used()",
+        "TRACE_POINT = 'graph.Graph.traced'",
+        "MESSAGE = 'planted is a word of a message'",
+        "planted = 1",
+    ])
+    assert unused_methods(ast.parse(source), method_names(ast.parse(user))) == [
+        ("Graph", "planted", 3),
+        ("Graph", "planted_property", 5),
+    ]
+
+
 def private_definitions():
     """(module, name, line) of each underscore-named top-level function,
     class and constant of the library; dunder names are exempt."""
