@@ -48,8 +48,9 @@ def masks_to_matrix(masks: Sequence[int], n: int) -> np.ndarray:
 
 def matrix_to_masks(matrix: np.ndarray) -> list[int]:
     """One mask per row of a 2-d boolean or 0/1 matrix, bit ``j`` set iff
-    column ``j`` is nonzero; the inverse of :func:`masks_to_matrix`."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
+    column ``j`` is nonzero; the inverse of :func:`masks_to_matrix`.  A
+    transposed view is packed from a C-contiguous copy, which is faster."""
+    packed = np.packbits(np.ascontiguousarray(matrix), axis=1, bitorder="little")
     step, raw = packed.shape[1], packed.tobytes()
     return [int.from_bytes(raw[i * step : (i + 1) * step], "little") for i in range(len(packed))]
 
@@ -123,6 +124,10 @@ class Graph:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _from_parts, as __setattr__ refuses
+        return Graph._from_parts, (self.vertex_count, self._adj)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, bits, masks_to_matrix, matrix_to_masks
+from .graph import Graph, masks_to_matrix, matrix_to_masks
 from .qnet import ControlledInterQNet, complement_inter_qnet
 
 __all__ = [
@@ -116,11 +116,12 @@ def parallel_pair_candidates(g: Graph, targets: Iterable[Edge]) -> dict[Edge, in
     adj, n = g.adjacency, g.vertex_count
     full = (1 << n) - 1
     free: dict[Edge, int] = {}
-    for t in targets:
-        a, b = t = canonical_edge(*t)
+    for a, b in targets:
+        if a > b:
+            a, b = b, a
         if not (a >= 0 and b < n and adj[a] >> b & 1):
-            raise ValueError(f"target {t} is not an edge")
-        free[t] = full & ~((1 << a) | (1 << b) | adj[a] | adj[b])
+            raise ValueError(f"target {(a, b)} is not an edge")
+        free[a, b] = full & ~((1 << a) | (1 << b) | adj[a] | adj[b])
     return free
 
 
@@ -158,7 +159,12 @@ def _count_planes(rows: Sequence[int]) -> list[int]:
 
 
 def _decrement(planes: list[int], mask: int) -> None:
-    """Subtract 1 from each (positive) count in ``mask`` with a borrow."""
+    """Subtract 1 from each (positive) count in ``mask`` with a borrow.
+
+    A borrow that runs past the top plane, from a count of 0, is dropped
+    silently: that count wraps modulo ``2**len(planes)`` and no plane is
+    added.
+    """
     for b, p in enumerate(planes):
         if not mask:
             return
@@ -211,7 +217,7 @@ def dynamic_parallel_pairs(cg: ControlledInterQNet, r: Iterable[Edge]) -> Parall
         shared = rows[members[0]] & remaining
         if not shared:
             # the highest count is 0: every remaining request is alone
-            groups.extend(frozenset((edges[i],)) for i in bits(remaining))
+            groups.extend(frozenset((e,)) for e, c in zip(edges, bin(remaining)[:1:-1]) if c == "1")
             break
         # the counts stay frozen at their group-start values while it grows
         while shared:
@@ -238,15 +244,21 @@ def _assert_table_valid(g: Graph, table: ParallelPairTable, requests: Sequence[E
     shared endpoint fails too, as the other end of either edge neighbors
     it.  Raises ParallelPairViolation.
     """
-    got = [e for grp in table.groups for e in grp]
-    if len(got) != len(requests) or set(got) != set(requests):
+    groups = table.groups
+    if sum(map(len, groups)) != len(requests) or set().union(*groups) != set(requests):
         raise ParallelPairViolation("groups must partition the request set")
-    multi = [grp for grp in table.groups if len(grp) > 1]
+    multi = [grp for grp in groups if len(grp) > 1]
     free = parallel_pair_candidates(g, [e for grp in multi for e in grp])
     for grp in multi:
         ends = 0
         for a, b in grp:
             ends |= (1 << a) | (1 << b)
+        for e in grp:
+            if ends & ~((1 << e[0]) | (1 << e[1])) & ~free[e]:
+                break
+        else:
+            continue
+        # a member fails: name the lowest failing one, in sorted order
         for e in sorted(grp):
             if ends & ~((1 << e[0]) | (1 << e[1])) & ~free[e]:
                 extra = sorted(f for f in grp if f != e and (1 << f[0] | 1 << f[1]) & ~free[e])

@@ -118,6 +118,11 @@ class InterQNet:
             raise ValueError("graph size does not match the partition")
         _check_cross_domain(self.graph, self.partition)
 
+    def __getstate__(self) -> dict:
+        # the cached complement and pool are left out, as their read-only
+        # arrays would come back writeable; they are rebuilt on first use
+        return {"graph": self.graph, "partition": self.partition}
+
     @property
     def connected(self) -> bool:
         """Whether the network is interactive (one connected component)."""
@@ -266,8 +271,9 @@ def instance_from_text(text: str) -> InterQNet:
 
     The ``qnet`` lines are read here and every other line by
     :func:`graph_from_edgelist`, so the ``n=`` header must come before the
-    edges; each of the ``n`` vertices must be in exactly one QNet.  A
-    malformed line raises ValueError naming it.
+    edges; each of the ``n`` vertices must be in exactly one QNet, and
+    every id from 1 to the highest must hold a vertex.  A malformed line
+    raises ValueError naming it.
     """
     graph_lines, qnet_lines = [], []
     for raw in text.splitlines():
@@ -297,6 +303,9 @@ def instance_from_text(text: str) -> InterQNet:
     missing = [v for v in range(n) if v not in qnet_of]
     if missing:
         raise ValueError(f"malformed instance: data vertex {missing[0]} is in no QNet")
-    # QNetPartition rejects empty QNets, so the ids are exactly 1..k
     k = max(qnet_ids, default=0)
+    members = set(qnet_of.values())
+    for a in range(1, k + 1):
+        if a not in members:
+            raise ValueError(f"malformed instance: QNet {a} has no data vertex (ids run 1..{k})")
     return InterQNet(g, QNetPartition(k, tuple(qnet_of[v] for v in range(n))))

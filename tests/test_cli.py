@@ -410,6 +410,14 @@ class TestGenerateAndRunFromFiles:
         err = capsys.readouterr().err
         assert err == f"usage error: {inst}: malformed line: 'qnet 0: 0': QNet ids start at 1\n"
 
+    def test_qnet_id_gap_is_usage_error(self, tmp_path, capsys):
+        inst = tmp_path / "bad.txt"
+        inst.write_text("n=2\n0 1\nqnet 1: 0\nqnet 3: 1\n")
+        cfg_path, _ = small_config(tmp_path, instance_files=[str(inst)])
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: {inst}: malformed instance: QNet 2 has no data vertex (ids run 1..3)\n"
+
     def test_malformed_second_instance_file_is_named(self, tmp_path, capsys):
         good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
         good.write_text(instance_to_text(generate_inter_qnet(GenConfig(3, [4, 4, 4], 0.5, 1))))

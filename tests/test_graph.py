@@ -1,8 +1,10 @@
 """Graph rewrite rules: complement, local complementation, deletion,
 measurement rules, serialization."""
 
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -252,6 +254,17 @@ class TestMaskMatrix:
             assert matrix[0].nonzero()[0].tolist() == [n - 1]
             assert matrix[1].nonzero()[0].tolist() == [0]
 
+    @pytest.mark.parametrize("n", [7, 8, 9, 65])
+    def test_memory_layout_does_not_change_the_masks(self, n):
+        rnd = np.random.default_rng(n)
+        for m in (2, 63, 200):
+            matrix = (rnd.random((n, m)) < 0.4).T  # an m×n transposed view
+            want = [sum(1 << int(j) for j in row.nonzero()[0]) for row in matrix]
+            assert not matrix.flags.c_contiguous
+            assert matrix_to_masks(matrix) == want
+            assert matrix_to_masks(np.asfortranarray(matrix)) == want
+            assert matrix_to_masks(np.ascontiguousarray(matrix)) == want
+
     @pytest.mark.parametrize("n", [0, 1, 9, 64])
     def test_no_rows(self, n):
         assert matrix_to_masks(np.zeros((0, n), dtype=bool)) == []
@@ -303,6 +316,19 @@ class TestStructure:
         g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):
             g.vertex_count = 7
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_pickle_and_copy_round_trip(self, clone):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)]).delete_vertex(3)
+        got = clone(g)
+        assert got == g and got.vertex_count == 4 and got.adjacency == g.adjacency
+        assert got.edges() == [(0, 1), (1, 2)]
+        with pytest.raises(AttributeError):
+            got.vertex_count = 7
 
     def test_check_passes_after_ops(self):
         rnd = random.Random(6)

@@ -509,6 +509,17 @@ class TestCountPlanes:
         assert len(planes) == max(counts, default=0).bit_length()
         assert plane_counts(planes, len(rows)) == counts
 
+    def test_decrement_stops_at_the_top_plane(self):
+        # counts 1 and 0 over two planes; the borrow from the 0 runs past
+        # the top plane, is dropped, and leaves that count at 3 (0 - 1 mod 4)
+        planes = [0b01, 0b00]
+        _decrement(planes, 0b10)
+        assert planes == [0b11, 0b10]
+        assert plane_counts(planes, 2) == [1, 3]
+        planes = []
+        _decrement(planes, 0b1)
+        assert planes == []
+
     def test_empty_batch(self):
         assert _count_planes([]) == []
         cg = build_controlled(two_domains_of_three())

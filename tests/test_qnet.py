@@ -1,7 +1,9 @@
 """Controlled networks: construction, complementation, restoration,
 EPR extraction, instance files."""
 
+import copy
 import itertools
+import pickle
 import random
 from functools import cached_property
 from types import SimpleNamespace
@@ -244,6 +246,22 @@ class TestComplement:
         assert comp.edge_arrays is comp.edge_arrays
         assert not any(a.flags.writeable for a in comp.edge_arrays)
 
+    @pytest.mark.parametrize(
+        "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_networks_round_trip_without_the_cached_complement(self, clone):
+        iq = random_inter_qnet(3, [3, 3, 2], 0.4, random.Random(24))
+        comp = complement_inter_qnet(iq)  # cached on iq before the copy
+        cg = build_controlled(iq)
+        got, got_cg = clone(iq), clone(cg)
+        assert got == iq and got_cg == cg
+        assert got_cg.graph == cg.graph and got_cg.partition == cg.partition
+        for net in (got, got_cg.data):
+            again = complement_inter_qnet(net)
+            assert again == comp and again is not comp
+            assert [a.tolist() for a in again.edge_arrays] == [a.tolist() for a in comp.edge_arrays]
+            assert not any(a.flags.writeable for a in again.edge_arrays)
+
     def test_one_build_for_a_run_of_four_volumes(self, monkeypatch):
         builds = {"_complement": [], "edge_arrays": []}
         for name, seen in builds.items():
@@ -396,8 +414,18 @@ class TestInstanceFiles:
             instance_from_text("n=4\n0 1\n0 2\n1 3\n2 3\nqnet 1: 0\nqnet 2: 1\ncontrol: 2,3\ncontrol: 2,3\n")
 
     def test_bad_qnet_ids(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^malformed instance: QNet 1 has no data vertex \(ids run 1..3\)$"):
             instance_from_text("n=2\n0 1\nqnet 2: 0\nqnet 3: 1\n")
+
+    @pytest.mark.parametrize(
+        "qnets, missing, k",
+        [("qnet 1: 0\nqnet 3: 1", 2, 3), ("qnet 1: 0,1\nqnet 2:", 2, 2)],
+        ids=["gap", "no-member"],
+    )
+    def test_qnet_id_gap_is_named(self, qnets, missing, k):
+        msg = f"^malformed instance: QNet {missing} has no data vertex \\(ids run 1..{k}\\)$"
+        with pytest.raises(ValueError, match=msg):
+            instance_from_text(f"n=2\n0 1\n{qnets}\n")
 
     @pytest.mark.parametrize("bad", ["qnet 0: 0", "qnet -1: 0"])
     def test_qnet_id_below_one_is_named(self, bad):
