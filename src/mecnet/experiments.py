@@ -101,6 +101,21 @@ class ExperimentConfig:
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 failed.append(f"{key} repeats a value: {list(values)}")
+        # a density's seeds take int(p * 1_000_000) and its instance file
+        # names take f"{p:g}", so two densities that share either would
+        # share their networks or overwrite each other's files; NaN and the
+        # infinities, which int() refuses, fail the grid check below
+        in_range = [(i, p) for i, p in enumerate(self.densities) if 0.0 <= p <= 1.0]
+        for (i, p), (j, q) in itertools.combinations(in_range, 2):
+            shared = []
+            if int(p * 1_000_000) == int(q * 1_000_000):
+                shared.append(f"seed material {int(p * 1_000_000)}")
+            if f"{p:g}" == f"{q:g}":
+                shared.append(f"file tag p{p:g}")
+            if p != q and shared:
+                failed.append(
+                    f"densities[{i}]={p} and densities[{j}]={q} share the {' and '.join(shared)}"
+                )
         if self.seed_policy != "greedy_max":
             failed.append(
                 f"unknown seed_policy {self.seed_policy!r}; the only scheduler is 'greedy_max'"

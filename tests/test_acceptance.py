@@ -18,19 +18,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference import connected_graphs
 
+from mecnet import verify
 from mecnet.cqr import cqr_batch
 from mecnet.experiments import derive_seed, even_sizes
 from mecnet.graph import Graph
 from mecnet.metrics import TimingParams, arqf_cqr, arqf_mec, cqr_cycles, mec_cycles
 from mecnet.netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
 from mecnet.openflights import build_real_instance, parse_openflights
-from mecnet.pairs import (
-    _compat_rows,
-    compatible,
-    dynamic_parallel_pairs,
-    min_partition_oracle,
-)
+from mecnet.pairs import dynamic_parallel_pairs, min_partition_oracle
 from mecnet.qnet import (
     build_controlled,
     complement_inter_qnet,
@@ -105,16 +102,10 @@ def sweep():
 
 def test_criterion_1_complementation_equivalence():
     with criterion(1, "measurement sequence equals edge-set complement, 1000 networks"):
-        rnd = random.Random(424242)
         t0 = time.perf_counter()
-        for _ in range(1000):
-            k = rnd.choice([2, 3, 4])
-            sizes = [rnd.randint(1, 4) for _ in range(k)]
-            p = rnd.choice([0.2, 0.8])
-            iq = random_inter_qnet(k, sizes, p, rnd)
-            got, _ = mec_complementation(build_controlled(iq))
-            assert got.graph == complement_inter_qnet(iq).graph
+        res = verify.suite_complement(trials=1000, seed=424242)
         elapsed = time.perf_counter() - t0
+        assert res.passed and res.checked == 1000, res.failures[:1]
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
 
@@ -168,15 +159,6 @@ def test_criterion_2_quantum_oracle_branches():
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
 
 
-def _connected_graphs_upto_5():
-    for n in range(2, 6):
-        pairs = list(itertools.combinations(range(n), 2))
-        for sel in range(1 << len(pairs)):
-            g = Graph(n, [pairs[i] for i in range(len(pairs)) if sel >> i & 1])
-            if g.connected():
-                yield g
-
-
 def _connected_classes_6():
     networkx = pytest.importorskip("networkx")
     from networkx.generators.atlas import graph_atlas_g
@@ -189,7 +171,7 @@ def _connected_classes_6():
 def test_criterion_3_measurement_micro_oracle():
     with criterion(3, "graph rules match the tableau on all small graphs"):
         checks = 0
-        graphs = list(_connected_graphs_upto_5()) + list(_connected_classes_6())
+        graphs = [g for n in range(2, 6) for g in connected_graphs(n)] + list(_connected_classes_6())
         for g in graphs:
             n = g.vertex_count
             base = graph_state(g)
@@ -212,23 +194,9 @@ def test_criterion_3_measurement_micro_oracle():
 
 
 def test_criterion_4_pairable_vs_bruteforce():
-    with criterion(4, "the verdict of the compatibility rows agrees with all-pairs evaluation, 10^4 cases"):
-        rnd = random.Random(515151)
-        done = 0
-        while done < 10000:
-            n = rnd.randint(4, 12)
-            edges = [e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.35]
-            if not edges:
-                continue
-            g = Graph(n, edges)
-            sub = rnd.sample(edges, k=min(len(edges), rnd.randint(1, 8)))
-            brute = all(
-                compatible(g, e1, e2) for e1, e2 in itertools.combinations(sub, 2)
-            )
-            full = (1 << len(sub)) - 1
-            rows = _compat_rows(g, sub)
-            assert all((row | 1 << i) == full for i, row in enumerate(rows)) == brute
-            done += 1
+    with criterion(4, "the compatibility rows agree with the pairwise predicate bit by bit, 10^4 draws"):
+        res = verify.suite_pairable_bruteforce(trials=10000, seed=515151)
+        assert res.passed and res.checked > 9900, res.failures[:1]
 
 
 def test_criterion_5_scheduler_validity(sweep):

@@ -14,12 +14,10 @@ from pathlib import Path
 from statistics import mean
 from xml.etree import ElementTree
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cqr import EVAL_CONFIG, bfs_dist
-from test_pairs import reference_dynamic_parallel_pairs
+from reference import EVAL_CONFIG, cross_pair_count, reference_run_instance
 
 import mecnet
 import mecnet.cli as cli
@@ -200,35 +198,23 @@ class TestRunInstance:
             assert {col: float(rows[p, volume][col]) for col in want} == pytest.approx(want, abs=1e-6)
 
 
-def reference_volumes(iq, volumes, request_seed):
-    """``(skipped, rho, chi)`` of each volume, recomputed from the test
-    references: the pool is the complement's edge set in lexicographic
-    order, volume ``vi`` draws from it without replacement with seed
-    ``derive_seed(request_seed, vi)``, ρ is the round count of the
-    whole-edge-set scheduler and χ sums each request's distance less one
-    on the controlled graph."""
-    m, g = iq.partition.membership, iq.graph
-    pool = [
-        (u, v)
-        for u, v in itertools.combinations(range(len(m)), 2)
-        if m[u] != m[v] and not g.has_edge(u, v)
-    ]
-    cg = build_controlled(iq)
-    out = []
-    for vi, vol in enumerate(volumes):
-        if vol > len(pool):
-            out.append((True, 0, 0))
-            continue
-        rng = np.random.default_rng(derive_seed(request_seed, vi))
-        requests = [pool[i] for i in rng.choice(len(pool), size=vol, replace=False)]
-        rho = len(reference_dynamic_parallel_pairs(cg, requests))
-        chi = sum(bfs_dist(cg.graph, d)[s] - 1 for s, d in requests)
-        out.append((False, rho, chi))
-    return out
+@st.composite
+def small_configs(draw):
+    """One QNet count k from 2 to 5 on at most 24 data vertices, and volumes
+    up to one past the cross-domain pair count, so past the pool at any p."""
+    k = draw(st.integers(2, 5))
+    nodes = draw(st.integers(k, 24))
+    cross = cross_pair_count(even_sizes(nodes, k))
+    densities = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), min_size=1, max_size=2, unique=True))
+    volumes = draw(st.lists(st.integers(0, cross + 1), min_size=1, max_size=4, unique=True))
+    return ExperimentConfig(
+        seed=draw(st.integers(0, 2**32)), repetitions=draw(st.integers(1, 2)), nodes=nodes,
+        qnet_counts=(k,), densities=tuple(densities), request_volumes=tuple(volumes),
+    )
 
 
 class TestRunMatchesTheReferences:
-    """``run_experiment`` end to end against :func:`reference_volumes`, so
+    """``run_experiment`` end to end against ``reference_run_instance``, so
     that a rewrite of a handover between stages (the pool a batch is drawn
     from, the seed a volume gets, the graph a batch is scheduled or routed
     on) shows even when every stage's own tests pass."""
@@ -239,12 +225,8 @@ class TestRunMatchesTheReferences:
         cells = list(itertools.product(cfg.qnet_counts, cfg.densities, range(cfg.repetitions)))
         assert [(r.k, r.p, r.rep) for r in results] == cells
         for (k, p, rep), res in zip(cells, results):
-            # the pipeline's seeds, restated
-            gen_seed = derive_seed(cfg.seed, k, int(p * 1_000_000), rep)
-            req_seed = derive_seed(cfg.seed, k, int(p * 1_000_000), rep, 17)
-            iq = generate_inter_qnet(GenConfig(k, even_sizes(cfg.nodes, k), p, gen_seed))
-            got = [(v.skipped, v.rho, v.chi) for v in res.volumes]
-            assert got == reference_volumes(iq, cfg.request_volumes, req_seed), (k, p, rep)
+            want = reference_run_instance(cfg.seed, cfg.nodes, k, p, rep, cfg.request_volumes)
+            assert [(v.skipped, v.rho, v.chi) for v in res.volumes] == want, (k, p, rep)
         return [v for r in results for v in r.volumes]
 
     def test_every_eval_cell(self):
@@ -259,6 +241,11 @@ class TestRunMatchesTheReferences:
         volumes = self.check(cfg)
         assert {v.volume for v in volumes if v.skipped} == {25, 200}
         assert {v.volume for v in volumes if not v.skipped} == {0, 6, 25}
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_configs())
+    def test_drawn_configs(self, cfg):
+        self.check(cfg)
 
 
 class TestGenerateAndRunFromFiles:
@@ -449,9 +436,14 @@ class TestGenerateAndRunFromFiles:
 
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys):
-        assert cli.main(["verify", "--suite", "pairable"]) == cli.EXIT_OK
-        out = capsys.readouterr().out
-        assert "PASS" in out
+        assert cli.main(["verify"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in lines] == [
+            "complementation-vs-complement: PASS",
+            "measurement-rules-vs-tableau: PASS",
+            "pairable-vs-bruteforce: PASS",
+            "throughput-vs-walkers: PASS",
+        ]
 
     def test_fault_injection_caught(self, monkeypatch, capsys):
         # corrupt the X rule: drop the final complementation step
@@ -923,6 +915,35 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == f"usage error: {key} repeats a value: {values}\n"
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "densities, i, shared",
+        [
+            ([0.5, 0.2, 0.2000001], 1, "seed material 200000 and file tag p0.2"),
+            ([0.01, 0.0100001], 0, "seed material 10000"),
+            ([0.2999996, 0.3000004], 0, "file tag p0.3"),
+            ([0.2, 0.2000001, math.nan], 0, "seed material 200000 and file tag p0.2; grid cell nodes=18, "
+             "qnet_counts[0]=3, densities[2]=nan: edge probability must lie in [0,1]"),
+        ],
+        ids=["both", "seed-only", "tag-only", "beside-nan"],
+    )
+    def test_densities_sharing_seeds_or_file_names_are_usage_error(self, tmp_path, capsys, densities, i, shared):
+        # a shared seed gives two cells one network; a shared tag, one file
+        cfg_path, _ = small_config(tmp_path, densities=densities)
+        pair = f"densities[{i}]={densities[i]} and densities[{i + 1}]={densities[i + 1]}"
+        for command in ("generate", "run"):
+            assert cli.main([command, "--config", cfg_path]) == cli.EXIT_USAGE
+            assert capsys.readouterr().err == f"usage error: {pair} share the {shared}\n"
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_densities_one_millionth_apart_get_their_own_seeds_and_files(self, tmp_path):
+        cfg_path, cfg = small_config(tmp_path, densities=[0.200001, 0.200002], repetitions=1)
+        assert cli.main(["generate", "--config", cfg_path]) == cli.EXIT_OK
+        inst_dir = Path(cfg["output_dir"], "instances")
+        meta = [json.loads(line) for line in (inst_dir / "metadata.jsonl").read_text().splitlines()]
+        files = sorted(f.name for f in inst_dir.glob("*.txt"))
+        assert [m["file"] for m in meta] == files == ["k3_p0.200001_r0.txt", "k3_p0.200002_r0.txt"]
+        assert meta[0]["seed"] != meta[1]["seed"]
 
     @pytest.mark.parametrize("text, kind", [("5", "int"), ('[{"a": 1}]', "list")])
     def test_config_not_an_object_is_usage_error(self, tmp_path, capsys, text, kind):

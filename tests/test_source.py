@@ -437,3 +437,52 @@ def test_bit_matrix_rule_flags_each_form():
         (5, "from_bytes"),
         (6, "to_bytes"),
     ]
+
+
+# Test files share code through tests/reference.py alone, which pytest does
+# not collect and which defines nothing pytest would collect.
+SUITE_FILES = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def imports_of_test_modules(module):
+    """(line, name) of each imported name whose dotted path has a ``test_*``
+    part, as in ``import test_x``, ``from test_x import y`` and
+    ``from tests import test_x``."""
+    found = []
+    for node in ast.walk(module):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if getattr(node, "module", None) else ""
+            names = [prefix + a.name for a in node.names]
+            found += [(node.lineno, n) for n in names if any(p.startswith("test_") for p in n.split("."))]
+    return found
+
+
+def collected_definitions(module):
+    """(line, name) of each function named ``test*`` and class named ``Test*``."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(module)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test")
+        or isinstance(node, ast.ClassDef) and node.name.startswith("Test")
+    )
+
+
+def test_test_code_is_shared_through_the_reference_module_only():
+    found = {p.name: uses for p in SUITE_FILES if (uses := imports_of_test_modules(parse(p)))}
+    assert not found, f"test modules imported: {found}"
+    assert collected_definitions(parse(ROOT / "tests" / "reference.py")) == []
+
+
+def test_test_module_rules_flag_each_form():
+    source = "\n".join([
+        "import os, test_cqr",
+        "from test_netgen import EVAL_CONFIG",
+        "from tests import test_graph",
+        "from reference import bfs_dist",
+        "def test_helper():",
+        "    class TestInner: pass",
+        "def helper(): pass",
+    ])
+    module = ast.parse(source)
+    assert imports_of_test_modules(module) == [(1, "test_cqr"), (2, "test_netgen.EVAL_CONFIG"), (3, "tests.test_graph")]
+    assert collected_definitions(module) == [(5, "test_helper"), (6, "TestInner")]
