@@ -97,7 +97,7 @@ class ExperimentConfig:
             failed.append("need at least one request volume and timing point")
         if self.jobs < 1:
             failed.append("jobs must be positive")
-        for key in ("qnet_counts", "densities", "request_volumes"):
+        for key in ("qnet_counts", "densities", "request_volumes", "timing_grid"):
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 failed.append(f"{key} repeats a value: {list(values)}")

@@ -194,39 +194,30 @@ class Graph:
             adj[u] ^= nv & ~(1 << u)
         return Graph._from_parts(self.vertex_count, tuple(adj))
 
-    def delete_vertex(self, v: int) -> "Graph":
-        """Remove ``v``'s incident edges; the slot stays, isolated."""
-        self._check_vertex(v)
-        bit = 1 << v
-        adj = list(self._adj)
-        for u in bits(adj[v]):
-            adj[u] &= ~bit
-        adj[v] = 0
-        return Graph._from_parts(self.vertex_count, tuple(adj))
-
     def measure_x(self, v: int, k0: int) -> tuple["Graph", MeasurementRecord]:
         """Pauli-X measurement rule at the graph level.
 
         Applies local complementation at the special neighbor ``k0``, then at
-        ``v``, deletes ``v``, and complements at ``k0`` again.  ``k0`` must be
-        adjacent to ``v``.  The local-Clifford byproduct is recorded, not
-        applied.
+        ``v``, deletes ``v`` as the Z rule does, and complements at ``k0``
+        again.  ``k0`` must be adjacent to ``v``.  The local-Clifford
+        byproduct is recorded, not applied.
         """
         if not self.has_edge(v, k0):
             raise ValueError(f"k0={k0} is not adjacent to measured vertex {v}")
-        g = self.local_complement(k0).local_complement(v).delete_vertex(v)
-        g = g.local_complement(k0)
-        return g, MeasurementRecord(v, "X", k0)
+        full = (1 << self.vertex_count) - 1
+        g = self.local_complement(k0).local_complement(v).keep(full ^ 1 << v)
+        return g.local_complement(k0), MeasurementRecord(v, "X", k0)
 
     def measure_z(self, v: int) -> tuple["Graph", MeasurementRecord]:
-        """Pauli-Z measurement rule: vertex deletion."""
-        return self.delete_vertex(v), MeasurementRecord(v, "Z")
+        """Pauli-Z measurement rule: vertex deletion, ``v``'s slot left isolated."""
+        self._check_vertex(v)
+        full = (1 << self.vertex_count) - 1
+        return self.keep(full ^ 1 << v), MeasurementRecord(v, "Z")
 
     def keep(self, mask: int) -> "Graph":
-        """Induced subgraph on the vertices in ``mask``.
-
-        Every row outside ``mask`` is cleared, which is what Z-measuring each
-        vertex outside it leaves, in any order.
+        """Induced subgraph on the vertices in ``mask``: the Z rule applied
+        to every vertex outside it, whose rows are cleared and whose slots
+        stay, isolated.
         """
         adj = tuple(a & mask if mask >> v & 1 else 0 for v, a in enumerate(self._adj))
         return Graph._from_parts(self.vertex_count, adj)

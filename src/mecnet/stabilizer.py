@@ -31,7 +31,6 @@ __all__ = [
     "StabilizerTableau",
     "graph_state",
     "measure_pauli",
-    "outcome_deterministic",
     "graph_form",
     "equal_up_to_local_clifford",
 ]
@@ -120,12 +119,6 @@ def graph_state(g: Graph) -> StabilizerTableau:
         raise ValueError(f"oracle limit is {ORACLE_MAX_QUBITS} qubits")
     rows = tuple((1 << i, m, 0) for i, m in enumerate(g.adjacency))
     return StabilizerTableau(g.vertex_count, rows)
-
-
-def outcome_deterministic(t: StabilizerTableau, q: int, basis: str) -> bool:
-    """True iff measuring ``basis`` on qubit ``q`` has a forced outcome."""
-    b = _basis_row(t.n, q, basis)
-    return not any(_anticommute(r, b) for r in t.rows)
 
 
 def _basis_row(n: int, q: int, basis: str) -> Row:

@@ -4,7 +4,9 @@ Each suite pits an implementation path against independent code: the
 measurement sequence against the combinatorial complement, graph rules
 against the stabilizer tableau, the scheduler's compatibility rows against
 ``compatible``, and the closed-form throughput against the block walkers.
-Failures carry a serialized counterexample for triage.
+The complement and measurement suites draw their networks from
+:func:`mecnet.netgen.generate_inter_qnet`, the generator the experiments
+use.  Failures carry a serialized counterexample for triage.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from typing import Callable
 from . import pairs
 from .graph import Graph
 from .metrics import TimingParams, cqr_cycles, mec_cycles
+from .netgen import GenConfig, generate_inter_qnet
 from .qnet import (
-    InterQNet,
-    QNetPartition,
     build_controlled,
     complement_inter_qnet,
     instance_to_text,
@@ -33,7 +34,7 @@ from .stabilizer import (
 )
 from .timeline import walk_cqr_window, walk_mec_window
 
-__all__ = ["SuiteResult", "ALL_SUITES", "random_inter_qnet"]
+__all__ = ["SuiteResult", "ALL_SUITES"]
 
 
 @dataclass
@@ -51,43 +52,16 @@ class SuiteResult:
         return f"{self.name}: {state} ({self.checked} checks, {len(self.failures)} failures)"
 
 
-def random_inter_qnet(
-    k: int, sizes: list[int], p: float, rnd: random.Random
-) -> InterQNet:
-    """Rejection-sampled connected cross-domain graph (test-grade generator,
-    independent of the production spanning-tree generator).
-
-    Raises ValueError when no connected draw can exist: more than one vertex
-    and no cross-domain pair, or ``p <= 0``.
-    """
-    membership = tuple(a for a, s in enumerate(sizes, start=1) for _ in range(s))
-    n = len(membership)
-    pairs = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if membership[u] != membership[v]
-    ]
-    if n > 1 and (not pairs or p <= 0):
-        raise ValueError(
-            f"no connected cross-domain graph on sizes {sizes} with p={p}"
-        )
-    while True:
-        edges = [e for e in pairs if rnd.random() < p]
-        g = Graph(n, edges)
-        if g.connected():
-            return InterQNet(g, QNetPartition(k, membership))
-
-
 def suite_complement(trials: int = 1000, seed: int = 20240) -> SuiteResult:
-    """Measurement-sequence complementation versus the edge-set complement."""
+    """Measurement-sequence complementation versus the edge-set complement,
+    on networks of 2 to 4 QNets of 1 to 4 vertices at p = 0.2 or 0.8."""
     res = SuiteResult("complementation-vs-complement")
     rnd = random.Random(seed)
     for _ in range(trials):
         k = rnd.choice([2, 3, 4])
         sizes = [rnd.randint(1, 4) for _ in range(k)]
         p = rnd.choice([0.2, 0.8])
-        iq = random_inter_qnet(k, sizes, p, rnd)
+        iq = generate_inter_qnet(GenConfig(k, tuple(sizes), p, rnd.getrandbits(32)))
         cg = build_controlled(iq)
         want = complement_inter_qnet(iq)
         res.checked += 1
@@ -103,18 +77,14 @@ def suite_complement(trials: int = 1000, seed: int = 20240) -> SuiteResult:
 
 def suite_measurement_oracle(seed: int = 77) -> SuiteResult:
     """Graph-level X and Z rules versus the stabilizer tableau, all branches,
-    on graphs of up to the oracle's qubit cap."""
+    on 60 connected graphs of 2 to ``ORACLE_MAX_QUBITS`` vertices: networks
+    with one vertex per domain at p = 0.5."""
     res = SuiteResult("measurement-rules-vs-tableau")
     rnd = random.Random(seed)
     for _ in range(60):
         n = rnd.randint(2, ORACLE_MAX_QUBITS)
-        while True:
-            edges = [
-                e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.5
-            ]
-            g = Graph(n, edges)
-            if g.connected():
-                break
+        # one vertex per domain: every pair is a candidate link
+        g = generate_inter_qnet(GenConfig(n, (1,) * n, 0.5, rnd.getrandbits(32))).graph
         base = graph_state(g)
         for v in range(n):
             survivors = [q for q in range(n) if q != v]

@@ -3,6 +3,8 @@ each, imported by the test files and not collected by pytest.  Each is the
 paper's formulation or the library's first, edge-by-edge version of the
 stage its docstring names; :func:`reference_run_instance` chains them, with
 Wilson's tree draw (so that the random stream matches) and ``derive_seed``.
+:func:`random_network` is no reference: it seeds the library generator from
+a test's ``random.Random``.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import numpy as np
 from mecnet.cqr import CqrPath
 from mecnet.experiments import derive_seed
 from mecnet.graph import Graph, bits
-from mecnet.netgen import GenConfig, _uniform_spanning_tree
+from mecnet.netgen import GenConfig, _uniform_spanning_tree, generate_inter_qnet
 from mecnet.pairs import compatible
 from mecnet.qnet import InterQNet, QNetPartition
 
@@ -35,6 +37,11 @@ def cross_pair_count(sizes):
     """The number of vertex pairs in different QNets of these sizes."""
     n = sum(sizes)
     return (n * (n - 1) - sum(s * (s - 1) for s in sizes)) // 2
+
+
+def random_network(k, sizes, p, rnd):
+    """``generate_inter_qnet`` on these QNet sizes, seeded by a draw of ``rnd``."""
+    return generate_inter_qnet(GenConfig(k, tuple(sizes), p, rnd.getrandbits(32)))
 
 
 def edge_list_generate(cfg):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference import connected_graphs
+from reference import connected_graphs, random_network
 
 from mecnet import verify
 from mecnet.cqr import cqr_batch
@@ -36,7 +36,6 @@ from mecnet.qnet import (
 )
 from mecnet.stabilizer import equal_up_to_local_clifford, graph_state, measure_pauli
 from mecnet.timeline import simulate_mec_long_run, walk_cqr_window, walk_mec_window
-from mecnet.verify import random_inter_qnet
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "openflights")
 
@@ -142,14 +141,14 @@ def test_criterion_2_quantum_oracle_branches():
         for k, sizes in _grid_cells():
             networks.append(generate_inter_qnet(GenConfig(k, sizes, 0.0, 11)))
             networks.append(generate_inter_qnet(GenConfig(k, sizes, 1.0, 12)))
-            networks.append(random_inter_qnet(k, list(sizes), 0.5, rnd))
+            networks.append(random_network(k, sizes, 0.5, rnd))
         count = 0
         while count < 200:
             k = rnd.choice([2, 3, 4])
             sizes = [rnd.randint(1, 3) for _ in range(k)]
             if sum(sizes) + k + k % 2 > 12:
                 continue
-            networks.append(random_inter_qnet(k, sizes, rnd.choice([0.2, 0.5, 0.8]), rnd))
+            networks.append(random_network(k, sizes, rnd.choice([0.2, 0.5, 0.8]), rnd))
             count += 1
         total = 0
         for iq in networks:
@@ -213,7 +212,7 @@ def test_criterion_6_greedy_vs_exact_partition():
         total = 0
         while total < 500:
             k = rnd.choice([3, 4])
-            iq = random_inter_qnet(k, [rnd.randint(2, 4) for _ in range(k)], rnd.choice([0.3, 0.5, 0.7]), rnd)
+            iq = random_network(k, [rnd.randint(2, 4) for _ in range(k)], rnd.choice([0.3, 0.5, 0.7]), rnd)
             comp = complement_inter_qnet(iq)
             avail = comp.graph.edges()
             if len(avail) < 4:

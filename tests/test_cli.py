@@ -340,7 +340,7 @@ class TestGenerateAndRunFromFiles:
         files = self._two_files(tmp_path)
 
         def corrupted(self, v, k0):
-            return self.delete_vertex(v), original(Graph(2, [(0, 1)]), 1, 0)[1]
+            return self.measure_z(v)[0], original(Graph(2, [(0, 1)]), 1, 0)[1]
 
         original = Graph.measure_x
         monkeypatch.setattr(Graph, "measure_x", corrupted)
@@ -450,7 +450,7 @@ class TestVerifyCommand:
         original = Graph.measure_x
 
         def corrupted(self, v, k0):
-            g = self.local_complement(k0).local_complement(v).delete_vertex(v)
+            g = self.local_complement(k0).local_complement(v).measure_z(v)[0]
             rec = original(Graph(2, [(0, 1)]), 1, 0)[1]
             return g, rec
 
@@ -461,7 +461,7 @@ class TestVerifyCommand:
 
     def test_cli_exit_code_on_failure(self, monkeypatch):
         def corrupted(self, v, k0):
-            return self.delete_vertex(v), original(Graph(2, [(0, 1)]), 1, 0)[1]
+            return self.measure_z(v)[0], original(Graph(2, [(0, 1)]), 1, 0)[1]
 
         original = Graph.measure_x
         monkeypatch.setattr(Graph, "measure_x", corrupted)
@@ -907,12 +907,22 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "key, values",
-        [("qnet_counts", [3, 3]), ("densities", [0.2, 0.8, 0.2]), ("request_volumes", [4, 4])],
+        [
+            ("qnet_counts", [3, 3]),
+            ("densities", [0.2, 0.8, 0.2]),
+            ("request_volumes", [4, 4]),
+            ("timing_grid", [{"lam": 4, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1}] * 2),
+            # 10 and 10.0 are the same point, and would write the same row
+            ("timing_grid", [{"lam": 10, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1},
+                             {"lam": 10.0, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1}]),
+        ],
     )
     def test_repeated_grid_value_is_usage_error(self, tmp_path, capsys, key, values):
         cfg_path, _ = small_config(tmp_path, **{key: values})
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
+        if key == "timing_grid":
+            values = [TimingParams(**t) for t in values]
         assert err == f"usage error: {key} repeats a value: {values}\n"
         assert not os.path.exists(tmp_path / "out")
 
@@ -1069,7 +1079,7 @@ class TestUsageErrors:
 class TestPipelineMismatchPath:
     def test_mismatch_dumps_instance(self, tmp_path, monkeypatch):
         def corrupted(self, v, k0):
-            return self.delete_vertex(v), original(Graph(2, [(0, 1)]), 1, 0)[1]
+            return self.measure_z(v)[0], original(Graph(2, [(0, 1)]), 1, 0)[1]
 
         original = Graph.measure_x
         monkeypatch.setattr(Graph, "measure_x", corrupted)
@@ -1098,7 +1108,7 @@ class TestPipelineMismatchPath:
     def test_worker_mismatch_dumps_instance(self, tmp_path, monkeypatch):
         # the corrupted rule reaches the worker processes through fork
         def corrupted(self, v, k0):
-            return self.delete_vertex(v), original(Graph(2, [(0, 1)]), 1, 0)[1]
+            return self.measure_z(v)[0], original(Graph(2, [(0, 1)]), 1, 0)[1]
 
         original = Graph.measure_x
         monkeypatch.setattr(Graph, "measure_x", corrupted)

@@ -14,14 +14,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import EVAL_CONFIG, bfs_dist, complement_edges, reference_route
+from reference import EVAL_CONFIG, bfs_dist, complement_edges, random_network, reference_route
 
 from mecnet.cqr import CqrPath, cqr_batch
 from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes, run_experiment
 from mecnet.graph import Graph
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
 from mecnet.qnet import InterQNet, QNetPartition, build_controlled, complement_inter_qnet
-from mecnet.verify import random_inter_qnet
 
 def _cg(edges, k, membership):
     iq = InterQNet(Graph(len(membership), edges), QNetPartition(k, membership))
@@ -82,7 +81,7 @@ class TestRouteCqr:
 
     def test_remote_hops_bounded(self):
         for seed in range(30):
-            iq = random_inter_qnet(3, [3, 3, 3], 0.3, random.Random(seed))
+            iq = random_network(3, [3, 3, 3], 0.3, random.Random(seed))
             cg = build_controlled(iq)
             for req in complement_edges(iq):
                 assert 2 <= route_one(cg, req).hops <= 3

@@ -1,5 +1,5 @@
-"""Graph rewrite rules: complement, local complementation, deletion,
-measurement rules, serialization."""
+"""Graph rewrite rules: complement, local complementation, deletion by the
+Z rule, measurement rules, serialization."""
 
 import copy
 import itertools
@@ -35,7 +35,7 @@ def graph_with_deleted_slots_and_mask(draw):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     g = Graph(n, edges)
     for v in draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []:
-        g = g.delete_vertex(v)
+        g, _ = g.measure_z(v)
     # bits past the last slot must be ignored
     return g, draw(st.integers(0, (1 << (n + 2)) - 1))
 
@@ -68,21 +68,23 @@ class TestLocalComplement:
 
 
 class TestDeleteVertex:
+    """The Z rule deletes the measured vertex and leaves its slot isolated."""
+
     def test_triangle_minus_vertex(self):
-        g = Graph(3, [(0, 1), (0, 2), (1, 2)]).delete_vertex(0)
+        g, _ = Graph(3, [(0, 1), (0, 2), (1, 2)]).measure_z(0)
         assert g.edges() == [(1, 2)]
         assert g.vertex_count == 3 and g.adjacency[0] == 0
 
     def test_isolated_removal_keeps_edges(self):
-        g = Graph(3, [(0, 1)]).delete_vertex(2)
+        g, _ = Graph(3, [(0, 1)]).measure_z(2)
         assert g.edges() == [(0, 1)]
 
     def test_k4_minus_vertex_is_k3(self):
         k4 = Graph(4, [e for e in itertools.combinations(range(4), 2)])
-        assert k4.delete_vertex(3).edges() == [(0, 1), (0, 2), (1, 2)]
+        assert k4.measure_z(3)[0].edges() == [(0, 1), (0, 2), (1, 2)]
 
     def test_ids_stay_stable(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)]).delete_vertex(1)
+        g, _ = Graph(4, [(0, 1), (1, 2), (2, 3)]).measure_z(1)
         assert g.vertex_count == 4 and g.adjacency[1] == 0
         assert g.edges() == [(2, 3)]
 
@@ -97,7 +99,6 @@ class TestDeleteVertex:
         assume(isolated)
         v = data.draw(st.sampled_from(isolated))
         assert g.local_complement(v) == g
-        assert g.delete_vertex(v) == g
         assert g.measure_z(v)[0] == g
 
 
@@ -117,7 +118,7 @@ class TestMeasureX:
             Graph(3, [(0, 1)]).measure_x(0, 2)
 
     def test_isolated_vertex_or_k0_rejected(self):
-        g = Graph(3, [(0, 1), (1, 2)]).delete_vertex(0)
+        g, _ = Graph(3, [(0, 1), (1, 2)]).measure_z(0)
         for v, k0 in [(0, 1), (1, 0), (0, 2)]:
             with pytest.raises(ValueError, match=f"^k0={k0} is not adjacent to measured vertex {v}$"):
                 g.measure_x(v, k0)
@@ -167,15 +168,10 @@ class TestMeasureZ:
         g, _ = g.measure_z(2)
         assert g == Graph(4)
 
-    def test_matches_delete(self):
-        rnd = random.Random(5)
-        for _ in range(100):
-            n = rnd.randint(1, 8)
-            g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.5])
-            v = rnd.randrange(n)
-            got, rec = g.measure_z(v)
-            assert got == g.delete_vertex(v) and got.adjacency[v] == 0
-            assert rec == MeasurementRecord(v, "Z")
+    def test_invalid_vertex(self):
+        for v in (-1, 3):
+            with pytest.raises(ValueError, match=f"^invalid vertex id {v}$"):
+                Graph(3, [(0, 1)]).measure_z(v)
 
 
 class TestKeep:
@@ -188,16 +184,20 @@ class TestKeep:
         assert g.edges() == [(0, 1), (1, 2)] and g.adjacency[3] == 0
 
     @settings(max_examples=300, deadline=None)
-    @given(graph_with_deleted_slots_and_mask())
-    def test_equals_z_measuring_the_rest(self, case):
+    @given(graph_with_deleted_slots_and_mask(), st.data())
+    def test_matches_the_edges_with_both_ends_kept(self, case, data):
+        # the Z rule on one vertex and on every vertex outside a mask,
+        # against the edge list filtered by hand
         g, mask = case
-        want = g
-        for v in range(g.vertex_count):
-            if not mask >> v & 1:
-                want, _ = want.measure_z(v)
+        n = g.vertex_count
         got = g.keep(mask)
         got.check()
-        assert got == want
+        assert got == Graph(n, [(u, v) for u, v in g.edges() if mask >> u & mask >> v & 1])
+        if n:
+            v = data.draw(st.integers(0, n - 1))
+            got, rec = g.measure_z(v)
+            assert got == Graph(n, [e for e in g.edges() if v not in e])
+            assert rec == MeasurementRecord(v, "Z")
 
 
 class TestAdjacency:
@@ -317,7 +317,7 @@ class TestStructure:
         ids=["pickle", "copy", "deepcopy"],
     )
     def test_pickle_and_copy_round_trip(self, clone):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)]).delete_vertex(3)
+        g, _ = Graph(4, [(0, 1), (1, 2), (2, 3)]).measure_z(3)
         got = clone(g)
         assert got == g and got.vertex_count == 4 and got.adjacency == g.adjacency
         assert got.edges() == [(0, 1), (1, 2)]
@@ -332,7 +332,7 @@ class TestStructure:
             g.check()
             v = rnd.randrange(n)
             g.local_complement(v).check()
-            g.delete_vertex(v).check()
+            g.measure_z(v)[0].check()
 
     def test_check_raises_under_optimize(self):
         script = "\n".join([
@@ -358,7 +358,7 @@ class TestStructure:
         assert Graph(0).connected()
 
     def test_restrict(self):
-        g = Graph(4, [(0, 1), (2, 3)]).delete_vertex(2).delete_vertex(3)
+        g = Graph(4, [(0, 1), (2, 3)]).keep(0b0011)
         assert g.restrict(2) == Graph(2, [(0, 1)])
         with pytest.raises(ValueError):
             Graph(4, [(1, 3)]).restrict(2)

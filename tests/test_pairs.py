@@ -16,6 +16,7 @@ from reference import (
     reference_candidates,
     reference_compat_rows,
     reference_dynamic_parallel_pairs,
+    random_network,
 )
 
 import mecnet
@@ -40,7 +41,6 @@ from mecnet.pairs import (
     table_to_text,
 )
 from mecnet.qnet import InterQNet, QNetPartition, build_controlled, complement_inter_qnet
-from mecnet.verify import random_inter_qnet
 
 
 def candidate_lists(g, targets):
@@ -125,7 +125,7 @@ def controlled_batches(draw):
     complement edges."""
     k = draw(st.integers(2, 4))
     sizes = draw(st.lists(st.integers(1, 12 // k), min_size=k, max_size=k))
-    iq = random_inter_qnet(k, sizes, draw(st.sampled_from([0.2, 0.5, 0.8])),
+    iq = random_network(k, sizes, draw(st.sampled_from([0.2, 0.5, 0.8])),
                            random.Random(draw(st.integers(0, 2**32))))
     avail = complement_inter_qnet(iq).graph.edges()
     picks = draw(st.lists(st.sampled_from(avail), unique=True)) if avail else []
@@ -483,7 +483,7 @@ def two_domains_of_three():
 class TestDynamicParallelPairs:
     def _instance(self, seed, k=3, sizes=(3, 3, 2), p=0.5):
         rnd = random.Random(seed)
-        iq = random_inter_qnet(k, list(sizes), p, rnd)
+        iq = random_network(k, sizes, p, rnd)
         return iq, build_controlled(iq)
 
     def test_already_pairable_single_group(self):
@@ -720,7 +720,7 @@ class TestMinPartitionOracle:
     def test_lower_bounds_greedy(self):
         rnd = random.Random(35)
         for seed in range(40):
-            iq = random_inter_qnet(3, [3, 3, 3], 0.5, random.Random(seed))
+            iq = random_network(3, [3, 3, 3], 0.5, random.Random(seed))
             cg = build_controlled(iq)
             comp = complement_inter_qnet(iq)
             avail = comp.graph.edges()

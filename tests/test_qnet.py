@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import complement_edges, edge_list_controlled
+from reference import complement_edges, edge_list_controlled, random_network
 
 from mecnet.experiments import derive_seed, even_sizes, run_instance
 from mecnet.graph import Graph, MeasurementRecord
@@ -29,8 +29,6 @@ from mecnet.qnet import (
     mec_complementation,
     restore_original,
 )
-from mecnet import verify
-from mecnet.verify import random_inter_qnet
 
 
 def butterfly():
@@ -68,7 +66,7 @@ def intermediate_contract(cg, d):
                 edges.append((u, v))
     g = Graph(cg.graph.vertex_count, edges)
     for c in controls[:d]:
-        g = g.delete_vertex(c)
+        g, _ = g.measure_z(c)
     return g
 
 
@@ -118,7 +116,7 @@ class TestBuildControlled:
         # 4 domains sized 3,2,2,2: 9 data vertices, 4 controls, a 6-edge
         # control clique and one star per domain
         membership = (1, 1, 1, 2, 2, 3, 3, 4, 4)
-        iq = random_inter_qnet(4, [3, 2, 2, 2], 0.5, random.Random(0))
+        iq = random_network(4, [3, 2, 2, 2], 0.5, random.Random(0))
         cg = build_controlled(iq)
         assert cg.partition.membership == membership
         assert cg.graph.vertex_count == 13
@@ -208,7 +206,7 @@ class TestComplement:
         rnd = random.Random(21)
         for _ in range(100):
             k = rnd.choice([2, 3, 4])
-            iq = random_inter_qnet(k, [rnd.randint(1, 4) for _ in range(k)], 0.5, rnd)
+            iq = random_network(k, [rnd.randint(1, 4) for _ in range(k)], 0.5, rnd)
             assert complement_inter_qnet(complement_inter_qnet(iq)).graph == iq.graph
 
     def test_disconnected_permitted_and_flagged(self):
@@ -217,7 +215,7 @@ class TestComplement:
         assert comp.connected is False
 
     def test_built_once_per_network(self):
-        iq = random_inter_qnet(3, [3, 3, 2], 0.4, random.Random(23))
+        iq = random_network(3, [3, 3, 2], 0.4, random.Random(23))
         comp = complement_inter_qnet(iq)
         assert complement_inter_qnet(iq) is comp
         assert complement_inter_qnet(build_controlled(iq).data) is comp
@@ -228,7 +226,7 @@ class TestComplement:
         "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
     )
     def test_networks_round_trip_without_the_cached_complement(self, clone):
-        iq = random_inter_qnet(3, [3, 3, 2], 0.4, random.Random(24))
+        iq = random_network(3, [3, 3, 2], 0.4, random.Random(24))
         comp = complement_inter_qnet(iq)  # cached on iq before the copy
         cg = build_controlled(iq)
         got, got_cg = clone(iq), clone(cg)
@@ -251,7 +249,7 @@ class TestComplement:
 
     def test_intra_domain_pairs_stay_absent(self):
         rnd = random.Random(22)
-        iq = random_inter_qnet(3, [3, 3, 2], 0.4, rnd)
+        iq = random_network(3, [3, 3, 2], 0.4, rnd)
         comp = complement_inter_qnet(iq)
         m = iq.partition.membership
         for u, v in comp.graph.edges():
@@ -275,7 +273,7 @@ class TestMecComplementation:
         rnd = random.Random(24)
         for _ in range(150):
             k = rnd.choice([2, 3, 4])
-            iq = random_inter_qnet(k, [rnd.randint(1, 3) for _ in range(k)], rnd.choice([0.2, 0.5, 0.8]), rnd)
+            iq = random_network(k, [rnd.randint(1, 3) for _ in range(k)], rnd.choice([0.2, 0.5, 0.8]), rnd)
             cg = build_controlled(iq)
             g = cg.graph
             k0 = min(cg.partition.members(1))
@@ -290,11 +288,11 @@ class TestRestore:
         rnd = random.Random(25)
         for _ in range(100):
             k = rnd.choice([2, 3, 4])
-            iq = random_inter_qnet(k, [rnd.randint(1, 4) for _ in range(k)], 0.5, rnd)
+            iq = random_network(k, [rnd.randint(1, 4) for _ in range(k)], 0.5, rnd)
             assert restore_original(build_controlled(iq)).graph == iq.graph
 
     def test_fig_four_roundtrip(self):
-        iq = random_inter_qnet(4, [3, 2, 2, 2], 0.6, random.Random(26))
+        iq = random_network(4, [3, 2, 2, 2], 0.6, random.Random(26))
         assert restore_original(build_controlled(iq)).graph == iq.graph
 
 
@@ -335,7 +333,7 @@ class TestExtractEpr:
         rnd = random.Random(29)
         for _ in range(200):
             k = rnd.choice([2, 3, 4])
-            iq = random_inter_qnet(k, [rnd.randint(1, 4) for _ in range(k)], 0.5, rnd)
+            iq = random_network(k, [rnd.randint(1, 4) for _ in range(k)], 0.5, rnd)
             edges = iq.graph.edges()
             if not edges:
                 continue
@@ -362,7 +360,7 @@ class TestExtractEpr:
 
 class TestInstanceFiles:
     def test_roundtrip_plain(self):
-        iq = random_inter_qnet(3, [2, 2, 2], 0.5, random.Random(27))
+        iq = random_network(3, [2, 2, 2], 0.5, random.Random(27))
         back = instance_from_text(instance_to_text(iq))
         assert isinstance(back, InterQNet)
         assert back.graph == iq.graph and back.partition == iq.partition
@@ -437,26 +435,3 @@ class TestInstanceFiles:
         with pytest.raises(ValueError, match="header before '0 1'"):
             instance_from_text("0 1\nn=2\nqnet 1: 0\nqnet 2: 1\n")
 
-
-class TestRandomInterQNet:
-    @pytest.fixture
-    def no_sampling(self, monkeypatch):
-        """Make the first draw of the sampling loop fail, so a missing guard
-        fails the test instead of looping forever."""
-
-        def sampled(*args):
-            raise AssertionError("entered the sampling loop")
-
-        monkeypatch.setattr(verify, "Graph", sampled)
-
-    def test_one_qnet_rejected(self, no_sampling):
-        with pytest.raises(ValueError, match="no connected cross-domain graph"):
-            random_inter_qnet(1, [2], 0.5, random.Random(0))
-
-    def test_zero_density_rejected(self, no_sampling):
-        with pytest.raises(ValueError, match="no connected cross-domain graph"):
-            random_inter_qnet(2, [2, 2], 0.0, random.Random(0))
-
-    def test_single_vertex_accepted(self):
-        iq = random_inter_qnet(1, [1], 0.0, random.Random(0))
-        assert iq.graph.vertex_count == 1 and iq.connected

@@ -23,10 +23,7 @@ UNUSED_EXPORTS_ALLOWED = {
     },
     "timeline.py": {"LongRunResult": "return type of simulate_mec_long_run"},
     "verify.py": {"SuiteResult": "return type of every suite in ALL_SUITES"},
-    "stabilizer.py": {
-        "StabilizerTableau": "return type of graph_state and measure_pauli",
-        "outcome_deterministic": "tells a caller whether measure_pauli needs forced_outcome",
-    },
+    "stabilizer.py": {"StabilizerTableau": "return type of graph_state and measure_pauli"},
 }
 
 
@@ -172,11 +169,10 @@ def test_all_names_are_defined(path):
     assert not missing, f"{path.name}: __all__ names {missing} are not defined"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_exports_are_used(path):
-    # users: the other library modules (not the package's re-exports), the
-    # demos, the benchmark and every test file but the module's own and this
-    # one, whose allowlist names every name it holds
+def export_users(path):
+    """The names used by the other library modules (not the package's
+    re-exports), the demos, the benchmark and every test file but the
+    module's own and this one, whose allowlist names every name it holds."""
     own_test = ROOT / "tests" / f"test_{path.stem}.py"
     skip = (path, own_test, ROOT / "src" / "mecnet" / "__init__.py", pathlib.Path(__file__).resolve())
     users = [
@@ -185,21 +181,28 @@ def test_exports_are_used(path):
                   *(ROOT / "tests").glob("*.py")]
         if p not in skip
     ]
-    used = set().union(*(used_names(p) for p in users))
+    return set().union(*(used_names(p) for p in users))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_are_used(path):
     allowed = UNUSED_EXPORTS_ALLOWED.get(path.name, {})
-    unused = sorted(set(exported_names(parse(path))) - used - set(allowed))
+    unused = sorted(set(exported_names(parse(path))) - export_users(path) - set(allowed))
     assert not unused, f"{path.name}: __all__ names {unused} are used nowhere else"
 
 
 def test_allowlist_holds_only_exports():
+    # an entry goes once it is no longer exported, or once a user names it
     exports = {path.name: set(exported_names(parse(path))) for path in MODULES}
-    stale = sorted(
-        f"{module}:{name}"
-        for module, names in UNUSED_EXPORTS_ALLOWED.items()
-        for name in names
-        if name not in exports.get(module, set())
-    )
-    assert not stale, f"allowlisted names that are not exported: {stale}"
+    stale = []
+    for module, names in UNUSED_EXPORTS_ALLOWED.items():
+        used = export_users(ROOT / "src" / "mecnet" / module)
+        for name in names:
+            if name not in exports.get(module, set()):
+                stale.append(f"{module}:{name} is not exported")
+            elif name in used:
+                stale.append(f"{module}:{name} is used")
+    assert not stale, f"stale allowlist entries: {sorted(stale)}"
 
 
 # Public methods and properties that no library code, demo or benchmark
@@ -244,12 +247,17 @@ def unused_methods(module, used):
     return [(cls, name, line) for cls, name, line in public_methods(module) if name not in used]
 
 
+@functools.cache
+def method_users():
+    """The method names used by the library, the demos and the benchmark; a
+    method that only tests call is dead code."""
+    users = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    return set().union(*(method_names(parse(p)) for p in users))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_public_methods_are_used(path):
-    # users: the library, the demos and the benchmark; a method that only
-    # tests call is dead code
-    users = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    used = set().union(*(method_names(parse(p)) for p in users))
+    used = method_users()
     allowed = UNUSED_METHODS_ALLOWED.get(path.name, {})
     unused = [
         f"{cls}.{name} (line {line})"
@@ -260,17 +268,19 @@ def test_public_methods_are_used(path):
 
 
 def test_method_allowlist_holds_only_methods():
+    # an entry goes once it is no longer a public method, or once a user names it
     methods = {
         path.name: {f"{cls}.{name}" for cls, name, _ in public_methods(parse(path))}
         for path in MODULES
     }
-    stale = sorted(
-        f"{module}:{name}"
-        for module, names in UNUSED_METHODS_ALLOWED.items()
-        for name in names
-        if name not in methods.get(module, set())
-    )
-    assert not stale, f"allowlisted names that are not public methods: {stale}"
+    stale = []
+    for module, names in UNUSED_METHODS_ALLOWED.items():
+        for name in names:
+            if name not in methods.get(module, set()):
+                stale.append(f"{module}:{name} is not a public method")
+            elif name.split(".")[1] in method_users():
+                stale.append(f"{module}:{name} is used")
+    assert not stale, f"stale allowlist entries: {sorted(stale)}"
 
 
 def test_method_rule_flags_each_form():

@@ -27,7 +27,6 @@ from mecnet.stabilizer import (
     graph_form,
     graph_state,
     measure_pauli,
-    outcome_deterministic,
 )
 
 
@@ -61,15 +60,13 @@ class TestGraphState:
 class TestMeasurePauli:
     def test_x_on_isolated_is_deterministic_plus(self):
         t = graph_state(Graph(1))
-        assert outcome_deterministic(t, 0, "X")
-        post, outcome = measure_pauli(t, 0, "X")
+        post, outcome = measure_pauli(t, 0, "X")  # raises if the outcome were random
         assert outcome == 1 and post == t
 
     def test_z_on_edge_both_branches(self):
         # frozen from the hand-run tableau update: the post-state group
         # contains sign*Z0 and sign*X1
         t = graph_state(Graph(2, [(0, 1)]))
-        assert not outcome_deterministic(t, 0, "Z")
         for forced in (1, -1):
             post, outcome = measure_pauli(t, 0, "Z", forced_outcome=forced)
             assert outcome == forced
@@ -96,7 +93,12 @@ class TestMeasurePauli:
             t = graph_state(g)
             q = rnd.randrange(g.vertex_count)
             basis = rnd.choice(["X", "Z"])
-            det = outcome_deterministic(t, q, basis)
+            try:
+                measure_pauli(t, q, basis)
+                det = True
+            except ValueError as exc:
+                assert "has a random outcome" in str(exc)
+                det = False
             # a graph-state Z outcome is random iff the vertex is alive with
             # generator X_q present; X is random iff q has a neighbor
             if basis == "Z":
@@ -577,7 +579,7 @@ def x_identity_tableaux(draw):
     g = draw(graphs(min_n=1))
     n = g.vertex_count
     for v in sorted(draw(st.sets(st.integers(0, n - 1), max_size=n // 3))):
-        g = g.delete_vertex(v)
+        g, _ = g.measure_z(v)
     rows = []
     for i, (x, z, p) in enumerate(graph_state(g).rows):
         if draw(st.booleans()):
@@ -712,12 +714,14 @@ class TestBitsetInternalsAgainstReferences:
         for _ in range(data.draw(st.integers(1, 6))):
             q = data.draw(st.integers(0, g.vertex_count - 1))
             basis = data.draw(st.sampled_from("XZ"))
-            if outcome_deterministic(t, q, basis):
-                b = (1 << q, 0, 0) if basis == "X" else (0, 1 << q, 0)
+            try:
                 post, outcome = measure_pauli(t, q, basis)
-                assert post is t and outcome == ref_deterministic_outcome(t, b)
-            else:
+            except ValueError as exc:
+                assert "has a random outcome" in str(exc)
                 t, _ = measure_pauli(t, q, basis, forced_outcome=data.draw(st.sampled_from((1, -1))))
+            else:
+                b = (1 << q, 0, 0) if basis == "X" else (0, 1 << q, 0)
+                assert post is t and outcome == ref_deterministic_outcome(t, b)
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(), st.data())
