@@ -111,14 +111,19 @@ def sample_requests(iq: InterQNet, count: int, rng_seed: int) -> RequestSet:
 
     Those pairs are the ``edge_arrays`` of ``complement_inter_qnet(iq)``, in
     lexicographic order, built with the complement and kept for every batch.
+    The result keeps the drawn indices, in draw order, with that pool, so
+    that ``dynamic_parallel_pairs`` on this network's complement takes the
+    batch as indices without an intake check; on any other network object,
+    an equal one included, it checks the pairs.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    us, vs = complement_inter_qnet(iq).edge_arrays
+    pool = complement_inter_qnet(iq).edge_arrays
+    us, vs = pool
     if count > len(us):
         raise InsufficientPairsError(
             f"asked for {count} requests, only {len(us)} eligible pairs exist"
         )
     chosen = np.random.default_rng(rng_seed).choice(len(us), size=count, replace=False)
-    # complement edges drawn without replacement need no intake check
-    return RequestSet(tuple(zip(us[chosen].tolist(), vs[chosen].tolist())))
+    chosen.flags.writeable = False
+    return RequestSet(tuple(zip(us[chosen].tolist(), vs[chosen].tolist())), chosen, pool)

@@ -10,13 +10,13 @@ on the cross-domain complement of the controlled network.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, masks_to_matrix, matrix_to_masks
-from .qnet import ControlledInterQNet, complement_inter_qnet
+from .graph import Graph, matrix_to_masks
+from .qnet import ControlledInterQNet, InterQNet, complement_inter_qnet
 
 __all__ = [
     "RequestError",
@@ -60,13 +60,28 @@ class RequestSet:
     without replacement from the network's own cross-domain complement:
     canonical, distinct, inter-domain and non-adjacent in the network.
 
-    The constructor checks nothing.  :func:`dynamic_parallel_pairs` is the
-    one intake check, against the complement of the network it schedules
-    on: a pair that is not a complement edge (inside one QNet, or already
-    adjacent) raises RequestNotInComplement, a duplicate RequestError.
+    ``sample_requests`` also keeps the draw: ``index``, the positions of the
+    requests in ``pool``, a read-only array in draw order, and ``pool``, the
+    ``edge_arrays`` object of the complement it drew from.  Neither takes
+    part in ``==``, ``hash``, ``repr`` or pickling (an unpickled copy has
+    neither).  The constructor checks nothing.  :func:`dynamic_parallel_pairs`
+    trusts ``index`` only when ``pool`` is the very ``edge_arrays`` object
+    of the complement it schedules on, as then the indices are distinct
+    complement edges by construction; every other batch, an equal network's
+    draw or a plain tuple of pairs included, goes through its one intake
+    check: a pair that is not a complement edge (inside one QNet, or
+    already adjacent) raises RequestNotInComplement, a duplicate
+    RequestError.
     """
 
     requests: tuple[Edge, ...]
+    index: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    pool: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        # the draw is left out: its read-only array would come back
+        # writeable, and a copy's pool is no complement's own
+        return {"requests": self.requests}
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -125,22 +140,60 @@ def parallel_pair_candidates(g: Graph, targets: Iterable[Edge]) -> dict[Edge, in
     return free
 
 
-def _compat_rows(g: Graph, edges: Sequence[Edge]) -> list[int]:
-    """Compatibility matrix of ``edges`` as one bitmask row per edge.
+def _compat_rows(matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[int]:
+    """Compatibility matrix of the edges ``(a[i], b[i])`` of the graph with
+    boolean adjacency matrix ``matrix``, as one bitmask row per edge.
 
-    Bit ``j`` of row ``i`` is set iff ``edges[i]`` and ``edges[j]`` are
-    compatible (never for ``j == i``).  Each edge's reach, its endpoints and
-    their neighbors, is one row of an m×n bit matrix; its transpose maps
-    each vertex ``v`` to ``near[v]``, the mask of the edges whose reach
-    holds ``v``.  An edge ``(a, b)`` conflicts with every edge whose reach
-    holds ``a`` or ``b``, that is with ``near[a] | near[b]``.  The callers
-    check that every entry of ``edges`` is an edge of ``g``.
+    Bit ``j`` of row ``i`` is set iff edges ``i`` and ``j`` are compatible
+    (never for ``j == i``).  An edge's reach, its endpoints and their
+    neighbors, is ``N(a) | N(b)``, as each endpoint neighbors the other:
+    the OR of two rows of ``matrix``.  The transpose of the m×n reach
+    matrix maps each vertex ``v`` to ``near[v]``, the mask of the edges
+    whose reach holds ``v``, and an edge ``(a, b)`` conflicts with every
+    edge whose reach holds ``a`` or ``b``, that is with
+    ``near[a] | near[b]``.  The callers check that every pair is an edge.
     """
-    adj = g.adjacency
-    reach = [(1 << a) | (1 << b) | adj[a] | adj[b] for a, b in edges]
-    near = matrix_to_masks(masks_to_matrix(reach, g.vertex_count).T)
-    full = (1 << len(edges)) - 1
-    return [full & ~(near[a] | near[b]) for a, b in edges]
+    near = matrix_to_masks((matrix[a] | matrix[b]).T)
+    full = (1 << len(a)) - 1
+    return [full & ~(near[x] | near[y]) for x, y in zip(a.tolist(), b.tolist())]
+
+
+def _pool_index(comp: InterQNet, r: Iterable[Edge]) -> np.ndarray:
+    """The sorted positions of the pairs ``r`` in the pool of the complement
+    ``comp``: one ``searchsorted`` of each pair's key ``u*n + v``, ``u < v``,
+    in the pool's keys, which are sorted as the pool is lexicographic.
+
+    The first pair, in input order, with an id outside ``0..n-1`` raises
+    ValueError and the first that is not an edge of ``comp``
+    RequestNotInComplement; after them, a repeated pair (in either
+    orientation) raises RequestError.
+    """
+    us, vs = comp.edge_arrays
+    n = comp.graph.vertex_count
+    items = list(r)
+    ends = np.array(items).reshape(len(items), 2)
+    if items and ends.dtype.kind not in "biu":  # an id past int64, or not an integer
+        bad = next(x for e in items for x in sorted(e) if not (type(x) is int and 0 <= x < n))
+        raise ValueError(f"invalid vertex id {bad}")
+    ends = ends.astype(np.int64, copy=False)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    valid = (lo >= 0) & (hi < n)
+    # an invalid pair keys to n*n, past every edge's key, and finds the
+    # sentinel at the end, so every position is in range
+    key = np.where(valid, lo * n + hi, n * n)
+    keys = np.append(us * n + vs, n * n)
+    pos = np.searchsorted(keys, key)
+    bad = ~(valid & (keys[pos] == key))
+    if bad.any():
+        u, v = items[int(bad.argmax())]
+        a, b = (u, v) if u < v else (v, u)
+        if not (a >= 0 and b < n):
+            raise ValueError(f"invalid vertex id {a if not 0 <= a < n else b}")
+        raise RequestNotInComplement(f"request {(a, b)} is not a complement edge")
+    pos.sort()
+    if (pos[1:] == pos[:-1]).any():
+        raise RequestError("duplicate requests")
+    return pos
 
 
 # -- scheduler -----------------------------------------------------------------
@@ -192,22 +245,22 @@ def dynamic_parallel_pairs(cg: ControlledInterQNet, r: Iterable[Edge]) -> Parall
     group.  Requests are indexed in sorted order and the scheduler runs on
     their compatibility matrix, built once per batch, with the counts held
     bit-sliced (``_count_planes``), so each pick is a few mask operations.
-    Each request is checked here, once, to be a complement edge, and the
-    result against the whole-edge-set candidate lists.
-    """
-    cgraph = complement_inter_qnet(cg.data).graph
-    adj, n = cgraph.adjacency, cgraph.vertex_count
-    requests = [(u, v) if u < v else (v, u) for u, v in r]
-    for a, b in requests:
-        if not (a >= 0 and b < n):
-            raise ValueError(f"invalid vertex id {a if not 0 <= a < n else b}")
-        if not adj[a] >> b & 1:
-            raise RequestNotInComplement(f"request {(a, b)} is not a complement edge")
-    if len(set(requests)) != len(requests):
-        raise RequestError("duplicate requests")
 
-    edges = sorted(requests)
-    rows = _compat_rows(cgraph, edges)
+    A batch that ``sample_requests`` drew from this very complement (its
+    ``pool`` is the complement's ``edge_arrays`` object) enters as its pool
+    indices, distinct complement edges by construction; any other batch is
+    checked here, once, by :func:`_pool_index`.  The result is checked
+    against the whole-edge-set candidate lists.
+    """
+    comp = complement_inter_qnet(cg.data)
+    pool = comp.edge_arrays
+    if isinstance(r, RequestSet) and r.pool is pool:
+        index = np.sort(r.index)
+    else:
+        index = _pool_index(comp, r)
+    a, b = pool[0][index], pool[1][index]
+    edges = list(zip(a.tolist(), b.tolist()))
+    rows = _compat_rows(comp.adjacency_matrix, a, b)
     planes = _count_planes(rows)
     groups: list[frozenset[Edge]] = []
     remaining = (1 << len(edges)) - 1
@@ -230,7 +283,7 @@ def dynamic_parallel_pairs(cg: ControlledInterQNet, r: Iterable[Edge]) -> Parall
             _decrement(planes, rows[i] & remaining)
         groups.append(frozenset([edges[i] for i in members]))
     table = ParallelPairTable(tuple(groups))
-    _assert_table_valid(cgraph, table, requests)
+    _assert_table_valid(comp.graph, table, edges)
     return table
 
 

@@ -119,8 +119,9 @@ class InterQNet:
         _check_cross_domain(self.graph, self.partition)
 
     def __getstate__(self) -> dict:
-        # the cached complement and pool are left out, as their read-only
-        # arrays would come back writeable; they are rebuilt on first use
+        # the cached complement, matrix and pool are left out, as their
+        # read-only arrays would come back writeable; they are rebuilt on
+        # first use
         return {"graph": self.graph, "partition": self.partition}
 
     @property
@@ -135,15 +136,25 @@ class InterQNet:
         full = (1 << part.data_count) - 1
         adj = tuple(full & ~qmasks[a] & ~m for m, a in zip(self.graph.adjacency, part.membership))
         comp = InterQNet(Graph._from_parts(part.data_count, adj), part)
-        comp.edge_arrays  # the request pool, built here rather than in a batch that draws from it
+        comp.edge_arrays  # the pool and its bit matrix, built here rather than in a batch
         return comp
+
+    @cached_property
+    def adjacency_matrix(self) -> np.ndarray:
+        """The n×n boolean adjacency matrix (``graph.masks_to_matrix`` of the
+        neighbour masks); on a complement, the scheduler reads its requests'
+        reach off its rows."""
+        g = self.graph
+        m = masks_to_matrix(g.adjacency, g.vertex_count)
+        m.flags.writeable = False  # shared by every caller
+        return m
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The edges ``(u, v)``, ``u < v``, as two index arrays in ``Graph.edges()``
-        order; on a complement, the pool ``sample_requests`` draws from."""
-        g = self.graph
-        us, vs = np.nonzero(np.triu(masks_to_matrix(g.adjacency, g.vertex_count), 1))
+        order (lexicographic); on a complement, the pool ``sample_requests``
+        draws from."""
+        us, vs = np.nonzero(np.triu(self.adjacency_matrix, 1))
         us.flags.writeable = vs.flags.writeable = False  # shared by every caller
         return us, vs
 

@@ -16,8 +16,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from . import pairs
-from .graph import Graph
+from .graph import Graph, masks_to_matrix
 from .metrics import TimingParams, cqr_cycles, mec_cycles
 from .netgen import GenConfig, generate_inter_qnet
 from .qnet import (
@@ -110,7 +112,8 @@ def suite_measurement_oracle(seed: int = 77) -> SuiteResult:
 
 def suite_pairable_bruteforce(trials: int = 10000, seed: int = 5150) -> SuiteResult:
     """The scheduler's compatibility rows, looked up on :mod:`mecnet.pairs` at
-    each call, versus ``compatible`` bit by bit, with an empty diagonal.
+    each call and fed the graph's bit matrix and the batch's endpoint
+    arrays, versus ``compatible`` bit by bit, with an empty diagonal.
 
     Graphs of 4 to 24 vertices and batches of 1 to 16 edges cross the byte
     boundaries of the rows' bit-matrix transpose on both axes."""
@@ -128,7 +131,8 @@ def suite_pairable_bruteforce(trials: int = 10000, seed: int = 5150) -> SuiteRes
             for e in sub
         ]
         res.checked += 1
-        if pairs._compat_rows(g, sub) != want:
+        a, b = np.array(sub).T
+        if pairs._compat_rows(masks_to_matrix(g.adjacency, n), a, b) != want:
             res.failures.append(f"edges={edges} sub={sub}")
     return res
 

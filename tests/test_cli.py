@@ -63,21 +63,23 @@ def small_config(tmp_path, **over):
     return str(path), cfg
 
 
-def all_compatible_rows(g, edges):
+def all_compatible_rows(matrix, a, b):
     """A planted rows fault: every request compatible with every other."""
-    full = (1 << len(edges)) - 1
-    return [full & ~(1 << i) for i in range(len(edges))]
+    full = (1 << len(a)) - 1
+    return [full & ~(1 << i) for i in range(len(a))]
 
 
-def near_a_only_rows(g, edges):
+def near_a_only_rows(matrix, a, b):
     """A planted rows fault, one-sided: each edge conflicts only with the
     edges touching its lower endpoint or one of that endpoint's neighbours."""
+    edges = list(zip(a.tolist(), b.tolist()))
+
     def near(v):
-        reach = (1 << v) | g.neighbor_mask(v)
-        return sum(1 << j for j, (c, d) in enumerate(edges) if reach >> c & 1 or reach >> d & 1)
+        reach = {v, *matrix[v].nonzero()[0].tolist()}
+        return sum(1 << j for j, (c, d) in enumerate(edges) if c in reach or d in reach)
 
     full = (1 << len(edges)) - 1
-    return [full & ~near(a) for a, _ in edges]
+    return [full & ~near(min(e)) for e in edges]
 
 
 def read_table(path):

@@ -1,16 +1,23 @@
 """Compatibility predicate, candidate generation, compatibility rows,
 dynamic partitioning, exact-partition oracle."""
 
+import contextlib
+import copy
+import dataclasses
 import itertools
 import os
+import pickle
 import random
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
+    EVAL_CONFIG,
     brute_force_pairable,
     complement_edges,
     reference_candidates,
@@ -20,14 +27,17 @@ from reference import (
 )
 
 import mecnet
-from mecnet.experiments import derive_seed, even_sizes
-from mecnet.graph import Graph, bits
+import mecnet.experiments as experiments
+import mecnet.pairs as pairs_module
+from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes
+from mecnet.graph import Graph, bits, masks_to_matrix
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
 from mecnet.pairs import (
     ParallelPairTable,
     ParallelPairViolation,
     RequestError,
     RequestNotInComplement,
+    RequestSet,
     _argmax,
     _assert_table_valid,
     _compat_rows,
@@ -40,7 +50,21 @@ from mecnet.pairs import (
     parallel_pair_candidates,
     table_to_text,
 )
-from mecnet.qnet import InterQNet, QNetPartition, build_controlled, complement_inter_qnet
+from mecnet.qnet import (
+    InterQNet,
+    QNetPartition,
+    build_controlled,
+    complement_inter_qnet,
+    instance_from_text,
+    instance_to_text,
+)
+
+
+def compat_rows(g, edges):
+    """``_compat_rows`` on a graph and a list of its edges: the graph's bit
+    matrix and the edges' endpoint arrays."""
+    a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    return _compat_rows(masks_to_matrix(g.adjacency, g.vertex_count), a, b)
 
 
 def candidate_lists(g, targets):
@@ -233,7 +257,7 @@ class TestCheckParallelPairable:
         g, sub = case
         want = brute_force_pairable(g, sub)
         assert candidate_pairable(g, sub) == want
-        rows = _compat_rows(g, sub)
+        rows = compat_rows(g, sub)
         for i, j in itertools.permutations(range(len(sub)), 2):
             assert bool(rows[i] >> j & 1) == compatible(g, sub[i], sub[j])
         assert all(not row >> i & 1 for i, row in enumerate(rows))
@@ -266,7 +290,7 @@ class TestCompatRows:
     @given(wide_graph_and_batch())
     def test_equal_to_the_vertex_walk(self, case):
         g, edges = case
-        assert _compat_rows(g, edges) == reference_compat_rows(g, edges)
+        assert compat_rows(g, edges) == reference_compat_rows(g, edges)
 
     @pytest.mark.parametrize("n", [v for v in BYTE_SIZES if v > 1] + [72, 129])
     @pytest.mark.parametrize("m", BYTE_SIZES[:7])
@@ -277,15 +301,15 @@ class TestCompatRows:
         edges = g.edges()
         assert len(edges) >= m
         batch = rnd.sample(edges, m)
-        rows = _compat_rows(g, batch)
+        rows = compat_rows(g, batch)
         assert rows == reference_compat_rows(g, batch)
         assert len(rows) == m and all(row >> m == 0 for row in rows)
 
     @pytest.mark.parametrize("n", [2, 9, 65])
     def test_empty_and_single_batches(self, n):
         g = Graph(n, [(0, n - 1)])
-        assert _compat_rows(g, []) == []
-        assert _compat_rows(g, [(0, n - 1)]) == [0]
+        assert compat_rows(g, []) == []
+        assert compat_rows(g, [(0, n - 1)]) == [0]
 
     @pytest.mark.parametrize("k", [4, 10])
     @pytest.mark.parametrize("p", [0.2, 0.8])
@@ -297,7 +321,7 @@ class TestCompatRows:
             for vol in (50, 100, 150, 200):
                 rs = sample_requests(iq, min(vol, eligible), derive_seed(6, k, vol, rep))
                 edges = sorted(rs.requests)
-                assert _compat_rows(g, edges) == reference_compat_rows(g, edges)
+                assert compat_rows(g, edges) == reference_compat_rows(g, edges)
 
     @pytest.mark.parametrize("n", [400, 800])
     @pytest.mark.parametrize("p", [0.2, 0.8])
@@ -305,7 +329,7 @@ class TestCompatRows:
         iq = generate_inter_qnet(GenConfig(4, even_sizes(n, 4), p, derive_seed(7, n, int(p * 10))))
         g = complement_inter_qnet(iq).graph
         edges = sorted(sample_requests(iq, 4 * n, derive_seed(8, n)).requests)
-        assert _compat_rows(g, edges) == reference_compat_rows(g, edges)
+        assert compat_rows(g, edges) == reference_compat_rows(g, edges)
 
 
 def plane_counts(planes, m):
@@ -400,7 +424,7 @@ class TestCountPlanes:
     @given(controlled_batches(), st.randoms(use_true_random=False))
     def test_planes_track_popcounts_on_compat_rows(self, case, rnd):
         iq, _, picks = case
-        self._check_removals(_compat_rows(complement_inter_qnet(iq).graph, sorted(picks)), rnd)
+        self._check_removals(compat_rows(complement_inter_qnet(iq).graph, sorted(picks)), rnd)
 
     @settings(max_examples=200, deadline=None)
     @given(controlled_batches())
@@ -409,7 +433,7 @@ class TestCountPlanes:
         # partners read along its rows, which are their columns only
         # because the rows are symmetric
         iq, _, picks = case
-        rows = _compat_rows(complement_inter_qnet(iq).graph, sorted(picks))
+        rows = compat_rows(complement_inter_qnet(iq).graph, sorted(picks))
         for i, j in itertools.combinations(range(len(rows)), 2):
             assert rows[i] >> j & 1 == rows[j] >> i & 1
 
@@ -449,7 +473,7 @@ class TestCountPlanes:
         iq = InterQNet(Graph(6, []), QNetPartition(2, (1, 2, 2, 2, 2, 2)))
         comp = complement_inter_qnet(iq).graph
         requests = comp.edges()
-        assert _count_planes(_compat_rows(comp, requests)) == []
+        assert _count_planes(compat_rows(comp, requests)) == []
         table = dynamic_parallel_pairs(build_controlled(iq), requests[::-1])
         assert table.groups == tuple(frozenset((e,)) for e in requests)
 
@@ -581,7 +605,7 @@ class TestDynamicParallelPairs:
         iq = generate_inter_qnet(GenConfig(4, even_sizes(200, 4), 0.8, derive_seed(1, 4, 8)))
         rs = sample_requests(iq, 800, derive_seed(2, 4, 800))
         edges = sorted(rs.requests)
-        rows = _compat_rows(complement_inter_qnet(iq).graph, edges)
+        rows = compat_rows(complement_inter_qnet(iq).graph, edges)
         assert max(row.bit_count() for row in rows) >= 64
         want = tuple(frozenset(edges[i] for i in bits(g)) for g in recounted_greedy(rows))
         assert dynamic_parallel_pairs(build_controlled(iq), rs).groups == want
@@ -700,6 +724,163 @@ class TestDynamicParallelPairs:
         cg = build_controlled(iq)
         table = dynamic_parallel_pairs(cg, [(0, 2), (1, 3)])
         assert table_to_text(table) == "T1: (0,2) (1,3)\n"
+
+
+@contextlib.contextmanager
+def pool_lookups():
+    """The batches the scheduler maps to pool indices through
+    ``_pool_index``, its edge path, while the block runs."""
+    seen = []
+    lookup = pairs_module._pool_index
+
+    def counted(comp, r):
+        seen.append(r)
+        return lookup(comp, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairs_module, "_pool_index", counted)
+        yield seen
+
+
+def check_both_paths(cg, rs):
+    """Schedule a drawn batch as its pool indices and as pairs (as drawn and
+    reversed), check the tables and the compatibility rows against the
+    references, and return the table."""
+    comp = complement_inter_qnet(cg.data)
+    with pool_lookups() as seen:
+        table = dynamic_parallel_pairs(cg, rs)
+        assert seen == []
+        assert dynamic_parallel_pairs(cg, list(rs.requests)) == table
+        assert dynamic_parallel_pairs(cg, [(v, u) for u, v in rs.requests]) == table
+        assert len(seen) == 2
+    want = reference_dynamic_parallel_pairs(Graph(comp.graph.vertex_count, complement_edges(cg.data)), rs)
+    assert table.groups == want
+    edges = sorted(rs.requests)
+    a, b = (ends[np.sort(rs.index)] for ends in comp.edge_arrays)
+    assert list(zip(a.tolist(), b.tolist())) == edges
+    assert _compat_rows(comp.adjacency_matrix, a, b) == reference_compat_rows(comp.graph, edges)
+    return table
+
+
+@st.composite
+def odd_k_draws(draw):
+    """A network of 3 or 5 QNets, so with a parity-padding control, and a
+    batch that ``sample_requests`` draws from it."""
+    k = draw(st.sampled_from([3, 5]))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    p = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    iq = generate_inter_qnet(GenConfig(k, tuple(sizes), p, draw(st.integers(0, 2**32))))
+    count = draw(st.integers(0, complement_inter_qnet(iq).graph.edge_count))
+    return iq, sample_requests(iq, count, draw(st.integers(0, 2**32)))
+
+
+class TestIntake:
+    """A batch enters the scheduler as pool indices: trusted when drawn from
+    the very complement it is scheduled on, mapped from its pairs otherwise."""
+
+    def test_both_paths_match_the_references_on_eval_batches(self, monkeypatch):
+        cfg = dataclasses.replace(ExperimentConfig.from_json(EVAL_CONFIG), repetitions=2, jobs=1)
+        tables = []
+
+        def checked(cg, rs):
+            tables.append(check_both_paths(cg, rs))
+            return tables[-1]
+
+        monkeypatch.setattr(experiments, "dynamic_parallel_pairs", checked)
+        results = experiments.run_experiment(cfg)
+        assert len(tables) == sum(not v.skipped for r in results for v in r.volumes) > 50
+
+    @settings(max_examples=100, deadline=None)
+    @given(odd_k_draws())
+    def test_both_paths_match_the_references_with_odd_k(self, case):
+        iq, rs = case
+        assert iq.partition.k_prime == iq.partition.k + 1
+        check_both_paths(build_controlled(iq), rs)
+
+    def test_an_equal_network_maps_the_pairs(self):
+        iq = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.2, derive_seed(11, 4)))
+        rs = sample_requests(iq, 150, derive_seed(12, 4))
+        twin = instance_from_text(instance_to_text(iq))
+        assert twin == iq and twin is not iq
+        with pool_lookups() as seen:
+            table = dynamic_parallel_pairs(build_controlled(twin), rs)
+            assert len(seen) == 1
+            assert dynamic_parallel_pairs(build_controlled(iq), rs) == table
+            assert len(seen) == 1
+
+    def test_another_networks_draw_is_checked(self):
+        # every index of the draw is a position in this pool too, so only
+        # the pool's identity keeps the scheduler from reading the wrong edges
+        here = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.2, derive_seed(13, 4)))
+        there = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.8, derive_seed(14, 4)))
+        rs = sample_requests(there, 100, derive_seed(15, 4))
+        comp = complement_inter_qnet(here).graph
+        assert int(rs.index.max()) < comp.edge_count
+        first = next(e for e in rs.requests if not comp.has_edge(*e))
+        assert first != rs.requests[0]
+        with pytest.raises(RequestNotInComplement, match=rf"^request \({first[0]}, {first[1]}\) is not"):
+            dynamic_parallel_pairs(build_controlled(here), rs)
+
+    def test_first_bad_request_in_input_order_is_named(self):
+        # (0, 1) is inside QNet 1 and (0, 3) a link; both sort before (1, 4)
+        cg = build_controlled(two_domains_of_three())
+        with pytest.raises(RequestNotInComplement, match=r"^request \(1, 4\) is not a complement edge$"):
+            dynamic_parallel_pairs(cg, [(0, 5), (4, 1), (0, 3), (0, 1)])
+        with pytest.raises(RequestNotInComplement, match=r"^request \(1, 4\) "):
+            dynamic_parallel_pairs(cg, [(1, 4), (0, 9)])
+        with pytest.raises(ValueError, match=r"^invalid vertex id 9$"):
+            dynamic_parallel_pairs(cg, [(9, 0), (1, 4)])
+
+    @pytest.mark.parametrize(
+        "bad, name", [((2**70, 1), 2**70), ((1, -(2**70)), -(2**70)), ((0.5, 3), 0.5), ((-1, 6), -1)]
+    )
+    def test_ids_out_of_range_or_not_integers(self, bad, name):
+        cg = build_controlled(two_domains_of_three())
+        with pytest.raises(ValueError, match=rf"^invalid vertex id {re.escape(str(name))}$"):
+            dynamic_parallel_pairs(cg, [(0, 5), bad])
+
+    def test_reversed_pairs_are_canonicalised(self):
+        cg = build_controlled(two_domains_of_three())
+        table = dynamic_parallel_pairs(cg, [(5, 0), (3, 1), (4, 2)])
+        assert table == dynamic_parallel_pairs(cg, [(0, 5), (1, 3), (2, 4)])
+        assert set().union(*table.groups) == {(0, 5), (1, 3), (2, 4)}
+
+    def test_duplicate_rejected_after_every_pair_is_found(self):
+        cg = build_controlled(two_domains_of_three())
+        with pytest.raises(RequestError, match="^duplicate requests$"):
+            dynamic_parallel_pairs(cg, [(0, 5), (1, 3), (0, 5)])
+        with pytest.raises(RequestNotInComplement):
+            dynamic_parallel_pairs(cg, [(0, 5), (0, 5), (1, 4)])
+
+    def test_empty_pool(self):
+        cg = build_controlled(generate_inter_qnet(GenConfig(3, (3, 4, 2), 1.0, 5)))
+        assert complement_inter_qnet(cg.data).graph.edge_count == 0
+        assert dynamic_parallel_pairs(cg, []).groups == ()
+        for bad in [(0, 3), (0, 1), (8, 0)]:
+            with pytest.raises(RequestNotInComplement, match=rf"^request \({min(bad)}, {max(bad)}\) "):
+                dynamic_parallel_pairs(cg, [bad])
+        with pytest.raises(ValueError, match="^invalid vertex id 9$"):
+            dynamic_parallel_pairs(cg, [(0, 9)])
+
+    def test_request_set_is_a_value(self):
+        iq = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.2, derive_seed(16, 4)))
+        rs = sample_requests(iq, 40, derive_seed(17, 4))
+        pool = complement_inter_qnet(iq).edge_arrays
+        assert rs.pool is pool
+        assert [(pool[0][i], pool[1][i]) for i in rs.index] == list(rs.requests)
+        assert not rs.index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rs.index[0] = 0
+        plain = RequestSet(rs.requests)
+        assert plain.index is None and plain.pool is None
+        assert rs == plain and hash(rs) == hash(plain) and repr(rs) == repr(plain)
+        assert repr(rs) == f"RequestSet(requests={rs.requests!r})"
+        for again in (pickle.loads(pickle.dumps(rs)), copy.deepcopy(rs)):
+            assert again == rs and again.index is None and again.pool is None
+        cg = build_controlled(iq)
+        with pool_lookups() as seen:
+            assert dynamic_parallel_pairs(cg, again) == dynamic_parallel_pairs(cg, rs)
+            assert seen == [again]
 
 
 class TestMinPartitionOracle:

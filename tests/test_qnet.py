@@ -221,6 +221,11 @@ class TestComplement:
         assert complement_inter_qnet(build_controlled(iq).data) is comp
         assert comp.edge_arrays is comp.edge_arrays
         assert not any(a.flags.writeable for a in comp.edge_arrays)
+        assert comp.adjacency_matrix is comp.adjacency_matrix
+        assert not comp.adjacency_matrix.flags.writeable
+        assert comp.adjacency_matrix.tolist() == [
+            [comp.graph.has_edge(u, v) for v in range(8)] for u in range(8)
+        ]
 
     @pytest.mark.parametrize(
         "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
@@ -237,15 +242,17 @@ class TestComplement:
             assert again == comp and again is not comp
             assert [a.tolist() for a in again.edge_arrays] == [a.tolist() for a in comp.edge_arrays]
             assert not any(a.flags.writeable for a in again.edge_arrays)
+            assert not again.adjacency_matrix.flags.writeable
 
     def test_one_build_for_a_run_of_four_volumes(self, monkeypatch):
-        builds = {"_complement": [], "edge_arrays": []}
+        builds = {"_complement": [], "edge_arrays": [], "adjacency_matrix": []}
         for name, seen in builds.items():
             monkeypatch.setattr(InterQNet, name, counted_property(name, seen))
         iq = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.2, derive_seed(1, 4, 200000, 0)))
         res = run_instance(iq, (50, 100, 150, 200), derive_seed(2), 0.2, 0)
         assert not any(v.skipped for v in res.volumes)
-        assert builds == {"_complement": [iq], "edge_arrays": [complement_inter_qnet(iq)]}
+        comp = complement_inter_qnet(iq)
+        assert builds == {"_complement": [iq], "edge_arrays": [comp], "adjacency_matrix": [comp]}
 
     def test_intra_domain_pairs_stay_absent(self):
         rnd = random.Random(22)
