@@ -223,9 +223,8 @@ class TestComplement:
         assert not any(a.flags.writeable for a in comp.edge_arrays)
         assert comp.adjacency_matrix is comp.adjacency_matrix
         assert not comp.adjacency_matrix.flags.writeable
-        assert comp.adjacency_matrix.tolist() == [
-            [comp.graph.has_edge(u, v) for v in range(8)] for u in range(8)
-        ]
+        n = comp.graph.vertex_count
+        assert comp.adjacency_matrix.tolist() == [[comp.graph.has_edge(u, v) for v in range(n)] for u in range(n)]
 
     @pytest.mark.parametrize(
         "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
