@@ -21,6 +21,7 @@ with an invertibility side condition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -146,7 +147,9 @@ def measure_pauli(
     b = _basis_row(t.n, q, basis)
     if forced_outcome is not None and forced_outcome not in (1, -1):
         raise ValueError(f"forced outcome must be +1 or -1, got {forced_outcome!r}")
-    anti = [i for i, r in enumerate(t.rows) if _anticommute(r, b)]
+    # A row anticommutes with X_q iff it has Z on q, and with Z_q iff X.
+    part = 1 if basis == "X" else 0
+    anti = [i for i, r in enumerate(t.rows) if r[part] >> q & 1]
     if anti:
         if forced_outcome is None:
             raise ValueError(f"{basis} on qubit {q} has a random outcome; pass forced_outcome")
@@ -190,29 +193,48 @@ def _qubit_mask(n: int, qubits: Iterable[int]) -> int:
 # -- graph form and local-Clifford equivalence --------------------------------
 
 
-def _symmetric(adj: Sequence[int]) -> bool:
-    """True iff the bit matrix with rows ``adj`` equals its transpose.
+@functools.cache
+def _transpose_stages(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each stage of the block transpose of a w×w bit
+    matrix, w a power of two, with entry (i, j) at bit i*w + j.
 
-    Rows are packed ``m`` bits apart.  Column j is gathered with one
-    multiply: ``packed >> j & ones`` holds entry (i, j) at bit i*m, and the
-    multiplier (m bits, m-1 places apart) moves a copy of that bit to
-    (m-1)**2 + i.  No two product terms land on the same place, so the
-    sum has no carries.
+    The stage for s = w/2, ..., 1 swaps entry (i, j) with (i + s, j - s)
+    wherever bit s is clear in i and set in j: ``mask`` holds the first of
+    each pair, and the second sits ``s * (w - 1)`` places above it.  The
+    stages swap disjoint bits of the row and column index, so together
+    they exchange the two indices (Warren, Hacker's Delight, §7-3).
+    """
+    stages = []
+    s = w >> 1
+    while s:
+        high_cols = sum(1 << j for j in range(w) if j & s)
+        stages.append((s * (w - 1), sum(high_cols << (i * w) for i in range(w) if not i & s)))
+        s >>= 1
+    return tuple(stages)
+
+
+def _symmetric(adj: Sequence[int]) -> bool:
+    """True iff the bit matrix with rows ``adj`` (masks over ``len(adj)``
+    columns) equals its transpose.
+
+    The rows are packed at the power-of-two stride w >= len(adj), zero
+    padded, and the block transpose of that w×w matrix takes log2(w)
+    whole-matrix stages ``t = (x ^ x >> s) & mask; x ^= t ^ t << s``
+    (see ``_transpose_stages``); then one comparison with the packed rows
+    decides.
     """
     m = len(adj)
     if m < 2:
         return True
+    w = 1 << (m - 1).bit_length()
     packed = 0
     for i, row in enumerate(adj):
-        packed |= row << (i * m)
-    ones = ((1 << m * m) - 1) // ((1 << m) - 1)
-    spread = ((1 << m * (m - 1)) - 1) // ((1 << (m - 1)) - 1)
-    shift = (m - 1) ** 2
-    full = (1 << m) - 1
-    for j, row in enumerate(adj):
-        if (packed >> j & ones) * spread >> shift & full != row:
-            return False
-    return True
+        packed |= row << (i * w)
+    x = packed
+    for shift, mask in _transpose_stages(w):
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    return x == packed
 
 
 def graph_form(t: StabilizerTableau) -> tuple[int, ...]:
@@ -354,9 +376,9 @@ def equal_up_to_local_clifford(
     if a.n != b.n:
         raise ValueError("tableaux must have the same qubit count")
     keep = sorted(set(range(a.n) if mask is None else mask))
-    if not keep:
-        return True
     keep_mask = _qubit_mask(a.n, keep)
+    # Both operands are reduced even when nothing is kept, so that a bad
+    # one raises whatever the mask; an empty keep set then passes below.
     ga, gb = graph_form(a), graph_form(b)
     # Single-qubit Cliffords keep the support of every Pauli, so they carry
     # the subgroup supported on the kept qubits onto that of the graph form.
