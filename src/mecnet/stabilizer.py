@@ -17,6 +17,13 @@ sign mismatch is a group character and is realized by single-qubit Pauli
 conjugations.  The span matching itself reduces, per connected component
 of the graph form, to a GF(2) linear system over per-qubit 2x2 blocks
 with an invertibility side condition.
+
+Only ``graph_state`` is capped, at ``ORACLE_MAX_QUBITS`` qubits;
+``measure_pauli`` and ``graph_form`` take tableaux of any width.  The
+measurement selects the rows that anticommute with X_q or Z_q by bit q of
+their Z or X part, and the graph form's symmetry test is one block
+transpose of the packed rows (Warren, Hacker's Delight, §7-3), in
+log2(width) whole-matrix steps.
 """
 
 from __future__ import annotations
@@ -219,9 +226,9 @@ def _symmetric(adj: Sequence[int]) -> bool:
 
     The rows are packed at the power-of-two stride w >= len(adj), zero
     padded, and the block transpose of that w×w matrix takes log2(w)
-    whole-matrix stages ``t = (x ^ x >> s) & mask; x ^= t ^ t << s``
-    (see ``_transpose_stages``); then one comparison with the packed rows
-    decides.
+    whole-matrix swap stages ``t = (x ^ x >> shift) & mask;
+    x ^= t ^ t << shift`` (see ``_transpose_stages``); then one comparison
+    with the packed rows decides.
     """
     m = len(adj)
     if m < 2:

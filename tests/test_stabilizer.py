@@ -323,6 +323,20 @@ def ref_deterministic_outcome(t, b):
     return 1 if acc[2] % 4 == 0 else -1
 
 
+def ref_measure_pauli(t, q, basis, forced):
+    """The measurement update, with the rows that anticommute with the
+    measured Pauli selected by the full symplectic product."""
+    b = (1 << q, 0, 0) if basis == "X" else (0, 1 << q, 0)
+    anti = [i for i, (x, z, _) in enumerate(t.rows) if ((x & b[1]).bit_count() + (z & b[0]).bit_count()) % 2]
+    if not anti:
+        return t, ref_deterministic_outcome(t, b)
+    rows = list(t.rows)
+    for i in anti[1:]:
+        rows[i] = _row_mul(rows[i], rows[anti[0]])
+    rows[anti[0]] = (b[0], b[1], 0 if forced == 1 else 2)
+    return StabilizerTableau(t.n, tuple(rows)), forced
+
+
 def ref_compress(mask_bits, positions):
     out = 0
     for i, p in enumerate(positions):
@@ -423,6 +437,24 @@ def ref_graph_form(t):
             if not zs[l] >> j & 1:
                 raise ValueError("graph adjacency must be symmetric")
     return tuple(zs)
+
+
+def ref_top_down_hadamards(t):
+    """``t`` after Hadamards on the columns outside the greedy basis of the
+    X block's columns taken from the top one down, which graph_form treats
+    as its non-pivots.  The X block is then invertible, so ref_graph_form
+    applies no Hadamard of its own, and the graph form is unique."""
+    basis, flip = [], 0
+    for c in reversed(range(t.n)):
+        col = sum((x >> c & 1) << i for i, (x, _, _) in enumerate(t.rows))
+        for b in basis:
+            col = min(col, col ^ b)
+        if col:
+            basis.append(col)
+            basis.sort(reverse=True)
+        else:
+            flip |= 1 << c
+    return StabilizerTableau(t.n, tuple((x & ~flip | z & flip, z & ~flip | x & flip, p) for x, z, p in t.rows))
 
 
 def ref_components(adj):
@@ -572,6 +604,11 @@ def graphs(draw, min_n=2, max_n=ORACLE_MAX_QUBITS):
     return Graph(n, [e for e in pairs if rnd.random() < p])
 
 
+def wide_graph_state(g):
+    """graph_state's rows X_i Z_{N(i)} without its qubit cap."""
+    return StabilizerTableau(g.vertex_count, tuple((1 << i, m, 0) for i, m in enumerate(g.adjacency)))
+
+
 @st.composite
 def x_identity_tableaux(draw):
     """Graph states with bare X slots of deleted vertices, Y in place of X
@@ -615,6 +652,24 @@ class TestBitsetInternalsAgainstReferences:
     def test_symmetric(self, adj):
         want = all(adj[i] >> j & 1 == adj[j] >> i & 1 for i in range(len(adj)) for j in range(len(adj)))
         assert _symmetric(adj) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 70), st.integers(0, 2**32 - 1), st.booleans())
+    def test_symmetric_at_any_width(self, width, seed, flip):
+        # symmetric matrices, some with one bit flipped, at widths past one
+        # machine word and on either side of the power-of-two strides that
+        # the block transpose pads to
+        rnd = random.Random(seed)
+        for m in (width, 16, 17, 32, 33, 63, 64, 65):
+            adj = [0] * m
+            for i, j in itertools.combinations(range(m), 2):
+                if rnd.random() < 0.5:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            if flip:
+                adj[rnd.randrange(m)] ^= 1 << rnd.randrange(m)
+            want = all(adj[i] >> j & 1 == adj[j] >> i & 1 for i in range(m) for j in range(m))
+            assert _symmetric(adj) == want
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(), st.data())
@@ -791,6 +846,55 @@ def _reference_unknown_order(vectors, m):
     return [v >> m & (lo | lo << m) | (v & lo) << 2 * m | v & lo << 3 * m for v in vectors]
 
 
+class TestMeasurePauliRowSelection:
+    @settings(max_examples=100, deadline=None)
+    @given(x_identity_tableaux(), st.data())
+    def test_matches_the_symplectic_product(self, t, data):
+        # Y entries, random signs and earlier X/Z measurements give rows
+        # with X and Z parts on the measured qubit; every qubit, both bases
+        # and both forced branches are compared with the reference
+        for v in data.draw(st.lists(st.integers(0, t.n - 1), max_size=3)):
+            basis = data.draw(st.sampled_from("XZ"))
+            t, _ = measure_pauli(t, v, basis, forced_outcome=data.draw(st.sampled_from((1, -1))))
+        for q in range(t.n):
+            for basis in "XZ":
+                for forced in (1, -1):
+                    assert measure_pauli(t, q, basis, forced_outcome=forced) == ref_measure_pauli(t, q, basis, forced)
+
+
+class TestGraphFormPastTheGraphStateCap:
+    """Only graph_state is capped at 16 qubits: graph-state rows built by
+    hand at 17 to 64 qubits go through measure_pauli and graph_form."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(min_n=ORACLE_MAX_QUBITS + 1, max_n=64), st.data())
+    def test_matches_reference_after_measurements(self, g, data):
+        # After a measurement the X block may be singular, and the two pick
+        # different Hadamard sets (different graphs of one local orbit), so
+        # the reference is given graph_form's set, found bit by bit.
+        t = wide_graph_state(g)
+        assert graph_form(t) == g.adjacency == ref_graph_form(t)
+        for v in data.draw(st.sets(st.integers(0, t.n - 1), min_size=1, max_size=3)):
+            basis = data.draw(st.sampled_from("XZ"))
+            t, _ = measure_pauli(t, v, basis, forced_outcome=data.draw(st.sampled_from((1, -1))))
+            assert graph_form(t) == ref_graph_form(ref_top_down_hadamards(t))
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(min_n=ORACLE_MAX_QUBITS + 1, max_n=64), st.data())
+    def test_one_flipped_z_bit_raises(self, g, data):
+        t = wide_graph_state(g)
+        i = data.draw(st.integers(0, t.n - 1))
+        j = data.draw(st.integers(0, t.n - 2))
+        j += j >= i
+        rows = list(t.rows)
+        x, z, p = rows[i]
+        rows[i] = (x, z ^ 1 << j, p)
+        bad = StabilizerTableau(t.n, tuple(rows))
+        for form in (graph_form, ref_graph_form):
+            with pytest.raises(ValueError, match="^graph adjacency must be symmetric$"):
+                form(bad)
+
+
 class TestGraphStateOperandsReadDirectly:
     """Each operand is reduced once, to its full-width graph form; its kept
     part is pure iff no edge of that form leaves the kept set."""
@@ -873,6 +977,18 @@ class TestBadInputFailsLoudly:
         # X0 Z1 and X1 anticommute, so no graph form exists
         with pytest.raises(ValueError, match="graph adjacency must be symmetric"):
             graph_form(StabilizerTableau(2, ((1, 2, 0), (2, 0, 0))))
+
+    def test_empty_mask_still_refuses_bad_operands(self):
+        # nothing kept is trivially equal, but only for valid operands
+        good = graph_state(Graph(2, [(0, 1)]))
+        for bad, message in (
+            (StabilizerTableau(2, ((1, 2, 0), (2, 0, 0))), "^graph adjacency must be symmetric$"),
+            (StabilizerTableau(2, ((1, 0, 0),)), "^expected 2 generators, got 1$"),
+        ):
+            for a, b in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError, match=message):
+                    equal_up_to_local_clifford(a, b, [])
+        assert equal_up_to_local_clifford(good, graph_state(Graph(2)), [])
 
     @pytest.mark.parametrize("rows", [((1, 0, 0),), ((1, 0, 0), (2, 0, 0), (1, 0, 0))], ids=["short", "long"])
     def test_wrong_generator_count_raises(self, rows):
