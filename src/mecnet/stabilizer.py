@@ -230,10 +230,7 @@ def _symmetric(adj: Sequence[int]) -> bool:
     x ^= t ^ t << shift`` (see ``_transpose_stages``); then one comparison
     with the packed rows decides.
     """
-    m = len(adj)
-    if m < 2:
-        return True
-    w = 1 << (m - 1).bit_length()
+    w = 1 << (len(adj) - 1).bit_length()
     packed = 0
     for i, row in enumerate(adj):
         packed |= row << (i * w)
