@@ -282,7 +282,12 @@ def graph_from_edgelist(text: str) -> Graph:
         raise ValueError(f"missing 'n=<vertex_count>' header{first}")
     (n,) = _int_fields(lines[0], lines[0][2:].split(), 1)
     edges = [_int_fields(ln, ln.split(), 2) for ln in lines[1:]]
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:
+        # Graph refuses a negative count or its first bad edge: name the line
+        bad = (ln for ln, (u, v) in zip(lines[1:], edges) if u == v or not (0 <= u < n and 0 <= v < n))
+        raise ValueError(f"malformed line: {lines[0] if n < 0 else next(bad)!r}: {exc}") from None
 
 
 def _int_fields(line: str, fields: Iterable[str], count: Optional[int] = None) -> tuple[int, ...]:

@@ -18,12 +18,11 @@ conjugations.  The span matching itself reduces, per connected component
 of the graph form, to a GF(2) linear system over per-qubit 2x2 blocks
 with an invertibility side condition.
 
-Only ``graph_state`` is capped, at ``ORACLE_MAX_QUBITS`` qubits;
-``measure_pauli`` and ``graph_form`` take tableaux of any width.  The
-measurement selects the rows that anticommute with X_q or Z_q by bit q of
-their Z or X part, and the graph form's symmetry test is one block
-transpose of the packed rows (Warren, Hacker's Delight, §7-3), in
-log2(width) whole-matrix steps.
+Every function takes any width: the one cost guard, ``_LC_SEARCH_CAP``,
+bounds the local-Clifford search, not the qubit count.  The measurement
+selects the rows that anticommute with X_q or Z_q by bit q of their Z or
+X part, and the graph form's symmetry test is one block transpose of the
+packed rows (Warren, Hacker's Delight, §7-3), in log2(width) steps.
 """
 
 from __future__ import annotations
@@ -35,15 +34,12 @@ from typing import Iterable, Optional, Sequence
 from .graph import Graph, bits, components
 
 __all__ = [
-    "ORACLE_MAX_QUBITS",
     "StabilizerTableau",
     "graph_state",
     "measure_pauli",
     "graph_form",
     "equal_up_to_local_clifford",
 ]
-
-ORACLE_MAX_QUBITS = 16
 
 Row = tuple[int, int, int]
 
@@ -121,10 +117,8 @@ def graph_state(g: Graph) -> StabilizerTableau:
 
     A deleted vertex is an isolated slot, so its qubit is in the |+> state
     (a bare X_i generator) and measured-out graphs stay comparable at full
-    width.
+    width.  Any vertex count is accepted.
     """
-    if g.vertex_count > ORACLE_MAX_QUBITS:
-        raise ValueError(f"oracle limit is {ORACLE_MAX_QUBITS} qubits")
     rows = tuple((1 << i, m, 0) for i, m in enumerate(g.adjacency))
     return StabilizerTableau(g.vertex_count, rows)
 
@@ -375,7 +369,8 @@ def equal_up_to_local_clifford(
     Qubits outside the mask must be disentangled from it in both states
     (they are discarded before comparison); otherwise False is returned.
     A mask qubit outside ``range(a.n)``, or an operand that
-    :func:`graph_form` refuses, raises ValueError.
+    :func:`graph_form` refuses, raises ValueError; a component whose
+    local-Clifford search exceeds ``_LC_SEARCH_CAP`` raises RuntimeError.
     """
     if a.n != b.n:
         raise ValueError("tableaux must have the same qubit count")

@@ -6,6 +6,7 @@ import itertools
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 
@@ -384,6 +385,20 @@ class TestSerialization:
     )
     def test_malformed_line_is_named(self, text, line):
         with pytest.raises(ValueError, match=f"^malformed line: '{line}'$"):
+            graph_from_edgelist(text)
+
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("n=3\n0 1\n0 0\n", "0 0", "self-loop at 0"),
+            ("n=3\n0 5\n", "0 5", "edge (0,5) outside 0..2"),
+            ("n=3\n1 2\n-1 1\n", "-1 1", "edge (-1,1) outside 0..2"),
+            ("n=-1\n0 1\n", "n=-1", "vertex_count must be non-negative"),
+        ],
+    )
+    def test_line_the_graph_refuses_is_named(self, text, line, reason):
+        # Graph's own message follows the line it refuses
+        with pytest.raises(ValueError, match="^" + re.escape(f"malformed line: '{line}': {reason}") + "$"):
             graph_from_edgelist(text)
 
     def test_header_must_come_first(self):

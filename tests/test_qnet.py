@@ -5,6 +5,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -397,6 +398,11 @@ class TestInstanceFiles:
     def test_qnet_id_below_one_is_named(self, bad):
         with pytest.raises(ValueError, match=f"^malformed line: '{bad}': QNet ids start at 1$"):
             instance_from_text(f"n=2\n0 1\n{bad}\nqnet 1: 1\n")
+
+    @pytest.mark.parametrize("bad, reason", [("0 0", "self-loop at 0"), ("0 5", "edge (0,5) outside 0..2")])
+    def test_edge_line_the_graph_refuses_is_named(self, bad, reason):
+        with pytest.raises(ValueError, match="^" + re.escape(f"malformed line: '{bad}': {reason}") + "$"):
+            instance_from_text(f"n=3\n{bad}\nqnet 1: 0\nqnet 2: 1,2\n")
 
     @pytest.mark.parametrize(
         "bad",

@@ -10,13 +10,15 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import connected_graphs
+from reference import EVAL_CONFIG, connected_graphs
 
 import mecnet
+from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes
 from mecnet.graph import Graph, bits
+from mecnet.netgen import GenConfig, generate_inter_qnet
+from mecnet.qnet import build_controlled, complement_inter_qnet
 from mecnet.stabilizer import (
     _LC_SEARCH_CAP,
-    ORACLE_MAX_QUBITS,
     StabilizerTableau,
     _gf2_rank,
     _kernel,
@@ -51,10 +53,6 @@ class TestGraphState:
         rnd = random.Random(10)
         for _ in range(100):
             graph_state(random_graph(rnd, rnd.randint(1, 10))).check()
-
-    def test_size_limit(self):
-        with pytest.raises(ValueError):
-            graph_state(Graph(ORACLE_MAX_QUBITS + 1))
 
 
 class TestMeasurePauli:
@@ -596,17 +594,12 @@ def gf2_systems(draw):
 
 
 @st.composite
-def graphs(draw, min_n=2, max_n=ORACLE_MAX_QUBITS):
+def graphs(draw, min_n=2, max_n=16):
     n = draw(st.integers(min_n, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     p = draw(st.sampled_from([0.15, 0.35, 0.6, 0.9]))
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
     return Graph(n, [e for e in pairs if rnd.random() < p])
-
-
-def wide_graph_state(g):
-    """graph_state's rows X_i Z_{N(i)} without its qubit cap."""
-    return StabilizerTableau(g.vertex_count, tuple((1 << i, m, 0) for i, m in enumerate(g.adjacency)))
 
 
 @st.composite
@@ -813,7 +806,7 @@ class TestBitsetInternalsAgainstReferences:
             flipped = Graph(k, set(h.edges()) ^ {(u, v)})
             if len(ref_components(flipped.adjacency)) == 1:
                 h = flipped
-        n = data.draw(st.integers(k + 2, ORACLE_MAX_QUBITS))
+        n = data.draw(st.integers(k + 2, 16))
         verts = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))
         rest = [q for q in range(n) if q not in verts]
         comp = sum(1 << v for v in verts)
@@ -863,16 +856,16 @@ class TestMeasurePauliRowSelection:
 
 
 class TestGraphFormPastTheGraphStateCap:
-    """Only graph_state is capped at 16 qubits: graph-state rows built by
-    hand at 17 to 64 qubits go through measure_pauli and graph_form."""
+    """graph_state, measure_pauli and graph_form take any width: graph
+    states of 17 to 64 qubits match the bit-by-bit reference."""
 
     @settings(max_examples=40, deadline=None)
-    @given(graphs(min_n=ORACLE_MAX_QUBITS + 1, max_n=64), st.data())
+    @given(graphs(min_n=17, max_n=64), st.data())
     def test_matches_reference_after_measurements(self, g, data):
         # After a measurement the X block may be singular, and the two pick
         # different Hadamard sets (different graphs of one local orbit), so
         # the reference is given graph_form's set, found bit by bit.
-        t = wide_graph_state(g)
+        t = graph_state(g)
         assert graph_form(t) == g.adjacency == ref_graph_form(t)
         for v in data.draw(st.sets(st.integers(0, t.n - 1), min_size=1, max_size=3)):
             basis = data.draw(st.sampled_from("XZ"))
@@ -880,9 +873,9 @@ class TestGraphFormPastTheGraphStateCap:
             assert graph_form(t) == ref_graph_form(ref_top_down_hadamards(t))
 
     @settings(max_examples=40, deadline=None)
-    @given(graphs(min_n=ORACLE_MAX_QUBITS + 1, max_n=64), st.data())
+    @given(graphs(min_n=17, max_n=64), st.data())
     def test_one_flipped_z_bit_raises(self, g, data):
-        t = wide_graph_state(g)
+        t = graph_state(g)
         i = data.draw(st.integers(0, t.n - 1))
         j = data.draw(st.integers(0, t.n - 2))
         j += j >= i
@@ -893,6 +886,52 @@ class TestGraphFormPastTheGraphStateCap:
         for form in (graph_form, ref_graph_form):
             with pytest.raises(ValueError, match="^graph adjacency must be symmetric$"):
                 form(bad)
+
+
+class TestTableauCheckAtEvaluationScale:
+    """The paper's rule at the scale of configs/eval.json (54 to 60 qubits):
+    X-measuring every control leaves the cross-domain complement on the data
+    qubits, up to single-qubit Cliffords."""
+
+    def test_every_eval_cell(self):
+        cfg = ExperimentConfig.from_json(EVAL_CONFIG)
+        rnd = random.Random(35)
+        for k, p, rep in itertools.product(cfg.qnet_counts, cfg.densities, range(2)):
+            seed = derive_seed(cfg.seed, k, int(p * 1_000_000), rep)
+            iq = generate_inter_qnet(GenConfig(k, even_sizes(cfg.nodes, k), p, seed))
+            cg = build_controlled(iq)
+            n, data = cg.graph.vertex_count, range(cg.data_count)
+            want = complement_inter_qnet(iq).graph.edges()
+            flipped = set(want) ^ {tuple(sorted(rnd.sample(data, 2)))}
+            start = graph_state(cg.graph)
+            for _ in range(2):
+                post = start
+                for c in cg.partition.control_nodes:
+                    post, _ = measure_pauli(post, c, "X", forced_outcome=rnd.choice((1, -1)))
+                assert equal_up_to_local_clifford(post, graph_state(Graph(n, want)), data)
+                assert not equal_up_to_local_clifford(post, graph_state(Graph(n, flipped)), data)
+
+
+class TestLcSearchGuard:
+    """The local-Clifford search is the oracle's one cost guard.  The star
+    S_n is the complete graph K_n after one local complementation at its
+    centre, and the system between the two has an (n + 1)-dimensional null
+    space, so 17 vertices stay under the cap and 20 exceed it."""
+
+    @staticmethod
+    def _complete_and_star(n):
+        complete = Graph(n, itertools.combinations(range(n), 2))
+        star = complete.local_complement(0)
+        assert star == Graph(n, [(0, v) for v in range(1, n)])
+        assert len(_kernel(_lc_columns(complete.adjacency, star.adjacency, (1 << n) - 1))) == n + 1
+        return graph_state(complete), graph_state(star)
+
+    def test_complete_graph_against_star_past_sixteen_qubits(self):
+        assert equal_up_to_local_clifford(*self._complete_and_star(17))
+
+    def test_search_past_the_cap_raises(self):
+        with pytest.raises(RuntimeError, match="^local-Clifford search space exceeds the oracle limit$"):
+            equal_up_to_local_clifford(*self._complete_and_star(20))
 
 
 class TestGraphStateOperandsReadDirectly:
