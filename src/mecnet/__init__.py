@@ -14,7 +14,6 @@ from .qnet import (
     QNetPartition,
     build_controlled,
     complement_inter_qnet,
-    extract_epr,
     mec_complementation,
     restore_original,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "QNetPartition",
     "build_controlled",
     "complement_inter_qnet",
-    "extract_epr",
     "mec_complementation",
     "restore_original",
     "dynamic_parallel_pairs",

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, MeasurementRecord, bits, graph_from_edgelist, graph_to_edgelist
+from .graph import Graph, MeasurementRecord, graph_from_edgelist, graph_to_edgelist
 from .graph import _int_fields, masks_to_matrix
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "complement_inter_qnet",
     "mec_complementation",
     "restore_original",
-    "extract_epr",
     "instance_to_text",
     "instance_from_text",
 ]
@@ -221,45 +219,6 @@ def restore_original(cg: ControlledInterQNet) -> InterQNet:
     """Z-measure every control node, recovering the original network."""
     g = cg.graph.keep((1 << cg.data_count) - 1)
     return InterQNet(g.restrict(cg.data_count), cg.partition)
-
-
-def extract_epr(
-    iq: InterQNet,
-    group: Iterable[tuple[int, int]],
-) -> tuple[Graph, list[MeasurementRecord]]:
-    """Z-measure every vertex that is not an endpoint of ``group``.
-
-    The result is the subgraph induced on the endpoints, which holds every
-    requested edge.  It is exactly the |group| disjoint edges iff the
-    endpoints are pairwise distinct and no other edge joins them, which is
-    pairwise compatibility; otherwise ParallelPairViolation is raised,
-    carrying the extra edges.  Returns the graph and one Z record per
-    measured vertex, ascending.
-
-    This is the reference extraction for tests and demos; the pipeline
-    checks its rounds with the scheduler's check on the complement
-    instead.
-    """
-    from .pairs import ParallelPairViolation
-
-    g = iq.graph
-    wanted = {(min(u, v), max(u, v)) for u, v in group}
-    endpoints = 0
-    for u, v in wanted:
-        if not g.has_edge(u, v):
-            raise ValueError(f"({u},{v}) is not an edge of the network")
-        endpoints |= (1 << u) | (1 << v)
-    if endpoints.bit_count() != 2 * len(wanted):
-        raise ParallelPairViolation("requested pairs share an endpoint")
-    kept = g.keep(endpoints)
-    extra = set(kept.edges()) - wanted
-    if extra:
-        raise ParallelPairViolation(
-            "post-measurement graph is not the requested matching",
-            extra_edges=tuple(sorted(extra)),
-        )
-    others = ((1 << g.vertex_count) - 1) & ~endpoints
-    return kept, [MeasurementRecord(v, "Z") for v in bits(others)]
 
 
 # -- instance files ----------------------------------------------------------

@@ -28,12 +28,7 @@ from mecnet.metrics import TimingParams, arqf_cqr, arqf_mec, cqr_cycles, mec_cyc
 from mecnet.netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
 from mecnet.openflights import build_real_instance, parse_openflights
 from mecnet.pairs import dynamic_parallel_pairs, min_partition_oracle
-from mecnet.qnet import (
-    build_controlled,
-    complement_inter_qnet,
-    extract_epr,
-    mec_complementation,
-)
+from mecnet.qnet import build_controlled, complement_inter_qnet, mec_complementation
 from mecnet.stabilizer import equal_up_to_local_clifford, graph_state, measure_pauli
 from mecnet.timeline import simulate_mec_long_run, walk_cqr_window, walk_mec_window
 
@@ -75,8 +70,10 @@ def sweep():
                     table = dynamic_parallel_pairs(cg, rs)
                     extractions = 0
                     for group in table.groups:
-                        g, _ = extract_epr(measured, group)
-                        assert sorted(g.edges()) == sorted(group)
+                        # the Z rule: measuring every other vertex keeps the
+                        # subgraph induced on the round's endpoints
+                        ends = sum((1 << u) | (1 << v) for u, v in group)
+                        assert measured.graph.keep(ends).edges() == sorted(group)
                         extractions += 1
                     paths, chi = cqr_batch(cg, rs.requests)
                     rows.append(

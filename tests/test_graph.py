@@ -76,10 +76,6 @@ class TestDeleteVertex:
         assert g.edges() == [(1, 2)]
         assert g.vertex_count == 3 and g.adjacency[0] == 0
 
-    def test_isolated_removal_keeps_edges(self):
-        g, _ = Graph(3, [(0, 1)]).measure_z(2)
-        assert g.edges() == [(0, 1)]
-
     def test_k4_minus_vertex_is_k3(self):
         k4 = Graph(4, [e for e in itertools.combinations(range(4), 2)])
         assert k4.measure_z(3)[0].edges() == [(0, 1), (0, 2), (1, 2)]

@@ -1,5 +1,5 @@
 """Controlled networks: construction, complementation, restoration,
-EPR extraction, instance files."""
+instance files."""
 
 import copy
 import itertools
@@ -15,16 +15,14 @@ from hypothesis import strategies as st
 from reference import complement_edges, edge_list_controlled, random_network
 
 from mecnet.experiments import derive_seed, even_sizes, run_instance
-from mecnet.graph import Graph, MeasurementRecord
+from mecnet.graph import Graph
 from mecnet.netgen import GenConfig, generate_inter_qnet
-from mecnet.pairs import ParallelPairViolation, compatible
 from mecnet.qnet import (
     ControlledInterQNet,
     InterQNet,
     QNetPartition,
     build_controlled,
     complement_inter_qnet,
-    extract_epr,
     instance_from_text,
     instance_to_text,
     mec_complementation,
@@ -301,68 +299,6 @@ class TestRestore:
     def test_fig_four_roundtrip(self):
         iq = random_network(4, [3, 2, 2, 2], 0.6, random.Random(26))
         assert restore_original(build_controlled(iq)).graph == iq.graph
-
-
-class TestExtractEpr:
-    def test_single_edge(self):
-        comp = complement_inter_qnet(butterfly())
-        g, recs = extract_epr(comp, [(0, 2)])
-        assert g.edges() == [(0, 2)]
-        # one Z record per non-endpoint, ascending
-        assert recs == [MeasurementRecord(v, "Z") for v in range(g.vertex_count) if v not in (0, 2)]
-
-    def test_two_compatible_edges(self):
-        comp = complement_inter_qnet(butterfly())
-        g, recs = extract_epr(comp, [(0, 2), (1, 3)])
-        assert sorted(g.edges()) == [(0, 2), (1, 3)]
-        assert recs == []  # all four vertices are endpoints
-
-    def test_neighborhood_violation_leaves_residue(self):
-        # path a-b-c-d: measuring nothing still leaves the b-c link between
-        # the two requested pairs, showing why the exclusion rule exists
-        iq = InterQNet(
-            Graph(4, [(0, 1), (1, 2), (2, 3)]),
-            QNetPartition(2, (1, 2, 1, 2)),
-        )
-        with pytest.raises(ParallelPairViolation) as err:
-            extract_epr(iq, [(0, 1), (2, 3)])
-        assert err.value.extra_edges == ((1, 2),)
-
-    def test_shared_endpoint_rejected(self):
-        # two requests meeting at vertex 1 would leave the 3-vertex path,
-        # which is not two EPR pairs
-        iq = InterQNet(Graph(3, [(0, 1), (1, 2)]), QNetPartition(2, (1, 2, 1)))
-        assert not compatible(iq.graph, (0, 1), (1, 2))
-        with pytest.raises(ParallelPairViolation, match="share an endpoint"):
-            extract_epr(iq, [(0, 1), (1, 2)])
-
-    def test_agrees_with_pairable_check_randomized(self):
-        rnd = random.Random(29)
-        for _ in range(200):
-            k = rnd.choice([2, 3, 4])
-            iq = random_network(k, [rnd.randint(1, 4) for _ in range(k)], 0.5, rnd)
-            edges = iq.graph.edges()
-            if not edges:
-                continue
-            group = rnd.sample(edges, k=min(len(edges), rnd.randint(1, 3)))
-            pairable = all(compatible(iq.graph, e, f) for e, f in itertools.combinations(group, 2))
-            try:
-                g, recs = extract_epr(iq, group)
-            except ParallelPairViolation:
-                assert not pairable
-                continue
-            assert pairable
-            want = iq.graph
-            for v in range(want.vertex_count):
-                if not any(v in e for e in group):
-                    want, _ = want.measure_z(v)
-            assert g == want
-            measured = [v for v in range(g.vertex_count) if not any(v in e for e in group)]
-            assert [(r.vertex, r.basis) for r in recs] == [(v, "Z") for v in measured]
-
-    def test_non_edge_rejected(self):
-        with pytest.raises(ValueError):
-            extract_epr(butterfly(), [(0, 2)])
 
 
 class TestInstanceFiles:

@@ -122,6 +122,54 @@ def test_unseeded_randomness_rule_flags_each_form():
     ]
 
 
+def function_level_imports(module):
+    """(line, name) of each name imported inside a function body, nested
+    functions and methods included, in line order."""
+    found = set()
+    for func in ast.walk(module):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    found.update((node.lineno, a.name) for a in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    module = "." * node.level + (node.module or "")
+                    found.update((node.lineno, f"{module}:{a.name}") for a in node.names)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    # an import inside a function hides a module's dependencies, and with
+    # them any import cycle
+    found = function_level_imports(parse(path))
+    assert not found, f"{path.name}: imports inside a function {found}"
+
+
+def test_function_level_import_rule_flags_each_form():
+    source = "\n".join([
+        "import os",
+        "def f():",
+        "    import json",
+        "    from .pairs import ParallelPairViolation",
+        "class C:",
+        "    def m(self):",
+        "        def inner():",
+        "            from numpy import random as r",
+        "            from . import graph",
+        "async def g():",
+        "    import a.b, c",
+        "if os: import sys",
+    ])
+    assert function_level_imports(ast.parse(source)) == [
+        (3, "json"),
+        (4, ".pairs:ParallelPairViolation"),
+        (8, "numpy:random"),
+        (9, ".:graph"),
+        (11, "a.b"),
+        (11, "c"),
+    ]
+
+
 def exported_names(module):
     return [
         name

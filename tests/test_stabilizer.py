@@ -10,12 +10,13 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import EVAL_CONFIG, connected_graphs
+from reference import EVAL_CONFIG, connected_graphs, random_network
 
 import mecnet
 from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes
 from mecnet.graph import Graph, bits
-from mecnet.netgen import GenConfig, generate_inter_qnet
+from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
+from mecnet.pairs import compatible, dynamic_parallel_pairs
 from mecnet.qnet import build_controlled, complement_inter_qnet
 from mecnet.stabilizer import (
     _LC_SEARCH_CAP,
@@ -910,6 +911,88 @@ class TestTableauCheckAtEvaluationScale:
                     post, _ = measure_pauli(post, c, "X", forced_outcome=rnd.choice((1, -1)))
                 assert equal_up_to_local_clifford(post, graph_state(Graph(n, want)), data)
                 assert not equal_up_to_local_clifford(post, graph_state(Graph(n, flipped)), data)
+
+
+def endpoint_mask(pairs):
+    return sum((1 << u) | (1 << v) for u, v in pairs)
+
+
+def extracts(t, data, group, rnd):
+    """Whether Z-measuring every qubit of ``data`` outside the endpoints of
+    ``group``, each in a seeded forced branch, leaves one Bell pair per
+    request on the endpoints, up to single-qubit Cliffords.  Requests that
+    share an endpoint hold fewer than two qubits per pair and never do."""
+    ends = endpoint_mask(group)
+    if ends.bit_count() != 2 * len(group):
+        return False
+    for v in data:
+        if not ends >> v & 1:
+            t, _ = measure_pauli(t, v, "Z", forced_outcome=rnd.choice((1, -1)))
+    return equal_up_to_local_clifford(t, graph_state(Graph(t.n, group)), bits(ends))
+
+
+class TestRoundsOnTheTableau:
+    """Parallel EPR extraction: after the controls are X-measured, Z-measuring
+    every other data qubit leaves a round's requests as disjoint Bell pairs
+    iff the round is pairwise compatible."""
+
+    def test_served_rounds_on_every_eval_cell(self):
+        # The volume-50 batch that `mecnet run` serves, on two networks per
+        # configs/eval.json cell (156 rounds of two or more requests).  Each
+        # round's negative swaps one member for a complement edge that avoids
+        # every endpoint of the round but conflicts with the rest of it.
+        cfg = ExperimentConfig.from_json(EVAL_CONFIG)
+        rnd = random.Random(36)
+        rounds = 0
+        for k, p, rep in itertools.product(cfg.qnet_counts, cfg.densities, range(2)):
+            cell = (cfg.seed, k, int(p * 1_000_000), rep)
+            iq = generate_inter_qnet(GenConfig(k, even_sizes(cfg.nodes, k), p, derive_seed(*cell)))
+            cg = build_controlled(iq)
+            batch = sample_requests(iq, cfg.request_volumes[0], derive_seed(derive_seed(*cell, 17), 0))
+            comp = complement_inter_qnet(iq).graph
+            pool = comp.edges()
+            post = graph_state(cg.graph)
+            for c in cg.partition.control_nodes:
+                post, _ = measure_pauli(post, c, "X", forced_outcome=rnd.choice((1, -1)))
+            data = range(cg.data_count)
+            for group in dynamic_parallel_pairs(cg, batch).groups:
+                if len(group) < 2:
+                    continue
+                assert extracts(post, data, group, rnd), (k, p, rep, sorted(group))
+                rest = sorted(group)
+                rest.pop(rnd.randrange(len(rest)))
+                ends = endpoint_mask(group)
+                reach = 0
+                for v in bits(endpoint_mask(rest)):
+                    reach |= comp.neighbor_mask(v)
+                swaps = [f for f in pool if endpoint_mask([f]) & reach and not endpoint_mask([f]) & ends]
+                negative = [*rest, rnd.choice(swaps)]
+                assert not all(compatible(comp, e, f) for e, f in itertools.combinations(negative, 2))
+                assert not extracts(post, data, negative, rnd), (k, p, rep, negative)
+                rounds += 1
+        assert rounds > 100
+
+    def test_extracts_iff_pairwise_compatible_randomized(self):
+        rnd = random.Random(29)
+        seen = set()
+        for _ in range(200):
+            k = rnd.choice([2, 3, 4])
+            g = random_network(k, [rnd.randint(1, 4) for _ in range(k)], 0.5, rnd).graph
+            edges = g.edges()
+            if not edges:
+                continue
+            group = rnd.sample(edges, k=min(len(edges), rnd.randint(1, 3)))
+            pairable = all(compatible(g, e, f) for e, f in itertools.combinations(group, 2))
+            assert extracts(graph_state(g), range(g.vertex_count), group, rnd) == pairable
+            seen.add(pairable)
+        assert seen == {True, False}
+
+    def test_path_leaves_a_residue_link(self):
+        # path a-b-c-d: every qubit is an endpoint, so nothing is measured,
+        # and the b-c link keeps the two requested pairs entangled
+        path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert not compatible(path, (0, 1), (2, 3))
+        assert not equal_up_to_local_clifford(graph_state(path), graph_state(Graph(4, [(0, 1), (2, 3)])))
 
 
 class TestLcSearchGuard:
