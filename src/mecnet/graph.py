@@ -239,23 +239,6 @@ class Graph:
                 raise ValueError(f"edge from dropped vertex {u} crosses the cut")
         return Graph._from_parts(count, self._adj[:count])
 
-    # -- integrity ---------------------------------------------------------
-
-    def check(self) -> None:
-        """Validate structural invariants; raises AssertionError on breakage.
-
-        The checks raise explicitly, so ``python -O`` keeps them.
-        """
-        full = (1 << self.vertex_count) - 1
-        for v, a in enumerate(self._adj):
-            if a & ~full:
-                raise AssertionError(f"out-of-range bits at {v}")
-            if a >> v & 1:
-                raise AssertionError(f"self-loop at {v}")
-            for u in bits(a):
-                if not self._adj[u] >> v & 1:
-                    raise AssertionError(f"asymmetric edge ({v},{u})")
-
 
 # -- serialization ----------------------------------------------------------
 

@@ -9,6 +9,9 @@ bitmasks and ``phase`` mod 4, under the convention
 applied qubit-wise.  A generator is Hermitian with sign +1 when
 ``phase == popcount(x & z) (mod 4)`` and sign -1 when they differ by 2.
 
+A tableau is checked only by ``graph_form``, which refuses any that is
+not a stabilizer state, signs aside.
+
 The equivalence check ``equal_up_to_local_clifford`` decides whether two
 states are related by a tensor product of single-qubit Cliffords on a set
 of surviving qubits.  Sign patterns never matter for that question: once
@@ -52,41 +55,16 @@ def _row_mul(r1: Row, r2: Row) -> Row:
     return (x1 ^ x2, z1 ^ z2, phase)
 
 
-def _anticommute(r1: Row, r2: Row) -> bool:
-    x1, z1, _ = r1
-    x2, z2, _ = r2
-    return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 1
-
-
-def _row_sign(row: Row) -> int:
-    x, z, p = row
-    y = (x & z).bit_count()
-    if (p - y) % 2:
-        raise ValueError("non-Hermitian Pauli row")
-    return 1 if (p - y) % 4 == 0 else -1
-
-
 @dataclass(frozen=True)
 class StabilizerTableau:
-    """n mutually commuting, independent signed Pauli generators."""
+    """n mutually commuting, independent signed Pauli generators.
+
+    The constructor checks nothing: :func:`graph_form` refuses any tableau
+    that is not a stabilizer state, signs aside.
+    """
 
     n: int
     rows: tuple[Row, ...]
-
-    def check(self) -> None:
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} generators, got {len(self.rows)}")
-        full = (1 << self.n) - 1
-        for i, r in enumerate(self.rows):
-            if r[0] & ~full or r[1] & ~full:
-                raise ValueError(f"generator {i} acts outside {self.n} qubits")
-            _row_sign(r)
-            for r2 in self.rows[i + 1 :]:
-                if _anticommute(r, r2):
-                    raise ValueError("generators must commute")
-        vecs = [(x << self.n) | z for x, z, _ in self.rows]
-        if _gf2_rank(vecs) != self.n:
-            raise ValueError("generators must be independent")
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -106,10 +84,6 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
                 break
             row ^= prow
     return pivots
-
-
-def _gf2_rank(vectors: Iterable[int]) -> int:
-    return len(_echelon(vectors))
 
 
 def graph_state(g: Graph) -> StabilizerTableau:
@@ -238,8 +212,11 @@ def _symmetric(adj: Sequence[int]) -> bool:
 def graph_form(t: StabilizerTableau) -> tuple[int, ...]:
     """Adjacency masks of a graph state locally Clifford-equivalent to ``t``.
 
-    Signs are irrelevant here and are dropped.  A tableau without ``t.n``
-    generators, or with no graph form, raises ValueError.
+    Signs are irrelevant here and are dropped.  ValueError is raised on
+    each of the four ways a tableau fails to be a stabilizer state: a
+    count other than ``t.n`` generators, a generator with a bit outside
+    ``t.n`` qubits, dependent generators (no graph form) and generators
+    that do not commute (an asymmetric adjacency, or no graph form).
     """
     m = t.n
     if len(t.rows) != m:

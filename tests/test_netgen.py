@@ -93,7 +93,7 @@ class TestSameGraphsAsEdgeLists:
     def check(self, cfg):
         got = generate_inter_qnet(cfg)
         assert got == edge_list_generate(cfg)
-        got.graph.check()
+        assert Graph(got.graph.vertex_count, got.graph.edges()) == got.graph
 
     @pytest.mark.parametrize("k", [4, 6, 8, 10])
     @pytest.mark.parametrize("p", [0.2, 0.8])

@@ -581,7 +581,7 @@ class TestDynamicParallelPairs:
             table = dynamic_parallel_pairs(cg, picks)
             assert (table.rho == 1) == brute_force_pairable(comp.graph, picks)
 
-    def test_policies_deterministic(self):
+    def test_schedule_is_deterministic(self):
         iq, cg = self._instance(7)
         comp = complement_inter_qnet(iq)
         picks = comp.graph.edges()[:6]

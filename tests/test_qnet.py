@@ -269,7 +269,7 @@ class TestMecComplementation:
         assert [r.vertex for r in records] == list(cg.partition.control_nodes)
         assert all(r.basis == "X" for r in records)
 
-    def test_k0_policy_records_special_neighbor(self):
+    def test_special_neighbor_is_the_lowest_vertex_of_qnet_1(self):
         cg = build_controlled(butterfly())
         _, records = mec_complementation(cg)
         assert all(r.special_neighbor == 0 for r in records)

@@ -253,18 +253,6 @@ def test_allowlist_holds_only_exports():
     assert not stale, f"stale allowlist entries: {sorted(stale)}"
 
 
-# Public methods and properties that no library code, demo or benchmark
-# names, each with the reason it stays public.
-UNUSED_METHODS_ALLOWED = {
-    "graph.py": {
-        "Graph.check": "the structural invariant check the tests run on every rule's output",
-    },
-    "stabilizer.py": {
-        "StabilizerTableau.check": "the generator invariant check the oracle tests run on each tableau",
-    },
-}
-
-
 def public_methods(module):
     """(class, name, line) of each public method and property of a
     top-level class; dunder and underscore names are exempt."""
@@ -305,30 +293,8 @@ def method_users():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_public_methods_are_used(path):
-    used = method_users()
-    allowed = UNUSED_METHODS_ALLOWED.get(path.name, {})
-    unused = [
-        f"{cls}.{name} (line {line})"
-        for cls, name, line in unused_methods(parse(path), used)
-        if f"{cls}.{name}" not in allowed
-    ]
+    unused = [f"{cls}.{name} (line {line})" for cls, name, line in unused_methods(parse(path), method_users())]
     assert not unused, f"{path.name}: public methods {unused} are named by no library code"
-
-
-def test_method_allowlist_holds_only_methods():
-    # an entry goes once it is no longer a public method, or once a user names it
-    methods = {
-        path.name: {f"{cls}.{name}" for cls, name, _ in public_methods(parse(path))}
-        for path in MODULES
-    }
-    stale = []
-    for module, names in UNUSED_METHODS_ALLOWED.items():
-        for name in names:
-            if name not in methods.get(module, set()):
-                stale.append(f"{module}:{name} is not a public method")
-            elif name.split(".")[1] in method_users():
-                stale.append(f"{module}:{name} is used")
-    assert not stale, f"stale allowlist entries: {sorted(stale)}"
 
 
 def test_method_rule_flags_each_form():

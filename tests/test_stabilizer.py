@@ -21,7 +21,6 @@ from mecnet.qnet import build_controlled, complement_inter_qnet
 from mecnet.stabilizer import (
     _LC_SEARCH_CAP,
     StabilizerTableau,
-    _gf2_rank,
     _kernel,
     _lc_columns,
     _row_mul,
@@ -35,6 +34,13 @@ from mecnet.stabilizer import (
 
 def random_graph(rnd, n, p=0.5):
     return Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < p])
+
+
+def state_form(t):
+    """The graph form of ``t``, which graph_form gives only for a
+    stabilizer state, signs aside; each row must also be Hermitian."""
+    assert all((p - (x & z).bit_count()) % 2 == 0 for x, z, p in t.rows)
+    return graph_form(t)
 
 
 class TestGraphState:
@@ -53,7 +59,8 @@ class TestGraphState:
     def test_invariants_random(self):
         rnd = random.Random(10)
         for _ in range(100):
-            graph_state(random_graph(rnd, rnd.randint(1, 10))).check()
+            g = random_graph(rnd, rnd.randint(1, 10))
+            assert state_form(graph_state(g)) == g.adjacency
 
 
 class TestMeasurePauli:
@@ -69,7 +76,7 @@ class TestMeasurePauli:
         for forced in (1, -1):
             post, outcome = measure_pauli(t, 0, "Z", forced_outcome=forced)
             assert outcome == forced
-            post.check()
+            state_form(post)
             survivor = ref_restrict_to(post, [1])
             assert survivor.rows == ((1, 0, 0 if forced == 1 else 2),)
 
@@ -118,39 +125,6 @@ class TestMeasurePauli:
             post, out1 = measure_pauli(t, q, "Z", forced_outcome=1)
             again, out2 = measure_pauli(post, q, "Z")
             assert out2 == out1 and again == post
-
-
-class TestTableauCheck:
-    @pytest.mark.parametrize(
-        "n, rows, message",
-        [
-            (2, ((1, 0, 0),), "expected 2 generators, got 1"),
-            (1, ((2, 0, 0),), "generator 0 acts outside 1 qubits"),
-            (1, ((1, 0, 0), (0, 1, 0)), "expected 1 generators, got 2"),
-            (2, ((1, 0, 0), (1, 0, 0)), "generators must be independent"),
-            (2, ((1, 0, 0), (0, 1, 0)), "generators must commute"),
-        ],
-    )
-    def test_invalid_tableau_raises_value_error(self, n, rows, message):
-        with pytest.raises(ValueError, match=message):
-            StabilizerTableau(n, rows).check()
-
-    def test_check_raises_under_optimize(self):
-        script = "\n".join([
-            "from mecnet.stabilizer import StabilizerTableau",
-            "print('debug', __debug__)",
-            "try:",
-            "    StabilizerTableau(2, ((1, 0, 0), (0, 1, 0))).check()  # X0 and Z0",
-            "except ValueError as exc:",
-            "    print('raised', exc)",
-        ])
-        src = os.path.dirname(os.path.dirname(mecnet.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["debug False", "raised generators must commute"]
 
 
 class TestRestrict:
@@ -286,17 +260,6 @@ class TestMeasurementRulesAgainstOracle:
 # The earlier implementation of the GF(2) bookkeeping, written one bit at a
 # time.  The bitset internals above must agree with it: same null spaces,
 # same gathered bits, same equivalence verdicts.
-
-
-def ref_gf2_rank(vectors):
-    basis = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
 
 
 def ref_deterministic_outcome(t, b):
@@ -617,7 +580,7 @@ def x_identity_tableaux(draw):
             z, p = z | 1 << i, 1
         rows.append((x, z, (p + draw(st.sampled_from((0, 2)))) % 4))
     t = StabilizerTableau(n, tuple(rows))
-    t.check()
+    state_form(t)
     return t
 
 
@@ -635,11 +598,6 @@ class TestBitsetInternalsAgainstReferences:
         assert _span(got) == _span(want)
         for v in got:
             assert v and all((row & v).bit_count() % 2 == 0 for row in rows)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(0, 2**64 - 1), max_size=30))
-    def test_gf2_rank(self, vectors):
-        assert _gf2_rank(vectors) == ref_gf2_rank(vectors)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda m: st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m)))
@@ -856,7 +814,7 @@ class TestMeasurePauliRowSelection:
                     assert measure_pauli(t, q, basis, forced_outcome=forced) == ref_measure_pauli(t, q, basis, forced)
 
 
-class TestGraphFormPastTheGraphStateCap:
+class TestGraphFormAtAnyWidth:
     """graph_state, measure_pauli and graph_form take any width: graph
     states of 17 to 64 qubits match the bit-by-bit reference."""
 
@@ -1106,7 +1064,11 @@ class TestBadInputFailsLoudly:
         for bad, message in (
             (StabilizerTableau(2, ((1, 2, 0), (2, 0, 0))), "^graph adjacency must be symmetric$"),
             (StabilizerTableau(2, ((1, 0, 0),)), "^expected 2 generators, got 1$"),
+            (StabilizerTableau(2, ((1, 0, 0), (1, 0, 0))), "^valid tableau must admit a graph form$"),  # dependent
+            (StabilizerTableau(2, ((1, 0, 0), (0, 1, 0))), "^valid tableau must admit a graph form$"),  # X0, Z0
         ):
+            with pytest.raises(ValueError, match=message):
+                graph_form(bad)
             for a, b in ((bad, good), (good, bad)):
                 with pytest.raises(ValueError, match=message):
                     equal_up_to_local_clifford(a, b, [])
@@ -1152,6 +1114,7 @@ class TestBadInputFailsLoudly:
             "print('debug', __debug__)",
             "for call in (lambda: equal_up_to_local_clifford(t, t, [0, 5]),",
             "             lambda: graph_form(StabilizerTableau(2, ((1, 0, 0), (4, 0, 0)))),",
+            "             lambda: graph_form(StabilizerTableau(2, ((1, 0, 0), (0, 1, 0)))),",
             "             lambda: measure_pauli(t, 0, 'Z', forced_outcome=0)):",
             "    try:",
             "        call()",
@@ -1168,5 +1131,6 @@ class TestBadInputFailsLoudly:
             "debug False",
             "raised invalid qubit 5",
             "raised generator 1 acts outside 2 qubits",
+            "raised valid tableau must admit a graph form",
             "raised forced outcome must be +1 or -1, got 0",
         ]
