@@ -496,6 +496,44 @@ class TestVerifyCommand:
         assert sum(n > 5 for n in sizes) > len(sizes) // 2
 
 
+INGEST_FILES = ("real_instance.txt", "real_instance.meta.jsonl")
+
+# sha256 of each ingest output, in INGEST_FILES order, for four argument
+# sets over the vendored fixture: no filter, a two-country filter, a
+# subsample of every country, and a subsample of nine EU countries
+INGEST_DIGESTS = {
+    "all": (
+        (),
+        (
+            "a6a21987513942ceacffd8b98db037c84332ff540304df0f7b8824c18f4e39b2",
+            "f54354112b86c87376d969169bb53d29d701b597016ee69c64b2a045b7db4aeb",
+        ),
+    ),
+    "france_germany": (
+        ("--countries", "France", "Germany"),
+        (
+            "3b07325a6c80f9391619ec1861bf68465c2830783335631bc8917434401e1af8",
+            "4295728209a95bd80a3303261193b6049aea1bc176ef73d10fa9df3ddb3b746a",
+        ),
+    ),
+    "sample_20_seed_5": (
+        ("--sample", "20", "--seed", "5"),
+        (
+            "c19c957f91da291ac8b110f109a7fd4a1ee21c1f4fdfdfad04cdee174ce7565c",
+            "21d18acda0cab98f47a4589612ae7c6cab62adb23efb6421d88f2c6d52f4bbad",
+        ),
+    ),
+    "eu9_sample_12_seed_3": (
+        ("--countries", "France", "Germany", "Spain", "Italy", "Netherlands", "Austria",
+         "Portugal", "Poland", "Ireland", "--sample", "12", "--seed", "3"),
+        (
+            "8ff43355f7f8aebf7293e9b4c3a6e90884aaa42a71faefb98c59fc32d2783383",
+            "bcbe97bfd6a2055972319d9f2cdb1e74473ffd8f0e3b2569a84383866a845999",
+        ),
+    ),
+}
+
+
 class TestIngestCommand:
     def test_fixture_ingest(self, tmp_path, capsys):
         rc = cli.main(
@@ -576,6 +614,15 @@ class TestIngestCommand:
         assert rc == cli.EXIT_USAGE
         assert "usage error: MECNET_OUT is set but empty" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("name", sorted(INGEST_DIGESTS))
+    def test_ingest_bytes_are_pinned(self, tmp_path, name):
+        args, digests = INGEST_DIGESTS[name]
+        fixture = ["--airports", os.path.join(FIXTURES, "airports.dat"),
+                   "--routes", os.path.join(FIXTURES, "routes.dat")]
+        assert cli.main(["ingest", *fixture, *args, "--out", str(tmp_path)]) == cli.EXIT_OK
+        got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in INGEST_FILES)
+        assert dict(zip(INGEST_FILES, got)) == dict(zip(INGEST_FILES, digests))
 
 
 REPORT_FILES = (
