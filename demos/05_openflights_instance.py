@@ -19,7 +19,7 @@ parsed = parse_openflights(
     os.path.join(fixtures, "airports.dat"), os.path.join(fixtures, "routes.dat")
 )
 print(
-    f"parsed {len(parsed.records)} international records "
+    f"parsed {len(parsed.links)} international links "
     f"({parsed.intra_country_dropped} domestic dropped, "
     f"{parsed.join_failures} unresolved airports)"
 )

@@ -111,14 +111,6 @@ def cmd_ingest(args) -> int:
     inst = os.path.join(out_dir, "real_instance.txt")
     with open(inst, "w", encoding="utf-8") as fh:
         fh.write(instance_to_text(iq))
-    meta["parse"] = {
-        "records": len(parsed.records),
-        "airports": parsed.airport_count,
-        "malformed_airport_rows": parsed.malformed_airport_rows,
-        "malformed_route_rows": parsed.malformed_route_rows,
-        "join_failures": parsed.join_failures,
-        "intra_country_dropped": parsed.intra_country_dropped,
-    }
     with open(os.path.join(out_dir, "real_instance.meta.jsonl"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
     print(

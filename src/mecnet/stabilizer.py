@@ -247,7 +247,7 @@ def graph_form(t: StabilizerTableau) -> tuple[int, ...]:
     for c in range(m):
         row = pivots.get(m + c)
         if row is None:
-            raise ValueError("valid tableau must admit a graph form")
+            raise ValueError("generators are dependent or do not commute")
         x = row >> m ^ 1 << c
         z = row & full
         while x:

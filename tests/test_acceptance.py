@@ -395,10 +395,10 @@ def test_criterion_11_real_data_pipeline():
             full = parse_openflights(airports, routes)
             fiq, fmeta = build_real_instance(full)
             node_drift = abs(fmeta["cities"] - 3140) / 3140
-            edge_drift = abs(len(full.records) - 67663) / 67663
+            edge_drift = abs(len(full.links) - 67663) / 67663
             print(
                 f"    full dataset: {fmeta['cities']} cities ({node_drift:.1%} drift), "
-                f"{len(full.records)} international records ({edge_drift:.1%} drift)"
+                f"{len(full.links)} international links ({edge_drift:.1%} drift)"
             )
         else:
             print(
@@ -406,3 +406,10 @@ def test_criterion_11_real_data_pipeline():
                 "with airports.dat and routes.dat); reference counts 3140 nodes / "
                 "67663 edges not evaluated"
             )
+
+
+def test_criterion_11_full_data_branch(monkeypatch, capsys):
+    # the fixture stands in for a full snapshot, so the branch that reads one runs
+    monkeypatch.setenv("MECNET_OPENFLIGHTS", FIXTURES)
+    test_criterion_11_real_data_pipeline()
+    assert "43 international links" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from mecnet.openflights import FlightRecord, build_real_instance, parse_openflights
+from mecnet.openflights import ParseResult, build_real_instance, parse_openflights
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "openflights")
 AIRPORTS = os.path.join(FIXTURES, "airports.dat")
@@ -37,33 +37,22 @@ class TestParse:
         assert parsed.intra_country_dropped == 4
 
     def test_undirected_collapse(self, parsed):
-        paris_berlin = [
-            r
-            for r in parsed.records
-            if {r.source_city, r.dest_city} == {"Paris", "Berlin"}
-        ]
+        paris_berlin = [(a, b) for a, b in parsed.links if {a[0], b[0]} == {"Paris", "Berlin"}]
         assert len(paris_berlin) == 1
 
     def test_all_records_international(self, parsed):
-        for r in parsed.records:
-            assert r.source_country != r.dest_country
+        for a, b in parsed.links:
+            assert a[1] != b[1]
 
     def test_city_collapse_merges_airports(self, parsed):
         # Paris has two airports in the fixture but is one endpoint city
-        cities = {(r.source_city, r.source_country) for r in parsed.records}
-        cities |= {(r.dest_city, r.dest_country) for r in parsed.records}
+        cities = {n for link in parsed.links for n in link}
         assert ("Paris", "France") in cities
 
     def test_snapshot_hash_stable(self, parsed):
         again = parse_openflights(AIRPORTS, ROUTES)
         assert again.snapshot_hash == parsed.snapshot_hash
         assert len(parsed.snapshot_hash) == 64
-
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            FlightRecord("A", "X", "B", "X")
-        with pytest.raises(ValueError):
-            FlightRecord("", "X", "B", "Y")
 
 
 class TestBuildInstance:
@@ -103,15 +92,20 @@ class TestBuildInstance:
         # path over Italy, Portugal and Spain; cities are numbered by
         # (country, city), so ``left`` decides which holds vertex 0
         a, b = left
-        records = [
-            FlightRecord("Rome", "Italy", "Madrid", "Spain"),
-            FlightRecord("Madrid", "Spain", "Lisbon", "Portugal"),
-            FlightRecord("Lyon", a, "Berlin", b),
-            FlightRecord("Paris", a, "Berlin", b),
-        ]
-        iq, meta = build_real_instance(records)
+        parsed = ParseResult([
+            (("Berlin", b), ("Lyon", a)),
+            (("Berlin", b), ("Paris", a)),
+            (("Lisbon", "Portugal"), ("Madrid", "Spain")),
+            (("Madrid", "Spain"), ("Rome", "Italy")),
+        ])
+        iq, meta = build_real_instance(parsed)
         assert iq.partition.k == k
         assert meta["cities"] == 3 and meta["dropped_outside_component"] == 3
+
+    def test_domestic_link_is_refused(self):
+        parsed = ParseResult([(("Berlin", "Germany"), ("Munich", "Germany"))])
+        with pytest.raises(ValueError, match="stays inside QNet"):
+            build_real_instance(parsed)
 
     def test_oversample_rejected(self, parsed):
         with pytest.raises(ValueError):
@@ -124,8 +118,8 @@ class TestBuildInstance:
 
 def _countries(parsed, allowed):
     out = set()
-    for r in parsed.records:
-        if r.source_country in allowed and r.dest_country in allowed:
-            out.add(r.source_country)
-            out.add(r.dest_country)
+    for a, b in parsed.links:
+        if a[1] in allowed and b[1] in allowed:
+            out.add(a[1])
+            out.add(b[1])
     return out

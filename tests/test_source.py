@@ -18,7 +18,6 @@ UNUSED_EXPORTS_ALLOWED = {
         "ParallelPairTable": "return type of dynamic_parallel_pairs",
     },
     "openflights.py": {
-        "FlightRecord": "record type of ParseResult.records",
         "ParseResult": "return type of parse_openflights",
     },
     "timeline.py": {"LongRunResult": "return type of simulate_mec_long_run"},

@@ -847,7 +847,7 @@ class TestGraphFormAtAnyWidth:
                 form(bad)
 
 
-class TestTableauCheckAtEvaluationScale:
+class TestXRuleOnTheTableauAtEvaluationScale:
     """The paper's rule at the scale of configs/eval.json (54 to 60 qubits):
     X-measuring every control leaves the cross-domain complement on the data
     qubits, up to single-qubit Cliffords."""
@@ -1064,8 +1064,8 @@ class TestBadInputFailsLoudly:
         for bad, message in (
             (StabilizerTableau(2, ((1, 2, 0), (2, 0, 0))), "^graph adjacency must be symmetric$"),
             (StabilizerTableau(2, ((1, 0, 0),)), "^expected 2 generators, got 1$"),
-            (StabilizerTableau(2, ((1, 0, 0), (1, 0, 0))), "^valid tableau must admit a graph form$"),  # dependent
-            (StabilizerTableau(2, ((1, 0, 0), (0, 1, 0))), "^valid tableau must admit a graph form$"),  # X0, Z0
+            (StabilizerTableau(2, ((1, 0, 0), (1, 0, 0))), "^generators are dependent or do not commute$"),  # dependent
+            (StabilizerTableau(2, ((1, 0, 0), (0, 1, 0))), "^generators are dependent or do not commute$"),  # X0, Z0
         ):
             with pytest.raises(ValueError, match=message):
                 graph_form(bad)
@@ -1131,6 +1131,6 @@ class TestBadInputFailsLoudly:
             "debug False",
             "raised invalid qubit 5",
             "raised generator 1 acts outside 2 qubits",
-            "raised valid tableau must admit a graph form",
+            "raised generators are dependent or do not commute",
             "raised forced outcome must be +1 or -1, got 0",
         ]
