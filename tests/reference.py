@@ -2,7 +2,7 @@
 each, imported by the test files and not collected by pytest.  Each is the
 paper's formulation or the library's first, edge-by-edge version of the
 stage its docstring names; :func:`reference_run_instance` chains them, with
-Wilson's tree draw (so that the random stream matches) and ``derive_seed``.
+``derive_seed`` the only library stage it reads.
 :func:`random_network` is no reference: it seeds the library generator from
 a test's ``random.Random``.
 """
@@ -15,7 +15,7 @@ import numpy as np
 from mecnet.cqr import CqrPath
 from mecnet.experiments import derive_seed
 from mecnet.graph import Graph, bits
-from mecnet.netgen import GenConfig, _uniform_spanning_tree, generate_inter_qnet
+from mecnet.netgen import GenConfig, generate_inter_qnet
 from mecnet.pairs import compatible
 from mecnet.qnet import InterQNet, QNetPartition
 
@@ -44,16 +44,45 @@ def random_network(k, sizes, p, rnd):
     return generate_inter_qnet(GenConfig(k, tuple(sizes), p, rnd.getrandbits(32)))
 
 
+def reference_spanning_tree(membership, rng):
+    """Wilson's loop-erased random walk on the complete multipartite graph,
+    one ``rng.integers(n)`` call per step: the walk that drew every
+    committed network.  Returns each non-root vertex's tree edge to its
+    successor, in vertex order."""
+    n = len(membership)
+    in_tree = [False] * n
+    nxt = [None] * n
+    root = int(rng.integers(n))
+    in_tree[root] = True
+    for start in range(n):
+        if in_tree[start]:
+            continue
+        u = start
+        while not in_tree[u]:
+            # uniform neighbor = uniform vertex of a different QNet
+            v = int(rng.integers(n))
+            while membership[v] == membership[u]:
+                v = int(rng.integers(n))
+            nxt[u] = v
+            u = v
+        u = start
+        while not in_tree[u]:  # loop-erased path joins the tree
+            in_tree[u] = True
+            u = nxt[u]
+    return [(u, nxt[u]) for u in range(n) if u != root]
+
+
 def edge_list_generate(cfg):
     """``generate_inter_qnet`` as it was built from edge lists, which
-    produced every committed report: the tree as a validated network, its
+    produced every committed report: the tree of
+    :func:`reference_spanning_tree` as a validated network, its
     cross-domain complement's edges as the candidates, one draw each, and a
     second network built edge by edge."""
     rng = np.random.default_rng(cfg.rng_seed)
     membership = tuple(a for a, s in enumerate(cfg.sizes, start=1) for _ in range(s))
     n = len(membership)
     part = QNetPartition(cfg.k, membership)
-    tree = InterQNet(Graph(n, _uniform_spanning_tree(membership, rng)), part)
+    tree = InterQNet(Graph(n, reference_spanning_tree(membership, rng)), part)
     candidates = complement_edges(tree)
     draws = rng.random(len(candidates))
     edges = tree.graph.edges() + [e for e, x in zip(candidates, draws) if x < cfg.p]

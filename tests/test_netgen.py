@@ -13,7 +13,13 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from reference import EVAL_CONFIG, complement_edges, cross_pair_count, edge_list_generate
+from reference import (
+    EVAL_CONFIG,
+    complement_edges,
+    cross_pair_count,
+    edge_list_generate,
+    reference_spanning_tree,
+)
 
 import mecnet
 import mecnet.netgen as netgen
@@ -190,6 +196,38 @@ class TestUniformSpanningTree:
         stat = sum((c - per_tree) ** 2 for c in counts.values()) / per_tree
         stat += (trees - len(counts)) * per_tree
         assert stat < chi_square_quantile(trees - 1, 0.999), (stat, trees)
+
+
+class TestSpanningTreeStream:
+    """The library walk against :func:`reference_spanning_tree`: the same
+    tree, and the generator left where the per-step walk leaves it, so the
+    edge draws that follow do not move.  The walk draws in blocks, which
+    holds only while a block of ``rng.integers(n, size=m)`` equals ``m``
+    scalar draws; a numpy version that breaks that fails here."""
+
+    def check(self, sizes, seed):
+        membership = tuple(a for a, s in enumerate(sizes, start=1) for _ in range(s))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert netgen._uniform_spanning_tree(membership, got_rng) == reference_spanning_tree(
+            membership, want_rng
+        )
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
+
+    def test_eval_cells(self):
+        cfg = ExperimentConfig.from_json(EVAL_CONFIG)
+        for k, p in itertools.product(cfg.qnet_counts, cfg.densities):
+            for rep in range(4):
+                self.check(even_sizes(cfg.nodes, k), derive_seed(cfg.seed, k, int(p * 1_000_000), rep))
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 2), (5, 1), (1, 1, 1), (2, 7, 1), (9, 3, 4)])
+    def test_two_and_three_qnets_of_uneven_sizes(self, sizes):
+        for seed in range(10):
+            self.check(sizes, derive_seed(seed, *sizes))
+
+    @pytest.mark.parametrize("n, k", [(400, 4), (800, 8)])
+    def test_large(self, n, k):
+        self.check(even_sizes(n, k), derive_seed(n, k))
 
 
 def stored_pool(iq):
