@@ -76,6 +76,22 @@ def components(adj: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
+def _local_complement(adj: list[int], v: int) -> None:
+    """Complement, in place, the induced subgraph on the open neighborhood
+    of ``v`` in the neighbor masks ``adj``."""
+    nv = m = adj[v]
+    while m:
+        low = m & -m
+        m ^= low
+        adj[low.bit_length() - 1] ^= nv ^ low
+
+
+def _keep(adj: list[int], mask: int) -> None:
+    """Delete, in place, every vertex outside ``mask`` from the neighbor
+    masks ``adj``: its row is cleared, and its bit in every other row."""
+    adj[:] = [a & mask if mask >> v & 1 else 0 for v, a in enumerate(adj)]
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Symbolic record of a single-qubit Pauli measurement on a graph state.
@@ -185,28 +201,22 @@ class Graph:
 
     # -- rewrite rules -----------------------------------------------------
 
-    def local_complement(self, v: int) -> "Graph":
-        """Complement the induced subgraph on the open neighborhood of ``v``."""
-        self._check_vertex(v)
-        nv = self._adj[v]
-        adj = list(self._adj)
-        for u in bits(nv):
-            adj[u] ^= nv & ~(1 << u)
-        return Graph._from_parts(self.vertex_count, tuple(adj))
-
     def measure_x(self, v: int, k0: int) -> tuple["Graph", MeasurementRecord]:
         """Pauli-X measurement rule at the graph level.
 
         Applies local complementation at the special neighbor ``k0``, then at
         ``v``, deletes ``v`` as the Z rule does, and complements at ``k0``
-        again.  ``k0`` must be adjacent to ``v``.  The local-Clifford
-        byproduct is recorded, not applied.
+        again, all on one copy of the masks.  ``k0`` must be adjacent to
+        ``v``.  The local-Clifford byproduct is recorded, not applied.
         """
         if not self.has_edge(v, k0):
             raise ValueError(f"k0={k0} is not adjacent to measured vertex {v}")
-        full = (1 << self.vertex_count) - 1
-        g = self.local_complement(k0).local_complement(v).keep(full ^ 1 << v)
-        return g.local_complement(k0), MeasurementRecord(v, "X", k0)
+        adj = list(self._adj)
+        _local_complement(adj, k0)
+        _local_complement(adj, v)
+        _keep(adj, (1 << self.vertex_count) - 1 ^ 1 << v)
+        _local_complement(adj, k0)
+        return Graph._from_parts(self.vertex_count, tuple(adj)), MeasurementRecord(v, "X", k0)
 
     def measure_z(self, v: int) -> tuple["Graph", MeasurementRecord]:
         """Pauli-Z measurement rule: vertex deletion, ``v``'s slot left isolated."""
@@ -219,8 +229,9 @@ class Graph:
         to every vertex outside it, whose rows are cleared and whose slots
         stay, isolated.
         """
-        adj = tuple(a & mask if mask >> v & 1 else 0 for v, a in enumerate(self._adj))
-        return Graph._from_parts(self.vertex_count, adj)
+        adj = list(self._adj)
+        _keep(adj, mask)
+        return Graph._from_parts(self.vertex_count, tuple(adj))
 
     # -- restriction -------------------------------------------------------
 

@@ -5,6 +5,10 @@ the cross-domain candidate pairs is laid down (Wilson's loop-erased
 random walk on the complete multipartite graph), then every remaining
 cross-domain pair is added independently with probability p, one draw per
 pair in lexicographic order.  Everything is deterministic given the seed.
+
+The walk draws its steps in blocks and then rewinds the generator and
+redraws exactly the steps it used, so the edge draws after it read the
+same stream as after one draw per step.
 """
 
 from __future__ import annotations
@@ -54,11 +58,22 @@ def _membership(cfg: GenConfig) -> tuple[int, ...]:
 def _uniform_spanning_tree(
     membership: Sequence[int], rng: np.random.Generator
 ) -> list[tuple[int, int]]:
-    """Wilson's algorithm on the complete multipartite candidate graph."""
+    """Wilson's algorithm on the complete multipartite candidate graph.
+
+    The walk reads its steps, the root and each same-QNet rejection
+    included, in order from blocks of ``rng.integers(n, size=n)``.  At the
+    end the generator is put back to its state before the walk and draws
+    the number of steps used in one call, which leaves it where one
+    ``rng.integers(n)`` call per step would: a block of m draws equals m
+    scalar draws, value for value and in the state after them.
+    """
     n = len(membership)
+    saved = rng.bit_generator.state
+    draws = rng.integers(n, size=n).tolist()
+    used = 1
     in_tree = [False] * n
     nxt: list[Optional[int]] = [None] * n
-    root = int(rng.integers(n))
+    root = draws[0]
     in_tree[root] = True
     for start in range(n):
         if in_tree[start]:
@@ -66,15 +81,21 @@ def _uniform_spanning_tree(
         u = start
         while not in_tree[u]:
             # uniform neighbor = uniform vertex of a different QNet
-            v = int(rng.integers(n))
-            while membership[v] == membership[u]:
-                v = int(rng.integers(n))
+            while True:
+                if used == len(draws):
+                    draws += rng.integers(n, size=n).tolist()
+                v = draws[used]
+                used += 1
+                if membership[v] != membership[u]:
+                    break
             nxt[u] = v
             u = v
         u = start
         while not in_tree[u]:  # loop-erased path joins the tree
             in_tree[u] = True
             u = nxt[u]  # type: ignore[assignment]
+    rng.bit_generator.state = saved
+    rng.integers(n, size=used)
     edges = []
     for u in range(n):
         if u == root:

@@ -22,6 +22,15 @@ from mecnet.qnet import InterQNet, QNetPartition
 EVAL_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "eval.json")
 
 
+def local_complement(g, v):
+    """τ_v, the local complementation at ``v``, from its definition: every
+    pair of ``v``'s neighbours gains the edge it lacks or loses the one it
+    has."""
+    edges = set(g.edges())
+    edges ^= set(itertools.combinations(sorted(g.neighbors(v)), 2))
+    return Graph(g.vertex_count, edges)
+
+
 def complement_edges(iq):
     """The cross-domain pairs of ``iq`` that are not links, in lexicographic
     order: the edges of ``complement_inter_qnet``, and the request pool."""

@@ -17,7 +17,7 @@ from xml.etree import ElementTree
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import EVAL_CONFIG, cross_pair_count, reference_run_instance
+from reference import EVAL_CONFIG, cross_pair_count, local_complement, reference_run_instance
 
 import mecnet
 import mecnet.cli as cli
@@ -452,7 +452,7 @@ class TestVerifyCommand:
         original = Graph.measure_x
 
         def corrupted(self, v, k0):
-            g = self.local_complement(k0).local_complement(v).measure_z(v)[0]
+            g = local_complement(local_complement(self, k0), v).measure_z(v)[0]
             rec = original(Graph(2, [(0, 1)]), 1, 0)[1]
             return g, rec
 

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import local_complement
 
 from mecnet.graph import (
     Graph,
     MeasurementRecord,
+    _local_complement,
     bits,
     components,
     graph_from_edgelist,
@@ -37,15 +39,23 @@ def graph_with_deleted_slots_and_mask(draw):
     return g, draw(st.integers(0, (1 << (n + 2)) - 1))
 
 
+def complemented(g, v):
+    """``g`` after the X rule's in-place local complementation at ``v``, run
+    on a copy of its masks."""
+    adj = list(g.adjacency)
+    _local_complement(adj, v)
+    return Graph._from_parts(g.vertex_count, tuple(adj))
+
+
 class TestLocalComplement:
     def test_star_gains_triangle(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        got = star.local_complement(0)
+        got = complemented(star, 0)
         assert got.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
     def test_path_center_to_triangle(self):
         # 3-vertex case worked out by hand from the definition
-        assert Graph(3, [(0, 1), (1, 2)]).local_complement(1).edges() == [
+        assert complemented(Graph(3, [(0, 1), (1, 2)]), 1).edges() == [
             (0, 1),
             (0, 2),
             (1, 2),
@@ -57,11 +67,15 @@ class TestLocalComplement:
             n = rnd.randint(2, 9)
             g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.5])
             v = rnd.randrange(n)
-            assert g.local_complement(v).local_complement(v) == g
+            assert complemented(complemented(g, v), v) == g
 
-    def test_invalid_vertex(self):
-        with pytest.raises(ValueError):
-            Graph(2, [(0, 1)]).local_complement(5)
+    @settings(max_examples=300, deadline=None)
+    @given(graph_with_deleted_slots_and_mask(), st.data())
+    def test_matches_the_definition(self, case, data):
+        g = case[0]
+        assume(g.vertex_count)
+        v = data.draw(st.integers(0, g.vertex_count - 1))
+        assert complemented(g, v) == local_complement(g, v)
 
 
 class TestDeleteVertex:
@@ -91,7 +105,7 @@ class TestDeleteVertex:
         isolated = [v for v, a in enumerate(g.adjacency) if not a]
         assume(isolated)
         v = data.draw(st.sampled_from(isolated))
-        assert g.local_complement(v) == g
+        assert complemented(g, v) == g
         assert g.measure_z(v)[0] == g
 
 
@@ -143,6 +157,17 @@ class TestMeasureX:
             outside = [u for u in range(n) if u not in touched]
             for a, b in itertools.combinations(outside, 2):
                 assert got.has_edge(a, b) == g.has_edge(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_with_deleted_slots_and_mask(), st.data())
+    def test_matches_the_literal_rule(self, case, data):
+        # τ_k0, τ_v, the Z rule at v and τ_k0, each on a graph of its own
+        g = case[0]
+        options = [(v, k0) for v in range(g.vertex_count) for k0 in g.neighbors(v)]
+        assume(options)
+        v, k0 = data.draw(st.sampled_from(options))
+        want = local_complement(local_complement(g, k0), v).measure_z(v)[0]
+        assert g.measure_x(v, k0) == (local_complement(want, k0), MeasurementRecord(v, "X", k0))
 
 
 class TestMeasureZ:
@@ -323,7 +348,7 @@ class TestStructure:
             n = rnd.randint(2, 8)
             g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.5])
             v = rnd.randrange(n)
-            for h in (g, g.local_complement(v), g.measure_z(v)[0]):
+            for h in (g, g.measure_z(v)[0], *(g.measure_x(v, k0)[0] for k0 in g.neighbors(v))):
                 assert Graph(n, h.edges()) == h
         # the edge round-trip refuses a one-sided edge either way round and
         # a self-loop, and an out-of-range bit makes Graph raise
