@@ -211,10 +211,11 @@ class Graph:
         """
         if not self.has_edge(v, k0):
             raise ValueError(f"k0={k0} is not adjacent to measured vertex {v}")
+        full = (1 << self.vertex_count) - 1
         adj = list(self._adj)
         _local_complement(adj, k0)
         _local_complement(adj, v)
-        _keep(adj, (1 << self.vertex_count) - 1 ^ 1 << v)
+        _keep(adj, full ^ 1 << v)
         _local_complement(adj, k0)
         return Graph._from_parts(self.vertex_count, tuple(adj)), MeasurementRecord(v, "X", k0)
 
