@@ -871,6 +871,32 @@ class TestUsageErrors:
     def test_unknown_command(self):
         assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["top", "run"])
+    def test_help_exits_ok(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: mecnet") and err == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+            (["run", "--bogus"], "unrecognized arguments: --bogus"),
+            (["verify", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
+        ],
+        ids=["no_command", "unknown_command", "unknown_flag", "unknown_suite"],
+    )
+    def test_argparse_error_is_usage_error(self, capsys, argv, message):
+        # the usage line, then argparse's message after "error: ", on stderr
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: mecnet")
+        usage, _, last = err.rstrip("\n").rpartition("\n")
+        assert "usage: mecnet" in usage and "error:" not in usage
+        assert last.startswith(f"error: {message}") and err.endswith("\n")
+
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
         "over, named",
