@@ -34,7 +34,7 @@ EXIT_IO = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit((EXIT_USAGE, f"error: {message}"))
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 def _resolve_out(flag_value, config_value: str = "out") -> str:
@@ -59,6 +59,7 @@ def build_parser() -> _Parser:
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--nodes", type=int, default=None)
     g.add_argument("--reps", type=int, default=None)
+    g.set_defaults(handler=cmd_generate)
 
     i = sub.add_parser("ingest", help="build an instance from OpenFlights data")
     i.add_argument("--airports", required=True)
@@ -67,6 +68,7 @@ def build_parser() -> _Parser:
     i.add_argument("--sample", type=int, default=None, help="edge subsample size")
     i.add_argument("--seed", type=int, default=None, help="subsample seed (default 0)")
     i.add_argument("--out", default=None)
+    i.set_defaults(handler=cmd_ingest)
 
     r = sub.add_parser("run", help="run the experiment pipeline")
     r.add_argument("--config", help="experiment config (JSON)")
@@ -74,12 +76,15 @@ def build_parser() -> _Parser:
     r.add_argument("--jobs", type=int, default=None)
     r.add_argument("--reps", type=int, default=None)
     r.add_argument("--seed", type=int, default=None)
+    r.set_defaults(handler=cmd_run)
 
     v = sub.add_parser("verify", help="run the oracle suites")
     v.add_argument("--suite", choices=sorted(ALL_SUITES), default=None)
+    v.set_defaults(handler=cmd_verify)
 
     rep = sub.add_parser("report", help="re-render SVG figures from CSV tables")
     rep.add_argument("--out", default=None, help="directory holding the CSV tables")
+    rep.set_defaults(handler=cmd_report)
     return p
 
 
@@ -163,27 +168,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        if isinstance(exc.code, tuple):
-            code, message = exc.code
-            print(message, file=sys.stderr)
-            return code
-        return EXIT_OK if not exc.code else EXIT_USAGE
-    handlers = {
-        "generate": cmd_generate,
-        "ingest": cmd_ingest,
-        "run": cmd_run,
-        "verify": cmd_verify,
-        "report": cmd_report,
-    }
+        return exc.code
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

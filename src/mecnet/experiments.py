@@ -18,6 +18,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -529,13 +530,16 @@ def _read_table(path: str, tag: str, header: str) -> list[tuple[int, dict[str, s
 
 def _number(path: str, line: int, row: dict[str, str], column: str) -> float:
     """One cell of a report table as a float; a ValueError names the file,
-    the line and the column of a cell that is not a number."""
+    the line and the column of a cell that is not a finite number."""
+    cell = row[column]
     try:
-        return float(row[column])
+        value = float(cell)
     except ValueError:
-        raise ValueError(
-            f"{path} line {line}, column {column!r}: {row[column]!r} is not a number"
-        ) from None
+        value = None
+    if value is None or not math.isfinite(value):
+        finite = "" if value is None else "finite "
+        raise ValueError(f"{path} line {line}, column {column!r}: {cell!r} is not a {finite}number")
+    return value
 
 
 def render_figures(out_dir: str) -> list[str]:
@@ -543,7 +547,7 @@ def render_figures(out_dir: str) -> list[str]:
 
     Raises ValueError, naming the file, when a table's schema line or
     header is not the one that ``TABLES`` holds for it, and naming the line
-    too for a row of the wrong length or a cell that is not a number."""
+    too for a row of the wrong length or a cell that is not a finite number."""
     tables = {}
     for name, (tag, header) in TABLES.items():
         path = os.path.join(out_dir, f"{name}.csv")

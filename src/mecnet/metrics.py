@@ -82,10 +82,8 @@ def mec_cycles(t: TimingParams) -> int:
     return int((lam - tp) // (tp + tr)) + 1
 
 
-@lru_cache(maxsize=1024)
 def cqr_cycles(t: TimingParams) -> int:
-    """Service cycles per window when preparation starts at request arrival,
-    memoised per timing point like :func:`mec_cycles`."""
+    """Service cycles per window when preparation starts at request arrival."""
     lam, tp, tr = _frac(t.lam), _frac(t.tpb), _frac(t.trb)
     if lam < tp + tr:
         return 0

@@ -121,6 +121,58 @@ def test_unseeded_randomness_rule_flags_each_form():
     ]
 
 
+# Process I/O (printing, exiting, the standard streams and the environment)
+# belongs to the command layer; the library returns values and raises.
+PROCESS_IO = {"print", "sys.exit", "sys.stdout", "sys.stderr", "os.environ", "os.getenv"}
+PROCESS_IO_MODULES = ("cli.py", "__main__.py")
+
+
+def process_io_uses(module):
+    """(line, name) of each use of a process I/O name: ``print`` as a name,
+    the others as an attribute chain or an imported name, in line order."""
+    found = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and node.id == "print":
+            found.append((node.lineno, "print"))
+        elif isinstance(node, ast.Attribute) and dotted_name(node) in PROCESS_IO:
+            found.append((node.lineno, dotted_name(node)))
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+            found += [(node.lineno, n) for n in names if n in PROCESS_IO]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_process_io_is_in_the_command_layer_only(path):
+    found = [] if path.name in PROCESS_IO_MODULES else process_io_uses(parse(path))
+    assert not found, f"{path.name}: process I/O outside {PROCESS_IO_MODULES}: {found}"
+
+
+def test_process_io_rule_flags_each_form():
+    source = "\n".join([
+        "import os, sys",
+        "from sys import stderr, argv",
+        "from os import getenv",
+        "print('x')",
+        "sys.stdout.write('x')",
+        "out = os.environ.get('MECNET_OUT')",
+        "sys.exit(1)",
+        "log = print",
+        "path = os.path.join('a', 'b')",
+        "self.print_usage(sys.stderr)",
+    ])
+    assert process_io_uses(ast.parse(source)) == [
+        (2, "sys.stderr"),
+        (3, "os.getenv"),
+        (4, "print"),
+        (5, "sys.stdout"),
+        (6, "os.environ"),
+        (7, "sys.exit"),
+        (8, "print"),
+        (10, "sys.stderr"),
+    ]
+
+
 def function_level_imports(module):
     """(line, name) of each name imported inside a function body, nested
     functions and methods included, in line order."""
