@@ -839,6 +839,18 @@ class TestIntake:
         with pytest.raises(ValueError, match=rf"^invalid vertex id {re.escape(str(name))}$"):
             dynamic_parallel_pairs(cg, [(0, 5), bad])
 
+    def test_numpy_ids_schedule_as_their_python_ints(self):
+        iq = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.2, derive_seed(18, 4)))
+        rs = sample_requests(iq, 120, derive_seed(19, 4))
+        us, vs = complement_inter_qnet(iq).edge_arrays
+        drawn = list(zip(us[rs.index], vs[rs.index]))
+        assert {type(x) for e in drawn for x in e} == {np.int64}
+        cg = build_controlled(iq)
+        table = dynamic_parallel_pairs(cg, list(rs.requests))
+        for pairs in (drawn, [(v, u) for u, v in drawn]):
+            # the table holds Python ints, so even the reprs agree
+            assert repr(dynamic_parallel_pairs(cg, pairs)) == repr(table)
+
     def test_reversed_pairs_are_canonicalised(self):
         cg = build_controlled(two_domains_of_three())
         table = dynamic_parallel_pairs(cg, [(5, 0), (3, 1), (4, 2)])
@@ -875,12 +887,13 @@ class TestIntake:
         assert plain.index is None and plain.pool is None
         assert rs == plain and hash(rs) == hash(plain) and repr(rs) == repr(plain)
         assert repr(rs) == f"RequestSet(requests={rs.requests!r})"
-        for again in (pickle.loads(pickle.dumps(rs)), copy.deepcopy(rs)):
-            assert again == rs and again.index is None and again.pool is None
         cg = build_controlled(iq)
-        with pool_lookups() as seen:
-            assert dynamic_parallel_pairs(cg, again) == dynamic_parallel_pairs(cg, rs)
-            assert seen == [again]
+        table = dynamic_parallel_pairs(cg, rs)
+        for again in (pickle.loads(pickle.dumps(rs)), copy.deepcopy(rs)):
+            assert again == rs and again.pool is not pool
+            with pool_lookups() as seen:
+                assert dynamic_parallel_pairs(cg, again) == table
+                assert seen == [again]
 
 
 class TestMinPartitionOracle:
