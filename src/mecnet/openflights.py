@@ -95,6 +95,8 @@ def build_real_instance(
         count, seed = subsample
         if count < 1:
             raise ValueError(f"sample size must be at least 1, got {count}")
+        if seed < 0:
+            raise ValueError(f"subsample seed must be non-negative, got {seed}")
         if count > len(pairs):
             raise ValueError(f"cannot sample {count} of {len(pairs)} edges")
         rng = np.random.default_rng(seed)

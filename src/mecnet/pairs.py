@@ -10,13 +10,14 @@ on the cross-domain complement of the controlled network.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .graph import Graph, matrix_to_masks
-from .qnet import ControlledInterQNet, InterQNet, complement_inter_qnet
+from .qnet import ControlledInterQNet, complement_inter_qnet
 
 __all__ = [
     "RequestError",
@@ -63,25 +64,19 @@ class RequestSet:
     ``sample_requests`` also keeps the draw: ``index``, the positions of the
     requests in ``pool``, a read-only array in draw order, and ``pool``, the
     ``edge_arrays`` object of the complement it drew from.  Neither takes
-    part in ``==``, ``hash``, ``repr`` or pickling (an unpickled copy has
-    neither).  The constructor checks nothing.  :func:`dynamic_parallel_pairs`
-    trusts ``index`` only when ``pool`` is the very ``edge_arrays`` object
-    of the complement it schedules on, as then the indices are distinct
-    complement edges by construction; every other batch, an equal network's
-    draw or a plain tuple of pairs included, goes through its one intake
-    check: a pair that is not a complement edge (inside one QNet, or
-    already adjacent) raises RequestNotInComplement, a duplicate
-    RequestError.
+    part in ``==``, ``hash`` or ``repr``.  The constructor checks nothing.
+    :func:`dynamic_parallel_pairs` trusts ``index`` only when ``pool`` is
+    the very ``edge_arrays`` object of the complement it schedules on (a
+    shallow copy shares it, an unpickled or deep copy does not), as then
+    the indices are distinct complement edges by construction.  It checks
+    every other batch, an equal network's draw included, pair by pair: the
+    first failing pair, in input order, names the error, and a repeat is
+    reported only once every pair has passed.
     """
 
     requests: tuple[Edge, ...]
     index: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     pool: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False, repr=False)
-
-    def __getstate__(self) -> dict:
-        # the draw is left out: its read-only array would come back
-        # writeable, and a copy's pool is no complement's own
-        return {"requests": self.requests}
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -158,42 +153,30 @@ def _compat_rows(matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[int]:
     return [full & ~(near[x] | near[y]) for x, y in zip(a.tolist(), b.tolist())]
 
 
-def _pool_index(comp: InterQNet, r: Iterable[Edge]) -> np.ndarray:
-    """The sorted positions of the pairs ``r`` in the pool of the complement
-    ``comp``: one ``searchsorted`` of each pair's key ``u*n + v``, ``u < v``,
-    in the pool's keys, which are sorted as the pool is lexicographic.
-
-    The first pair, in input order, with an id outside ``0..n-1`` raises
-    ValueError and the first that is not an edge of ``comp``
-    RequestNotInComplement; after them, a repeated pair (in either
-    orientation) raises RequestError.
-    """
-    us, vs = comp.edge_arrays
-    n = comp.graph.vertex_count
-    items = list(r)
-    ends = np.array(items).reshape(len(items), 2)
-    if items and ends.dtype.kind not in "biu":  # an id past int64, or not an integer
-        bad = next(x for e in items for x in sorted(e) if not (type(x) is int and 0 <= x < n))
-        raise ValueError(f"invalid vertex id {bad}")
-    ends = ends.astype(np.int64, copy=False)
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    valid = (lo >= 0) & (hi < n)
-    # an invalid pair keys to n*n, past every edge's key, and finds the
-    # sentinel at the end, so every position is in range
-    key = np.where(valid, lo * n + hi, n * n)
-    keys = np.append(us * n + vs, n * n)
-    pos = np.searchsorted(keys, key)
-    bad = ~(valid & (keys[pos] == key))
-    if bad.any():
-        u, v = items[int(bad.argmax())]
-        a, b = (u, v) if u < v else (v, u)
-        if not (a >= 0 and b < n):
-            raise ValueError(f"invalid vertex id {a if not 0 <= a < n else b}")
-        raise RequestNotInComplement(f"request {(a, b)} is not a complement edge")
-    pos.sort()
-    if (pos[1:] == pos[:-1]).any():
+def _request_edges(g: Graph, r: Iterable[Edge]) -> list[Edge]:
+    """The pairs ``r`` as sorted edges of the complement ``g``, each written
+    lower end first; an id is anything ``operator.index`` takes.  The first
+    pair, in input order, that is not an edge raises ValueError naming its
+    lower id outside ``0..n-1`` or not an integer, else RequestNotInComplement
+    (inside one QNet, or already adjacent); once every pair has passed, a
+    repeat (in either orientation) raises RequestError."""
+    adj, n = g.adjacency, g.vertex_count
+    edges = []
+    for u, v in r:
+        try:
+            a, b = canonical_edge(operator.index(u), operator.index(v))
+            found = a >= 0 and b < n and adj[a] >> b & 1
+        except TypeError:
+            found = False
+        if not found:
+            for x in sorted((u, v)):
+                if not (hasattr(x, "__index__") and 0 <= x < n):
+                    raise ValueError(f"invalid vertex id {x}")
+            raise RequestNotInComplement(f"request {(a, b)} is not a complement edge")
+        edges.append((a, b))
+    if len(set(edges)) < len(edges):
         raise RequestError("duplicate requests")
-    return pos
+    return sorted(edges)
 
 
 # -- scheduler -----------------------------------------------------------------
@@ -249,16 +232,19 @@ def dynamic_parallel_pairs(cg: ControlledInterQNet, r: Iterable[Edge]) -> Parall
     A batch that ``sample_requests`` drew from this very complement (its
     ``pool`` is the complement's ``edge_arrays`` object) enters as its pool
     indices, distinct complement edges by construction; any other batch is
-    checked here, once, by :func:`_pool_index`.  The result is checked
-    against the whole-edge-set candidate lists.
+    checked here, once, pair by pair (:func:`_request_edges`): the first
+    failing pair, in input order, names the error, and a repeat is reported
+    only once every pair has passed.  The result is checked against the
+    whole-edge-set candidate lists.
     """
     comp = complement_inter_qnet(cg.data)
     pool = comp.edge_arrays
     if isinstance(r, RequestSet) and r.pool is pool:
         index = np.sort(r.index)
+        a, b = pool[0][index], pool[1][index]
     else:
-        index = _pool_index(comp, r)
-    a, b = pool[0][index], pool[1][index]
+        ends = itertools.chain.from_iterable(_request_edges(comp.graph, r))
+        a, b = np.fromiter(ends, np.intp).reshape(-1, 2).T
     edges = list(zip(a.tolist(), b.tolist()))
     rows = _compat_rows(comp.adjacency_matrix, a, b)
     planes = _count_planes(rows)

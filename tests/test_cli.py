@@ -572,6 +572,15 @@ class TestIngestCommand:
         assert f"usage error: sample size must be at least 1, got {size}" in err
         assert not os.path.exists(tmp_path / "real_instance.txt")
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        rc = cli.main(["ingest", "--airports", os.path.join(FIXTURES, "airports.dat"),
+                       "--routes", os.path.join(FIXTURES, "routes.dat"),
+                       "--sample", "5", "--seed", "-3", "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error: subsample seed must be non-negative, got -3" in err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_seed_without_sample_is_usage_error(self, tmp_path, capsys):
         fixture = ["--airports", os.path.join(FIXTURES, "airports.dat"),
                    "--routes", os.path.join(FIXTURES, "routes.dat")]

@@ -727,18 +727,18 @@ class TestDynamicParallelPairs:
 
 
 @contextlib.contextmanager
-def pool_lookups():
-    """The batches the scheduler maps to pool indices through
-    ``_pool_index``, its edge path, while the block runs."""
+def request_edge_checks():
+    """The batches the scheduler checks pair by pair through
+    ``_request_edges``, its intake check, while the block runs."""
     seen = []
-    lookup = pairs_module._pool_index
+    check = pairs_module._request_edges
 
-    def counted(comp, r):
+    def counted(g, r):
         seen.append(r)
-        return lookup(comp, r)
+        return check(g, r)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pairs_module, "_pool_index", counted)
+        mp.setattr(pairs_module, "_request_edges", counted)
         yield seen
 
 
@@ -747,7 +747,7 @@ def check_both_paths(cg, rs):
     reversed), check the tables and the compatibility rows against the
     references, and return the table."""
     comp = complement_inter_qnet(cg.data)
-    with pool_lookups() as seen:
+    with request_edge_checks() as seen:
         table = dynamic_parallel_pairs(cg, rs)
         assert seen == []
         assert dynamic_parallel_pairs(cg, list(rs.requests)) == table
@@ -775,8 +775,9 @@ def odd_k_draws(draw):
 
 
 class TestIntake:
-    """A batch enters the scheduler as pool indices: trusted when drawn from
-    the very complement it is scheduled on, mapped from its pairs otherwise."""
+    """A batch enters the scheduler as pool indices when drawn from the very
+    complement it is scheduled on, and through one check of its pairs
+    otherwise."""
 
     def test_both_paths_match_the_references_on_eval_batches(self, monkeypatch):
         cfg = dataclasses.replace(ExperimentConfig.from_json(EVAL_CONFIG), repetitions=2, jobs=1)
@@ -802,7 +803,7 @@ class TestIntake:
         rs = sample_requests(iq, 150, derive_seed(12, 4))
         twin = instance_from_text(instance_to_text(iq))
         assert twin == iq and twin is not iq
-        with pool_lookups() as seen:
+        with request_edge_checks() as seen:
             table = dynamic_parallel_pairs(build_controlled(twin), rs)
             assert len(seen) == 1
             assert dynamic_parallel_pairs(build_controlled(iq), rs) == table
@@ -830,6 +831,22 @@ class TestIntake:
             dynamic_parallel_pairs(cg, [(1, 4), (0, 9)])
         with pytest.raises(ValueError, match=r"^invalid vertex id 9$"):
             dynamic_parallel_pairs(cg, [(9, 0), (1, 4)])
+
+    @pytest.mark.parametrize(
+        "bad, name",
+        [((0.5, 4), "0.5"), ((4, np.float64(2.0)), "2.0"), ((0, 2**70), str(2**70))],
+        ids=["float", "numpy-float", "past-int64"],
+    )
+    def test_first_bad_request_decides_whatever_the_id_types(self, bad, name):
+        # (0, 1) is inside QNet 1
+        cg = build_controlled(two_domains_of_three())
+        with pytest.raises(RequestNotInComplement, match=r"^request \(0, 1\) is not a complement edge$"):
+            dynamic_parallel_pairs(cg, [(0, 1), bad])
+        with pytest.raises(ValueError, match=rf"^invalid vertex id {re.escape(name)}$"):
+            dynamic_parallel_pairs(cg, [bad, (0, 1)])
+        # a repeat is reported only once every pair has passed
+        with pytest.raises(RequestNotInComplement, match=r"^request \(0, 1\) "):
+            dynamic_parallel_pairs(cg, [(0, 5), (5, 0), (0, 1), bad])
 
     @pytest.mark.parametrize(
         "bad, name", [((2**70, 1), 2**70), ((1, -(2**70)), -(2**70)), ((0.5, 3), 0.5), ((-1, 6), -1)]
@@ -891,9 +908,15 @@ class TestIntake:
         table = dynamic_parallel_pairs(cg, rs)
         for again in (pickle.loads(pickle.dumps(rs)), copy.deepcopy(rs)):
             assert again == rs and again.pool is not pool
-            with pool_lookups() as seen:
+            with request_edge_checks() as seen:
                 assert dynamic_parallel_pairs(cg, again) == table
                 assert seen == [again]
+        # a shallow copy shares the pool, so it is still the draw
+        shallow = copy.copy(rs)
+        assert shallow.pool is pool and shallow.index is rs.index
+        with request_edge_checks() as seen:
+            assert dynamic_parallel_pairs(cg, shallow) == table
+            assert seen == []
 
 
 class TestMinPartitionOracle:

@@ -561,3 +561,44 @@ def test_test_module_rules_flag_each_form():
     module = ast.parse(source)
     assert imports_of_test_modules(module) == [(1, "test_cqr"), (2, "test_netgen.EVAL_CONFIG"), (3, "tests.test_graph")]
     assert collected_definitions(module) == [(5, "test_helper"), (6, "TestInner")]
+
+
+# Each library module has a row in the README's module table, its first
+# cell naming it as `mecnet.<module>`.
+README = ROOT / "README.md"
+UNLISTED_MODULES = {"__init__", "__main__"}
+
+
+def module_table_names(text):
+    """The modules named in the first cell of each row of the table under
+    the "What's inside" heading, up to the next heading."""
+    section = text.partition("\n## What's inside\n")[2].partition("\n## ")[0]
+    return {
+        name
+        for line in section.splitlines()
+        if line.startswith("|")
+        for name in re.findall(r"`mecnet\.(\w+)`", line.split("|")[1])
+    }
+
+
+def test_every_module_has_a_readme_row():
+    listed = module_table_names(README.read_text(encoding="utf-8"))
+    missing = sorted(p.stem for p in MODULES if p.stem not in UNLISTED_MODULES | listed)
+    assert not missing, f"modules with no row in README's module table: {missing}"
+
+
+def test_readme_row_rule_reads_the_first_cells_of_that_table_only():
+    text = "\n".join([
+        "# mecnet",
+        "| `mecnet.before` | a table above the section |",
+        "## What's inside",
+        "",
+        "| module | contents |",
+        "| --- | --- |",
+        "| `mecnet.graph` | bitset graphs, as `mecnet.qnet` uses them |",
+        "| `mecnet.experiments`, `mecnet.cli` | batch pipeline |",
+        "prose naming `mecnet.prose`",
+        "## Install",
+        "| `mecnet.after` | a table below it |",
+    ])
+    assert module_table_names(text) == {"graph", "experiments", "cli"}
