@@ -156,10 +156,10 @@ def _compat_rows(matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[int]:
 def _request_edges(g: Graph, r: Iterable[Edge]) -> list[Edge]:
     """The pairs ``r`` as sorted edges of the complement ``g``, each written
     lower end first; an id is anything ``operator.index`` takes.  The first
-    pair, in input order, that is not an edge raises ValueError naming its
-    lower id outside ``0..n-1`` or not an integer, else RequestNotInComplement
-    (inside one QNet, or already adjacent); once every pair has passed, a
-    repeat (in either orientation) raises RequestError."""
+    pair, in input order, that is not an edge raises ValueError naming the
+    lower of its bad ids (outside ``0..n-1``, or not an integer), else
+    RequestNotInComplement (inside one QNet, or already adjacent); once every
+    pair has passed, a repeat (in either orientation) raises RequestError."""
     adj, n = g.adjacency, g.vertex_count
     edges = []
     for u, v in r:

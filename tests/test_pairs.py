@@ -867,6 +867,9 @@ class TestIntake:
         for pairs in (drawn, [(v, u) for u, v in drawn]):
             # the table holds Python ints, so even the reprs agree
             assert repr(dynamic_parallel_pairs(cg, pairs)) == repr(table)
+        # and so does a refusal's message
+        with pytest.raises(RequestNotInComplement, match=r"^request \(0, 1\) is not a complement edge$"):
+            dynamic_parallel_pairs(build_controlled(two_domains_of_three()), [(np.int64(1), np.int64(0))])
 
     def test_reversed_pairs_are_canonicalised(self):
         cg = build_controlled(two_domains_of_three())
