@@ -98,7 +98,8 @@ class MeasurementRecord:
 
     The outcome-dependent local-Clifford byproduct is never applied to the
     graph; the basis, the vertex and ``special_neighbor``, the designated
-    neighbor of the X-measurement rule (absent for Z), fix it.
+    neighbor of the X-measurement rule (absent for Z), fix it.  No code
+    computes the byproduct yet.
     """
 
     vertex: int
@@ -207,7 +208,9 @@ class Graph:
         Applies local complementation at the special neighbor ``k0``, then at
         ``v``, deletes ``v`` as the Z rule does, and complements at ``k0``
         again, all on one copy of the masks.  ``k0`` must be adjacent to
-        ``v``.  The local-Clifford byproduct is recorded, not applied.
+        ``v``.  The outcome-dependent local-Clifford byproduct is not
+        applied; the returned record's basis, vertex and special neighbor
+        ``k0`` fix it, and no code computes it yet.
         """
         if not self.has_edge(v, k0):
             raise ValueError(f"k0={k0} is not adjacent to measured vertex {v}")

@@ -147,4 +147,4 @@ def sample_requests(iq: InterQNet, count: int, rng_seed: int) -> RequestSet:
         )
     chosen = np.random.default_rng(rng_seed).choice(len(us), size=count, replace=False)
     chosen.flags.writeable = False
-    return RequestSet(tuple(zip(us[chosen].tolist(), vs[chosen].tolist())), chosen, pool)
+    return RequestSet._drawn(tuple(zip(us[chosen].tolist(), vs[chosen].tolist())), chosen, pool)

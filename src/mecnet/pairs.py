@@ -61,22 +61,38 @@ class RequestSet:
     without replacement from the network's own cross-domain complement:
     canonical, distinct, inter-domain and non-adjacent in the network.
 
-    ``sample_requests`` also keeps the draw: ``index``, the positions of the
-    requests in ``pool``, a read-only array in draw order, and ``pool``, the
-    ``edge_arrays`` object of the complement it drew from.  Neither takes
-    part in ``==``, ``hash`` or ``repr``.  The constructor checks nothing.
+    The constructor takes the pairs alone and checks nothing.
+    ``sample_requests`` also keeps its draw on the result: ``index``, the
+    positions of the requests in ``pool``, a read-only array in draw order,
+    and ``pool``, the ``edge_arrays`` object of the complement it drew
+    from.  Only ``sample_requests`` sets them; on any other batch both are
+    ``None``.  Neither takes part in ``==``, ``hash`` or ``repr``.
     :func:`dynamic_parallel_pairs` trusts ``index`` only when ``pool`` is
     the very ``edge_arrays`` object of the complement it schedules on (a
-    shallow copy shares it, an unpickled or deep copy does not), as then
-    the indices are distinct complement edges by construction.  It checks
-    every other batch, an equal network's draw included, pair by pair: the
-    first failing pair, in input order, names the error, and a repeat is
-    reported only once every pair has passed.
+    shallow copy shares it; an unpickled or deep copy does not, and a
+    ``dataclasses.replace`` copy has no draw), as then the indices are
+    distinct complement edges by construction.  It checks every other
+    batch, an equal network's draw included, pair by pair: the first
+    failing pair, in input order, names the error, and a repeat is reported
+    only once every pair has passed.
     """
 
     requests: tuple[Edge, ...]
-    index: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-    pool: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False, repr=False)
+    index: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
+    pool: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    @classmethod
+    def _drawn(
+        cls, requests: tuple[Edge, ...], index: np.ndarray, pool: tuple[np.ndarray, np.ndarray]
+    ) -> "RequestSet":
+        """The batch ``sample_requests`` returns: ``requests`` are the edges
+        of ``pool`` at ``index``, in that order."""
+        r = cls(requests)
+        object.__setattr__(r, "index", index)
+        object.__setattr__(r, "pool", pool)
+        return r
 
     def __len__(self) -> int:
         return len(self.requests)

@@ -10,7 +10,10 @@ applied qubit-wise.  A generator is Hermitian with sign +1 when
 ``phase == popcount(x & z) (mod 4)`` and sign -1 when they differ by 2.
 
 A tableau is checked only by ``graph_form``, which refuses any that is
-not a stabilizer state, signs aside.
+not a stabilizer state, signs aside.  Each tableau is reduced to its
+graph form at most once and keeps it.  Rows already in graph form (the X
+part of generator i is X_i alone, as ``graph_state`` makes them) skip
+the elimination, but not the count, range or symmetry checks.
 
 The equivalence check ``equal_up_to_local_clifford`` decides whether two
 states are related by a tensor product of single-qubit Cliffords on a set
@@ -31,6 +34,7 @@ packed rows (Warren, Hacker's Delight, §7-3), in log2(width) steps.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -65,6 +69,12 @@ class StabilizerTableau:
 
     n: int
     rows: tuple[Row, ...]
+
+    @functools.cached_property
+    def _graph_form(self) -> tuple[int, ...]:
+        # The rows are immutable, so the form cannot go stale; a refusal
+        # raises out of the property and is not cached.
+        return _reduce(self)
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -131,8 +141,11 @@ def measure_pauli(
         outcome = 1 if forced_outcome == 1 else -1
         rows = list(t.rows)
         pivot = anti[0]
+        px, pz, pp = rows[pivot]
+        # rows[i] times the pivot, as _row_mul(rows[i], rows[pivot])
         for i in anti[1:]:
-            rows[i] = _row_mul(rows[i], rows[pivot])
+            x, z, p = rows[i]
+            rows[i] = (x ^ px, z ^ pz, (p + pp + 2 * (z & px).bit_count()) % 4)
         rows[pivot] = (b[0], b[1], 0 if outcome == 1 else 2)
         return StabilizerTableau(t.n, tuple(rows)), outcome
     # Deterministic: express b as a product of generators and read the sign.
@@ -156,12 +169,15 @@ def measure_pauli(
 
 
 def _qubit_mask(n: int, qubits: Iterable[int]) -> int:
-    """Bit mask of ``qubits``; a qubit outside ``range(n)`` raises ValueError."""
+    """Bit mask of ``qubits``, any ids that ``operator.index`` takes; a
+    qubit outside ``range(n)`` raises ValueError that names the lowest such
+    qubit."""
+    qubits = tuple(qubits)
     mask = 0
     for q in qubits:
         if not 0 <= q < n:
-            raise ValueError(f"invalid qubit {q}")
-        mask |= 1 << q
+            raise ValueError(f"invalid qubit {min(q for q in qubits if not 0 <= q < n)}")
+        mask |= 1 << operator.index(q)
     return mask
 
 
@@ -217,45 +233,61 @@ def graph_form(t: StabilizerTableau) -> tuple[int, ...]:
     count other than ``t.n`` generators, a generator with a bit outside
     ``t.n`` qubits, dependent generators (no graph form) and generators
     that do not commute (an asymmetric adjacency, or no graph form).
+
+    A tableau is reduced at most once: it keeps its form, and every later
+    call returns the same tuple.  A refusal is not kept, so a bad tableau
+    raises on every call.
     """
+    return t._graph_form
+
+
+def _reduce(t: StabilizerTableau) -> tuple[int, ...]:
+    """The reduction behind :func:`graph_form`, which see."""
     m = t.n
     if len(t.rows) != m:
         raise ValueError(f"expected {m} generators, got {len(t.rows)}")
     full = (1 << m) - 1
-    # Pack each row as x << m | z, so that the top-bit pivots of the rows
-    # with an X part fall in the X block, at m + column.
-    rows = []
     for i, (x, z, _) in enumerate(t.rows):
         if (x | z) & ~full:
             raise ValueError(f"generator {i} acts outside {m} qubits")
-        rows.append(x << m | z)
-    pivots = _echelon(rows)
-    h = full
-    for top in pivots:
-        if top >= m:
-            h &= ~(1 << (top - m))
-    if h:
-        # The X-free products span the Z vectors orthogonal to the X rows
-        # (commutation), and that space maps one-to-one onto the non-pivot
-        # columns h, so a Hadamard on all of them makes the X block invertible.
-        hx = h << m
-        rows = [v & ~(hx | h) | (v & hx) >> m | (v & h) << m for v in rows]
+    if all(r[0] == 1 << i for i, r in enumerate(t.rows)):
+        # Rows already in graph form, X_i Z^z as a graph state has them:
+        # each row would be its own pivot, with no Hadamard columns, and
+        # back-substitution would change nothing.
+        adj = tuple(z & ~(1 << i) for i, (_, z, _) in enumerate(t.rows))
+    else:
+        # Pack each row as x << m | z, so that the top-bit pivots of the
+        # rows with an X part fall in the X block, at m + column.
+        rows = [x << m | z for x, z, _ in t.rows]
         pivots = _echelon(rows)
-    # Back-substitute, lowest pivot first, so that row c becomes X_c Z^zs[c];
-    # then clear the diagonal of the Z block with phase-gate column maps.
-    zs: list[int] = []
-    for c in range(m):
-        row = pivots.get(m + c)
-        if row is None:
-            raise ValueError("generators are dependent or do not commute")
-        x = row >> m ^ 1 << c
-        z = row & full
-        while x:
-            low = x & -x
-            x ^= low
-            z ^= zs[low.bit_length() - 1]
-        zs.append(z)
-    adj = tuple(z & ~(1 << c) for c, z in enumerate(zs))
+        h = full
+        for top in pivots:
+            if top >= m:
+                h &= ~(1 << (top - m))
+        if h:
+            # The X-free products span the Z vectors orthogonal to the X
+            # rows (commutation), and that space maps one-to-one onto the
+            # non-pivot columns h, so a Hadamard on all of them makes the X
+            # block invertible.
+            hx = h << m
+            rows = [v & ~(hx | h) | (v & hx) >> m | (v & h) << m for v in rows]
+            pivots = _echelon(rows)
+        # Back-substitute, lowest pivot first, so that row c becomes
+        # X_c Z^zs[c]; then clear the diagonal of the Z block with
+        # phase-gate column maps.
+        zs: list[int] = []
+        for c in range(m):
+            row = pivots.get(m + c)
+            if row is None:
+                raise ValueError("generators are dependent or do not commute")
+            x = row >> m ^ 1 << c
+            z = row & full
+            while x:
+                low = x & -x
+                x ^= low
+                z ^= zs[low.bit_length() - 1]
+            zs.append(z)
+        adj = tuple(z & ~(1 << c) for c, z in enumerate(zs))
     if not _symmetric(adj):
         raise ValueError("graph adjacency must be symmetric")
     return adj
@@ -351,8 +383,7 @@ def equal_up_to_local_clifford(
     """
     if a.n != b.n:
         raise ValueError("tableaux must have the same qubit count")
-    keep = sorted(set(range(a.n) if mask is None else mask))
-    keep_mask = _qubit_mask(a.n, keep)
+    keep_mask = (1 << a.n) - 1 if mask is None else _qubit_mask(a.n, mask)
     # Both operands are reduced even when nothing is kept, so that a bad
     # one raises whatever the mask; an empty keep set then passes below.
     ga, gb = graph_form(a), graph_form(b)
@@ -360,10 +391,16 @@ def equal_up_to_local_clifford(
     # the subgroup supported on the kept qubits onto that of the graph form.
     # There it is whole, and the kept part pure, iff no edge leaves the kept
     # set; the kept part is then the graph state of the induced subgraph.
-    if any((ga[q] | gb[q]) & ~keep_mask for q in keep):
-        return False
-    # Equal graph forms need no component split (most oracle checks).
-    if all(ga[q] == gb[q] for q in keep):
+    # The same pass finds equal kept forms, which need no component split
+    # (most oracle checks).
+    equal = True
+    for q in bits(keep_mask):
+        ra, rb = ga[q], gb[q]
+        if (ra | rb) & ~keep_mask:
+            return False
+        if ra != rb:
+            equal = False
+    if equal:
         return True
     comps = components(ga, keep_mask)
     if comps != components(gb, keep_mask):

@@ -909,7 +909,9 @@ class TestIntake:
         assert repr(rs) == f"RequestSet(requests={rs.requests!r})"
         cg = build_controlled(iq)
         table = dynamic_parallel_pairs(cg, rs)
-        for again in (pickle.loads(pickle.dumps(rs)), copy.deepcopy(rs)):
+        # an unpickled or deep copy holds copied arrays, and a replace copy
+        # has no draw, so each is checked like any other batch
+        for again in (pickle.loads(pickle.dumps(rs)), copy.deepcopy(rs), dataclasses.replace(rs)):
             assert again == rs and again.pool is not pool
             with request_edge_checks() as seen:
                 assert dynamic_parallel_pairs(cg, again) == table
@@ -920,6 +922,26 @@ class TestIntake:
         with request_edge_checks() as seen:
             assert dynamic_parallel_pairs(cg, shallow) == table
             assert seen == []
+
+    def test_hand_built_request_set_cannot_claim_a_pool(self):
+        # Passing the complement's own pool with indices that do not match
+        # the pairs would schedule the edges at those indices unchecked:
+        # (0, 3) and (0, 7) for a request, (0, 1), that lies inside one QNet.
+        iq = generate_inter_qnet(GenConfig(4, (3, 3, 3, 3), 0.5, 7))
+        cg = build_controlled(iq)
+        pool = complement_inter_qnet(iq).edge_arrays
+        for args, kwargs in (((((0, 1),), np.array([0, 1]), pool), {}),
+                             ((((0, 1),),), {"index": np.array([0, 1]), "pool": pool})):
+            with pytest.raises(TypeError):
+                RequestSet(*args, **kwargs)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RequestSet(((0, 1),)).pool = pool
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(sample_requests(iq, 2, 3), pool=pool)
+        with request_edge_checks() as seen:
+            with pytest.raises(RequestNotInComplement, match=r"^request \(0, 1\) is not a complement edge$"):
+                dynamic_parallel_pairs(cg, RequestSet(((0, 1),)))
+            assert len(seen) == 1
 
 
 class TestMinPartitionOracle:

@@ -7,12 +7,14 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import EVAL_CONFIG, connected_graphs, local_complement, random_network
 
 import mecnet
+import mecnet.stabilizer as stabilizer_module
 from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes
 from mecnet.graph import Graph, bits
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
@@ -847,6 +849,68 @@ class TestGraphFormAtAnyWidth:
                 form(bad)
 
 
+class TestGraphFormIsKept:
+    """graph_form reduces a tableau at most once, and rows already in graph
+    form skip the elimination but not the count, range or symmetry checks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(min_n=1), st.data())
+    def test_graph_state_form_is_its_adjacency(self, g, data):
+        # measured-out slots are bare X rows, still in graph form
+        n = g.vertex_count
+        for v in sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n // 3))):
+            g, _ = g.measure_z(v)
+        t = graph_state(g)
+        assert graph_form(t) == g.adjacency == ref_graph_form(t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(x_identity_tableaux())
+    def test_y_entries_and_signs_take_the_same_form(self, t):
+        assert graph_form(t) == ref_graph_form(t)
+
+    def test_second_call_reuses_the_form(self, monkeypatch):
+        reduce = stabilizer_module._reduce
+        reduced = []
+        monkeypatch.setattr(stabilizer_module, "_reduce", lambda t: reduced.append(t) or reduce(t))
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        post, _ = measure_pauli(graph_state(g), 1, "X", forced_outcome=-1)
+        for t in (graph_state(g), post):
+            form = graph_form(t)
+            assert graph_form(t) == form
+            assert equal_up_to_local_clifford(t, t)
+            assert reduced == [t]
+            reduced.clear()
+        # an equal tableau is another object, reduced on its own
+        again = StabilizerTableau(post.n, post.rows)
+        assert graph_form(again) == graph_form(post) and reduced == [again]
+
+    @pytest.mark.parametrize("bit", [3, 4, 70])
+    def test_stray_z_bit_raises_on_every_call(self, bit):
+        # the X block is the identity, so these rows take the shortcut
+        good = graph_state(Graph(3, [(0, 1), (1, 2)]))
+        x, z, p = good.rows[1]
+        t = StabilizerTableau(3, (good.rows[0], (x, z | 1 << bit, p), good.rows[2]))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^generator 1 acts outside 3 qubits$"):
+                graph_form(t)
+            for a, b in ((t, good), (good, t)):
+                with pytest.raises(ValueError, match="^generator 1 acts outside 3 qubits$"):
+                    equal_up_to_local_clifford(a, b)
+
+    def test_asymmetric_graph_state_is_refused(self):
+        # An asymmetric graph, such as a broken rewrite rule could build
+        # through Graph._from_parts, is refused by the symmetry test of its
+        # graph state's form on every call, for either operand.
+        bad = graph_state(Graph._from_parts(3, (2, 0, 0)))
+        good = graph_state(Graph(3))
+        for _ in range(2):
+            for a, b in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError, match="^graph adjacency must be symmetric$"):
+                    equal_up_to_local_clifford(a, b)
+            with pytest.raises(ValueError, match="^graph adjacency must be symmetric$"):
+                graph_form(bad)
+
+
 class TestXRuleOnTheTableauAtEvaluationScale:
     """The paper's rule at the scale of configs/eval.json (54 to 60 qubits):
     X-measuring every control leaves the cross-domain complement on the data
@@ -1032,6 +1096,17 @@ class TestGraphStateOperandsReadDirectly:
         for a, b in ((t, t), (post, t), (t, post), (post, post)):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 equal_up_to_local_clifford(a, b, mask)
+
+    def test_numpy_mask_ids_read_as_python_ints(self):
+        # one edge leaves the kept set {0, 1, 2}, none leaves the whole set
+        a = graph_state(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+        b = graph_state(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)]))
+        for mask in (range(4), range(3)):
+            for x, y in ((a, b), (a, a), (b, b)):
+                want = equal_up_to_local_clifford(x, y, list(mask))
+                assert equal_up_to_local_clifford(x, y, np.arange(mask.stop)) == want
+        with pytest.raises(TypeError):
+            equal_up_to_local_clifford(a, a, [0, 0.5])
 
 
 class TestBadInputFailsLoudly:
