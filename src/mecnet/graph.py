@@ -13,6 +13,7 @@ caller's perspective.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
@@ -119,10 +120,12 @@ class Graph:
     __slots__ = ("vertex_count", "_adj")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
+        vertex_count = operator.index(vertex_count)
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         adj = [0] * vertex_count
         for u, v in edges:
+            u, v = operator.index(u), operator.index(v)
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u},{v}) outside 0..{vertex_count - 1}")
             if u == v:

@@ -26,10 +26,6 @@ __all__ = [
 Num = Union[int, float, Fraction]
 
 
-def _frac(x: Num) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class TimingParams:
     """Request inter-arrival time and per-paradigm preparation/routing times.
@@ -55,13 +51,13 @@ class TimingParams:
                 raise ValueError(f"{f.name} is too large for a float") from None
             if not finite:
                 raise ValueError(f"{f.name} must be finite, got {x}")
-        if _frac(self.lam) <= 0:
+        if Fraction(self.lam) <= 0:
             raise ValueError("lam must be positive")
         for name in ("tpm", "trm", "tpb", "trb"):
-            if _frac(getattr(self, name)) < 0:
+            if Fraction(getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be non-negative")
         for prep, route in (("tpm", "trm"), ("tpb", "trb")):
-            if _frac(getattr(self, prep)) + _frac(getattr(self, route)) == 0:
+            if Fraction(getattr(self, prep)) + Fraction(getattr(self, route)) == 0:
                 raise ValueError(f"cycle time {prep} + {route} must be positive")
 
 
@@ -74,7 +70,7 @@ def mec_cycles(t: TimingParams) -> int:
     cycles whose re-preparation deadline falls inside the window.  The
     count depends on ``t`` alone, so it is memoised per timing point.
     """
-    lam, tp, tr = _frac(t.lam), _frac(t.tpm), _frac(t.trm)
+    lam, tp, tr = Fraction(t.lam), Fraction(t.tpm), Fraction(t.trm)
     if lam < tr:
         return 0
     if lam < tp + tr:
@@ -84,7 +80,7 @@ def mec_cycles(t: TimingParams) -> int:
 
 def cqr_cycles(t: TimingParams) -> int:
     """Service cycles per window when preparation starts at request arrival."""
-    lam, tp, tr = _frac(t.lam), _frac(t.tpb), _frac(t.trb)
+    lam, tp, tr = Fraction(t.lam), Fraction(t.tpb), Fraction(t.trb)
     if lam < tp + tr:
         return 0
     return int(lam // (tp + tr))

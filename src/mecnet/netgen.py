@@ -46,10 +46,6 @@ class GenConfig:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("edge probability must lie in [0,1]")
 
-    @property
-    def node_count(self) -> int:
-        return sum(self.sizes)
-
 
 def _membership(cfg: GenConfig) -> tuple[int, ...]:
     return tuple(a for a, s in enumerate(cfg.sizes, start=1) for _ in range(s))
@@ -112,7 +108,7 @@ def generate_inter_qnet(cfg: GenConfig) -> InterQNet:
     on every remaining cross-domain pair, built as one n×n boolean matrix."""
     rng = np.random.default_rng(cfg.rng_seed)
     membership = _membership(cfg)
-    n = cfg.node_count
+    n = sum(cfg.sizes)
     adj = np.zeros((n, n), dtype=bool)
     for u, v in _uniform_spanning_tree(membership, rng):
         adj[u, v] = adj[v, u] = True

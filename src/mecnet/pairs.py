@@ -72,9 +72,10 @@ class RequestSet:
     shallow copy shares it; an unpickled or deep copy does not, and a
     ``dataclasses.replace`` copy has no draw), as then the indices are
     distinct complement edges by construction.  It checks every other
-    batch, an equal network's draw included, pair by pair: the first
-    failing pair, in input order, names the error, and a repeat is reported
-    only once every pair has passed.
+    batch, an equal network's draw included, pair by pair, as
+    :func:`min_partition_oracle` checks every batch: the first failing pair,
+    in input order, names the error (its first bad id), and a repeat is
+    reported only once every pair has passed.
     """
 
     requests: tuple[Edge, ...]
@@ -172,10 +173,11 @@ def _compat_rows(matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[int]:
 def _request_edges(g: Graph, r: Iterable[Edge]) -> list[Edge]:
     """The pairs ``r`` as sorted edges of the complement ``g``, each written
     lower end first; an id is anything ``operator.index`` takes.  The first
-    pair, in input order, that is not an edge raises ValueError naming the
-    lower of its bad ids (outside ``0..n-1``, or not an integer), else
+    pair, in input order, that is not an edge raises ValueError naming its
+    first bad id (outside ``0..n-1``, or not an integer), else
     RequestNotInComplement (inside one QNet, or already adjacent); once every
-    pair has passed, a repeat (in either orientation) raises RequestError."""
+    pair has passed, a repeat (in either orientation) raises RequestError.
+    The one intake check of the scheduler and the exact-partition oracle."""
     adj, n = g.adjacency, g.vertex_count
     edges = []
     for u, v in r:
@@ -185,7 +187,7 @@ def _request_edges(g: Graph, r: Iterable[Edge]) -> list[Edge]:
         except TypeError:
             found = False
         if not found:
-            for x in sorted((u, v)):
+            for x in (u, v):
                 if not (hasattr(x, "__index__") and 0 <= x < n):
                     raise ValueError(f"invalid vertex id {x}")
             raise RequestNotInComplement(f"request {(a, b)} is not a complement edge")
@@ -248,10 +250,10 @@ def dynamic_parallel_pairs(cg: ControlledInterQNet, r: Iterable[Edge]) -> Parall
     A batch that ``sample_requests`` drew from this very complement (its
     ``pool`` is the complement's ``edge_arrays`` object) enters as its pool
     indices, distinct complement edges by construction; any other batch is
-    checked here, once, pair by pair (:func:`_request_edges`): the first
-    failing pair, in input order, names the error, and a repeat is reported
-    only once every pair has passed.  The result is checked against the
-    whole-edge-set candidate lists.
+    checked here, once, pair by pair (:func:`_request_edges`, the oracle's
+    intake too): the first failing pair, in input order, names the error
+    (its first bad id), and a repeat is reported only once every pair has
+    passed.  The result is checked against the whole-edge-set candidate lists.
     """
     comp = complement_inter_qnet(cg.data)
     pool = comp.edge_arrays
@@ -326,14 +328,15 @@ def _assert_table_valid(g: Graph, table: ParallelPairTable, requests: Sequence[E
 def min_partition_oracle(g: Graph, r: Iterable[Edge]) -> int:
     """Exact minimum number of parallel-pairable groups, |r| <= 10.
 
+    The batch enters through the scheduler's check, :func:`_request_edges`
+    on the complement ``g``, so both refuse the same batches with the same
+    exception and message (a refused pair names its first bad id).
     Exhaustive set-partition search with branch-and-bound on the running
     best; compatibility is precomputed pairwise.
     """
-    edges = sorted({canonical_edge(u, v) for u, v in r})
+    edges = _request_edges(g, r)
     if len(edges) > 10:
         raise ValueError("exact partition oracle is limited to 10 requests")
-    if not edges:
-        return 0
     comp = {
         (i, j): compatible(g, edges[i], edges[j])
         for i, j in itertools.combinations(range(len(edges)), 2)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .metrics import TimingParams, _frac
+from .metrics import TimingParams
 
 __all__ = [
     "walk_mec_window",
@@ -36,7 +36,7 @@ __all__ = [
 
 def walk_mec_window(t: TimingParams) -> int:
     """Completed proactive cycles in one window, by laying blocks."""
-    lam, tp, tr = _frac(t.lam), _frac(t.tpm), _frac(t.trm)
+    lam, tp, tr = Fraction(t.lam), Fraction(t.tpm), Fraction(t.trm)
     if lam < tr:
         return 0  # routing alone overruns the window
     if lam < tp + tr:
@@ -51,7 +51,7 @@ def walk_mec_window(t: TimingParams) -> int:
 
 def walk_cqr_window(t: TimingParams) -> int:
     """Completed on-demand cycles in one window, by laying blocks."""
-    lam, tp, tr = _frac(t.lam), _frac(t.tpb), _frac(t.trb)
+    lam, tp, tr = Fraction(t.lam), Fraction(t.tpb), Fraction(t.trb)
     count = 0
     clock = Fraction(0)
     while clock + tp + tr <= lam:
@@ -81,7 +81,7 @@ def simulate_mec_long_run(t: TimingParams, windows: int = 4096) -> LongRunResult
     """
     if windows < 1:
         raise ValueError(f"windows must be at least 1, got {windows}")
-    lam, tp, tr = _frac(t.lam), _frac(t.tpm), _frac(t.trm)
+    lam, tp, tr = Fraction(t.lam), Fraction(t.tpm), Fraction(t.trm)
     horizon = lam * windows
     ready = Fraction(0)  # proactively prepared before the first arrival
     completions = 0

@@ -324,6 +324,18 @@ class TestStructure:
         with pytest.raises(ValueError):
             Graph(2, [(0, 5)])
 
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_numpy_ids_build_the_python_int_graph(self, n):
+        # 1 << np.int64(70) is 0, so numpy masks would lose edges past bit 63
+        rnd = random.Random(n)
+        edges = [e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.2]
+        edges.append((0, n - 1))
+        want = Graph(n, edges)
+        got = Graph(np.int64(n), [(np.int64(u), np.int64(v)) for u, v in edges])
+        assert got == want and got.edges() == want.edges()
+        assert type(got.vertex_count) is int and {type(m) for m in got.adjacency} == {int}
+        assert got.measure_z(n - 1) == want.measure_z(n - 1)
+
     def test_immutability(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):

@@ -944,7 +944,50 @@ class TestIntake:
             assert len(seen) == 1
 
 
+def one_intake_network():
+    """The complement of a 12-vertex network, and its controlled network."""
+    iq = generate_inter_qnet(GenConfig(4, (3, 3, 3, 3), 0.5, 7))
+    return complement_inter_qnet(iq), build_controlled(iq)
+
+
 class TestMinPartitionOracle:
+    @pytest.mark.parametrize(
+        "r, error, message",
+        [
+            ([(0, 1)], RequestNotInComplement, "request (0, 1) is not a complement edge"),
+            ([(0, 99)], ValueError, "invalid vertex id 99"),
+            ([(3, 0), (0, 3)], RequestError, "duplicate requests"),
+            ([(0, 3), (0, 3)], RequestError, "duplicate requests"),
+            ([(0, 3), (0, "a")], ValueError, "invalid vertex id a"),
+            ([(None, 1)], ValueError, "invalid vertex id None"),
+            ([(1j, 2)], ValueError, "invalid vertex id 1j"),
+            ([(12, -1)], ValueError, "invalid vertex id 12"),
+        ],
+        ids=["non-edge", "out-of-range", "reversed-repeat", "exact-repeat", "str", "none", "complex",
+             "both-bad-higher-first"],
+    )
+    def test_refuses_what_the_scheduler_refuses(self, r, error, message):
+        comp, cg = one_intake_network()
+        assert comp.graph.vertex_count == 12 and comp.graph.has_edge(0, 3)
+        for run in (lambda: min_partition_oracle(comp.graph, r), lambda: dynamic_parallel_pairs(cg, r)):
+            with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+                run()
+            assert type(raised.value) is error
+
+    def test_empty_batch(self):
+        comp, cg = one_intake_network()
+        assert min_partition_oracle(comp.graph, []) == 0
+        assert dynamic_parallel_pairs(cg, []).groups == ()
+
+    def test_numpy_ids_read_as_their_python_ints(self):
+        comp, _ = one_intake_network()
+        us, vs = comp.edge_arrays
+        drawn = list(zip(us[::4], vs[::4]))
+        assert {type(x) for e in drawn for x in e} == {np.int64} and 2 <= len(drawn) <= 10
+        want = min_partition_oracle(comp.graph, [(int(u), int(v)) for u, v in drawn])
+        assert min_partition_oracle(comp.graph, drawn) == want
+        assert min_partition_oracle(comp.graph, [(v, u) for u, v in drawn]) == want
+
     def test_pairwise_compatible_is_one(self):
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
         assert min_partition_oracle(g, g.edges()) == 1
