@@ -176,6 +176,7 @@ class Graph:
         return frozenset(bits(self.neighbor_mask(v)))
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = operator.index(u), operator.index(v)
         self._check_vertex(u)
         self._check_vertex(v)
         return bool(self._adj[u] >> v & 1)
@@ -215,6 +216,7 @@ class Graph:
         applied; the returned record's basis, vertex and special neighbor
         ``k0`` fix it, and no code computes it yet.
         """
+        v, k0 = operator.index(v), operator.index(k0)
         if not self.has_edge(v, k0):
             raise ValueError(f"k0={k0} is not adjacent to measured vertex {v}")
         full = (1 << self.vertex_count) - 1
@@ -227,6 +229,7 @@ class Graph:
 
     def measure_z(self, v: int) -> tuple["Graph", MeasurementRecord]:
         """Pauli-Z measurement rule: vertex deletion, ``v``'s slot left isolated."""
+        v = operator.index(v)
         self._check_vertex(v)
         full = (1 << self.vertex_count) - 1
         return self.keep(full ^ 1 << v), MeasurementRecord(v, "Z")

@@ -116,8 +116,8 @@ class ParallelPairTable:
 
 def compatible(g: Graph, e1: Edge, e2: Edge) -> bool:
     """Disjoint endpoints and mutual neighborhood exclusion for two edges."""
-    a, b = e1
-    c, d = e2
+    a, b = map(operator.index, e1)
+    c, d = map(operator.index, e2)
     if not g.has_edge(a, b):
         raise ValueError(f"{e1} is not an edge")
     if not g.has_edge(c, d):

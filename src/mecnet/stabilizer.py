@@ -10,10 +10,11 @@ applied qubit-wise.  A generator is Hermitian with sign +1 when
 ``phase == popcount(x & z) (mod 4)`` and sign -1 when they differ by 2.
 
 A tableau is checked only by ``graph_form``, which refuses any that is
-not a stabilizer state, signs aside.  Each tableau is reduced to its
-graph form at most once and keeps it.  Rows already in graph form (the X
-part of generator i is X_i alone, as ``graph_state`` makes them) skip
-the elimination, but not the count, range or symmetry checks.
+not a stabilizer state, signs aside, and reduces each tableau at most once.
+Rows in graph form (generator i has X part X_i, as from ``graph_state``)
+skip the elimination but not the count, range or symmetry checks.  Others
+take a Hadamard on each column outside the X block's top-down greedy
+basis, then one elimination of the swapped rows.
 
 The equivalence check ``equal_up_to_local_clifford`` decides whether two
 states are related by a tensor product of single-qubit Cliffords on a set
@@ -129,6 +130,7 @@ def measure_pauli(
     branch, and without it ValueError is raised: nothing is drawn.  A
     deterministic outcome ignores ``forced_outcome``.
     """
+    q = operator.index(q)
     b = _basis_row(t.n, q, basis)
     if forced_outcome is not None and forced_outcome not in (1, -1):
         raise ValueError(f"forced outcome must be +1 or -1, got {forced_outcome!r}")
@@ -256,22 +258,15 @@ def _reduce(t: StabilizerTableau) -> tuple[int, ...]:
         # back-substitution would change nothing.
         adj = tuple(z & ~(1 << i) for i, (_, z, _) in enumerate(t.rows))
     else:
-        # Pack each row as x << m | z, so that the top-bit pivots of the
-        # rows with an X part fall in the X block, at m + column.
-        rows = [x << m | z for x, z, _ in t.rows]
-        pivots = _echelon(rows)
+        # Hadamards on h, the columns outside the X block's top-down greedy
+        # basis, make it invertible: the X-free products span the Z vectors
+        # orthogonal to the X rows, which map one-to-one onto h.  The swapped
+        # rows, X block first, are eliminated once: column c pivots at m + c.
         h = full
-        for top in pivots:
-            if top >= m:
-                h &= ~(1 << (top - m))
-        if h:
-            # The X-free products span the Z vectors orthogonal to the X
-            # rows (commutation), and that space maps one-to-one onto the
-            # non-pivot columns h, so a Hadamard on all of them makes the X
-            # block invertible.
-            hx = h << m
-            rows = [v & ~(hx | h) | (v & hx) >> m | (v & h) << m for v in rows]
-            pivots = _echelon(rows)
+        for top in _echelon([x for x, _, _ in t.rows]):
+            h ^= 1 << top
+        k = full ^ h
+        pivots = _echelon([(x & k | z & h) << m | z & k | x & h for x, z, _ in t.rows])
         # Back-substitute, lowest pivot first, so that row c becomes
         # X_c Z^zs[c]; then clear the diagonal of the Z block with
         # phase-gate column maps.

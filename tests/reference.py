@@ -2,7 +2,9 @@
 each, imported by the test files and not collected by pytest.  Each is the
 paper's formulation or the library's first, edge-by-edge version of the
 stage its docstring names; :func:`reference_run_instance` chains them, with
-``derive_seed`` the only library stage it reads.
+``derive_seed`` the only library stage it reads.  :func:`state_vector`,
+:func:`apply_pauli` and :func:`project` hold the stabilizer tableau to
+amplitudes, up to 12 qubits.
 :func:`random_network` is no reference: it seeds the library generator from
 a test's ``random.Random``.
 """
@@ -230,6 +232,43 @@ def connected_graphs(n):
         g = Graph(n, [pairs[i] for i in range(len(pairs)) if sel >> i & 1])
         if g.connected():
             yield g
+
+
+STATE_VECTOR_CAP = 12  # qubits: 4,096 amplitudes
+
+
+def state_vector(g):
+    """The graph state of ``g`` as amplitudes, qubit q at bit q of the
+    basis index: |+>^n with CZ on each edge, so the amplitude of |b> is
+    2**(-n/2) times -1 per edge inside b."""
+    n = g.vertex_count
+    if n > STATE_VECTOR_CAP:
+        raise ValueError(f"state vectors stop at {STATE_VECTOR_CAP} qubits, got {n}")
+    idx = np.arange(1 << n)
+    odd = np.zeros(1 << n, dtype=np.int64)
+    for u, v in g.edges():
+        odd ^= idx >> u & idx >> v & 1
+    return (1 - 2 * odd) / np.sqrt(1 << n)
+
+
+def apply_pauli(psi, row):
+    """P psi for the tableau row ``(x, z, phase)``, P = i**phase X**x Z**z:
+    Z**z signs each amplitude, then X**x moves amplitude j to j ^ x."""
+    x, z, phase = row
+    idx = np.arange(len(psi))
+    signed = np.where(np.bitwise_count(idx & z) % 2, -psi, psi)
+    return 1j**phase * signed[idx ^ x]
+
+
+def project(psi, row, outcome):
+    """The normalised (1 + outcome * P) psi / 2, the post-measurement state
+    of outcome ±1 for the Hermitian Pauli ``row``; ValueError if that
+    outcome has probability zero."""
+    out = (psi + outcome * apply_pauli(psi, row)) / 2
+    norm = np.linalg.norm(out)
+    if norm < 1e-9:
+        raise ValueError(f"outcome {outcome} has probability zero")
+    return out / norm
 
 
 def reference_run_instance(seed, nodes, k, p, rep, volumes):

@@ -324,17 +324,32 @@ class TestStructure:
         with pytest.raises(ValueError):
             Graph(2, [(0, 5)])
 
-    @pytest.mark.parametrize("n", [10, 100])
+    @pytest.mark.parametrize("n", [10, 40, 100])
     def test_numpy_ids_build_the_python_int_graph(self, n):
-        # 1 << np.int64(70) is 0, so numpy masks would lose edges past bit 63
+        # 1 << np.int64(70) is 0, so numpy masks would lose edges past bit 63;
+        # the rules, given numpy ids, built graphs of numpy masks that broke
+        # edges() and a later rule
         rnd = random.Random(n)
         edges = [e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.2]
-        edges.append((0, n - 1))
+        edges += [(0, n - 1), (1, n - 1)]
         want = Graph(n, edges)
         got = Graph(np.int64(n), [(np.int64(u), np.int64(v)) for u, v in edges])
         assert got == want and got.edges() == want.edges()
         assert type(got.vertex_count) is int and {type(m) for m in got.adjacency} == {int}
         assert got.measure_z(n - 1) == want.measure_z(n - 1)
+        ids = (0, 1, n * 3 // 4, n - 1)
+        for u, v in itertools.product(ids, ids):
+            if u != v:
+                assert want.has_edge(np.int64(u), np.int64(v)) is want.has_edge(u, v)
+        for (g, record), py in (
+            (want.measure_x(np.int64(n - 1), np.int64(0)), want.measure_x(n - 1, 0)),
+            (want.measure_z(np.int64(n - 1)), want.measure_z(n - 1)),
+        ):
+            assert (g, record) == py and g.edges() == py[0].edges()
+            assert {type(m) for m in g.adjacency} == {int} and type(record.vertex) is int
+            v = next(u for u in range(n) if g.neighbor_mask(u))
+            k0 = min(g.neighbors(v))
+            assert g.measure_x(v, k0) == py[0].measure_x(v, k0)
 
     def test_immutability(self):
         g = Graph(2, [(0, 1)])

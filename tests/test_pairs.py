@@ -119,6 +119,13 @@ class TestCompatible:
         with pytest.raises(ValueError):
             compatible(g, (0, 2), (2, 3))
 
+    def test_numpy_ids_past_bit_63(self):
+        # 1 << np.int64(70) raised OverflowError
+        g = Graph(100, [(0, 70), (1, 80), (70, 90), (2, 3)])
+        for e1, e2 in itertools.permutations([(0, 70), (1, 80), (2, 3), (90, 70)], 2):
+            as_numpy = tuple(np.int64(v) for v in e1), tuple(np.int64(v) for v in e2)
+            assert compatible(g, *as_numpy) is compatible(g, e1, e2)
+
 
 @st.composite
 def graph_with_dead_slots(draw):

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import EVAL_CONFIG, connected_graphs, local_complement, random_network
+from reference import (
+    EVAL_CONFIG,
+    apply_pauli,
+    connected_graphs,
+    local_complement,
+    project,
+    random_network,
+    state_vector,
+)
 
 import mecnet
 import mecnet.stabilizer as stabilizer_module
@@ -118,6 +126,21 @@ class TestMeasurePauli:
         with pytest.raises(ValueError):
             measure_pauli(graph_state(Graph(2)), 5, "X")
 
+    @pytest.mark.parametrize("n", [10, 40, 100])
+    def test_numpy_qubit_ids_read_as_python_ints(self, n):
+        # 1 << np.int64(q) is an np.int64, which mixed into the rows and
+        # wrapped past bit 63; both branches must see the Python int
+        t = graph_state(random_graph(random.Random(n), n, 0.2))
+        for q in (3, n * 3 // 4, n - 1):
+            for basis in "XZ":
+                for forced in (1, -1):
+                    want = measure_pauli(t, q, basis, forced_outcome=forced)
+                    got = measure_pauli(t, np.int64(q), basis, forced_outcome=forced)
+                    assert got == want and {type(v) for r in got[0].rows for v in r} == {int}
+                    assert graph_form(got[0]) == graph_form(want[0])
+                    # measured again, the outcome is deterministic
+                    assert measure_pauli(want[0], np.int64(q), basis) == measure_pauli(want[0], q, basis)
+
     def test_repeated_measurement_is_stable(self):
         rnd = random.Random(12)
         for _ in range(50):
@@ -154,6 +177,16 @@ class TestGraphForm:
         # |0>|0> state: pure Z rows must still reduce to a graph form
         t = StabilizerTableau(2, ((0, 1, 0), (0, 2, 0)))
         assert graph_form(t) == (0, 0)
+
+    def test_hadamard_on_the_top_non_pivot_column(self):
+        # The star X-measured at its centre leaves X block columns 1, 2
+        # and 3 spanning two dimensions: taken from the top down, column 1
+        # is the one outside the basis and takes the Hadamard, and the
+        # form is a star centred at 1.  A Hadamard on column 3, the
+        # bottom-up choice, would give the star centred at 3, (0, 8, 8, 6).
+        post, _ = measure_pauli(graph_state(Graph(4, [(0, 1), (0, 2), (0, 3)])), 0, "X", forced_outcome=1)
+        assert post.rows == ((1, 14, 0), (1, 0, 0), (6, 0, 0), (10, 0, 0))
+        assert graph_form(post) == (0, 12, 2, 2)
 
 
 class TestLocalCliffordEquivalence:
@@ -814,6 +847,86 @@ class TestMeasurePauliRowSelection:
             for basis in "XZ":
                 for forced in (1, -1):
                     assert measure_pauli(t, q, basis, forced_outcome=forced) == ref_measure_pauli(t, q, basis, forced)
+
+
+class TestTableauAgainstTheStateVector:
+    """Every signed row of a graph state and of each measured post-state
+    stabilises the state vector, projected onto the same outcomes, and a
+    deterministic outcome is the expectation of the measured Pauli."""
+
+    @staticmethod
+    def assert_stabilised(t, psi):
+        for row in t.rows:
+            assert np.allclose(apply_pauli(psi, row), psi), row
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(min_n=1, max_n=12))
+    def test_graph_state_rows_stabilise_the_vector(self, g):
+        self.assert_stabilised(graph_state(g), state_vector(g))
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(min_n=1, max_n=10), st.data())
+    def test_measured_rows_stabilise_the_projected_vector(self, g, data):
+        t, psi = graph_state(g), state_vector(g)
+        for _ in range(data.draw(st.integers(1, 4))):
+            q = data.draw(st.integers(0, t.n - 1))
+            basis = data.draw(st.sampled_from("XZ"))
+            b = (1 << q, 0, 0) if basis == "X" else (0, 1 << q, 0)
+            forced = data.draw(st.sampled_from((1, -1)))
+            post, outcome = measure_pauli(t, q, basis, forced_outcome=forced)
+            if post is t:
+                assert np.vdot(psi, apply_pauli(psi, b)) == pytest.approx(outcome)
+            else:
+                assert outcome == forced
+                psi = project(psi, b, outcome)
+            t = post
+            self.assert_stabilised(t, psi)
+
+
+def _clifford_gate(rows, gate, q, t):
+    """Conjugate every row by H or S on qubit q, or by CNOT from q to t,
+    under P = i**phase X**x Z**z."""
+    b = 1 << q
+    out = []
+    for x, z, p in rows:
+        if gate == "H":  # X <-> Z, and X Z -> Z X = -X Z
+            if x & z & b:
+                p += 2
+            x, z = x & ~b | z & b, z & ~b | x & b
+        elif gate == "S":  # X -> i X Z
+            if x & b:
+                z ^= b
+                p += 1
+        else:  # X_q -> X_q X_t and Z_t -> Z_q Z_t, no phase
+            x ^= (x >> q & 1) << t
+            z ^= (z >> t & 1) << q
+        out.append((x, z, p % 4))
+    return out
+
+
+@st.composite
+def clifford_tableaux(draw):
+    """Stabilizer states of 1 to 14 qubits from random H, S and CNOT gates
+    on |0...0> and random row products: X blocks of every rank, all-Z ones
+    included, not only the singular ones that measured graph states give."""
+    n = draw(st.integers(1, 14))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [(0, 1 << i, 0) for i in range(n)]
+    for _ in range(draw(st.integers(0, 4 * n * n))):
+        q = rnd.randrange(n)
+        gate = rnd.choice("HSC" if n > 1 else "HS")
+        rows = _clifford_gate(rows, gate, q, (q + rnd.randrange(1, n)) % n if gate == "C" else q)
+    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        i, j = rnd.sample(range(n), 2)
+        rows[i] = _row_mul(rows[i], rows[j])
+    return StabilizerTableau(n, tuple(rows))
+
+
+class TestGraphFormOfCliffordStates:
+    @settings(max_examples=300, deadline=None)
+    @given(clifford_tableaux())
+    def test_matches_reference_with_top_down_hadamards(self, t):
+        assert state_form(t) == ref_graph_form(ref_top_down_hadamards(t))
 
 
 class TestGraphFormAtAnyWidth:
