@@ -28,6 +28,7 @@ from typing import Any, Iterator, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .cqr import cqr_batch
+from .graph import MAX_VERTICES
 from .metrics import TimingParams, arqf_cqr, arqf_mec, throughput_cqr, throughput_mec
 from .netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
 from .pairs import ParallelPairViolation, dynamic_parallel_pairs
@@ -121,11 +122,17 @@ class ExperimentConfig:
             failed.append(
                 f"unknown seed_policy {self.seed_policy!r}; the only scheduler is 'greedy_max'"
             )
+        if self.nodes > MAX_VERTICES:
+            failed.append(f"nodes {self.nodes} is above the vertex limit {MAX_VERTICES}")
         # each grid cell must give a network that GenConfig, where the
-        # generator's rules are stated, accepts
+        # generator's rules are stated, accepts; a count above nodes (or
+        # above the limit nodes is held to) leaves a QNet empty, and is
+        # refused before even_sizes builds a tuple that long
         for i, k in enumerate(self.qnet_counts):
             for j, p in enumerate(self.densities):
                 try:
+                    if k > 1 and k > min(self.nodes, MAX_VERTICES):
+                        raise ValueError("QNet sizes must be positive")
                     GenConfig(k, even_sizes(self.nodes, k) if k > 0 else (), p, 0)
                 except ValueError as exc:
                     cell = f"nodes={self.nodes}, qnet_counts[{i}]={k}, densities[{j}]={p}"
@@ -353,8 +360,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[InstanceResult]:
         tasks = [(cfg.seed, cfg.nodes, k, p, rep, cfg.request_volumes) for k, p, rep in _grid(cfg)]
     if cfg.jobs > 1:
         # a pool starts all its workers at the first submit, so it gets no
-        # more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
+        # more than there are tasks, or than there are CPUs to run them
+        workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(task, tasks))
     return [task(t) for t in tasks]
 

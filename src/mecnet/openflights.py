@@ -38,10 +38,16 @@ class ParseResult:
 
 
 def _rows(path: str, digest) -> Iterator[list[str]]:
-    """CSV rows of a UTF-8 file, read once; its bytes also feed ``digest``."""
+    """CSV rows of a UTF-8 file, read once; its bytes also feed ``digest``.
+    A row the csv module cannot read (a field past its size limit) raises
+    ValueError naming the file and the line."""
     data = pathlib.Path(path).read_bytes()
     digest.update(data)
-    return csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def parse_openflights(airports_path: str, routes_path: str) -> ParseResult:

@@ -6,11 +6,14 @@ stage its docstring names; :func:`reference_run_instance` chains them, with
 :func:`apply_pauli` and :func:`project` hold the stabilizer tableau to
 amplitudes, up to 12 qubits.
 :func:`random_network` is no reference: it seeds the library generator from
-a test's ``random.Random``.
+a test's ``random.Random``; nor is :func:`run_capped`, which runs code in a
+child interpreter with a capped address space.
 """
 
 import itertools
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -22,6 +25,8 @@ from mecnet.pairs import compatible
 from mecnet.qnet import InterQNet, QNetPartition
 
 EVAL_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "eval.json")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+ADDRESS_SPACE_CAP = 1_500_000_000  # bytes
 
 
 def local_complement(g, v):
@@ -53,6 +58,21 @@ def cross_pair_count(sizes):
 def random_network(k, sizes, p, rnd):
     """``generate_inter_qnet`` on these QNet sizes, seeded by a draw of ``rnd``."""
     return generate_inter_qnet(GenConfig(k, tuple(sizes), p, rnd.getrandbits(32)))
+
+
+def run_capped(code, *args):
+    """Run ``code`` with ``args`` as ``sys.argv[1:]`` in a fresh interpreter
+    whose address space is capped at ``ADDRESS_SPACE_CAP`` (``RLIMIT_AS``),
+    with this checkout's ``src`` and ``tests`` on its path; returns the
+    completed process, its output captured as text, or raises
+    ``subprocess.TimeoutExpired`` after 60 s.  An input that makes the
+    library allocate without bound then fails the test, not the runner."""
+    cap = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE_CAP},) * 2)\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(TESTS, os.pardir, "src"), TESTS]))
+    return subprocess.run(
+        [sys.executable, "-c", cap + code, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
 
 
 def reference_spanning_tree(membership, rng):

@@ -17,7 +17,7 @@ from xml.etree import ElementTree
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import EVAL_CONFIG, cross_pair_count, local_complement, reference_run_instance
+from reference import EVAL_CONFIG, cross_pair_count, local_complement, reference_run_instance, run_capped
 
 import mecnet
 import mecnet.cli as cli
@@ -37,7 +37,7 @@ from mecnet.experiments import (
     run_instance,
     write_reports,
 )
-from mecnet.graph import Graph
+from mecnet.graph import MAX_VERTICES, Graph
 from mecnet.metrics import TimingParams, throughput_cqr, throughput_mec
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
 from mecnet.qnet import build_controlled, instance_from_text, instance_to_text
@@ -318,10 +318,12 @@ class TestGenerateAndRunFromFiles:
 
     def test_pool_is_no_larger_than_the_work(self, tmp_path, monkeypatch):
         # a pool forks all its workers at the first submit, so it is sized
-        # to the task count; the stand-in runs at most two real workers
+        # to the task count; the stand-in runs at most two real workers, and
+        # the CPU count is set past every case's, whatever the host has
         files = self._two_files(tmp_path)
         real = experiments.ProcessPoolExecutor
         seen = []
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
 
         def capped_pool(max_workers):
             seen.append(max_workers)
@@ -1150,6 +1152,107 @@ class TestUsageErrors:
         assert cli.main(argv) == cli.EXIT_USAGE
         assert capsys.readouterr() == ("", f"usage error: {message}\n")
         assert os.listdir(tmp_path) == []
+
+
+# Runs the CLI on sys.argv[1:], prints the seconds it took and exits with its
+# status.
+TIMED_CLI = """
+import sys, time
+from mecnet import cli
+start = time.perf_counter()
+status = cli.main(sys.argv[1:])
+print(f"{time.perf_counter() - start:.3f}")
+sys.exit(status)
+"""
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize(
+        "over, named",
+        [
+            (
+                {"qnet_counts": [10**9]},
+                "grid cell nodes=18, qnet_counts[0]=1000000000, densities[0]=0.2: "
+                "QNet sizes must be positive",
+            ),
+            (
+                {"qnet_counts": [10**29]},
+                f"grid cell nodes=18, qnet_counts[0]={10**29}, densities[0]=0.2: "
+                "QNet sizes must be positive",
+            ),
+            ({"nodes": 10**12}, f"nodes 1000000000000 is above the vertex limit {MAX_VERTICES}"),
+            # an instance file, written by the test, whose header is that
+            (
+                {"instance_files": "n=300000000\nqnet 1: 0\n"},
+                f"malformed line: 'n=300000000': vertex_count 300000000 is above the vertex limit {MAX_VERTICES}",
+            ),
+        ],
+        ids=["count_1e9", "count_1e29", "nodes_1e12", "instance_header"],
+    )
+    def test_a_size_no_memory_holds_is_refused_at_once(self, tmp_path, over, named):
+        # each of these once sized an allocation from the value (a tuple of
+        # k QNet sizes, a list of n vertices) and ran out of memory; under a
+        # capped address space a regression fails here, not in the runner
+        if "instance_files" in over:
+            big = tmp_path / "big.txt"
+            big.write_text(over["instance_files"])
+            over, named = {"instance_files": [str(big)]}, f"{big}: {named}"
+        cfg_path, _ = small_config(tmp_path, densities=[0.2], **over)
+        proc = run_capped(TIMED_CLI, "run", "--config", cfg_path)
+        assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+        assert proc.stderr == f"usage error: {named}\n"
+        assert float(proc.stdout) < 2.0
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # the stand-in runs the tasks in this process: no worker is started
+        seen = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        cfg = ExperimentConfig(
+            nodes=18, qnet_counts=(3,), densities=(0.2,), request_volumes=(3,), repetitions=5, jobs=8000
+        )
+        for cpus in (3, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert len(run_experiment(cfg)) == 5
+        assert seen == [3, 1]
+
+    def test_parsers_raise_value_error_and_nothing_else(self):
+        # the properties of tests/fuzz_parsers.py, in one capped child
+        proc = run_capped("import runpy; runpy.run_module('fuzz_parsers', run_name='__main__')")
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert proc.stdout == "4 properties held\n"
+
+
+class TestSkippedVolumesSelectSparserNetworks:
+    def test_survivors_read_a_lower_r_bar(self):
+        # a volume is skipped on a network whose complement holds fewer
+        # pairs, so the networks that serve volume 200 are the sparser
+        # complements, which serve fewer requests per round at every volume
+        volumes = (50, 100, 150, 200)
+        cfg = ExperimentConfig(
+            seed=1, nodes=50, qnet_counts=(6,), densities=(0.8,), request_volumes=volumes, repetitions=100
+        )
+        results = run_experiment(cfg)
+        survivors = [r for r in results if not r.volumes[-1].skipped]
+        assert 0 < len(survivors) < len(results)
+        for i, vol in enumerate(volumes[:-1]):
+            assert not any(r.volumes[i].skipped for r in results)
+            r_bar = [mean(vol / r.volumes[i].rho for r in rs) for rs in (survivors, results)]
+            assert r_bar[0] < r_bar[1], vol
 
 
 class TestPipelineMismatchPath:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from reference import local_complement
 
 from mecnet.graph import (
+    MAX_VERTICES,
     Graph,
     MeasurementRecord,
     _local_complement,
@@ -351,6 +352,16 @@ class TestStructure:
             k0 = min(g.neighbors(v))
             assert g.measure_x(v, k0) == py[0].measure_x(v, k0)
 
+    def test_count_above_the_vertex_limit_is_refused_before_allocating(self):
+        # 10**30 slots could never be allocated: the check comes first
+        assert Graph(MAX_VERTICES).vertex_count == MAX_VERTICES
+        for n in (MAX_VERTICES + 1, 10**30):
+            with pytest.raises(ValueError, match=f"^vertex_count {n} is above the vertex limit {MAX_VERTICES}$"):
+                Graph(n)
+        # the trusted path that the controlled network takes, whose controls
+        # follow as many data vertices as the limit allows, checks no count
+        assert Graph._from_parts(MAX_VERTICES + 2, (0,) * (MAX_VERTICES + 2)).vertex_count == MAX_VERTICES + 2
+
     def test_immutability(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):
@@ -426,6 +437,9 @@ class TestSerialization:
             ("n=3\n0 5\n", "0 5", "edge (0,5) outside 0..2"),
             ("n=3\n1 2\n-1 1\n", "-1 1", "edge (-1,1) outside 0..2"),
             ("n=-1\n0 1\n", "n=-1", "vertex_count must be non-negative"),
+            # the header is named whether or not an edge line follows
+            ("n=4097\n0 1\n", "n=4097", f"vertex_count 4097 is above the vertex limit {MAX_VERTICES}"),
+            ("n=4097\n", "n=4097", f"vertex_count 4097 is above the vertex limit {MAX_VERTICES}"),
         ],
     )
     def test_line_the_graph_refuses_is_named(self, text, line, reason):

@@ -1,9 +1,11 @@
 """OpenFlights ingestion against the vendored fixture slice."""
 
 import os
+import re
 
 import pytest
 
+from mecnet.graph import MAX_VERTICES
 from mecnet.openflights import ParseResult, build_real_instance, parse_openflights
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "openflights")
@@ -106,6 +108,20 @@ class TestBuildInstance:
         parsed = ParseResult([(("Berlin", "Germany"), ("Munich", "Germany"))])
         with pytest.raises(ValueError, match="stays inside QNet"):
             build_real_instance(parsed)
+
+    def test_more_cities_than_the_vertex_limit_are_refused(self):
+        # a star from one hub: every spoke is a city of its own
+        hub = ("Hub", "A")
+        parsed = ParseResult([(hub, (f"City {i}", "B")) for i in range(MAX_VERTICES)])
+        with pytest.raises(ValueError, match=f"vertex_count {MAX_VERTICES + 1} is above the vertex limit"):
+            build_real_instance(parsed)
+        assert build_real_instance(ParseResult(parsed.links[1:]))[1]["cities"] == MAX_VERTICES
+
+    def test_row_past_the_csv_field_limit_is_named(self, tmp_path):
+        routes = tmp_path / "routes.dat"
+        routes.write_text("AF,137,CDG,1001,BER,1101,,0,320\nAF," + "x" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{routes} line 2: field larger than field limit")):
+            parse_openflights(AIRPORTS, str(routes))
 
     def test_oversample_rejected(self, parsed):
         with pytest.raises(ValueError):
