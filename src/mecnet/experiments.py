@@ -43,6 +43,7 @@ from .qnet import (
 from .svgplot import grouped_bars, line_chart
 
 __all__ = [
+    "MAX_INSTANCES",
     "ExperimentConfig",
     "PipelineMismatch",
     "InstanceResult",
@@ -52,6 +53,13 @@ __all__ = [
     "render_figures",
     "generate_instances",
 ]
+
+# The most grid instances, (k, p, rep) cells, that a config may ask for: a
+# run holds every task and result at once, about 1 KB per instance with four
+# request volumes, so about 1 GB at this limit (64-bit CPython 3.11); a
+# larger grid is refused before any task is built.
+MAX_INSTANCES = 1_000_000
+
 
 class PipelineMismatch(AssertionError):
     """A pipeline invariant failed on an instance: the measurement sequence
@@ -91,6 +99,12 @@ class ExperimentConfig:
             failed.append(f"seed must be non-negative, got {self.seed}")
         if self.repetitions < 1:
             failed.append("repetitions must be at least 1")
+        instances = len(self.qnet_counts) * len(self.densities) * self.repetitions
+        if instances > MAX_INSTANCES:
+            failed.append(
+                f"repetitions {self.repetitions} makes a grid of {instances} instances, "
+                f"above the instance limit {MAX_INSTANCES}"
+            )
         if not self.output_dir:
             failed.append("output_dir must name a directory, got ''")
         if not ((self.qnet_counts and self.densities) or self.instance_files):
@@ -263,7 +277,7 @@ def run_instance(
             instance_to_text(iq),
         )
     part = iq.partition
-    out = InstanceResult(part.k, p, rep, part.k_prime, tuple(part.sizes()))
+    out = InstanceResult(part.k, p, rep, part.k_prime, tuple(m.bit_count() for m in part.masks))
     for vi, vol in enumerate(volumes):
         vr = VolumeResult(volume=vol)
         try:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, MeasurementRecord, graph_from_edgelist, graph_to_edgelist
+from .graph import Graph, MeasurementRecord, bits, graph_from_edgelist, graph_to_edgelist
 from .graph import _int_fields, masks_to_matrix
 
 __all__ = [
@@ -37,7 +37,8 @@ __all__ = [
 class QNetPartition:
     """Assignment of data vertices to QNets 1..k.
 
-    ``membership[v]`` is the QNet index of data vertex ``v``.
+    ``membership[v]`` is the QNet index of data vertex ``v``, and
+    ``masks[a - 1]`` holds QNet a's members as a bitmask, built once.
     """
 
     k: int
@@ -48,9 +49,12 @@ class QNetPartition:
             raise ValueError("need at least one QNet")
         if any(not 1 <= a <= self.k for a in self.membership):
             raise ValueError("membership values must lie in 1..k")
-        for a in range(1, self.k + 1):
-            if a not in self.membership:
-                raise ValueError(f"QNet {a} is empty")
+        if self.k > self.data_count:
+            # some QNet up to d + 1 is empty; name it without building k masks
+            empty = min(set(range(1, self.data_count + 2)).difference(self.membership))
+            raise ValueError(f"QNet {empty} is empty")
+        if not all(self.masks):
+            raise ValueError(f"QNet {self.masks.index(0) + 1} is empty")
 
     @property
     def k_prime(self) -> int:
@@ -68,21 +72,13 @@ class QNetPartition:
         d, kp = self.data_count, self.k_prime
         return tuple(range(d, d + kp))
 
-    def members(self, a: int) -> list[int]:
-        return [v for v, qa in enumerate(self.membership) if qa == a]
-
-    def sizes(self) -> list[int]:
-        out = [0] * self.k
-        for a in self.membership:
-            out[a - 1] += 1
-        return out
-
-    def qnet_masks(self) -> list[int]:
-        """Bitmask of members per QNet, index 0 unused."""
-        masks = [0] * (self.k + 1)
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """QNet a's members as a bitmask, at index a - 1."""
+        masks = [0] * self.k
         for v, a in enumerate(self.membership):
-            masks[a] |= 1 << v
-        return masks
+            masks[a - 1] |= 1 << v
+        return tuple(masks)
 
 
 def _check_cross_domain(graph: Graph, part: QNetPartition) -> None:
@@ -93,9 +89,9 @@ def _check_cross_domain(graph: Graph, part: QNetPartition) -> None:
     (that neighbour would have been found first), so its lowest one gives
     that edge.
     """
-    qmasks = part.qnet_masks()
+    masks = part.masks
     for u, a in enumerate(part.membership):
-        inside = graph.neighbor_mask(u) & qmasks[a]
+        inside = graph.neighbor_mask(u) & masks[a - 1]
         if inside:
             v = (inside & -inside).bit_length() - 1
             raise ValueError(f"edge ({u},{v}) stays inside QNet {a}")
@@ -130,9 +126,8 @@ class InterQNet:
     @cached_property
     def _complement(self) -> "InterQNet":
         part = self.partition
-        qmasks = part.qnet_masks()
-        full = (1 << part.data_count) - 1
-        adj = tuple(full & ~qmasks[a] & ~m for m, a in zip(self.graph.adjacency, part.membership))
+        masks, full = part.masks, (1 << part.data_count) - 1
+        adj = tuple(full & ~masks[a - 1] & ~m for m, a in zip(self.graph.adjacency, part.membership))
         comp = InterQNet(Graph._from_parts(part.data_count, adj), part)
         comp.edge_arrays  # the pool and its bit matrix, built here rather than in a batch
         return comp
@@ -175,7 +170,7 @@ class ControlledInterQNet:
         # data vertex v keeps its links and gains its QNet's control; each
         # control gets the clique minus itself plus its QNet's members
         clique = ((1 << kp) - 1) << d
-        members = part.qnet_masks()[1:] + [0] * (kp - part.k)
+        members = part.masks + (0,) * (kp - part.k)
         adj = [m | 1 << (d + a - 1) for m, a in zip(g.adjacency, part.membership)]
         adj += [clique & ~(1 << c) | m for c, m in zip(part.control_nodes, members)]
         graph = Graph._from_parts(d + kp, tuple(adj))
@@ -206,7 +201,8 @@ def mec_complementation(cg: ControlledInterQNet) -> tuple[InterQNet, list[Measur
     QNet 1.  It neighbors the first control, and from the first measurement
     on it neighbors every remaining control, so each measurement is defined.
     """
-    k0 = min(cg.partition.members(1))
+    first = cg.partition.masks[0]
+    k0 = (first & -first).bit_length() - 1
     g = cg.graph
     records: list[MeasurementRecord] = []
     for c in cg.partition.control_nodes:
@@ -228,11 +224,7 @@ def instance_to_text(iq: InterQNet) -> str:
     """Serialize a data network: the :func:`graph_to_edgelist` text, then
     one ``qnet a: v,...`` line per QNet.  The control layer is not written;
     :func:`build_controlled` makes it from the data network alone."""
-    part = iq.partition
-    lines = [
-        f"qnet {a}: " + ",".join(str(v) for v in part.members(a))
-        for a in range(1, part.k + 1)
-    ]
+    lines = [f"qnet {a}: " + ",".join(map(str, bits(m))) for a, m in enumerate(iq.partition.masks, 1)]
     return graph_to_edgelist(iq.graph) + "\n".join(lines) + "\n"
 
 

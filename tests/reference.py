@@ -127,7 +127,7 @@ def edge_list_controlled(iq):
     d, kp = part.data_count, part.k_prime
     edges = iq.graph.edges() + list(itertools.combinations(range(d, d + kp), 2))
     for a in range(1, part.k + 1):
-        edges += [(v, d + a - 1) for v in part.members(a)]
+        edges += [(v, d + a - 1) for v, qa in enumerate(part.membership) if qa == a]
     return Graph(d + kp, edges)
 
 

@@ -87,7 +87,7 @@ def sweep():
                             "h_bar": sum(p.hops for p in paths) / len(paths),
                             "chi": chi,
                             "k_prime": cg.partition.k_prime,
-                            "sizes": cg.partition.sizes(),
+                            "sizes": list(map(cg.partition.membership.count, range(1, k + 1))),
                         }
                     )
     return rows
@@ -119,7 +119,7 @@ def _branch_check(cg):
     target = graph_state(full)
     controls = cg.partition.control_nodes
     survivors = [q for q in range(cg.graph.vertex_count) if q not in controls]
-    k0 = min(cg.partition.members(1))
+    k0 = cg.partition.membership.index(1)
     checks = 0
     for outcomes in itertools.product((1, -1), repeat=len(controls)):
         post = graph_state(cg.graph)

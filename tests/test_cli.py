@@ -371,7 +371,7 @@ class TestGenerateAndRunFromFiles:
         def capture(iq, volumes, request_seed, p, rep):
             built[iq.partition.k, p, rep] = iq
             part = iq.partition
-            return experiments.InstanceResult(part.k, p, rep, part.k_prime, tuple(part.sizes()))
+            return experiments.InstanceResult(part.k, p, rep, part.k_prime, tuple(map(part.membership.count, range(1, part.k + 1))))
 
         monkeypatch.setattr(experiments, "run_instance", capture)
         run_experiment(ExperimentConfig.from_json(cfg_path))
@@ -1181,18 +1181,24 @@ class TestSizeLimits:
                 "QNet sizes must be positive",
             ),
             ({"nodes": 10**12}, f"nodes 1000000000000 is above the vertex limit {MAX_VERTICES}"),
+            (
+                {"repetitions": 10**8, "request_volumes": [3]},
+                "repetitions 100000000 makes a grid of 100000000 instances, "
+                f"above the instance limit {experiments.MAX_INSTANCES}",
+            ),
             # an instance file, written by the test, whose header is that
             (
                 {"instance_files": "n=300000000\nqnet 1: 0\n"},
                 f"malformed line: 'n=300000000': vertex_count 300000000 is above the vertex limit {MAX_VERTICES}",
             ),
         ],
-        ids=["count_1e9", "count_1e29", "nodes_1e12", "instance_header"],
+        ids=["count_1e9", "count_1e29", "nodes_1e12", "repetitions_1e8", "instance_header"],
     )
     def test_a_size_no_memory_holds_is_refused_at_once(self, tmp_path, over, named):
         # each of these once sized an allocation from the value (a tuple of
-        # k QNet sizes, a list of n vertices) and ran out of memory; under a
-        # capped address space a regression fails here, not in the runner
+        # k QNet sizes, a list of n vertices, a task per grid instance) and
+        # ran out of memory; under a capped address space a regression fails
+        # here, not in the runner
         if "instance_files" in over:
             big = tmp_path / "big.txt"
             big.write_text(over["instance_files"])
@@ -1203,6 +1209,25 @@ class TestSizeLimits:
         assert proc.stderr == f"usage error: {named}\n"
         assert float(proc.stdout) < 2.0
         assert not os.path.exists(tmp_path / "out")
+
+    def test_generate_refuses_reps_past_the_instance_limit(self, tmp_path):
+        cfg_path, _ = small_config(tmp_path, densities=[0.2])
+        proc = run_capped(TIMED_CLI, "generate", "--config", cfg_path, "--reps", 10**8)
+        assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+        assert proc.stderr == (
+            "usage error: repetitions 100000000 makes a grid of 100000000 instances, "
+            f"above the instance limit {experiments.MAX_INSTANCES}\n"
+        )
+        assert float(proc.stdout) < 2.0
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_instance_limit_is_inclusive(self):
+        # building the config allocates nothing per instance
+        limit = experiments.MAX_INSTANCES
+        grid = dict(nodes=18, qnet_counts=(3, 6), densities=(0.2,))
+        assert ExperimentConfig(repetitions=limit // 2, **grid).repetitions == limit // 2
+        with pytest.raises(ValueError, match=f"^repetitions {limit // 2 + 1} makes a grid of {limit + 2} instances"):
+            ExperimentConfig(repetitions=limit // 2 + 1, **grid)
 
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
         # the stand-in runs the tasks in this process: no worker is started

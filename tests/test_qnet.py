@@ -81,6 +81,15 @@ def partitioned_graphs(draw):
     return Graph(len(membership), edges), QNetPartition(k, membership)
 
 
+@st.composite
+def partitions(draw):
+    """A partition of at most 20 vertices into k QNets, k odd or even, with
+    single-vertex QNets as likely as larger ones."""
+    k = draw(st.integers(1, 9))
+    extra = draw(st.lists(st.integers(1, k), max_size=20 - k))
+    return QNetPartition(k, tuple(draw(st.permutations(list(range(1, k + 1)) + extra))))
+
+
 def cross_domain(g, part):
     """``g`` without its links inside a QNet, as an InterQNet."""
     m = part.membership
@@ -93,8 +102,54 @@ class TestPartition:
         assert QNetPartition(3, (1, 2, 3)).k_prime == 4
 
     def test_empty_qnet_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^QNet 3 is empty$"):
             QNetPartition(3, (1, 1, 2))
+
+    @pytest.mark.parametrize(
+        "k, membership, message",
+        [
+            (0, (), "need at least one QNet"),
+            # QNet 3 is empty too, but the range is checked first
+            (3, (1, 4, 2), "membership values must lie in 1..k"),
+            (3, (0, 1, 2), "membership values must lie in 1..k"),
+            (4, (2, 4, 1, 4), "QNet 3 is empty"),
+            (1, (), "QNet 1 is empty"),
+            # more QNets than vertices: named without building k masks
+            (10**12, (2, 1), "QNet 3 is empty"),
+            (10**12, (1, 3, 3), "QNet 2 is empty"),
+        ],
+        ids=["k_0", "value_above_k", "value_0", "third_empty", "no_vertex", "k_1e12_third_empty", "k_1e12_second_empty"],
+    )
+    def test_refusal_is_named(self, k, membership, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QNetPartition(k, membership)
+
+    @settings(max_examples=300, deadline=None)
+    @given(partitions())
+    def test_masks_hold_the_membership(self, part):
+        masks, m = part.masks, part.membership
+        assert len(masks) == part.k
+        assert all(a & b == 0 for a, b in itertools.combinations(masks, 2))
+        assert sum(masks) == (1 << len(m)) - 1
+        for v, a in enumerate(m):
+            assert [mask >> v & 1 for mask in masks] == [int(b == a) for b in range(1, part.k + 1)]
+
+    def test_masks_are_built_once_per_partition(self, monkeypatch):
+        seen = []
+        build = QNetPartition.__dict__["masks"].func
+
+        def counted(self):
+            seen.append(self)
+            return build(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(QNetPartition, "masks")
+        monkeypatch.setattr(QNetPartition, "masks", prop)
+        iq = generate_inter_qnet(GenConfig(4, even_sizes(20, 4), 0.5, 3))
+        run_instance(iq, (4, 6), 5, 0.5, 0)
+        instance_to_text(iq)
+        assert len(seen) == 1 and seen[0] is iq.partition
+        assert len(pickle.loads(pickle.dumps(iq.partition)).masks) == 4
 
 
 class TestBuildControlled:
@@ -124,9 +179,8 @@ class TestBuildControlled:
             (u, v) for u, v in itertools.combinations(controls, 2)
         ]
         assert all(cg.graph.has_edge(u, v) for u, v in clique) and len(clique) == 6
-        for a, c in enumerate(controls, start=1):
-            for v in cg.partition.members(a):
-                assert cg.graph.has_edge(v, c)
+        for v, a in enumerate(membership):
+            assert cg.graph.has_edge(v, controls[a - 1])
 
     @settings(max_examples=300, deadline=None)
     @given(partitioned_graphs())
@@ -151,6 +205,18 @@ def edge_scan_cross_domain_error(graph, part):
 
 
 class TestCrossDomainCheck:
+    @pytest.mark.parametrize(
+        "k, membership, edges, message",
+        [
+            (2, (1, 1, 2, 2), [(0, 3), (1, 2), (2, 3)], "edge (2,3) stays inside QNet 2"),
+            (3, (3, 1, 2, 3, 1), [(0, 1), (1, 4), (0, 3)], "edge (0,3) stays inside QNet 3"),
+        ],
+        ids=["even_k", "odd_k"],
+    )
+    def test_first_inner_edge_is_named(self, k, membership, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            InterQNet(Graph(len(membership), edges), QNetPartition(k, membership))
+
     @settings(max_examples=300, deadline=None)
     @given(partitioned_graphs())
     def test_matches_edge_scan(self, case):
@@ -281,7 +347,7 @@ class TestMecComplementation:
             iq = random_network(k, [rnd.randint(1, 3) for _ in range(k)], rnd.choice([0.2, 0.5, 0.8]), rnd)
             cg = build_controlled(iq)
             g = cg.graph
-            k0 = min(cg.partition.members(1))
+            k0 = cg.partition.membership.index(1)
             for step, c in enumerate(cg.partition.control_nodes, start=1):
                 g, _ = g.measure_x(c, k0)
                 if step % 2 == 0:

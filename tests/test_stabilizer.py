@@ -1066,6 +1066,21 @@ def extracts(t, data, group, rnd):
     return equal_up_to_local_clifford(t, graph_state(Graph(t.n, group)), bits(ends))
 
 
+def conflicting_swap(comp, group, rnd):
+    """``group`` with one member swapped for a complement edge that avoids
+    every endpoint of the round but conflicts with the rest of it."""
+    rest = sorted(group)
+    rest.pop(rnd.randrange(len(rest)))
+    ends = endpoint_mask(group)
+    reach = 0
+    for v in bits(endpoint_mask(rest)):
+        reach |= comp.neighbor_mask(v)
+    swaps = [f for f in comp.edges() if endpoint_mask([f]) & reach and not endpoint_mask([f]) & ends]
+    negative = [*rest, rnd.choice(swaps)]
+    assert not all(compatible(comp, e, f) for e, f in itertools.combinations(negative, 2))
+    return negative
+
+
 class TestRoundsOnTheTableau:
     """Parallel EPR extraction: after the controls are X-measured, Z-measuring
     every other data qubit leaves a round's requests as disjoint Bell pairs
@@ -1085,7 +1100,6 @@ class TestRoundsOnTheTableau:
             cg = build_controlled(iq)
             batch = sample_requests(iq, cfg.request_volumes[0], derive_seed(derive_seed(*cell, 17), 0))
             comp = complement_inter_qnet(iq).graph
-            pool = comp.edges()
             post = graph_state(cg.graph)
             for c in cg.partition.control_nodes:
                 post, _ = measure_pauli(post, c, "X", forced_outcome=rnd.choice((1, -1)))
@@ -1094,15 +1108,7 @@ class TestRoundsOnTheTableau:
                 if len(group) < 2:
                     continue
                 assert extracts(post, data, group, rnd), (k, p, rep, sorted(group))
-                rest = sorted(group)
-                rest.pop(rnd.randrange(len(rest)))
-                ends = endpoint_mask(group)
-                reach = 0
-                for v in bits(endpoint_mask(rest)):
-                    reach |= comp.neighbor_mask(v)
-                swaps = [f for f in pool if endpoint_mask([f]) & reach and not endpoint_mask([f]) & ends]
-                negative = [*rest, rnd.choice(swaps)]
-                assert not all(compatible(comp, e, f) for e, f in itertools.combinations(negative, 2))
+                negative = conflicting_swap(comp, group, rnd)
                 assert not extracts(post, data, negative, rnd), (k, p, rep, negative)
                 rounds += 1
         assert rounds > 100
@@ -1128,6 +1134,65 @@ class TestRoundsOnTheTableau:
         path = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert not compatible(path, (0, 1), (2, 3))
         assert not equal_up_to_local_clifford(graph_state(path), graph_state(Graph(4, [(0, 1), (2, 3)])))
+
+
+def x_measured(n, k, p):
+    """The network of n data vertices in k QNets at density p, its
+    controlled network, and its tableau after every control is X-measured,
+    each in a seeded forced branch."""
+    seed = derive_seed(1, n, k, int(p * 1_000_000))
+    iq = generate_inter_qnet(GenConfig(k, even_sizes(n, k), p, seed))
+    cg = build_controlled(iq)
+    rnd = random.Random(seed)
+    post = graph_state(cg.graph)
+    for c in cg.partition.control_nodes:
+        post, _ = measure_pauli(post, c, "X", forced_outcome=rnd.choice((1, -1)))
+    return iq, cg, post
+
+
+class TestMechanismOnTheTableauAtScale:
+    """The X rule and parallel extraction past the eval size, toward the
+    abstract's scalability claim: 200 data vertices on every (k, p) of
+    configs/eval.json, and 400 and 800 at k = 4 (204 to 804 qubits).  No
+    rule has a size-dependent path, but the tableau's masks grow with n.
+
+    The flipped-pair negative runs the full local-Clifford system, 4n
+    columns of n^2 bits, so it stops at n = 400: at n = 800 one took 1.3 to
+    3.3 s and about 450 MB, where each positive reads equal graph forms."""
+
+    @pytest.mark.parametrize(
+        "n, k, p", [(200, k, p) for k in (4, 6, 8, 10) for p in (0.2, 0.8)] + [(400, 4, 0.2), (400, 4, 0.8)]
+    )
+    def test_x_rule_and_flipped_pair(self, n, k, p):
+        iq, cg, post = x_measured(n, k, p)
+        nq, data = cg.graph.vertex_count, range(cg.data_count)
+        want = complement_inter_qnet(iq).graph.edges()
+        flipped = set(want) ^ {tuple(sorted(random.Random(n + k).sample(data, 2)))}
+        assert equal_up_to_local_clifford(post, graph_state(Graph(nq, want)), data)
+        assert not equal_up_to_local_clifford(post, graph_state(Graph(nq, flipped)), data)
+
+    @pytest.mark.parametrize("p", [0.2, 0.8])
+    def test_x_rule_and_served_rounds_at_800(self, p):
+        # the three largest rounds of a volume-n batch, each against its
+        # conflicting swap; Z measurements on distinct qubits commute, so
+        # the qubits outside both rounds' endpoints are measured once
+        iq, cg, post = x_measured(800, 4, p)
+        nq, data = cg.graph.vertex_count, range(cg.data_count)
+        comp = complement_inter_qnet(iq).graph
+        assert equal_up_to_local_clifford(post, graph_state(Graph(nq, comp.edges())), data)
+        rnd = random.Random(26)
+        batch = sample_requests(iq, 800, derive_seed(1, 800, 4, int(p * 1_000_000), 17))
+        groups = sorted(dynamic_parallel_pairs(cg, batch).groups, key=len, reverse=True)[:3]
+        assert min(map(len, groups)) >= 3
+        for group in groups:
+            negative = conflicting_swap(comp, group, rnd)
+            both = endpoint_mask(group) | endpoint_mask(negative)
+            t = post
+            for v in data:
+                if not both >> v & 1:
+                    t, _ = measure_pauli(t, v, "Z", forced_outcome=rnd.choice((1, -1)))
+            assert extracts(t, bits(both), group, rnd), sorted(group)
+            assert not extracts(t, bits(both), negative, rnd), negative
 
 
 class TestLcSearchGuard:
