@@ -14,13 +14,13 @@ deterministic for a fixed config and seed.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from statistics import pstdev
 from typing import Any, Iterator, Sequence, get_args, get_origin, get_type_hints
@@ -55,9 +55,9 @@ __all__ = [
 ]
 
 # The most grid instances, (k, p, rep) cells, that a config may ask for: a
-# run holds every task and result at once, about 1 KB per instance with four
-# request volumes, so about 1 GB at this limit (64-bit CPython 3.11); a
-# larger grid is refused before any task is built.
+# run holds every task and result at once, about 0.1 KB and 0.7 KB per
+# instance with four request volumes, so about 0.8 GB at this limit (64-bit
+# CPython 3.11); a larger grid is refused before any task is built.
 MAX_INSTANCES = 1_000_000
 
 
@@ -241,7 +241,7 @@ def even_sizes(nodes: int, k: int) -> tuple[int, ...]:
     return tuple(base + (1 if i < extra else 0) for i in range(k))
 
 
-@dataclass
+@dataclass(slots=True)
 class VolumeResult:
     """What one request batch measured; its request count |R| is ``volume``."""
 
@@ -251,7 +251,7 @@ class VolumeResult:
     chi: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceResult:
     k: int
     p: float
@@ -376,7 +376,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[InstanceResult]:
         # a pool starts all its workers at the first submit, so it gets no
         # more than there are tasks, or than there are CPUs to run them
         workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool class, and with it multiprocessing, loads on first use
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(task, tasks))
     return [task(t) for t in tasks]
 

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import pairs
+from .experiments import even_sizes
 from .graph import Graph, masks_to_matrix
 from .metrics import TimingParams, cqr_cycles, mec_cycles
 from .netgen import GenConfig, generate_inter_qnet
@@ -33,7 +34,12 @@ from .timeline import walk_cqr_window, walk_mec_window
 
 __all__ = ["SuiteResult", "ALL_SUITES"]
 
-ORACLE_MAX_QUBITS = 16  # the measurement suite's largest graph
+ORACLE_MAX_QUBITS = 16  # the measurement suite's largest exhaustively checked graph
+# the controlled networks whose controls the measurement suite X-measures in
+# sequence: (k, p) on EVAL_DATA_VERTICES data vertices, the size of
+# configs/eval.json, one with an odd k so that k' = k + 1
+EVAL_DATA_VERTICES = 50
+EVAL_NETWORKS = ((4, 0.2), (5, 0.8), (8, 0.8), (10, 0.2))
 
 
 @dataclass
@@ -78,7 +84,13 @@ def suite_measurement_oracle(seed: int = 77) -> SuiteResult:
     """Graph-level X and Z rules versus the stabilizer tableau, all branches,
     on 60 connected graphs of 2 to ``ORACLE_MAX_QUBITS`` vertices: networks
     with one vertex per domain at p = 0.5.  The tableau takes any width;
-    the range only keeps the exhaustive branch count small."""
+    the range only keeps the exhaustive branch count small.
+
+    Then the paper's mechanism at evaluation size: on each controlled
+    network of ``EVAL_NETWORKS``, X-measuring every control in order, each
+    in a seeded branch, must leave the data qubits in the graph state of
+    the network's cross-domain complement, up to single-qubit Cliffords;
+    a failure is the network's ``instance_to_text``."""
     res = SuiteResult("measurement-rules-vs-tableau")
     rnd = random.Random(seed)
     for _ in range(60):
@@ -105,6 +117,19 @@ def suite_measurement_oracle(seed: int = 77) -> SuiteResult:
                         res.failures.append(
                             f"X {g.edges()} v={v} k0={k0} branch={forced}"
                         )
+    for k, p in EVAL_NETWORKS:
+        iq = generate_inter_qnet(
+            GenConfig(k, even_sizes(EVAL_DATA_VERTICES, k), p, rnd.getrandbits(32))
+        )
+        cg = build_controlled(iq)
+        n = cg.graph.vertex_count
+        post = graph_state(cg.graph)
+        for c in cg.partition.control_nodes:
+            post, _ = measure_pauli(post, c, "X", forced_outcome=rnd.choice((1, -1)))
+        want = graph_state(Graph(n, complement_inter_qnet(iq).graph.edges()))
+        res.checked += 1
+        if not equal_up_to_local_clifford(post, want, range(cg.partition.data_count)):
+            res.failures.append(instance_to_text(iq))
     return res
 
 

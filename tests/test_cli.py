@@ -1,6 +1,7 @@
 """CLI and experiment pipeline: subcommands, exit codes, reproducibility,
 fault injection."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -122,6 +123,21 @@ class TestRunCommand:
             serial = Path(cfg["output_dir"], f"{name}.csv").read_text()
             parallel = (tmp_path / "o2" / f"{name}.csv").read_text()
             assert serial == parallel, name
+
+    def test_a_serial_run_loads_no_process_pool(self, tmp_path):
+        # the pool class and multiprocessing load only when a run starts a pool
+        cfg_path, cfg = small_config(tmp_path, repetitions=1, densities=[0.2], request_volumes=[3])
+        code = "\n".join([
+            "import sys",
+            "from mecnet import cli",
+            "status = cli.main(sys.argv[1:])",
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))",
+            "sys.exit(status)",
+        ])
+        proc = run_capped(code, "run", "--config", cfg_path)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert os.path.exists(os.path.join(cfg["output_dir"], "hops.csv"))
 
     def test_throughput_rows_follow_the_timing_grid(self, tmp_path):
         grid = [{"lam": lam, "tpm": 3, "trm": 1, "tpb": 4, "trb": 1} for lam in (10, 20, 40)]
@@ -308,7 +324,7 @@ class TestGenerateAndRunFromFiles:
                 seen.extend(t[2] for t in tasks)
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         results = run_experiment(ExperimentConfig(request_volumes=(3,), instance_files=tuple(files), jobs=2))
         assert seen == [2, *files]
         assert [r.rep for r in results] == [0, 1]
@@ -321,7 +337,7 @@ class TestGenerateAndRunFromFiles:
         # to the task count; the stand-in runs at most two real workers, and
         # the CPU count is set past every case's, whatever the host has
         files = self._two_files(tmp_path)
-        real = experiments.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
         seen = []
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
 
@@ -329,7 +345,7 @@ class TestGenerateAndRunFromFiles:
             seen.append(max_workers)
             return real(max_workers=min(max_workers, 2))
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", capped_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", capped_pool)
         one_cell = dict(nodes=18, qnet_counts=(3,), densities=(0.2,), repetitions=1)
         for over, tasks in [
             (dict(instance_files=tuple(files[:1]), jobs=16), 1),
@@ -494,8 +510,24 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "graph_state", recording)
         res = verify.suite_measurement_oracle()
         assert res.passed and res.failures == [] and res.checked > 0
-        assert max(sizes) == verify.ORACLE_MAX_QUBITS
-        assert sum(n > 5 for n in sizes) > len(sizes) // 2
+        small = [n for n in sizes if n <= verify.ORACLE_MAX_QUBITS]
+        assert max(small) == verify.ORACLE_MAX_QUBITS
+        assert sum(n > 5 for n in small) > len(small) // 2
+        # then each eval-sized controlled network and its complement's state:
+        # 50 data vertices and k' controls, k' = 4, 6 (k = 5), 8 and 10
+        assert verify.EVAL_DATA_VERTICES == 50
+        assert sorted(n for n in sizes if n > verify.ORACLE_MAX_QUBITS) == [54, 54, 56, 56, 58, 58, 60, 60]
+
+    def test_measurement_suite_reports_an_eval_network(self, monkeypatch):
+        # a wrong target for the controls' X measurements, the network
+        # itself for its complement, fails every eval-sized network and no
+        # small graph, and each failure is the network's instance file
+        monkeypatch.setattr(verify, "complement_inter_qnet", lambda iq: iq)
+        res = verify.suite_measurement_oracle()
+        assert len(res.failures) == len(verify.EVAL_NETWORKS)
+        for failure, (k, _) in zip(res.failures, verify.EVAL_NETWORKS):
+            iq = instance_from_text(failure)
+            assert iq.partition.data_count == verify.EVAL_DATA_VERTICES and iq.partition.k == k
 
 
 INGEST_FILES = ("real_instance.txt", "real_instance.meta.jsonl")
@@ -1246,7 +1278,7 @@ class TestSizeLimits:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cfg = ExperimentConfig(
             nodes=18, qnet_counts=(3,), densities=(0.2,), request_volumes=(3,), repetitions=5, jobs=8000
         )

@@ -97,8 +97,11 @@ class TestRouteCqr:
             route_one(net, (0, 4))
 
     def test_same_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            route_one(_cg([(0, 3)], 2, (1, 1, 2, 2)), (1, 1))
+        # the message names the request, as the other intake errors do
+        cg = _cg([(0, 3)], 2, (1, 1, 2, 2))
+        for req in [(1, 1), [1, 1]]:
+            with pytest.raises(ValueError, match=r"^request \(1, 1\) has source equal to destination$"):
+                cqr_batch(cg, [(0, 3), req])
 
     def test_out_of_range_ids_rejected(self):
         # the last vertex (a control) neighbors 3, so a negative id that

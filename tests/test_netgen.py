@@ -273,6 +273,20 @@ class TestSampleRequests:
             assert m[s] != m[d]
             assert not iq.graph.has_edge(s, d)
 
+    def test_requests_are_the_pool_edges_at_index_in_draw_order(self):
+        # the scheduler takes the pairs as they stand at the drawn indices
+        cfg = ExperimentConfig.from_json(EVAL_CONFIG)
+        for k, p in itertools.product(cfg.qnet_counts, cfg.densities):
+            iq = generate_inter_qnet(GenConfig(k, even_sizes(cfg.nodes, k), p, derive_seed(23, k)))
+            seed = derive_seed(24, k, int(p * 100))
+            rs = sample_requests(iq, 50, seed)
+            us, vs = complement_inter_qnet(iq).edge_arrays
+            order = np.random.default_rng(seed).choice(len(us), size=50, replace=False).tolist()
+            assert rs.index.tolist() == order
+            assert rs.requests == tuple((int(us[i]), int(vs[i])) for i in order)
+            assert {type(e) for e in rs.requests} == {tuple}
+            assert {type(x) for e in rs.requests for x in e} == {int}
+
     def test_without_replacement(self):
         iq = generate_inter_qnet(GenConfig(3, (4, 4, 4), 0.1, 4))
         rs = sample_requests(iq, 15, 7)
