@@ -63,21 +63,19 @@ def cqr_batch(
     near2: dict[int, int] = {}
     paths: list[CqrPath] = []
     chi = 0
-    for req in requests:
-        req = tuple(req)  # a tuple is kept as it is: a drawn batch's paths share its pairs
-        s, d = req
+    for s, d in requests:
         if s == d:
-            raise ValueError(f"request {req} has source equal to destination")
+            raise ValueError(f"request {(s, d)} has source equal to destination")
         if not (0 <= s < n and 0 <= d < n):
             raise ValueError(f"invalid vertex id {s if not 0 <= s < n else d}")
         ns, nd = adj[s], adj[d]
         if ns >> d & 1:
-            paths.append(CqrPath(req, 1, (), False))
+            paths.append(CqrPath((s, d), 1, (), False))
             continue
         shared = ns & nd
         if shared:
             v = (shared & -shared).bit_length() - 1
-            paths.append(CqrPath(req, 2, (v,), v >= data_count))
+            paths.append(CqrPath((s, d), 2, (v,), v >= data_count))
             chi += 1
             continue
         n2 = near2.get(d)
@@ -90,10 +88,10 @@ def cqr_batch(
             near2[d] = n2
         first = ns & n2
         if not first:
-            raise ValueError(f"request {req} has no route of at most three hops")
+            raise ValueError(f"request {(s, d)} has no route of at most three hops")
         v = (first & -first).bit_length() - 1
         last = adj[v] & nd
         w = (last & -last).bit_length() - 1
-        paths.append(CqrPath(req, 3, (v, w), v >= data_count or w >= data_count))
+        paths.append(CqrPath((s, d), 3, (v, w), v >= data_count or w >= data_count))
         chi += 2
     return paths, chi

@@ -30,7 +30,7 @@ import numpy as np
 from .cqr import cqr_batch
 from .graph import MAX_VERTICES
 from .metrics import TimingParams, arqf_cqr, arqf_mec, throughput_cqr, throughput_mec
-from .netgen import GenConfig, InsufficientPairsError, generate_inter_qnet, sample_requests
+from .netgen import GenConfig, InsufficientPairsError, even_sizes, generate_inter_qnet, sample_requests
 from .pairs import ParallelPairViolation, dynamic_parallel_pairs
 from .qnet import (
     InterQNet,
@@ -55,9 +55,10 @@ __all__ = [
 ]
 
 # The most grid instances, (k, p, rep) cells, that a config may ask for: a
-# run holds every task and result at once, about 0.1 KB and 0.7 KB per
-# instance with four request volumes, so about 0.8 GB at this limit (64-bit
-# CPython 3.11); a larger grid is refused before any task is built.
+# run holds every task and result at once, about 0.1 KB of task and 0.7 KB
+# of result per instance with four request volumes, so about 0.8 GB at this
+# limit (64-bit CPython 3.11); a larger grid is refused before any task is
+# built.
 MAX_INSTANCES = 1_000_000
 
 
@@ -234,11 +235,6 @@ def _config_value(name: str, value: Any, hint: Any) -> Any:
 
 def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
-def even_sizes(nodes: int, k: int) -> tuple[int, ...]:
-    base, extra = divmod(nodes, k)
-    return tuple(base + (1 if i < extra else 0) for i in range(k))
 
 
 @dataclass(slots=True)

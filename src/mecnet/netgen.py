@@ -22,7 +22,7 @@ from .graph import Graph, matrix_to_masks
 from .pairs import RequestSet
 from .qnet import InterQNet, QNetPartition, complement_inter_qnet
 
-__all__ = ["GenConfig", "InsufficientPairsError", "generate_inter_qnet", "sample_requests"]
+__all__ = ["GenConfig", "InsufficientPairsError", "even_sizes", "generate_inter_qnet", "sample_requests"]
 
 
 class InsufficientPairsError(ValueError):
@@ -45,6 +45,12 @@ class GenConfig:
             raise ValueError("QNet sizes must be positive")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("edge probability must lie in [0,1]")
+
+
+def even_sizes(nodes: int, k: int) -> tuple[int, ...]:
+    """``nodes`` data vertices split over ``k`` QNets, the first ones one larger."""
+    base, extra = divmod(nodes, k)
+    return tuple(base + (1 if i < extra else 0) for i in range(k))
 
 
 def _membership(cfg: GenConfig) -> tuple[int, ...]:

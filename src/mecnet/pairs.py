@@ -67,16 +67,15 @@ class RequestSet:
     and ``pool``, the ``edge_arrays`` object of the complement it drew
     from.  Only ``sample_requests`` sets them; on any other batch both are
     ``None``.  Neither takes part in ``==``, ``hash`` or ``repr``.
-    :func:`dynamic_parallel_pairs` trusts ``index``, and ``requests`` as
-    the pool's edges at ``index`` (its groups hold the draw's own tuples),
-    only when ``pool`` is the very ``edge_arrays`` object of the complement
-    it schedules on (a shallow copy shares it; an unpickled or deep copy
-    does not, and a ``dataclasses.replace`` copy has no draw), as then the
-    indices are distinct complement edges by construction.  It checks
-    every other batch, an equal network's draw included, pair by pair, as
-    :func:`min_partition_oracle` checks every batch: the first failing
-    pair, in input order, names the error (its first bad id), and a repeat
-    is reported only once every pair has passed.
+    :func:`dynamic_parallel_pairs` trusts ``index`` only when ``pool`` is
+    the very ``edge_arrays`` object of the complement it schedules on (a
+    shallow copy shares it; an unpickled or deep copy does not, and a
+    ``dataclasses.replace`` copy has no draw), as then the indices are
+    distinct complement edges by construction.  It checks every other
+    batch, an equal network's draw included, pair by pair, as
+    :func:`min_partition_oracle` checks every batch: the first failing pair,
+    in input order, names the error (its first bad id), and a repeat is
+    reported only once every pair has passed.
     """
 
     requests: tuple[Edge, ...]
@@ -250,25 +249,21 @@ def dynamic_parallel_pairs(cg: ControlledInterQNet, r: Iterable[Edge]) -> Parall
 
     A batch that ``sample_requests`` drew from this very complement (its
     ``pool`` is the complement's ``edge_arrays`` object) enters as its pool
-    indices, distinct complement edges by construction, and its groups hold
-    the draw's own tuples; any other batch is checked here, once, pair by
-    pair (:func:`_request_edges`, the oracle's intake too): the first
-    failing pair, in input order, names the error (its first bad id), and a
-    repeat is reported only once every pair has passed.  The result is
-    checked against the whole-edge-set candidate lists.
+    indices, distinct complement edges by construction; any other batch is
+    checked here, once, pair by pair (:func:`_request_edges`, the oracle's
+    intake too): the first failing pair, in input order, names the error
+    (its first bad id), and a repeat is reported only once every pair has
+    passed.  The result is checked against the whole-edge-set candidate lists.
     """
     comp = complement_inter_qnet(cg.data)
     pool = comp.edge_arrays
     if isinstance(r, RequestSet) and r.pool is pool:
-        # the draw's own tuples, in pool order
-        order = np.argsort(r.index)
-        index = r.index[order]
+        index = np.sort(r.index)
         a, b = pool[0][index], pool[1][index]
-        edges = [r.requests[i] for i in order.tolist()]
     else:
         ends = itertools.chain.from_iterable(_request_edges(comp.graph, r))
         a, b = np.fromiter(ends, np.intp).reshape(-1, 2).T
-        edges = list(zip(a.tolist(), b.tolist()))
+    edges = list(zip(a.tolist(), b.tolist()))
     rows = _compat_rows(comp.adjacency_matrix, a, b)
     planes = _count_planes(rows)
     groups: list[frozenset[Edge]] = []

@@ -19,10 +19,9 @@ from typing import Callable
 import numpy as np
 
 from . import pairs
-from .experiments import even_sizes
 from .graph import Graph, masks_to_matrix
 from .metrics import TimingParams, cqr_cycles, mec_cycles
-from .netgen import GenConfig, generate_inter_qnet
+from .netgen import GenConfig, even_sizes, generate_inter_qnet
 from .qnet import (
     build_controlled,
     complement_inter_qnet,
@@ -36,8 +35,9 @@ __all__ = ["SuiteResult", "ALL_SUITES"]
 
 ORACLE_MAX_QUBITS = 16  # the measurement suite's largest exhaustively checked graph
 # the controlled networks whose controls the measurement suite X-measures in
-# sequence: (k, p) on EVAL_DATA_VERTICES data vertices, the size of
-# configs/eval.json, one with an odd k so that k' = k + 1
+# sequence: (k, p) on EVAL_DATA_VERTICES data vertices, which must equal the
+# "nodes" of configs/eval.json (tests/test_cli.py holds the two equal); one k
+# is odd, so that k' = k + 1
 EVAL_DATA_VERTICES = 50
 EVAL_NETWORKS = ((4, 0.2), (5, 0.8), (8, 0.8), (10, 0.2))
 

@@ -514,8 +514,9 @@ class TestVerifyCommand:
         assert max(small) == verify.ORACLE_MAX_QUBITS
         assert sum(n > 5 for n in small) > len(small) // 2
         # then each eval-sized controlled network and its complement's state:
-        # 50 data vertices and k' controls, k' = 4, 6 (k = 5), 8 and 10
-        assert verify.EVAL_DATA_VERTICES == 50
+        # the eval config's 50 data vertices and k' controls, k' = 4, 6 (k = 5),
+        # 8 and 10
+        assert verify.EVAL_DATA_VERTICES == ExperimentConfig.from_json(EVAL_CONFIG).nodes == 50
         assert sorted(n for n in sizes if n > verify.ORACLE_MAX_QUBITS) == [54, 54, 56, 56, 58, 58, 60, 60]
 
     def test_measurement_suite_reports_an_eval_network(self, monkeypatch):

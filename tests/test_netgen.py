@@ -274,7 +274,7 @@ class TestSampleRequests:
             assert not iq.graph.has_edge(s, d)
 
     def test_requests_are_the_pool_edges_at_index_in_draw_order(self):
-        # the scheduler takes the pairs as they stand at the drawn indices
+        # a draw's pairs are the pool's edges at its indices, as plain int tuples
         cfg = ExperimentConfig.from_json(EVAL_CONFIG)
         for k, p in itertools.product(cfg.qnet_counts, cfg.densities):
             iq = generate_inter_qnet(GenConfig(k, even_sizes(cfg.nodes, k), p, derive_seed(23, k)))

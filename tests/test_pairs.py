@@ -29,7 +29,6 @@ from reference import (
 import mecnet
 import mecnet.experiments as experiments
 import mecnet.pairs as pairs_module
-from mecnet.cqr import cqr_batch
 from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes
 from mecnet.graph import Graph, bits, masks_to_matrix
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
@@ -930,22 +929,6 @@ class TestIntake:
         with request_edge_checks() as seen:
             assert dynamic_parallel_pairs(cg, shallow) == table
             assert seen == []
-
-    def test_a_draws_tuples_are_the_ones_scheduled_and_routed(self):
-        # the scheduler's groups and the baseline's paths hold the draw's own
-        # pair objects, not equal copies
-        cfg = ExperimentConfig.from_json(EVAL_CONFIG)
-        for k, p in itertools.product(cfg.qnet_counts[:2], cfg.densities):
-            iq = generate_inter_qnet(GenConfig(k, even_sizes(cfg.nodes, k), p, derive_seed(21, k, int(p * 100))))
-            rs = sample_requests(iq, cfg.request_volumes[1], derive_seed(22, k))
-            cg = build_controlled(iq)
-            drawn = {id(e) for e in rs.requests}
-            assert len(drawn) == len(rs)
-            members = [e for grp in dynamic_parallel_pairs(cg, rs).groups for e in grp]
-            assert sorted(map(id, members)) == sorted(drawn)
-            paths, _ = cqr_batch(cg, rs.requests)
-            assert all(path.request is e for path, e in zip(paths, rs.requests)), (k, p)
-            assert len(paths) == len(rs)
 
     def test_hand_built_request_set_cannot_claim_a_pool(self):
         # Passing the complement's own pool with indices that do not match
