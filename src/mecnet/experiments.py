@@ -288,11 +288,15 @@ def run_instance(
             raise PipelineMismatch(
                 f"parallel-pair violation: {exc}", instance_to_text(iq)
             ) from exc
-        paths, chi = cqr_batch(cg, rs.requests)
-        adjacent = [p_.request for p_ in paths if p_.hops < 2]
-        if adjacent:
+        # only the hop counts are read, so no path is built.  Pool pairs are
+        # non-adjacent, so a sound table holds no one-hop route and this
+        # check cannot fire in a run; it stays as a guard on the table
+        routes, chi = cqr_batch(cg, rs)
+        one_hop = np.flatnonzero(routes.hops < 2)
+        if one_hop.size:
             raise PipelineMismatch(
-                f"requests {adjacent} route in one hop; remote requests start non-adjacent",
+                f"requests {[rs.requests[i] for i in one_hop]} route in one hop; "
+                "remote requests start non-adjacent",
                 instance_to_text(iq),
             )
         vr.rho, vr.chi = table.rho, chi

@@ -136,8 +136,10 @@ def sample_requests(iq: InterQNet, count: int, rng_seed: int) -> RequestSet:
     lexicographic order, built with the complement and kept for every batch.
     The result keeps the drawn indices, in draw order, with that pool, so
     that ``dynamic_parallel_pairs`` on this network's complement takes the
-    batch as indices without an intake check; on any other network object,
-    an equal one included, it checks the pairs.
+    batch as indices without an intake check, and ``cqr_batch`` on this
+    network's controlled graph reads its hop counts off the network's hop
+    table; on any other network object, an equal one included, both work
+    from the pairs.
     """
     if count < 0:
         raise ValueError("count must be non-negative")

@@ -67,12 +67,15 @@ class RequestSet:
     and ``pool``, the ``edge_arrays`` object of the complement it drew
     from.  Only ``sample_requests`` sets them; on any other batch both are
     ``None``.  Neither takes part in ``==``, ``hash`` or ``repr``.
-    :func:`dynamic_parallel_pairs` trusts ``index`` only when ``pool`` is
-    the very ``edge_arrays`` object of the complement it schedules on (a
+    ``index`` has two readers, :func:`dynamic_parallel_pairs` and
+    ``cqr.cqr_batch``, which reads the data network's hop table at it, and
+    one invariant: each trusts ``index`` only when ``pool`` is the very
+    ``edge_arrays`` object of the complement of the network it works on (a
     shallow copy shares it; an unpickled or deep copy does not, and a
     ``dataclasses.replace`` copy has no draw), as then the indices are
-    distinct complement edges by construction.  It checks every other
-    batch, an equal network's draw included, pair by pair, as
+    distinct complement edges by construction.  Any other batch, an equal
+    network's draw included, ``cqr_batch`` routes pair by pair, and the
+    scheduler checks pair by pair, as
     :func:`min_partition_oracle` checks every batch: the first failing pair,
     in input order, names the error (its first bad id), and a repeat is
     reported only once every pair has passed.

@@ -113,9 +113,9 @@ class InterQNet:
         _check_cross_domain(self.graph, self.partition)
 
     def __getstate__(self) -> dict:
-        # the cached complement, matrix and pool are left out, as their
-        # read-only arrays would come back writeable; they are rebuilt on
-        # first use
+        # the cached complement, matrix, pool and hop table are left out, as
+        # their read-only arrays would come back writeable; they are rebuilt
+        # on first use
         return {"graph": self.graph, "partition": self.partition}
 
     @property
@@ -131,6 +131,19 @@ class InterQNet:
         comp = InterQNet(Graph._from_parts(part.data_count, adj), part)
         comp.edge_arrays  # the pool and its bit matrix, built here rather than in a batch
         return comp
+
+    @cached_property
+    def _cqr_intermediates(self) -> np.ndarray:
+        """The intermediate count of the CQR route of each complement edge,
+        in ``edge_arrays`` order, read-only: 1 where its two ends share a
+        data neighbour here, else 2, through their two controls (two remote
+        ends share no control).  The float32 product counts common
+        neighbours exactly, as every count is below 2**24."""
+        us, vs = self._complement.edge_arrays
+        m = self.adjacency_matrix.astype(np.float32)
+        table = np.where((m @ m)[us, vs] > 0, np.int8(1), np.int8(2))
+        table.flags.writeable = False  # shared by every batch drawn from the pool
+        return table
 
     @cached_property
     def adjacency_matrix(self) -> np.ndarray:
@@ -189,7 +202,9 @@ def build_controlled(iq: InterQNet) -> ControlledInterQNet:
 
 def complement_inter_qnet(iq: InterQNet) -> InterQNet:
     """Cross-domain complement: keep exactly the absent cross-QNet pairs.
-    It is built once per network, with its ``edge_arrays``, and kept on ``iq``."""
+    It is built once per network, with its ``edge_arrays`` and the CQR hop
+    table over them, and kept on ``iq``."""
+    iq._cqr_intermediates  # the table, built here rather than in a batch
     return iq._complement
 
 

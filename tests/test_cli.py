@@ -15,6 +15,7 @@ from pathlib import Path
 from statistics import mean
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ import mecnet.experiments as experiments
 import mecnet.pairs as pairs
 import mecnet.svgplot as svgplot
 import mecnet.verify as verify
-from mecnet.cqr import CqrPath, cqr_batch
+from mecnet.cqr import cqr_batch
 from mecnet.experiments import (
     ExperimentConfig,
     PipelineMismatch,
@@ -41,7 +42,7 @@ from mecnet.experiments import (
 from mecnet.graph import MAX_VERTICES, Graph
 from mecnet.metrics import TimingParams, throughput_cqr, throughput_mec
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
-from mecnet.qnet import build_controlled, instance_from_text, instance_to_text
+from mecnet.qnet import InterQNet, build_controlled, instance_from_text, instance_to_text
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "openflights")
 
@@ -1326,13 +1327,10 @@ class TestPipelineMismatchPath:
         assert os.path.exists(os.path.join(cfg["output_dir"], "mismatch_instance.txt"))
 
     def test_one_hop_baseline_route_dumps_instance(self, tmp_path, monkeypatch):
-        def one_hop_first(cg, requests):
-            paths, chi = original(cg, requests)
-            paths[0] = CqrPath(paths[0].request, 1, (), False)
-            return paths, chi
-
-        original = experiments.cqr_batch
-        monkeypatch.setattr(experiments, "cqr_batch", one_hop_first)
+        # the fault sits in the hop table that both the hop counts and χ
+        # are read from: every pool pair routes in one hop
+        original = InterQNet.__dict__["_cqr_intermediates"].func
+        monkeypatch.setattr(InterQNet, "_cqr_intermediates", property(lambda self: np.zeros_like(original(self))))
         cfg_path, cfg = small_config(tmp_path, repetitions=1, densities=[0.5])
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_VERIFY
         assert os.path.exists(os.path.join(cfg["output_dir"], "mismatch_instance.txt"))

@@ -5,17 +5,20 @@ breadth-first search of ``reference.py`` is the reference it is checked
 against.
 """
 
+import copy
 import dataclasses
 import itertools
 import pickle
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import EVAL_CONFIG, bfs_dist, complement_edges, random_network, reference_route
 
+import mecnet.experiments as experiments
 from mecnet.cqr import CqrPath, cqr_batch
 from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes, run_experiment
 from mecnet.graph import Graph
@@ -190,6 +193,90 @@ class TestCqrBatch:
         assert sum(p.hops for p in want) == len(want) + chi
         controls = cg.partition.control_nodes
         assert [p.via_control for p in paths] == [any(v in controls for v in p.intermediates) for p in paths]
+
+
+class TestDrawnBatch:
+    """A batch drawn from the network's own pool is counted off its hop
+    table, and its paths are routed only when read."""
+
+    @staticmethod
+    def drawn(p=0.2, seed=5):
+        iq = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), p, derive_seed(seed)))
+        return iq, sample_requests(iq, 100, derive_seed(seed, 1))
+
+    def test_equals_the_eager_loop_on_every_eval_batch(self, monkeypatch):
+        seen = []
+
+        def both(cg, rs):
+            routes, chi = cqr_batch(cg, rs)
+            paths, want = cqr_batch(cg, rs.requests)
+            assert type(paths) is list and not isinstance(routes, list)
+            assert chi == want and type(chi) is int
+            assert routes.hops.tolist() == [p.hops for p in paths]
+            assert list(routes) == paths and len(routes) == len(paths)
+            seen.append(len(paths))
+            return routes, chi
+
+        monkeypatch.setattr(experiments, "cqr_batch", both)
+        cfg = dataclasses.replace(ExperimentConfig.from_json(EVAL_CONFIG), repetitions=4, jobs=1)
+        results = run_experiment(cfg)
+        assert len(seen) == sum(not v.skipped for r in results for v in r.volumes) > 100
+
+    @pytest.mark.parametrize(
+        "network",
+        [
+            lambda iq: pickle.loads(pickle.dumps(iq)),
+            copy.deepcopy,
+            lambda iq: generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.2, derive_seed(5))),
+            lambda iq: generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.8, derive_seed(6))),
+        ],
+        ids=["pickled", "deepcopied", "equal", "other"],
+    )
+    def test_a_draw_on_another_network_object_takes_the_eager_loop(self, network):
+        iq, rs = self.drawn()
+        cg = build_controlled(network(iq))
+        assert cg.data is not iq
+        got = cqr_batch(cg, rs)
+        assert type(got[0]) is list and got == cqr_batch(cg, rs.requests)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [lambda rs: dataclasses.replace(rs), lambda rs: pickle.loads(pickle.dumps(rs))],
+        ids=["replaced", "pickled"],
+    )
+    def test_a_copied_draw_takes_the_eager_loop(self, batch):
+        iq, rs = self.drawn()
+        cg = build_controlled(iq)
+        got = cqr_batch(cg, batch(rs))
+        assert type(got[0]) is list and got == cqr_batch(cg, rs.requests)
+        # a shallow copy shares the pool, so it is counted off the table
+        routes, chi = cqr_batch(cg, copy.copy(rs))
+        assert not isinstance(routes, list) and (list(routes), chi) == got
+
+    def test_routes_are_read_only_and_built_once(self):
+        iq, rs = self.drawn(0.8)
+        routes, _ = cqr_batch(build_controlled(iq), rs)
+        with pytest.raises(TypeError):
+            routes[0] = routes[1]
+        with pytest.raises(ValueError):
+            routes.hops[0] = 1
+        first = list(routes)
+        assert all(a is b for a, b in zip(first, routes)) and routes[-1] is first[-1]
+        assert routes[:2] == first[:2] and routes.index(first[3]) == 3
+
+    def test_table_is_read_only_and_left_out_of_a_pickle(self):
+        iq, _ = self.drawn()
+        table = iq._cqr_intermediates
+        assert not table.flags.writeable and set(table.tolist()) == {1, 2}
+        back = pickle.loads(pickle.dumps(iq))
+        assert "_cqr_intermediates" not in vars(back)
+        assert back._cqr_intermediates.tolist() == table.tolist()
+
+    def test_numpy_ids_past_63_route_as_python_ints(self):
+        cg = build_controlled(generate_inter_qnet(GenConfig(2, (40, 40), 0.05, 3)))
+        want = cqr_batch(cg, [(0, 71)])
+        assert cqr_batch(cg, [(np.int64(0), np.int64(71))]) == want
+        assert want[0][0].hops == 3
 
 
 class TestHopRule:

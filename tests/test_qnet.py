@@ -309,14 +309,20 @@ class TestComplement:
             assert not again.adjacency_matrix.flags.writeable
 
     def test_one_build_for_a_run_of_four_volumes(self, monkeypatch):
-        builds = {"_complement": [], "edge_arrays": [], "adjacency_matrix": []}
+        # the hop table reads the data network's own matrix, after the pool
+        builds = {"_complement": [], "edge_arrays": [], "adjacency_matrix": [], "_cqr_intermediates": []}
         for name, seen in builds.items():
             monkeypatch.setattr(InterQNet, name, counted_property(name, seen))
         iq = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.2, derive_seed(1, 4, 200000, 0)))
         res = run_instance(iq, (50, 100, 150, 200), derive_seed(2), 0.2, 0)
         assert not any(v.skipped for v in res.volumes)
         comp = complement_inter_qnet(iq)
-        assert builds == {"_complement": [iq], "edge_arrays": [comp], "adjacency_matrix": [comp]}
+        assert builds == {
+            "_complement": [iq],
+            "edge_arrays": [comp],
+            "adjacency_matrix": [comp, iq],
+            "_cqr_intermediates": [iq],
+        }
 
     def test_intra_domain_pairs_stay_absent(self):
         rnd = random.Random(22)
