@@ -123,11 +123,12 @@ def _route(
     """
     adj, data_count = cg.graph.adjacency, cg.partition.data_count
     n = len(adj)
+    index = operator.index
     near2: dict[int, int] = {}
     paths: list[CqrPath] = []
     chi = 0
-    for req in requests:
-        s, d = map(operator.index, req)
+    for s, d in requests:
+        s, d = index(s), index(d)
         if s == d:
             raise ValueError(f"request {(s, d)} has source equal to destination")
         if not (0 <= s < n and 0 <= d < n):
