@@ -73,9 +73,6 @@ class _DrawnRoutes(Sequence):
     def __iter__(self):
         return iter(self._read())
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._read()!r})"
-
 
 def cqr_batch(
     cg: ControlledInterQNet,
