@@ -138,7 +138,8 @@ class InterQNet:
         in ``edge_arrays`` order, read-only: 1 where its two ends share a
         data neighbour here, else 2, through their two controls (two remote
         ends share no control).  The float32 product counts common
-        neighbours exactly, as every count is below 2**24."""
+        neighbours exactly: a count is at most ``graph.MAX_VERTICES``,
+        below 2**24."""
         us, vs = self._complement.edge_arrays
         m = self.adjacency_matrix.astype(np.float32)
         table = np.where((m @ m)[us, vs] > 0, np.int8(1), np.int8(2))
