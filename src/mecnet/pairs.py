@@ -4,7 +4,10 @@ Two existing edges can host simultaneous EPR extractions when their
 endpoint sets are disjoint and no endpoint of one lies in a neighborhood
 of the other (checked in both directions).  The scheduler partitions a
 batch of remote requests into groups that are pairwise compatible, working
-on the cross-domain complement of the controlled network.
+on the cross-domain complement of the controlled network.  It holds a batch
+as indices into its sorted endpoint lists and each round as a list of those
+indices, checks the rounds in that form, and builds the groups of edges only
+when a caller reads them.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, matrix_to_masks
+from .graph import Graph, bits, matrix_to_masks
 from .qnet import ControlledInterQNet, complement_inter_qnet
 
 __all__ = [
@@ -105,13 +109,45 @@ class RequestSet:
         return iter(self.requests)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ParallelPairTable:
-    groups: tuple[frozenset[Edge], ...]
+    """A partition of a batch of requests into rounds, in the scheduler's
+    index form: request ``i`` is the edge ``(a[i], b[i])`` (the batch sorted,
+    each edge lower end first), ``rounds`` holds the member indices of each
+    grown round in greedy order, and bit ``i`` of ``singles`` marks request
+    ``i`` as a round of its own.  The lists are never changed once built.
+
+    ``groups`` decodes them on first read and keeps the result: the grown
+    rounds in greedy order, then the singletons by index, each a frozenset
+    of edges.  ``rho`` is read off the index form.  ``==``, ``hash`` and
+    ``repr`` go through ``groups``.
+    """
+
+    a: Sequence[int]
+    b: Sequence[int]
+    rounds: Sequence[Sequence[int]]
+    singles: int = 0
 
     @property
     def rho(self) -> int:
-        return len(self.groups)
+        return len(self.rounds) + self.singles.bit_count()
+
+    @cached_property
+    def groups(self) -> tuple[frozenset[Edge], ...]:
+        edges = list(zip(self.a, self.b))
+        grown = [frozenset([edges[i] for i in mem]) for mem in self.rounds]
+        return (*grown, *(frozenset((edges[i],)) for i in bits(self.singles)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.groups == other.groups
+
+    def __hash__(self) -> int:
+        return hash((self.groups,))
+
+    def __repr__(self) -> str:
+        return f"ParallelPairTable(groups={self.groups!r})"
 
 
 # -- pairwise predicate --------------------------------------------------------
@@ -256,7 +292,12 @@ def dynamic_parallel_pairs(cg: ControlledInterQNet, r: Iterable[Edge]) -> Parall
     checked here, once, pair by pair (:func:`_request_edges`, the oracle's
     intake too): the first failing pair, in input order, names the error
     (its first bad id), and a repeat is reported only once every pair has
-    passed.  The result is checked against the whole-edge-set candidate lists.
+    passed.  The batch is kept as its sorted endpoint lists and each round
+    as its member indices, with the trailing singletons as one mask, so the
+    table's ``rho`` is known when the greedy ends; that index form is
+    checked against the whole-edge-set candidate lists
+    (:func:`_assert_table_valid`), and the groups of edges are built only
+    when ``ParallelPairTable.groups`` is read.
     """
     comp = complement_inter_qnet(cg.data)
     pool = comp.edge_arrays
@@ -266,18 +307,16 @@ def dynamic_parallel_pairs(cg: ControlledInterQNet, r: Iterable[Edge]) -> Parall
     else:
         ends = itertools.chain.from_iterable(_request_edges(comp.graph, r))
         a, b = np.fromiter(ends, np.intp).reshape(-1, 2).T
-    edges = list(zip(a.tolist(), b.tolist()))
     rows = _compat_rows(comp.adjacency_matrix, a, b)
     planes = _count_planes(rows)
-    groups: list[frozenset[Edge]] = []
-    remaining = (1 << len(edges)) - 1
+    rounds: list[list[int]] = []
+    remaining = (1 << len(rows)) - 1
     while remaining:
         group = _argmax(planes, remaining)
         members = [group.bit_length() - 1]
         shared = rows[members[0]] & remaining
         if not shared:
             # the highest count is 0: every remaining request is alone
-            groups.extend(frozenset((e,)) for e, c in zip(edges, bin(remaining)[:1:-1]) if c == "1")
             break
         # the counts stay frozen at their group-start values while it grows
         while shared:
@@ -288,42 +327,59 @@ def dynamic_parallel_pairs(cg: ControlledInterQNet, r: Iterable[Edge]) -> Parall
         remaining ^= group
         for i in members:
             _decrement(planes, rows[i] & remaining)
-        groups.append(frozenset([edges[i] for i in members]))
-    table = ParallelPairTable(tuple(groups))
-    _assert_table_valid(comp.graph, table, edges)
+        rounds.append(members)
+    table = ParallelPairTable(a.tolist(), b.tolist(), rounds, remaining)
+    _assert_table_valid(comp.graph, table)
     return table
 
 
-def _assert_table_valid(g: Graph, table: ParallelPairTable, requests: Sequence[Edge]) -> None:
-    """Check ``table`` against the paper's whole-edge-set formulation.
+def _assert_table_valid(g: Graph, table: ParallelPairTable) -> None:
+    """Check ``table``'s index form against the paper's whole-edge-set
+    formulation.
 
-    The groups must partition ``requests`` (which hold no duplicate), and
-    every member's candidate list must hold the rest of its group, one
-    mask test per member of a group of two or more (a singleton has no
-    rest): the endpoints of the rest lie in the member's free mask.  A
-    shared endpoint fails too, as the other end of either edge neighbors
-    it.  Raises ParallelPairViolation.
+    Its rounds and singles must partition the request indices ``0..m-1``,
+    each index in exactly one round, and in every round of two or more the
+    endpoints of the rest of the round must lie in the free mask of every
+    member but the last (:func:`parallel_pair_candidates`), that is in its
+    candidate list.  Compatibility is symmetric, so this tests each pair of
+    members once.  A shared endpoint fails too, as the other end of either
+    edge neighbors it.  A failing round names its lowest failing member, in
+    sorted order, and the members it conflicts with.  Raises
+    ParallelPairViolation.
     """
-    groups = table.groups
-    if sum(map(len, groups)) != len(requests) or set().union(*groups) != set(requests):
+    a, b, rounds = table.a, table.b, table.rounds
+    m = len(a)
+    seen = table.singles
+    for mem in rounds:
+        for i in mem:
+            seen |= 1 << i
+    if seen != (1 << m) - 1 or sum(map(len, rounds)) + table.singles.bit_count() != m:
         raise ParallelPairViolation("groups must partition the request set")
-    multi = [grp for grp in groups if len(grp) > 1]
-    free = parallel_pair_candidates(g, [e for grp in multi for e in grp])
-    for grp in multi:
+    multi = [mem for mem in rounds if len(mem) > 1]
+    free = parallel_pair_candidates(g, [(a[i], b[i]) for mem in multi for i in mem[:-1]])
+    for mem in multi:
         ends = 0
-        for a, b in grp:
-            ends |= (1 << a) | (1 << b)
-        for e in grp:
-            if ends & ~((1 << e[0]) | (1 << e[1])) & ~free[e]:
+        for i in mem:
+            ends |= 1 << a[i] | 1 << b[i]
+        for i in mem[:-1]:
+            if ends & ~free[a[i], b[i]] != (1 << a[i] | 1 << b[i]):
                 break
         else:
             continue
-        # a member fails: name the lowest failing one, in sorted order
-        for e in sorted(grp):
-            if ends & ~((1 << e[0]) | (1 << e[1])) & ~free[e]:
-                extra = sorted(f for f in grp if f != e and (1 << f[0] | 1 << f[1]) & ~free[e])
+        # a member fails: name the lowest failing one, in sorted order; each
+        # pair is read off the free mask of a member other than the last
+        def clash(x: int, y: int) -> int:
+            return (1 << a[y] | 1 << b[y]) & ~free[a[x], b[x]]
+
+        members = sorted(mem)
+        for e in members:
+            extra = [
+                (a[f], b[f]) for f in members
+                if f != e and (clash(e, f) if e != mem[-1] else clash(f, e))
+            ]
+            if extra:
                 raise ParallelPairViolation(
-                    f"group member {e} conflicts with {extra}",
+                    f"group member {(a[e], b[e])} conflicts with {extra}",
                     extra_edges=tuple(extra),
                 )
 

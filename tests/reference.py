@@ -7,7 +7,8 @@ stage its docstring names; :func:`reference_run_instance` chains them, with
 amplitudes, up to 12 qubits.
 :func:`random_network` is no reference: it seeds the library generator from
 a test's ``random.Random``; nor is :func:`run_capped`, which runs code in a
-child interpreter with a capped address space.
+child interpreter with a capped address space, nor :func:`index_table`,
+which writes hand-built groups in the scheduler's index form.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from mecnet.cqr import CqrPath
 from mecnet.experiments import derive_seed
 from mecnet.graph import Graph, bits
 from mecnet.netgen import GenConfig, generate_inter_qnet
-from mecnet.pairs import compatible
+from mecnet.pairs import ParallelPairTable, compatible
 from mecnet.qnet import InterQNet, QNetPartition
 
 EVAL_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "eval.json")
@@ -214,6 +215,18 @@ def reference_compat_rows(g, edges):
         near.append(t)
     full = (1 << len(edges)) - 1
     return [full & ~(near[a] | near[b]) for a, b in edges]
+
+
+def index_table(groups, requests, order=sorted):
+    """The ``ParallelPairTable`` that holds the hand-built ``groups`` of the
+    batch ``requests`` in the scheduler's index form: request ``i`` is the
+    ``i``-th edge of the sorted batch, and each group, in table order, is one
+    round of its members' indices, listed in ``order`` (a group of one is a
+    round too, so the table has no singles)."""
+    edges = sorted(requests)
+    at = {e: i for i, e in enumerate(edges)}
+    rounds = [list(order([at[e] for e in grp])) for grp in groups]
+    return ParallelPairTable([u for u, _ in edges], [v for _, v in edges], rounds)
 
 
 def reference_dynamic_parallel_pairs(comp, requests):

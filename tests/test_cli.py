@@ -1378,6 +1378,25 @@ class TestPipelineMismatchPath:
             assert "parallel-pair violation: group member" in capsys.readouterr().err
 
 
+class TestRunReadsNoGroup:
+    def test_run_builds_no_group(self, tmp_path, monkeypatch):
+        # a run reads each table's rho alone, so groups that cannot be
+        # decoded leave it and its reports as they are
+        outs = []
+        for case in ("decoded", "undecodable"):
+            if case == "undecodable":
+                def refuse(table):
+                    raise AssertionError("a run read ParallelPairTable.groups")
+
+                monkeypatch.setattr(pairs.ParallelPairTable, "groups", property(refuse))
+            (tmp_path / case).mkdir()
+            cfg_path, cfg = small_config(tmp_path / case)
+            assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
+            outs.append(cfg["output_dir"])
+        for name in ("hops", "parallelism", "arqf", "throughput"):
+            assert Path(outs[0], f"{name}.csv").read_bytes() == Path(outs[1], f"{name}.csv").read_bytes(), name
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         src = os.path.dirname(os.path.dirname(mecnet.__file__))

@@ -20,6 +20,7 @@ from reference import (
     EVAL_CONFIG,
     brute_force_pairable,
     complement_edges,
+    index_table,
     reference_candidates,
     reference_compat_rows,
     reference_dynamic_parallel_pairs,
@@ -29,7 +30,7 @@ from reference import (
 import mecnet
 import mecnet.experiments as experiments
 import mecnet.pairs as pairs_module
-from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes
+from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes, run_experiment
 from mecnet.graph import Graph, bits, masks_to_matrix
 from mecnet.netgen import GenConfig, generate_inter_qnet, sample_requests
 from mecnet.pairs import (
@@ -79,6 +80,12 @@ def candidate_pairable(g, edges):
     edge_set = {canonical_edge(*e) for e in edges}
     cl = reference_candidates(g, edge_set)
     return all(edge_set - {e} <= cl[e] for e in edge_set)
+
+
+def descending(members):
+    """A round's members from the highest index down, so that the check
+    reads no mask of the lowest."""
+    return sorted(members, reverse=True)
 
 
 @st.composite
@@ -605,6 +612,40 @@ class TestDynamicParallelPairs:
             rs = sample_requests(iq, min(vol, len(pool)), derive_seed(2, k, vol))
             assert dynamic_parallel_pairs(cg, rs).groups == reference_dynamic_parallel_pairs(comp, rs)
 
+    def test_matches_whole_edge_set_loop_on_every_eval_batch(self, monkeypatch):
+        seen = []
+        schedule = experiments.dynamic_parallel_pairs
+
+        def both(cg, rs):
+            table = schedule(cg, rs)
+            want = reference_dynamic_parallel_pairs(complement_inter_qnet(cg.data).graph, rs.requests)
+            assert table.rho == len(want)
+            assert table.groups == want
+            assert {type(x) for grp in table.groups for e in grp for x in e} == {int}
+            seen.append(table.rho)
+            return table
+
+        monkeypatch.setattr(experiments, "dynamic_parallel_pairs", both)
+        cfg = dataclasses.replace(ExperimentConfig.from_json(EVAL_CONFIG), repetitions=4, jobs=1)
+        results = run_experiment(cfg)
+        assert seen == [v.rho for r in results for v in r.volumes if not v.skipped]
+        assert len(seen) > 100
+
+    def test_groups_are_decoded_once_and_the_table_is_frozen(self):
+        iq = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.8, derive_seed(3, 4)))
+        cg = build_controlled(iq)
+        rs = sample_requests(iq, 100, derive_seed(4, 4))
+        table = dynamic_parallel_pairs(cg, rs)
+        groups = table.groups
+        assert table.groups is groups
+        for name, value in [("groups", ()), ("rounds", []), ("singles", 0)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, name, value)
+        assert table.groups is groups
+        for again in (dynamic_parallel_pairs(cg, rs), dynamic_parallel_pairs(cg, list(rs.requests))):
+            assert again is not table and again == table and hash(again) == hash(table)
+            assert again.groups == groups and again.groups is not groups
+
     def test_matches_recounted_greedy_at_scale(self):
         # 800 requests on 200 data vertices at p=0.8; the whole-edge-set
         # loop takes most of a minute here, so the reference recounts every
@@ -640,15 +681,18 @@ class TestDynamicParallelPairs:
         want = reference_candidates(g, sub)
         conflicts = [(e, sorted(set(sub) - {e} - want[e])) for e in sub]
         bad = [(e, extra) for e, extra in conflicts if extra]
-        table = ParallelPairTable((frozenset(sub),))
-        if not bad:
-            _assert_table_valid(g, table, sub)
-            return
-        with pytest.raises(ParallelPairViolation) as info:
-            _assert_table_valid(g, table, sub)
-        e, extra = bad[0]
-        assert str(info.value) == f"group member {e} conflicts with {extra}"
-        assert info.value.extra_edges == tuple(extra)
+        # the check reads no mask of a round's last member, so the round is
+        # listed in both orders
+        for order in (sorted, descending):
+            table = index_table([sub], sub, order)
+            if not bad:
+                _assert_table_valid(g, table)
+                continue
+            with pytest.raises(ParallelPairViolation) as info:
+                _assert_table_valid(g, table)
+            e, extra = bad[0]
+            assert str(info.value) == f"group member {e} conflicts with {extra}"
+            assert info.value.extra_edges == tuple(extra)
 
     @settings(max_examples=500, deadline=None)
     @given(graph_and_partition())
@@ -663,44 +707,51 @@ class TestDynamicParallelPairs:
             for e in sorted(grp)
             if (extra := sorted(grp - {e} - want[e]))
         ]
-        table = ParallelPairTable(groups)
-        if not bad:
-            _assert_table_valid(g, table, batch)
-            return
-        with pytest.raises(ParallelPairViolation) as info:
-            _assert_table_valid(g, table, batch)
-        e, extra = bad[0]
-        assert str(info.value) == f"group member {e} conflicts with {extra}"
-        assert info.value.extra_edges == tuple(extra)
+        for order in (sorted, descending):
+            table = index_table(groups, batch, order)
+            if not bad:
+                _assert_table_valid(g, table)
+                continue
+            with pytest.raises(ParallelPairViolation) as info:
+                _assert_table_valid(g, table)
+            e, extra = bad[0]
+            assert str(info.value) == f"group member {e} conflicts with {extra}"
+            assert info.value.extra_edges == tuple(extra)
 
     @staticmethod
     def _sparse_batch():
-        """An eval-scale batch at p=0.2, where most groups are singletons."""
+        """An eval-scale batch at p=0.2, where most groups are singletons,
+        its table and the indices of its singletons."""
         iq = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.2, derive_seed(1, 4, 2)))
         comp = complement_inter_qnet(iq)
         rs = sample_requests(iq, 200, derive_seed(2, 4, 200))
-        groups = dynamic_parallel_pairs(build_controlled(iq), rs).groups
-        singles = [min(grp) for grp in groups if len(grp) == 1]
-        assert len(singles) > len(groups) // 2
-        return comp.graph, rs.requests, groups, singles
+        table = dynamic_parallel_pairs(build_controlled(iq), rs)
+        singles = list(bits(table.singles))
+        assert len(singles) > table.rho // 2
+        return comp.graph, table, singles
 
     def test_check_finds_one_conflicting_pair_among_singletons(self):
-        g, requests, groups, singles = self._sparse_batch()
+        g, table, singles = self._sparse_batch()
+        edge = lambda i: (table.a[i], table.b[i])  # noqa: E731
         pairs = itertools.combinations(singles, 2)
-        e, f = next((e, f) for e, f in pairs if not compatible(g, e, f))
-        merged = [grp for grp in groups if grp not in ({e}, {f})]
-        merged.insert(len(merged) // 2, frozenset({e, f}))
-        lo, hi = sorted((e, f))
+        i, j = next((i, j) for i, j in pairs if not compatible(g, edge(i), edge(j)))
+        rounds = list(table.rounds)
+        # the higher index first, so the mask of the named member is not read
+        rounds.insert(len(rounds) // 2, [j, i])
+        merged = ParallelPairTable(table.a, table.b, rounds, table.singles ^ (1 << i | 1 << j))
         with pytest.raises(ParallelPairViolation) as info:
-            _assert_table_valid(g, ParallelPairTable(tuple(merged)), requests)
-        assert str(info.value) == f"group member {lo} conflicts with {[hi]}"
-        assert info.value.extra_edges == (hi,)
+            _assert_table_valid(g, merged)
+        assert str(info.value) == f"group member {edge(i)} conflicts with {[edge(j)]}"
+        assert info.value.extra_edges == (edge(j),)
 
     def test_check_refuses_a_repeated_request_in_place_of_another(self):
-        g, requests, groups, singles = self._sparse_batch()
-        table = [frozenset({singles[0]}) if grp == {singles[1]} else grp for grp in groups]
+        g, table, singles = self._sparse_batch()
+        rounds = [*table.rounds, [singles[0]]]
+        repeated = ParallelPairTable(table.a, table.b, rounds, table.singles ^ 1 << singles[1])
+        # the count of members is right, so only the set of indices differs
+        assert repeated.rho == table.rho
         with pytest.raises(ParallelPairViolation, match="^groups must partition the request set$"):
-            _assert_table_valid(g, ParallelPairTable(tuple(table)), requests)
+            _assert_table_valid(g, repeated)
 
     def test_table_violations_raise_under_optimize(self):
         script = "\n".join([
@@ -708,9 +759,9 @@ class TestDynamicParallelPairs:
             "from mecnet.pairs import ParallelPairTable, ParallelPairViolation, _assert_table_valid",
             "print('debug', __debug__)",
             "g = Graph(3, [(0, 1), (1, 2)])",
-            "for groups in [(frozenset({(0, 1), (1, 2)}),), (frozenset({(0, 1)}),)]:",
+            "for rounds in [[[0, 1]], [[0]]]:",
             "    try:",
-            "        _assert_table_valid(g, ParallelPairTable(groups), [(0, 1), (1, 2)])",
+            "        _assert_table_valid(g, ParallelPairTable([0, 1], [1, 2], rounds))",
             "    except ParallelPairViolation as exc:",
             "        print('raised', exc)",
         ])
@@ -874,6 +925,7 @@ class TestIntake:
         for pairs in (drawn, [(v, u) for u, v in drawn]):
             # the table holds Python ints, so even the reprs agree
             assert repr(dynamic_parallel_pairs(cg, pairs)) == repr(table)
+        assert repr(table) == f"ParallelPairTable(groups={table.groups!r})"
         # and so does a refusal's message
         with pytest.raises(RequestNotInComplement, match=r"^request \(0, 1\) is not a complement edge$"):
             dynamic_parallel_pairs(build_controlled(two_domains_of_three()), [(np.int64(1), np.int64(0))])

@@ -15,7 +15,6 @@ UNUSED_EXPORTS_ALLOWED = {
     "pairs.py": {
         "RequestError": "raised to callers of dynamic_parallel_pairs, which catch it by type",
         "RequestNotInComplement": "raised to callers of dynamic_parallel_pairs, which catch it by type",
-        "ParallelPairTable": "return type of dynamic_parallel_pairs",
     },
     "openflights.py": {
         "ParseResult": "return type of parse_openflights",
