@@ -316,7 +316,8 @@ def dynamic_parallel_pairs(cg: ControlledInterQNet, r: Iterable[Edge]) -> Parall
         members = [group.bit_length() - 1]
         shared = rows[members[0]] & remaining
         if not shared:
-            # the highest count is 0: every remaining request is alone
+            # the highest count is 0: every remaining request is alone,
+            # and the remaining mask is the table's singles
             break
         # the counts stay frozen at their group-start values while it grows
         while shared:

@@ -732,7 +732,10 @@ class TestDynamicParallelPairs:
 
     def test_check_finds_one_conflicting_pair_among_singletons(self):
         g, table, singles = self._sparse_batch()
-        edge = lambda i: (table.a[i], table.b[i])  # noqa: E731
+
+        def edge(i):
+            return table.a[i], table.b[i]
+
         pairs = itertools.combinations(singles, 2)
         i, j = next((i, j) for i, j in pairs if not compatible(g, edge(i), edge(j)))
         rounds = list(table.rounds)
