@@ -709,6 +709,15 @@ REPORT_DIGESTS = {
     ),
 }
 
+# sha256 of the four CSVs of the whole configs/eval.json run (8000 instances);
+# the same at any --jobs
+EVAL_DIGESTS = {
+    "hops.csv": "2c95fbe9d8966b6babe7f190bcd2189bd24374ce21f670ea4c9119b750676d96",
+    "parallelism.csv": "c97d64580219927d9bdd3e2627eed3e4bf25f7f553c2667deb13cc3c631cc12b",
+    "arqf.csv": "043ebf1f939661d08f6227b5699b8a64d7aa5d90b82575cdd6f195789e332eb2",
+    "throughput.csv": "62863aca1e55fbf7654f41041cf3854adeda4f7072ee42a73a26052fe3ad1ff3",
+}
+
 
 class TestReportCommand:
     @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
@@ -721,6 +730,13 @@ class TestReportCommand:
             hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in REPORT_FILES
         )
         assert dict(zip(REPORT_FILES, got)) == dict(zip(REPORT_FILES, digests))
+
+    def test_full_eval_digests_are_pinned(self, tmp_path):
+        jobs = min(2, os.cpu_count() or 1)
+        argv = ["run", "--config", EVAL_CONFIG, "--out", str(tmp_path), "--jobs", str(jobs)]
+        assert cli.main(argv) == cli.EXIT_OK
+        got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in EVAL_DIGESTS}
+        assert got == EVAL_DIGESTS
 
     def test_rerender_from_csv_only(self, tmp_path):
         cfg_path, cfg = small_config(tmp_path)
