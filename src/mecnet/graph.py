@@ -124,10 +124,15 @@ class MeasurementRecord:
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Graph:
-    """Immutable undirected simple graph over stable integer ids."""
+    """Immutable undirected simple graph over stable integer ids.
 
-    vertex_count: int
-    _adj: tuple[int, ...]
+    Its one field, ``adjacency``, holds the neighbor mask of every slot by
+    id, 0 for an isolated one; the vertex count is its length.  Unlike
+    :meth:`neighbor_mask`, indexing it checks no id: a negative one wraps
+    around.
+    """
+
+    adjacency: tuple[int, ...]
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         vertex_count = operator.index(vertex_count)
@@ -144,14 +149,12 @@ class Graph:
                 raise ValueError(f"self-loop at {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "_adj", tuple(adj))
+        object.__setattr__(self, "adjacency", tuple(adj))
 
     @classmethod
-    def _from_parts(cls, vertex_count: int, adj: tuple[int, ...]) -> "Graph":
+    def _from_parts(cls, adj: tuple[int, ...]) -> "Graph":
         g = cls.__new__(cls)
-        object.__setattr__(g, "vertex_count", vertex_count)
-        object.__setattr__(g, "_adj", adj)
+        object.__setattr__(g, "adjacency", adj)
         return g
 
     def __repr__(self) -> str:
@@ -160,14 +163,12 @@ class Graph:
     # -- queries ---------------------------------------------------------
 
     @property
-    def adjacency(self) -> tuple[int, ...]:
-        """The neighbor mask of every slot by id, 0 for an isolated one.  Unlike
-        :meth:`neighbor_mask` it checks no id: a negative one wraps around."""
-        return self._adj
+    def vertex_count(self) -> int:
+        return len(self.adjacency)
 
     def neighbor_mask(self, v: int) -> int:
         self._check_vertex(v)
-        return self._adj[v]
+        return self.adjacency[v]
 
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(bits(self.neighbor_mask(v)))
@@ -176,12 +177,12 @@ class Graph:
         u, v = operator.index(u), operator.index(v)
         self._check_vertex(u)
         self._check_vertex(v)
-        return bool(self._adj[u] >> v & 1)
+        return bool(self.adjacency[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         out = []
-        for u, a in enumerate(self._adj):
+        for u, a in enumerate(self.adjacency):
             m = a >> (u + 1)
             while m:
                 low = m & -m
@@ -191,14 +192,14 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self._adj) // 2
+        return sum(a.bit_count() for a in self.adjacency) // 2
 
     def connected(self) -> bool:
         """True iff all slots form one connected component."""
-        return len(components(self._adj, (1 << self.vertex_count) - 1)) <= 1
+        return len(components(self.adjacency, (1 << len(self.adjacency)) - 1)) <= 1
 
     def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.vertex_count):
+        if not (0 <= v < len(self.adjacency)):
             raise ValueError(f"invalid vertex id {v}")
 
     # -- rewrite rules -----------------------------------------------------
@@ -216,19 +217,19 @@ class Graph:
         v, k0 = operator.index(v), operator.index(k0)
         if not self.has_edge(v, k0):
             raise ValueError(f"k0={k0} is not adjacent to measured vertex {v}")
-        full = (1 << self.vertex_count) - 1
-        adj = list(self._adj)
+        adj = list(self.adjacency)
+        full = (1 << len(adj)) - 1
         _local_complement(adj, k0)
         _local_complement(adj, v)
         _keep(adj, full ^ 1 << v)
         _local_complement(adj, k0)
-        return Graph._from_parts(self.vertex_count, tuple(adj)), MeasurementRecord(v, "X", k0)
+        return Graph._from_parts(tuple(adj)), MeasurementRecord(v, "X", k0)
 
     def measure_z(self, v: int) -> tuple["Graph", MeasurementRecord]:
         """Pauli-Z measurement rule: vertex deletion, ``v``'s slot left isolated."""
         v = operator.index(v)
         self._check_vertex(v)
-        full = (1 << self.vertex_count) - 1
+        full = (1 << len(self.adjacency)) - 1
         return self.keep(full ^ 1 << v), MeasurementRecord(v, "Z")
 
     def keep(self, mask: int) -> "Graph":
@@ -236,9 +237,9 @@ class Graph:
         to every vertex outside it, whose rows are cleared and whose slots
         stay, isolated.
         """
-        adj = list(self._adj)
+        adj = list(self.adjacency)
         _keep(adj, mask)
-        return Graph._from_parts(self.vertex_count, tuple(adj))
+        return Graph._from_parts(tuple(adj))
 
     # -- restriction -------------------------------------------------------
 
@@ -249,13 +250,13 @@ class Graph:
         for dropping trailing isolated slots (e.g. measured-out control
         vertices).
         """
-        if not (0 <= count <= self.vertex_count):
+        if not (0 <= count <= len(self.adjacency)):
             raise ValueError("restriction size out of range")
         low = (1 << count) - 1
-        for u, a in enumerate(self._adj[count:], count):
+        for u, a in enumerate(self.adjacency[count:], count):
             if a & low:
                 raise ValueError(f"edge from dropped vertex {u} crosses the cut")
-        return Graph._from_parts(count, self._adj[:count])
+        return Graph._from_parts(self.adjacency[:count])
 
 
 # -- serialization ----------------------------------------------------------

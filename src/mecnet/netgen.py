@@ -123,8 +123,8 @@ def generate_inter_qnet(cfg: GenConfig) -> InterQNet:
     # a mask assignment fills cells row-major: pairs u < v, lexicographically
     adj[candidates] = rng.random(np.count_nonzero(candidates)) < cfg.p
     masks = tuple(matrix_to_masks(adj | adj.T))
-    iq = InterQNet(Graph._from_parts(n, masks), QNetPartition(cfg.k, membership))
-    if not iq.connected:
+    iq = InterQNet(Graph._from_parts(masks), QNetPartition(cfg.k, membership))
+    if not iq.graph.connected():
         raise RuntimeError("spanning-tree construction must yield a connected graph")
     return iq
 

@@ -118,17 +118,12 @@ class InterQNet:
         # on first use
         return {"graph": self.graph, "partition": self.partition}
 
-    @property
-    def connected(self) -> bool:
-        """Whether the network is interactive (one connected component)."""
-        return self.graph.connected()
-
     @cached_property
     def _complement(self) -> "InterQNet":
         part = self.partition
         masks, full = part.masks, (1 << part.data_count) - 1
         adj = tuple(full & ~masks[a - 1] & ~m for m, a in zip(self.graph.adjacency, part.membership))
-        comp = InterQNet(Graph._from_parts(part.data_count, adj), part)
+        comp = InterQNet(Graph._from_parts(adj), part)
         comp.edge_arrays  # the pool and its bit matrix, built here rather than in a batch
         return comp
 
@@ -187,7 +182,7 @@ class ControlledInterQNet:
         members = part.masks + (0,) * (kp - part.k)
         adj = [m | 1 << (d + a - 1) for m, a in zip(g.adjacency, part.membership)]
         adj += [clique & ~(1 << c) | m for c, m in zip(part.control_nodes, members)]
-        graph = Graph._from_parts(d + kp, tuple(adj))
+        graph = Graph._from_parts(tuple(adj))
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "partition", part)
 

@@ -379,7 +379,7 @@ def test_criterion_11_real_data_pipeline():
             os.path.join(FIXTURES, "airports.dat"), os.path.join(FIXTURES, "routes.dat")
         )
         iq, meta = build_real_instance(parsed)
-        assert iq.connected
+        assert iq.graph.connected()
         m = iq.partition.membership
         for u, v in iq.graph.edges():
             assert m[u] != m[v]

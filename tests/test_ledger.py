@@ -1,11 +1,13 @@
 """BENCH_LEDGER.json: one entry per benchmark record, each verdict following
-from the entry's own numbers, and the raw records in the tree matching the
-entries that say they are there."""
+from the entry's own numbers, the raw records in the tree matching the
+entries that say they are there, and every other record readable at the
+commit its entry names."""
 
 import copy
 import json
 import pathlib
 import re
+import subprocess
 
 import pytest
 
@@ -98,6 +100,22 @@ def test_every_entry_follows_the_schema_and_the_verdict_rule(ledger):
 def test_raw_files_in_the_tree_are_the_in_tree_entries(ledger):
     in_tree = {p.name for p in ROOT.glob("BENCH_*.json")} - {LEDGER.name}
     assert in_tree == {e["file"] for e in ledger["entries"] if e["in_tree"]}
+
+
+def git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+
+
+def test_retired_records_are_readable_at_their_commit(ledger):
+    # a record out of the tree is read with `git show <commit>:<file>`, which
+    # needs the whole history; a shallow clone or an export lacks it
+    if not (ROOT / ".git").exists():
+        pytest.skip("no git checkout")
+    if git("rev-parse", "--is-shallow-repository").stdout.strip() == "true":
+        pytest.skip("shallow clone")
+    retired = [e for e in ledger["entries"] if not e["in_tree"]]
+    assert retired
+    assert [e["file"] for e in retired if git("cat-file", "-e", f"{e['commit']}:{e['file']}").returncode] == []
 
 
 @pytest.fixture

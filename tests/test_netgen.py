@@ -45,7 +45,7 @@ class TestGenerate:
         for seed in range(20):
             iq = generate_inter_qnet(GenConfig(3, (4, 3, 3), 0.0, seed))
             assert iq.graph.edge_count == 9  # nodes - 1
-            assert iq.connected
+            assert iq.graph.connected()
 
     def test_p_one_is_complete_multipartite(self):
         iq = generate_inter_qnet(GenConfig(3, (3, 2, 2), 1.0, 5))
@@ -58,7 +58,7 @@ class TestGenerate:
             sizes = tuple(rnd.randint(1, 6) for _ in range(k))
             p = rnd.random()
             iq = generate_inter_qnet(GenConfig(k, sizes, p, rnd.randrange(10**6)))
-            assert iq.connected
+            assert iq.graph.connected()
             m = iq.partition.membership
             for u, v in iq.graph.edges():
                 assert m[u] != m[v]
@@ -139,7 +139,7 @@ class TestSameGraphsAsEdgeLists:
         monkeypatch.setattr(Graph, "__init__", refused)
         monkeypatch.setattr(Graph, "edges", refused)
         iq = generate_inter_qnet(GenConfig(4, (5, 5, 5, 5), 0.4, 3))
-        assert len(built) == 1 and iq.connected
+        assert len(built) == 1 and iq.graph.connected()
 
 
 def spanning_tree_count(membership):
@@ -189,7 +189,7 @@ class TestUniformSpanningTree:
             assert len(tree) == len(membership) - 1
             assert all(membership[u] != membership[v] for u, v in tree)
             g = Graph(len(membership), sorted(tree))
-            assert InterQNet(g, QNetPartition(max(membership), membership)).connected
+            assert InterQNet(g, QNetPartition(max(membership), membership)).graph.connected()
             counts[tree] += 1
         assert len(counts) <= trees
         # each tree is expected per_tree times; a tree never drawn counts too

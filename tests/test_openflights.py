@@ -60,7 +60,7 @@ class TestParse:
 class TestBuildInstance:
     def test_full_fixture(self, parsed):
         iq, meta = build_real_instance(parsed)
-        assert iq.connected
+        assert iq.graph.connected()
         assert meta["countries"] == iq.partition.k
         assert meta["edges"] == iq.graph.edge_count
         m = iq.partition.membership
@@ -83,7 +83,7 @@ class TestBuildInstance:
         a, ma = build_real_instance(parsed, country_filter=EU9, subsample=(20, 5))
         b, mb = build_real_instance(parsed, country_filter=EU9, subsample=(20, 5))
         assert a.graph == b.graph and ma == mb
-        assert a.connected
+        assert a.graph.connected()
 
     @pytest.mark.parametrize(
         "left, k",

@@ -612,25 +612,6 @@ class TestDynamicParallelPairs:
             rs = sample_requests(iq, min(vol, len(pool)), derive_seed(2, k, vol))
             assert dynamic_parallel_pairs(cg, rs).groups == reference_dynamic_parallel_pairs(comp, rs)
 
-    def test_matches_whole_edge_set_loop_on_every_eval_batch(self, monkeypatch):
-        seen = []
-        schedule = experiments.dynamic_parallel_pairs
-
-        def both(cg, rs):
-            table = schedule(cg, rs)
-            want = reference_dynamic_parallel_pairs(complement_inter_qnet(cg.data).graph, rs.requests)
-            assert table.rho == len(want)
-            assert table.groups == want
-            assert {type(x) for grp in table.groups for e in grp for x in e} == {int}
-            seen.append(table.rho)
-            return table
-
-        monkeypatch.setattr(experiments, "dynamic_parallel_pairs", both)
-        cfg = dataclasses.replace(ExperimentConfig.from_json(EVAL_CONFIG), repetitions=4, jobs=1)
-        results = run_experiment(cfg)
-        assert seen == [v.rho for r in results for v in r.volumes if not v.skipped]
-        assert len(seen) > 100
-
     def test_groups_are_decoded_once_and_the_table_is_frozen(self):
         iq = generate_inter_qnet(GenConfig(4, even_sizes(50, 4), 0.8, derive_seed(3, 4)))
         cg = build_controlled(iq)
@@ -815,7 +796,8 @@ def check_both_paths(cg, rs):
         assert dynamic_parallel_pairs(cg, [(v, u) for u, v in rs.requests]) == table
         assert len(seen) == 2
     want = reference_dynamic_parallel_pairs(Graph(comp.graph.vertex_count, complement_edges(cg.data)), rs)
-    assert table.groups == want
+    assert table.groups == want and table.rho == len(want)
+    assert all(type(x) is int for grp in table.groups for e in grp for x in e)
     edges = sorted(rs.requests)
     a, b = (ends[np.sort(rs.index)] for ends in comp.edge_arrays)
     assert list(zip(a.tolist(), b.tolist())) == edges
@@ -841,7 +823,7 @@ class TestIntake:
     otherwise."""
 
     def test_both_paths_match_the_references_on_eval_batches(self, monkeypatch):
-        cfg = dataclasses.replace(ExperimentConfig.from_json(EVAL_CONFIG), repetitions=2, jobs=1)
+        cfg = dataclasses.replace(ExperimentConfig.from_json(EVAL_CONFIG), repetitions=4, jobs=1)
         tables = []
 
         def checked(cg, rs):
@@ -849,8 +831,9 @@ class TestIntake:
             return tables[-1]
 
         monkeypatch.setattr(experiments, "dynamic_parallel_pairs", checked)
-        results = experiments.run_experiment(cfg)
-        assert len(tables) == sum(not v.skipped for r in results for v in r.volumes) > 50
+        results = run_experiment(cfg)
+        assert [t.rho for t in tables] == [v.rho for r in results for v in r.volumes if not v.skipped]
+        assert len(tables) > 100
 
     @settings(max_examples=100, deadline=None)
     @given(odd_k_draws())

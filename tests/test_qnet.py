@@ -257,7 +257,7 @@ class TestComplement:
         want = Graph(g.vertex_count, complement_edges(iq))
         got = complement_inter_qnet(iq)
         assert got.graph == want and got.partition == part
-        assert got.connected == want.connected()
+        assert got.graph.connected() == want.connected()
 
     def test_complete_bipartite_empties(self):
         iq = InterQNet(Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), QNetPartition(2, (1, 1, 2, 2)))
@@ -277,7 +277,7 @@ class TestComplement:
     def test_disconnected_permitted_and_flagged(self):
         iq = InterQNet(Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), QNetPartition(2, (1, 1, 2, 2)))
         comp = complement_inter_qnet(iq)
-        assert comp.connected is False
+        assert comp.graph.connected() is False
 
     def test_built_once_per_network(self):
         iq = random_network(3, [3, 3, 2], 0.4, random.Random(23))

@@ -1014,7 +1014,7 @@ class TestGraphFormIsKept:
         # An asymmetric graph, such as a broken rewrite rule could build
         # through Graph._from_parts, is refused by the symmetry test of its
         # graph state's form on every call, for either operand.
-        bad = graph_state(Graph._from_parts(3, (2, 0, 0)))
+        bad = graph_state(Graph._from_parts((2, 0, 0)))
         good = graph_state(Graph(3))
         for _ in range(2):
             for a, b in ((bad, good), (good, bad)):
