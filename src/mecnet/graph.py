@@ -2,7 +2,7 @@
 
 Vertices are dense integer ids ``0..vertex_count-1``.  Adjacency is stored
 as one Python-int bitmask per vertex, so neighborhood algebra (complement,
-local complementation, compatibility tests) runs on machine words.
+the measurement rules, compatibility tests) runs on machine words.
 
 A graph is its adjacency.  Vertex deletion keeps ids stable: a deleted
 vertex keeps its slot as an isolated vertex, which is what the Z rule
@@ -83,16 +83,6 @@ def components(adj: Sequence[int], mask: int) -> list[int]:
             comp |= frontier
         comps.append(comp)
     return comps
-
-
-def _local_complement(adj: list[int], v: int) -> None:
-    """Complement, in place, the induced subgraph on the open neighborhood
-    of ``v`` in the neighbor masks ``adj``."""
-    nv = m = adj[v]
-    while m:
-        low = m & -m
-        m ^= low
-        adj[low.bit_length() - 1] ^= nv ^ low
 
 
 def _keep(adj: list[int], mask: int) -> None:
@@ -205,24 +195,33 @@ class Graph:
     # -- rewrite rules -----------------------------------------------------
 
     def measure_x(self, v: int, k0: int) -> tuple["Graph", MeasurementRecord]:
-        """Pauli-X measurement rule at the graph level.
+        """Pauli-X measurement rule at the graph level, in one pass.
 
-        Applies local complementation at the special neighbor ``k0``, then at
-        ``v``, deletes ``v`` as the Z rule does, and complements at ``k0``
-        again, all on one copy of the masks.  ``k0`` must be adjacent to
-        ``v``.  The outcome-dependent local-Clifford byproduct is not
-        applied; the returned record's basis, vertex and special neighbor
-        ``k0`` fix it, and no code computes it yet.
+        With ``na = N(v) - {k0}``, ``nb = N(k0) - {v}``, ``C = na & nb``,
+        ``A = na - C`` and ``B = nb - C``, every edge between two of A, B
+        and C is toggled, A gains k0, B loses it, A and C lose v, k0's
+        neighbors become ``na`` and v's slot is left isolated.  This is the
+        literal rule τ_k0 τ_v (delete v) τ_k0 (Hein, Eisert & Briegel, PRA
+        69, 062311, 2004): deleting v commutes with the last τ_k0, and
+        τ_k0 τ_v τ_k0 on the edge v–k0 is the pivot (Bouchet 1988), which
+        toggles those edges and swaps the neighborhoods of v and k0.  ``k0``
+        must be adjacent to ``v``.  The local-Clifford byproduct is not
+        applied; the returned record fixes it (see MeasurementRecord).
         """
         v, k0 = operator.index(v), operator.index(k0)
         if not self.has_edge(v, k0):
             raise ValueError(f"k0={k0} is not adjacent to measured vertex {v}")
         adj = list(self.adjacency)
-        full = (1 << len(adj)) - 1
-        _local_complement(adj, k0)
-        _local_complement(adj, v)
-        _keep(adj, full ^ 1 << v)
-        _local_complement(adj, k0)
+        vb, kb = 1 << v, 1 << k0
+        na, nb = adj[v] ^ kb, adj[k0] ^ vb
+        c = na & nb
+        a, b = na ^ c, nb ^ c
+        for m, flip in ((a, b | c | kb | vb), (b, a | c | kb), (c, a | b | vb)):
+            while m:
+                low = m & -m
+                m ^= low
+                adj[low.bit_length() - 1] ^= flip
+        adj[k0], adj[v] = na, 0
         return Graph._from_parts(tuple(adj)), MeasurementRecord(v, "X", k0)
 
     def measure_z(self, v: int) -> tuple["Graph", MeasurementRecord]:

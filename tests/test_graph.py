@@ -1,4 +1,4 @@
-"""Graph rewrite rules: complement, local complementation, deletion by the
+"""Graph rewrite rules: the reference local complementation, deletion by the
 Z rule, measurement rules, serialization."""
 
 import copy
@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import local_complement
+from reference import EVAL_CONFIG, local_complement
 
+from mecnet.experiments import ExperimentConfig, derive_seed, even_sizes
 from mecnet.graph import (
     MAX_VERTICES,
     Graph,
     MeasurementRecord,
-    _local_complement,
     bits,
     components,
     graph_from_edgelist,
@@ -27,6 +27,8 @@ from mecnet.graph import (
     masks_to_matrix,
     matrix_to_masks,
 )
+from mecnet.netgen import GenConfig, generate_inter_qnet
+from mecnet.qnet import build_controlled, mec_complementation
 
 
 @st.composite
@@ -41,23 +43,17 @@ def graph_with_deleted_slots_and_mask(draw):
     return g, draw(st.integers(0, (1 << (n + 2)) - 1))
 
 
-def complemented(g, v):
-    """``g`` after the X rule's in-place local complementation at ``v``, run
-    on a copy of its masks."""
-    adj = list(g.adjacency)
-    _local_complement(adj, v)
-    return Graph._from_parts(tuple(adj))
-
-
 class TestLocalComplement:
+    """The reference τ_v that the X rule is checked against, by hand."""
+
     def test_star_gains_triangle(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        got = complemented(star, 0)
+        got = local_complement(star, 0)
         assert got.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
     def test_path_center_to_triangle(self):
         # 3-vertex case worked out by hand from the definition
-        assert complemented(Graph(3, [(0, 1), (1, 2)]), 1).edges() == [
+        assert local_complement(Graph(3, [(0, 1), (1, 2)]), 1).edges() == [
             (0, 1),
             (0, 2),
             (1, 2),
@@ -69,15 +65,7 @@ class TestLocalComplement:
             n = rnd.randint(2, 9)
             g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < 0.5])
             v = rnd.randrange(n)
-            assert complemented(complemented(g, v), v) == g
-
-    @settings(max_examples=300, deadline=None)
-    @given(graph_with_deleted_slots_and_mask(), st.data())
-    def test_matches_the_definition(self, case, data):
-        g = case[0]
-        assume(g.vertex_count)
-        v = data.draw(st.integers(0, g.vertex_count - 1))
-        assert complemented(g, v) == local_complement(g, v)
+            assert local_complement(local_complement(g, v), v) == g
 
 
 class TestDeleteVertex:
@@ -107,7 +95,7 @@ class TestDeleteVertex:
         isolated = [v for v, a in enumerate(g.adjacency) if not a]
         assume(isolated)
         v = data.draw(st.sampled_from(isolated))
-        assert complemented(g, v) == g
+        assert local_complement(g, v) == g
         assert g.measure_z(v)[0] == g
 
 
@@ -170,6 +158,54 @@ class TestMeasureX:
         v, k0 = data.draw(st.sampled_from(options))
         want = local_complement(local_complement(g, k0), v).measure_z(v)[0]
         assert g.measure_x(v, k0) == (local_complement(want, k0), MeasurementRecord(v, "X", k0))
+
+    def test_matches_the_literal_rule_on_wide_masks(self):
+        # every control of one eval network per configs/eval.json cell, in
+        # mec_complementation's order and with its k0, against the literal
+        # rule on graphs of their own; then every edge, both ways round, of
+        # those controlled graphs (54 to 60 vertices) and of random graphs
+        # whose masks span two or three 64-bit words, against the same rule
+        # on a boolean matrix, which the controls hold to the reference
+        def literal(g, v, k0):
+            want = local_complement(local_complement(g, k0), v).measure_z(v)[0]
+            return local_complement(want, k0)
+
+        def literal_matrix(a, v, k0):
+            a = a.copy()
+            for x in (k0, v, None, k0):
+                if x is None:
+                    a[v], a[:, v] = False, False
+                else:
+                    a ^= np.outer(a[x], a[x])
+                    np.fill_diagonal(a, False)
+            return a
+
+        cfg = ExperimentConfig.from_json(EVAL_CONFIG)
+        graphs = []
+        for k, p in itertools.product(cfg.qnet_counts, cfg.densities):
+            seed = derive_seed(cfg.seed, k, int(p * 1_000_000), 0)
+            cg = build_controlled(generate_inter_qnet(GenConfig(k, even_sizes(cfg.nodes, k), p, seed)))
+            first = cg.partition.masks[0]
+            k0 = (first & -first).bit_length() - 1
+            g = cg.graph
+            for c in cg.partition.control_nodes:
+                got, rec = g.measure_x(c, k0)
+                assert got == literal(g, c, k0) and rec == MeasurementRecord(c, "X", k0)
+                want = literal_matrix(masks_to_matrix(g.adjacency, g.vertex_count), c, k0)
+                assert (masks_to_matrix(got.adjacency, g.vertex_count) == want).all()
+                g = got
+            assert g.restrict(cg.data_count) == mec_complementation(cg)[0].graph
+            graphs.append(cg.graph)
+        rnd = random.Random(53)
+        for n, p in ((65, 0.5), (100, 0.1), (130, 0.05), (130, 0.2)):
+            graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < p]))
+        for g in graphs:
+            n = g.vertex_count
+            matrix = masks_to_matrix(g.adjacency, n)
+            for a, b in g.edges():
+                for v, k0 in ((a, b), (b, a)):
+                    got = masks_to_matrix(g.measure_x(v, k0)[0].adjacency, n)
+                    assert (got == literal_matrix(matrix, v, k0)).all(), (n, v, k0)
 
 
 class TestMeasureZ:
