@@ -162,22 +162,25 @@ class TestMeasureX:
     def test_matches_the_literal_rule_on_wide_masks(self):
         # every control of one eval network per configs/eval.json cell, in
         # mec_complementation's order and with its k0, against the literal
-        # rule on graphs of their own; then every edge, both ways round, of
-        # those controlled graphs (54 to 60 vertices) and of random graphs
-        # whose masks span two or three 64-bit words, against the same rule
-        # on a boolean matrix, which the controls hold to the reference
+        # rule on graphs of their own and on a boolean matrix; then every
+        # edge, both ways round, of those controlled graphs (54 to 60
+        # vertices) and of random graphs whose masks span two or three 64-bit
+        # words, against the matrix form alone, which the reference form
+        # costs too much to run on every edge
         def literal(g, v, k0):
             want = local_complement(local_complement(g, k0), v).measure_z(v)[0]
             return local_complement(want, k0)
 
+        def tau(a, x):
+            a ^= np.outer(a[x], a[x])
+            np.fill_diagonal(a, False)
+
         def literal_matrix(a, v, k0):
             a = a.copy()
-            for x in (k0, v, None, k0):
-                if x is None:
-                    a[v], a[:, v] = False, False
-                else:
-                    a ^= np.outer(a[x], a[x])
-                    np.fill_diagonal(a, False)
+            tau(a, k0)
+            tau(a, v)
+            a[v] = a[:, v] = False
+            tau(a, k0)
             return a
 
         cfg = ExperimentConfig.from_json(EVAL_CONFIG)
