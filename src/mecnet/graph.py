@@ -85,31 +85,23 @@ def components(adj: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
-def _keep(adj: list[int], mask: int) -> None:
-    """Delete, in place, every vertex outside ``mask`` from the neighbor
-    masks ``adj``: its row is cleared, and its bit in every other row."""
-    adj[:] = [a & mask if mask >> v & 1 else 0 for v, a in enumerate(adj)]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementRecord:
     """Symbolic record of a single-qubit Pauli measurement on a graph state.
 
     The outcome-dependent local-Clifford byproduct is never applied to the
-    graph; the basis, the vertex and ``special_neighbor``, the designated
-    neighbor of the X-measurement rule (absent for Z), fix it.  No code
+    graph; the vertex and ``special_neighbor``, the designated neighbor of
+    the X-measurement rule (None for a Z measurement), fix it.  The basis is
+    read off the neighbor, so a record cannot disagree with itself.  No code
     computes the byproduct yet.
     """
 
     vertex: int
-    basis: Literal["X", "Z"]
     special_neighbor: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.basis == "X" and self.special_neighbor is None:
-            raise ValueError("X measurement requires a special neighbor")
-        if self.basis == "Z" and self.special_neighbor is not None:
-            raise ValueError("Z measurement takes no special neighbor")
+    @property
+    def basis(self) -> Literal["X", "Z"]:
+        return "Z" if self.special_neighbor is None else "X"
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -206,7 +198,7 @@ class Graph:
         τ_k0 τ_v τ_k0 on the edge v–k0 is the pivot (Bouchet 1988), which
         toggles those edges and swaps the neighborhoods of v and k0.  ``k0``
         must be adjacent to ``v``.  The local-Clifford byproduct is not
-        applied; the returned record fixes it (see MeasurementRecord).
+        applied; the returned record, ``MeasurementRecord(v, k0)``, fixes it.
         """
         v, k0 = operator.index(v), operator.index(k0)
         if not self.has_edge(v, k0):
@@ -222,22 +214,23 @@ class Graph:
                 m ^= low
                 adj[low.bit_length() - 1] ^= flip
         adj[k0], adj[v] = na, 0
-        return Graph._from_parts(tuple(adj)), MeasurementRecord(v, "X", k0)
+        return Graph._from_parts(tuple(adj)), MeasurementRecord(v, k0)
 
     def measure_z(self, v: int) -> tuple["Graph", MeasurementRecord]:
-        """Pauli-Z measurement rule: vertex deletion, ``v``'s slot left isolated."""
+        """Pauli-Z measurement rule: vertex deletion, ``v``'s slot left
+        isolated.  The record, ``MeasurementRecord(v)``, has no special
+        neighbor."""
         v = operator.index(v)
         self._check_vertex(v)
         full = (1 << len(self.adjacency)) - 1
-        return self.keep(full ^ 1 << v), MeasurementRecord(v, "Z")
+        return self.keep(full ^ 1 << v), MeasurementRecord(v)
 
     def keep(self, mask: int) -> "Graph":
         """Induced subgraph on the vertices in ``mask``: the Z rule applied
         to every vertex outside it, whose rows are cleared and whose slots
         stay, isolated.
         """
-        adj = list(self.adjacency)
-        _keep(adj, mask)
+        adj = [a & mask if mask >> v & 1 else 0 for v, a in enumerate(self.adjacency)]
         return Graph._from_parts(tuple(adj))
 
     # -- restriction -------------------------------------------------------

@@ -103,7 +103,7 @@ class TestMeasureX:
     def test_single_edge(self):
         g, rec = Graph(2, [(0, 1)]).measure_x(1, 0)
         assert g == Graph(2)
-        assert rec == MeasurementRecord(1, "X", 0)
+        assert rec == MeasurementRecord(1, 0)
 
     def test_star_center(self):
         # hand-run of the three-step rule on the 4-vertex star
@@ -157,7 +157,7 @@ class TestMeasureX:
         assume(options)
         v, k0 = data.draw(st.sampled_from(options))
         want = local_complement(local_complement(g, k0), v).measure_z(v)[0]
-        assert g.measure_x(v, k0) == (local_complement(want, k0), MeasurementRecord(v, "X", k0))
+        assert g.measure_x(v, k0) == (local_complement(want, k0), MeasurementRecord(v, k0))
 
     def test_matches_the_literal_rule_on_wide_masks(self):
         # every control of one eval network per configs/eval.json cell, in
@@ -193,7 +193,7 @@ class TestMeasureX:
             g = cg.graph
             for c in cg.partition.control_nodes:
                 got, rec = g.measure_x(c, k0)
-                assert got == literal(g, c, k0) and rec == MeasurementRecord(c, "X", k0)
+                assert got == literal(g, c, k0) and rec == MeasurementRecord(c, k0)
                 want = literal_matrix(masks_to_matrix(g.adjacency, g.vertex_count), c, k0)
                 assert (masks_to_matrix(got.adjacency, g.vertex_count) == want).all()
                 g = got
@@ -256,7 +256,7 @@ class TestKeep:
             v = data.draw(st.integers(0, n - 1))
             got, rec = g.measure_z(v)
             assert got == Graph(n, [e for e in g.edges() if v not in e])
-            assert rec == MeasurementRecord(v, "Z")
+            assert rec == MeasurementRecord(v)
 
 
 class TestAdjacency:
@@ -346,14 +346,17 @@ class TestComponents:
         assert components(adj, 0) == []
 
 
-class TestRecordInvariants:
-    def test_x_needs_neighbor(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord(0, "X", None)
-
-    def test_z_takes_none(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord(0, "Z", 1)
+class TestMeasurementRecord:
+    def test_holds_the_vertex_and_neighbor_and_reads_the_basis_off_them(self):
+        assert [f.name for f in dataclasses.fields(MeasurementRecord)] == ["vertex", "special_neighbor"]
+        x, z = MeasurementRecord(3, 0), MeasurementRecord(3)
+        assert (x.basis, x.special_neighbor) == ("X", 0)
+        assert (z.basis, z.special_neighbor) == ("Z", None)
+        for field in ("vertex", "special_neighbor"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, field, 1)
+        assert x == MeasurementRecord(3, 0) and hash(x) == hash(MeasurementRecord(3, 0))
+        assert x != z and z == MeasurementRecord(3, None)
 
 
 class TestStructure:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from reference import complement_edges, edge_list_controlled, random_network
 
 from mecnet.experiments import derive_seed, even_sizes, run_instance
-from mecnet.graph import Graph
+from mecnet.graph import Graph, MeasurementRecord
 from mecnet.netgen import GenConfig, generate_inter_qnet
 from mecnet.qnet import (
     ControlledInterQNet,
@@ -338,13 +338,14 @@ class TestMecComplementation:
         cg = build_controlled(butterfly())
         got, records = mec_complementation(cg)
         assert sorted(got.graph.edges()) == [(0, 2), (1, 3)]
-        assert [r.vertex for r in records] == list(cg.partition.control_nodes)
-        assert all(r.basis == "X" for r in records)
 
     def test_special_neighbor_is_the_lowest_vertex_of_qnet_1(self):
-        cg = build_controlled(butterfly())
+        # k odd, so the control layer has a parity control; one X record per
+        # control, in order, each with k0
+        cg = build_controlled(random_network(3, [3, 2, 2], 0.5, random.Random(21)))
+        k0 = cg.partition.membership.index(1)
         _, records = mec_complementation(cg)
-        assert all(r.special_neighbor == 0 for r in records)
+        assert records == [MeasurementRecord(c, k0) for c in cg.partition.control_nodes]
 
     def test_even_step_intermediates_match_contract(self):
         rnd = random.Random(24)
